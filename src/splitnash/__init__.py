@@ -24,15 +24,7 @@ from .game import (
     solve_nash,
     verify_nash,
 )
-from .kernel import (
-    Box,
-    Interval,
-    SearchBudget,
-    finite_diff_gradient,
-    maximize_1d,
-    project_box,
-    projected_gradient_ascent,
-)
+from .kernel import Box, Interval, SearchBudget, maximize_1d
 from .models import NamedInstance, bertrand_instance, example_4_1, get_instance, quadratic_split_instance
 from .repeated import (
     TransitionMatrix,

@@ -57,30 +57,45 @@ class BertrandModel:
         return min(min(self.price_caps), 5.0 * self.c2)
 
 
+def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
+    """Demand, both sales shares, and both profits at broadcast prices (p1, p2).
+
+    The one place that applies the tie tolerance, the cost-proportional tie
+    split, and the zero-demand mask: at zero demand both shares and both
+    profits are zero.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if np.any(p1 < 0) or np.any(p2 < 0):
+        raise ValueError("prices must be nonnegative")
+    c1, c2 = model.c1, model.c2
+    d = np.asarray(model.demand(p1, p2), dtype=float)
+    pos = d > 0.0
+    diff = p1 - model.lam * p2
+    on_tie = pos & (np.abs(diff) <= TIE_TOL)
+    # np.array, not astype: scalar prices must still give assignable arrays
+    s1 = np.array(pos & (diff < 0), dtype=float)
+    s2 = np.array(pos & (diff > 0), dtype=float)
+    del diff
+    s1[on_tie] = c1 / (c1 + c2)
+    s2[on_tie] = c2 / (c1 + c2)
+    u1 = np.where(pos, (p1 - c1) * s1 * d, 0.0)
+    u2 = np.where(pos, (p2 - c2) * s2 * d, 0.0)
+    return d, s1, s2, u1, u2
+
+
 def sales_shares(model: BertrandModel, p1: float, p2: float) -> tuple[float, float]:
     """Market split: all-or-nothing by the p1 vs lambda*p2 threshold,
     cost-proportional on the tie (detected with absolute tolerance 1e-12).
     Returns (0, 0) when total demand is zero."""
-    if p1 < 0 or p2 < 0:
-        raise ValueError("prices must be nonnegative")
-    if float(model.demand(p1, p2)) <= 0.0:
-        return (0.0, 0.0)
-    diff = p1 - model.lam * p2
-    if abs(diff) <= TIE_TOL:
-        total = model.c1 + model.c2
-        return (model.c1 / total, model.c2 / total)
-    if diff < 0:
-        return (1.0, 0.0)
-    return (0.0, 1.0)
+    _, s1, s2, _, _ = _shares_and_profits(model, p1, p2)
+    return (float(s1), float(s2))
 
 
 def profits(model: BertrandModel, p1: float, p2: float) -> tuple[float, float]:
     """Per-firm profit (p_j - c_j) * share_j * demand."""
-    s1, s2 = sales_shares(model, p1, p2)
-    d = float(model.demand(p1, p2))
-    if d <= 0.0:
-        return (0.0, 0.0)
-    return ((p1 - model.c1) * s1 * d, (p2 - model.c2) * s2 * d)
+    u1, u2 = _shares_and_profits(model, p1, p2)[3:]
+    return (float(u1), float(u2))
 
 
 def tie_price(model: BertrandModel, firm: int, opponent_price: float) -> float:
@@ -102,18 +117,17 @@ def grid_best_response(
         raise ValueError("firm must be 1 or 2")
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    candidates = list(grid)
+    candidates = np.asarray(grid, dtype=float)
     tie = tie_price(model, firm, opponent_price)
     if math.isfinite(tie) and tie >= 0:
-        candidates.append(tie)
-    candidates.sort()
-    best_p, best_u = None, -math.inf
-    for p in candidates:
-        u1, u2 = profits(model, p, opponent_price) if firm == 1 else profits(model, opponent_price, p)
-        u = u1 if firm == 1 else u2
-        if u > best_u:
-            best_p, best_u = p, u
-    return float(best_p), float(best_u)
+        candidates = np.append(candidates, tie)
+    candidates = np.sort(candidates)
+    if firm == 1:
+        u = _shares_and_profits(model, candidates, opponent_price)[3]
+    else:
+        u = _shares_and_profits(model, opponent_price, candidates)[4]
+    best = int(np.argmax(u))  # the first maximum: ties break toward the lower price
+    return float(candidates[best]), float(u[best])
 
 
 def _price_grid(hi: float, step: float) -> np.ndarray:
@@ -134,28 +148,11 @@ def enumerate_grid_equilibria(
         raise ValueError("grid_step must be positive")
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
-    lam = model.lam
-    c1, c2 = model.c1, model.c2
-    total = c1 + c2
-
-    p1 = g[:, None]
-    p2 = g[None, :]
-    d = np.asarray(model.demand(p1, p2), dtype=float)
-    diff = p1 - lam * p2
-    tie = np.abs(diff) <= TIE_TOL
-    share1 = np.where(tie, c1 / total, np.where(diff < 0, 1.0, 0.0))
-    share2 = np.where(tie, c2 / total, np.where(diff > 0, 1.0, 0.0))
-    pos = d > 0.0
-    u1 = np.where(pos, (p1 - c1) * share1 * d, 0.0)
-    u2 = np.where(pos, (p2 - c2) * share2 * d, 0.0)
-
+    # [3:] rather than star-unpacking, so demand and shares are freed here
+    u1, u2 = _shares_and_profits(model, g[:, None], g[None, :])[3:]
     # firm 1 tie candidate per opponent price, firm 2 tie candidate per own row
-    t1 = lam * g
-    d_t1 = np.asarray(model.demand(t1, g), dtype=float)
-    u1_tie = np.where(d_t1 > 0.0, (t1 - c1) * (c1 / total) * d_t1, 0.0)
-    t2 = g / lam
-    d_t2 = np.asarray(model.demand(g, t2), dtype=float)
-    u2_tie = np.where(d_t2 > 0.0, (t2 - c2) * (c2 / total) * d_t2, 0.0)
+    u1_tie = _shares_and_profits(model, model.lam * g, g)[3]
+    u2_tie = _shares_and_profits(model, g, g / model.lam)[4]
 
     best1 = np.maximum(u1.max(axis=0), u1_tie)  # per column (opponent p2)
     best2 = np.maximum(u2.max(axis=1), u2_tie)  # per row (opponent p1)

@@ -1,45 +1,37 @@
-"""Continuous-strategy noncooperative games on box strategy sets.
+"""Continuous-strategy noncooperative games, one real strategy per player.
 
-A game holds an ordered player list, one box strategy set per player, and
-one utility evaluator per player over the full flat profile vector. The
-module provides the diagonal payoff map, the component-wise vector order,
-regret-based Nash verification, best responses, and a multistart
-best-response solver.
+A game holds an ordered player list, one interval strategy set per player,
+and one utility evaluator per player over the full profile vector, whose
+coordinate i is player i's strategy. The module provides the diagonal
+payoff map, the component-wise vector order, regret-based Nash
+verification, best responses, and a multistart best-response solver.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import UtilityExpr, compile_utility, parse_utility, variables
-from .kernel import (
-    Box,
-    Interval,
-    SearchBudget,
-    maximize_1d,
-    project_box,
-    projected_gradient_ascent,
-)
+from .kernel import Box, Interval, SearchBudget, maximize_1d
 
 UtilityFn = Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
 class Game:
-    """An n-person strategic game with per-player box strategy sets.
+    """An n-person strategic game with one interval strategy set per player.
 
-    Player order is fixed and shared by all profile and utility indexing.
-    ``utilities[i]`` maps the full flat profile vector to player i's payoff.
+    Player order is fixed and shared by all profile and utility indexing:
+    coordinate i of a profile is player i's strategy, and ``utilities[i]``
+    maps the full profile vector to player i's payoff.
     """
 
     players: tuple[str, ...]
-    strategy_sets: tuple[Box, ...]
+    strategy_sets: tuple[Interval, ...]
     utilities: tuple[UtilityFn, ...]
-    strategy_dims: tuple[int, ...] = ()
     expressions: tuple[UtilityExpr | None, ...] = ()
 
     def __post_init__(self) -> None:
@@ -47,13 +39,8 @@ class Game:
             raise ValueError("game needs at least one player")
         if len(set(self.players)) != len(self.players):
             raise ValueError("duplicate player identifiers")
-        dims = self.strategy_dims or tuple(1 for _ in self.players)
-        object.__setattr__(self, "strategy_dims", dims)
-        if not (len(self.strategy_sets) == len(self.utilities) == len(self.players) == len(dims)):
-            raise ValueError("players, strategy_sets, utilities, dims must align")
-        for box, d in zip(self.strategy_sets, dims):
-            if box.dim != d:
-                raise ValueError("strategy set dimension != declared strategy_dim")
+        if not (len(self.strategy_sets) == len(self.utilities) == len(self.players)):
+            raise ValueError("players, strategy_sets, utilities must align")
         if not self.expressions:
             object.__setattr__(self, "expressions", tuple(None for _ in self.players))
 
@@ -64,7 +51,7 @@ class Game:
         sources: Sequence[str | UtilityExpr],
         variable_names: Sequence[str] | None = None,
     ) -> "Game":
-        """Build a one-dimensional-per-player game from utility expressions.
+        """Build a game from utility expressions.
 
         variable_names maps expression variables onto players positionally;
         by default the player identifiers themselves are the variables.
@@ -85,8 +72,7 @@ class Game:
                     f"utility of player {p!r} uses undeclared variables {sorted(undeclared)}"
                 )
         fns = tuple(compile_utility(e, var_names) for e in exprs)
-        boxes = tuple(Box((iv,)) for iv in intervals)
-        return Game(tuple(players), boxes, fns, expressions=exprs)
+        return Game(tuple(players), tuple(intervals), fns, expressions=exprs)
 
     @property
     def n_players(self) -> int:
@@ -94,18 +80,11 @@ class Game:
 
     @property
     def profile_dim(self) -> int:
-        return int(sum(self.strategy_dims))
+        return len(self.players)
 
     @property
     def profile_box(self) -> Box:
-        box = self.strategy_sets[0]
-        for b in self.strategy_sets[1:]:
-            box = box.concat(b)
-        return box
-
-    def block_slice(self, i: int) -> slice:
-        start = int(sum(self.strategy_dims[:i]))
-        return slice(start, start + self.strategy_dims[i])
+        return Box(self.strategy_sets)
 
     def player_index(self, player: str) -> int:
         try:
@@ -117,10 +96,7 @@ class Game:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.profile_dim,):
             return False
-        return all(
-            self.strategy_sets[i].contains(x[self.block_slice(i)], slack)
-            for i in range(self.n_players)
-        )
+        return all(iv.contains(v, slack) for iv, v in zip(self.strategy_sets, x))
 
     def payoff(self, i: int, x: np.ndarray) -> float:
         return float(self.utilities[i](np.asarray(x, dtype=float)))
@@ -131,12 +107,8 @@ class Game:
 
     def random_profile(self, rng: np.random.Generator, cap: float) -> np.ndarray:
         """A random feasible profile; unbounded coordinates sampled in [lo, lo+cap]."""
-        vals = []
-        for box in self.strategy_sets:
-            for iv in box.intervals:
-                t = iv.truncated(cap)
-                vals.append(rng.uniform(t.lo, t.hi))
-        return np.array(vals)
+        windows = [iv.truncated(cap) for iv in self.strategy_sets]
+        return np.array([rng.uniform(t.lo, t.hi) for t in windows])
 
 
 @dataclass(frozen=True)
@@ -176,14 +148,13 @@ def order_leq(u: Sequence[float], v: Sequence[float]) -> bool:
 
 
 def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vector whose i-th entry is f_i at (z's block for i, x's blocks elsewhere)."""
+    """Vector whose i-th entry is f_i at (z_i, x elsewhere)."""
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     out = np.empty(game.n_players)
     for i in range(game.n_players):
         mixed = x.copy()
-        s = game.block_slice(i)
-        mixed[s] = z[s]
+        mixed[i] = z[i]
         out[i] = game.utilities[i](mixed)
     return out
 
@@ -191,63 +162,31 @@ def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
 def best_response(
     game: Game, player: str, x: np.ndarray, budget: SearchBudget, truncate: bool = False
 ) -> tuple[np.ndarray, float]:
-    """Maximize player's own payoff against the opponents' blocks in x.
+    """Maximize player's own payoff against the opponents' strategies in x.
 
-    With truncate=True, unbounded intervals are searched only up to the
-    budget cap with no bracket expansion; solver iterations use this to keep
+    Returns the maximizer as a length-1 array and the maximal value. With
+    truncate=True, an unbounded interval is searched only up to the budget
+    cap with no bracket expansion; solver iterations use this to keep
     divergent best-response dynamics bounded.
     """
     i = game.player_index(player)
-    x = np.asarray(x, dtype=float)
-    s = game.block_slice(i)
-    box = game.strategy_sets[i]
+    mixed = np.array(x, dtype=float)
     u = game.utilities[i]
 
-    if game.strategy_dims[i] == 1:
-        mixed = x.copy()
-
-        def f(v: float) -> float:
-            mixed[s.start] = v
-            return u(mixed)
-
-        iv = box.intervals[0]
-        if truncate:
-            iv = iv.truncated(budget.truncation_cap)
-        arg, val = maximize_1d(f, iv, budget)
-        return np.array([arg]), val
-
-    def fblock(block: np.ndarray) -> float:
-        mixed = x.copy()
-        mixed[s] = block
+    def f(v: float) -> float:
+        mixed[i] = v
         return u(mixed)
 
-    rng = np.random.default_rng(budget.seed)
-    starts = [x[s].copy()]
-    starts.append(project_box(np.zeros(box.dim), box))
-    starts.append(
-        np.array([(iv.truncated(budget.truncation_cap).lo + iv.truncated(budget.truncation_cap).hi) / 2 for iv in box.intervals])
-    )
-    for _ in range(4):
-        starts.append(
-            np.array([rng.uniform(iv.truncated(budget.truncation_cap).lo, iv.truncated(budget.truncation_cap).hi) for iv in box.intervals])
-        )
-    best_pt, best_val = None, -math.inf
-    for s0 in starts:
-        pt, val = projected_gradient_ascent(fblock, box, s0, budget)
-        if val > best_val:
-            best_pt, best_val = pt, val
-    return best_pt, best_val
+    iv = game.strategy_sets[i]
+    if truncate:
+        iv = iv.truncated(budget.truncation_cap)
+    arg, val = maximize_1d(f, iv, budget)
+    return np.array([arg]), val
 
 
 def nash_regrets(game: Game, x: np.ndarray, budget: SearchBudget) -> np.ndarray:
     """Per-player regret: best-response value minus current value, clamped at 0."""
-    x = np.asarray(x, dtype=float)
-    regrets = np.empty(game.n_players)
-    for i, p in enumerate(game.players):
-        _, val = best_response(game, p, x, budget)
-        eps = val - game.payoff(i, x)
-        regrets[i] = max(eps, 0.0)
-    return regrets
+    return np.array(verify_nash(game, x, budget).regrets)
 
 
 def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> VerificationReport:
@@ -295,7 +234,7 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
             br = x.copy()
             for i, p in enumerate(game.players):
                 arg, _ = best_response(game, p, x, iter_budget, truncate=True)
-                br[game.block_slice(i)] = arg
+                br[i] = arg[0]
             nxt = x + DAMPING * (br - x)
             change = float(np.max(np.abs(nxt - x)))
             x = nxt
@@ -349,14 +288,13 @@ def concavity_sample_check(
         v_prof = game.random_profile(rng, cap)
         lam = rng.uniform(0.0, 1.0)
         for i, p in enumerate(game.players):
-            s = game.block_slice(i)
             a, b = x.copy(), x.copy()
-            a[s] = u_prof[s]
-            b[s] = v_prof[s]
+            a[i] = u_prof[i]
+            b[i] = v_prof[i]
             mid = x.copy()
-            mid[s] = lam * u_prof[s] + (1 - lam) * v_prof[s]
+            mid[i] = lam * u_prof[i] + (1 - lam) * v_prof[i]
             lhs = game.payoff(i, mid)
             rhs = lam * game.payoff(i, a) + (1 - lam) * game.payoff(i, b)
             if lhs < rhs - tolerance:
-                violations.append((p, tuple(a[s]), tuple(b[s]), float(lam)))
+                violations.append((p, (a[i],), (b[i],), float(lam)))
     return ConcavityReport(samples=samples, violations=tuple(violations))

@@ -1,15 +1,15 @@
 """Deterministic low-level numerical routines.
 
-Box projection, one-dimensional concave maximization, finite differences,
-and projected gradient ascent. Everything here is a pure function of its
-inputs; no global state, no hidden randomness.
+Strategy intervals, profile boxes, search budgets, and one-dimensional
+maximization. Everything here is a pure function of its inputs; no global
+state, no hidden randomness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,13 +40,6 @@ class Interval:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x and (not self.bounded or x <= self.hi + slack)
 
-    def clamp(self, x: float) -> float:
-        if x < self.lo:
-            return self.lo
-        if self.bounded and x > self.hi:
-            return self.hi
-        return x
-
     def truncated(self, cap: float) -> "Interval":
         """Finite search window: [lo, hi] or [lo, lo + cap] when unbounded."""
         if self.bounded:
@@ -71,15 +64,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    def contains(self, x: np.ndarray, slack: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        return all(iv.contains(v, slack) for iv, v in zip(self.intervals, x))
-
-    def concat(self, other: "Box") -> "Box":
-        return Box(self.intervals + other.intervals)
 
 
 @dataclass(frozen=True)
@@ -112,14 +96,6 @@ def _checked(f: Callable[[float], float], x: float) -> float:
     if not math.isfinite(v):
         raise EvaluatorError(f"non-finite value {v!r} at {x!r}")
     return v
-
-
-def project_box(point: Sequence[float], box: Box) -> np.ndarray:
-    """Coordinate-wise clamp of point into box."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != (box.dim,):
-        raise ValueError(f"point has dim {x.shape}, box has dim {box.dim}")
-    return np.array([iv.clamp(v) for iv, v in zip(box.intervals, x)], dtype=float)
 
 
 def _expand_cap(f: Callable[[float], float], lo: float, cap: float, budget: SearchBudget) -> float:
@@ -195,79 +171,3 @@ def maximize_1d(
         return gx, gv
     return float(xs[best_i]), best_v
 
-
-def finite_diff_gradient(
-    f: Callable[[np.ndarray], float], point: Sequence[float], box: Box
-) -> np.ndarray:
-    """Central differences; one-sided at box boundaries."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != (box.dim,):
-        raise ValueError("point/box dimension mismatch")
-    grad = np.empty(box.dim)
-
-    def fv(p: np.ndarray) -> float:
-        v = float(f(p))
-        if not math.isfinite(v):
-            raise EvaluatorError(f"non-finite value {v!r} at {p!r}")
-        return v
-
-    for k in range(box.dim):
-        iv = box.intervals[k]
-        h = 1e-6 * max(1.0, abs(x[k]))
-        lo_ok = x[k] - h >= iv.lo
-        hi_ok = (not iv.bounded) or x[k] + h <= iv.hi
-        xp, xm = x.copy(), x.copy()
-        if lo_ok and hi_ok:
-            xp[k] += h
-            xm[k] -= h
-            grad[k] = (fv(xp) - fv(xm)) / (2 * h)
-        elif hi_ok:
-            xp[k] += h
-            grad[k] = (fv(xp) - fv(x)) / h
-        else:
-            xm[k] -= h
-            grad[k] = (fv(x) - fv(xm)) / h
-    return grad
-
-
-def projected_gradient_ascent(
-    f: Callable[[np.ndarray], float],
-    box: Box,
-    start: Sequence[float],
-    budget: SearchBudget,
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent with backtracking step size.
-
-    Iterates x <- project(x + eta * grad f(x)); eta starts at 1 and halves on
-    non-improvement. Monotone in f, so the returned value is never below
-    f(start) - tolerance.
-    """
-    x = project_box(start, box)
-    if not box.contains(x, slack=1e-12):
-        raise ValueError("start point not in box")
-    grad = gradient if gradient is not None else (lambda p: finite_diff_gradient(f, p, box))
-
-    fx = float(f(x))
-    if not math.isfinite(fx):
-        raise EvaluatorError("non-finite value at start")
-    for _ in range(budget.max_iterations):
-        g = np.asarray(grad(x), dtype=float)
-        eta = 1.0
-        moved = False
-        while eta > 1e-14:
-            cand = project_box(x + eta * g, box)
-            fc = float(f(cand))
-            if not math.isfinite(fc):
-                raise EvaluatorError("non-finite value during ascent")
-            if fc > fx:
-                change = float(np.max(np.abs(cand - x)))
-                x, fx = cand, fc
-                moved = True
-                if change < budget.tolerance:
-                    return x, fx
-                break
-            eta *= 0.5
-        if not moved:
-            break
-    return x, fx

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bertrand import BertrandModel, linear_demand
 from .game import Game
-from .kernel import Box, Interval
+from .kernel import Interval
 from .split import LinearOperator, SplitProblem
 
 PAPER = "PAPER"
@@ -134,9 +134,9 @@ def quadratic_game(targets: Sequence[float], hi: float) -> Game:
     """Dominant-strategy game: player i maximizes -(x_i - a_i)^2 on [0, hi]."""
     targets = tuple(float(t) for t in targets)
     players = tuple(f"p{i + 1}" for i in range(len(targets)))
-    boxes = tuple(Box((Interval(0.0, hi),)) for _ in targets)
+    intervals = tuple(Interval(0.0, hi) for _ in targets)
     utils = tuple(_quadratic_utility(i, t) for i, t in enumerate(targets))
-    return Game(players, boxes, utils)
+    return Game(players, intervals, utils)
 
 
 def quadratic_split_instance(

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .game import (
     Game,
@@ -25,7 +24,7 @@ from .game import (
     solve_nash,
     verify_nash,
 )
-from .kernel import Box, Interval, SearchBudget
+from .kernel import Box, SearchBudget
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,9 @@ def check_surjectivity(
     cap) is tested by bounded least squares min ||Ax - y|| over the source
     box; surjective-on-samples iff every residual is within tolerance.
     """
+    # imported here so that loading the package does not pay for scipy.optimize
+    from scipy.optimize import lsq_linear
+
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
     src, dst = problem.game_n.profile_box, problem.game_m.profile_box
@@ -367,13 +369,7 @@ def kkm_intersection_probe(
         if all(kkm_t_membership(problem, x, z, budget.tolerance) for x in grid):
             members.append(z)
 
-    slack_budget = SearchBudget(
-        grid_step=budget.grid_step,
-        max_iterations=budget.max_iterations,
-        truncation_cap=budget.truncation_cap,
-        tolerance=max(budget.tolerance, 2.0 * cell_diameter),
-        seed=budget.seed,
-    )
+    slack_budget = replace(budget, tolerance=max(budget.tolerance, 2.0 * cell_diameter))
     verified = tuple(
         verify_split_equilibrium(problem, z, slack_budget).verdict for z in members
     )

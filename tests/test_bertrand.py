@@ -19,6 +19,7 @@ from splitnash.bertrand import (
     sales_shares,
     tie_price,
 )
+from splitnash.models import get_instance
 
 
 @pytest.fixture
@@ -109,6 +110,19 @@ class TestGridBestResponse:
         p, _ = grid_best_response(model, 1, 2.0, grid)
         assert p == 1.0
 
+    def test_matches_the_candidate_by_candidate_loop(self, model):
+        # reference: evaluate each tie-augmented candidate alone, keep the first maximum
+        grid = np.round(np.arange(0, 301) * 0.017, 9)
+        for firm in (1, 2):
+            for opp in (0.0, 0.9, 1.37, 2.0, 4.1):
+                cands = sorted([*grid, tie_price(model, firm, opp)])
+                values = [
+                    profits(model, p, opp)[0] if firm == 1 else profits(model, opp, p)[1]
+                    for p in cands
+                ]
+                k = values.index(max(values))
+                assert grid_best_response(model, firm, opp, grid) == (cands[k], values[k])
+
     def test_rejects_bad_firm_and_empty_grid(self, model):
         with pytest.raises(ValueError):
             grid_best_response(model, 3, 2.0, [1.0])
@@ -141,6 +155,27 @@ class TestEnumeration:
     def test_rejects_nonpositive_step(self, model):
         with pytest.raises(ValueError):
             enumerate_grid_equilibria(model, grid_step=0.0)
+
+    @pytest.mark.parametrize("ident", ["bertrand-1-2", "bertrand-1-1"])
+    def test_enumeration_and_membership_agree_on_the_ring(self, ident):
+        # enumeration, membership, and grid best responses share one profit
+        # evaluator; members must pass and their grid neighbours must fail
+        m = get_instance(ident).problem
+        step, hi = 0.01, 5.0
+        members = set(enumerate_grid_equilibria(m, grid_step=step, price_range=hi))
+        assert members
+        for p1, p2 in members:
+            assert is_grid_equilibrium(m, p1, p2, grid_step=step, price_range=hi)
+        ring = {
+            (round(p1 + i * step, 9), round(p2 + j * step, 9))
+            for p1, p2 in members
+            for i in (-1, 0, 1)
+            for j in (-1, 0, 1)
+        }
+        ring = {q for q in ring - members if 0.0 <= min(q) and max(q) <= hi}
+        assert ring
+        for p1, p2 in ring:
+            assert not is_grid_equilibrium(m, p1, p2, grid_step=step, price_range=hi)
 
 
 class TestMarkovTransform:

@@ -1,11 +1,16 @@
 """Command-line interface: verbs, exit codes, JSON reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import splitnash
 from splitnash.cli import (
     EXIT_DISCREPANCY,
     EXIT_FAIL,
@@ -186,3 +191,12 @@ class TestFileInputs:
         path.write_text(json.dumps(spec))
         code, _ = run(capsys, "verify-nash", str(path), "--profile", "1")
         assert code == EXIT_OK
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # only check_surjectivity needs scipy.optimize; every CLI call pays the import
+    src = str(Path(splitnash.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, splitnash.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,21 +1,12 @@
-"""Intervals, boxes, budgets, and the scalar/box optimizers."""
+"""Intervals, boxes, budgets, and the one-dimensional maximizer."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitnash.kernel import (
-    Box,
-    Interval,
-    SearchBudget,
-    finite_diff_gradient,
-    maximize_1d,
-    project_box,
-    projected_gradient_ascent,
-)
+from splitnash.kernel import Box, Interval, SearchBudget, maximize_1d
 
 
 class TestInterval:
@@ -41,12 +32,6 @@ class TestInterval:
         assert not iv.contains(1.0 + 1e-9)
         assert iv.contains(1.0 + 1e-9, slack=1e-8)
 
-    def test_clamp(self):
-        iv = Interval(0.0, 1.0)
-        assert iv.clamp(-3.0) == 0.0
-        assert iv.clamp(0.4) == 0.4
-        assert iv.clamp(7.0) == 1.0
-
     def test_truncated_caps_only_the_infinite_end(self):
         assert Interval(0.0).truncated(8.0) == Interval(0.0, 8.0)
         assert Interval(0.0, 2.0).truncated(8.0) == Interval(0.0, 2.0)
@@ -56,18 +41,7 @@ class TestBox:
     def test_of_and_dim(self):
         b = Box.of((0, 1), (2, 5))
         assert b.dim == 2
-        assert b.contains(np.array([0.5, 3.0]))
-        assert not b.contains(np.array([0.5, 5.1]))
-
-    def test_concat(self):
-        b = Box.of((0, 1)).concat(Box.of((2, 3)))
-        assert b.dim == 2 and b.intervals[1] == Interval(2.0, 3.0)
-
-    def test_project_box_returns_float_array(self):
-        b = Box.of((0, 3), (0, 3))
-        out = project_box([5, -1], b)
-        assert out.dtype == np.float64
-        assert out.tolist() == [3.0, 0.0]
+        assert b.intervals == (Interval(0.0, 1.0), Interval(2.0, 5.0))
 
 
 class TestSearchBudget:
@@ -106,24 +80,3 @@ class TestMaximize1d:
         x, _ = maximize_1d(lambda t: -((t - peak) ** 2), Interval(0.0, 10.0), SearchBudget())
         assert x == pytest.approx(peak, abs=1e-5)
 
-
-class TestGradients:
-    def test_finite_diff_matches_analytic(self):
-        f = lambda p: float(p[0] ** 2 + 3.0 * p[0] * p[1])
-        g = finite_diff_gradient(f, np.array([1.0, 2.0]), Box.of((0, 10), (0, 10)))
-        assert g == pytest.approx([8.0, 3.0], abs=1e-4)
-
-    def test_projected_ascent_on_quadratic_bowl(self):
-        target = np.array([1.0, 2.0])
-        f = lambda p: -float(np.sum((p - target) ** 2))
-        box = Box.of((0, 5), (0, 5))
-        x, v = projected_gradient_ascent(f, box, np.array([4.0, 4.0]), SearchBudget())
-        assert np.allclose(x, target, atol=1e-3)
-        assert v == pytest.approx(0.0, abs=1e-5)
-
-    def test_projected_ascent_respects_box(self):
-        # unconstrained max at 7 is outside the box; should stop at the face
-        f = lambda p: -float((p[0] - 7.0) ** 2)
-        box = Box.of((0, 5))
-        x, _ = projected_gradient_ascent(f, box, np.array([1.0]), SearchBudget())
-        assert x[0] == pytest.approx(5.0, abs=1e-6)
