@@ -12,9 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from splitnash.cli import main as cli_main
-
-TARGETS = ("example-4.1", "bertrand", "thm-6.2", "cdp", "kkm")
+from splitnash.cli import AUDITS, main as cli_main
 
 
 def main() -> int:
@@ -27,7 +25,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for target in TARGETS:
+    for target in AUDITS:
         out = out_dir / f"audit-{target.replace('.', '_')}.json"
         argv = ["audit", target, "--format", "json", "--out", str(out)]
         if args.deterministic:

@@ -26,13 +26,7 @@ from .game import (
 )
 from .kernel import Box, Interval, SearchBudget, maximize_1d
 from .models import NamedInstance, bertrand_instance, example_4_1, get_instance, quadratic_split_instance
-from .repeated import (
-    TransitionMatrix,
-    TransitionMatrixError,
-    make_repeated_problem,
-    repeated_cdp_check,
-    validate_transition_matrix,
-)
+from .repeated import TransitionMatrixError, make_repeated_problem, validate_transition_matrix
 from .split import (
     LinearOperator,
     SplitProblem,

@@ -1,18 +1,24 @@
 """Command-line front end.
 
 Verbs: verify-nash, solve-nash, verify-split, solve-split, audit, cdp-check,
-kkm-probe, bertrand-enumerate. Reports go to stdout as text or JSON and
-optionally to a file as JSON; identical command, flags, and seed produce
-byte-identical JSON when --deterministic is set.
+kkm-probe, bertrand-enumerate. Every verb and every audit runs on one path:
+`main` parses the arguments and builds one `Report`, which validates the
+search budget once; the verb (for `audit`, the named audit) takes
+``(args, rep)``, fills in the verdict, results and discrepancies from
+``rep.budget``, and returns the exit code; `main` then emits the report to
+stdout as text or JSON and optionally to a file as JSON. Identical command,
+flags, and seed produce byte-identical JSON when --deterministic is set.
 
 Exit codes: 0 success / verdict true / nonempty result; 1 verdict false,
-empty result, or unexpected oracle mismatch; 2 input error; 3 a documented
-source-claim discrepancy was confirmed (distinct from failure).
+empty result, or unexpected oracle mismatch; 2 input error, including an
+invalid budget, seed or sample count, and then no report is written; 3 a
+documented source-claim discrepancy was confirmed (distinct from failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,8 +30,9 @@ import numpy as np
 from . import bertrand as bt
 from .game import Game, nash_regrets, solve_nash, verify_nash
 from .kernel import Interval, SearchBudget
-from .models import NamedInstance, get_instance
+from .models import get_instance
 from .split import (
+    CdpReport,
     LinearOperator,
     SplitProblem,
     cdp_sample_check,
@@ -42,25 +49,6 @@ EXIT_DISCREPANCY = 3
 
 class InputError(Exception):
     pass
-
-
-def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        grid_step=args.grid_step,
-        max_iterations=args.budget_iters,
-        truncation_cap=args.cap,
-        tolerance=args.tol,
-        seed=args.seed,
-    )
-
-
-def _parse_profile(text: str) -> np.ndarray:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise InputError(f"malformed profile {text!r}: {exc}") from None
-    return np.array(vals)
 
 
 def load_game_spec(data: dict) -> Game:
@@ -105,26 +93,33 @@ def _load_json(path: str) -> dict:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
-def resolve_game(target: str) -> Game:
+_KINDS = {
+    "game": ("a plain game", load_game_spec),
+    "split": ("a split problem", load_split_spec),
+}
+
+
+def _resolve(target: str, kind: str):
+    """The builtin instance of the given kind, or the spec file at that path."""
+    what, load = _KINDS[kind]
     try:
         inst = get_instance(target)
     except KeyError:
-        data = _load_json(target)
-        return load_game_spec(data)
-    if inst.kind != "game":
-        raise InputError(f"builtin {target!r} is not a plain game (kind={inst.kind})")
+        return load(_load_json(target))
+    if inst.kind != kind:
+        raise InputError(f"builtin {target!r} is not {what} (kind={inst.kind})")
     return inst.problem
 
 
-def resolve_split(target: str) -> SplitProblem:
+def _profile(args, game: Game) -> np.ndarray:
+    """The --profile values, which must be a feasible profile of the game."""
     try:
-        inst = get_instance(target)
-    except KeyError:
-        data = _load_json(target)
-        return load_split_spec(data)
-    if inst.kind != "split":
-        raise InputError(f"builtin {target!r} is not a split problem (kind={inst.kind})")
-    return inst.problem
+        x = np.array([float(p.strip()) for p in args.profile.split(",")])
+    except ValueError as exc:
+        raise InputError(f"malformed profile {args.profile!r}: {exc}") from None
+    if not game.is_feasible(x, slack=1e-12):
+        raise InputError(f"profile {x.tolist()} infeasible for {args.target}")
+    return x
 
 
 def _json_default(value):
@@ -141,31 +136,42 @@ def _json_default(value):
 
 
 class Report:
-    def __init__(self, command: str, instance: str | None, args):
-        self.command = command
-        self.instance = instance
+    """The one report of a run, holding the budget it was computed with."""
+
+    def __init__(self, args):
+        if args.samples < 1:
+            raise InputError(f"--samples must be at least 1, got {args.samples}")
+        self.budget = SearchBudget(
+            grid_step=args.grid_step,
+            max_iterations=args.budget_iters,
+            truncation_cap=args.cap,
+            tolerance=args.tol,
+            seed=args.seed,
+        )
         self.args = args
         self.verdict: bool | None = None
         self.results: dict = {}
         self.discrepancies: list[str] = []
         self._t0 = time.perf_counter()
 
+    def settle(self, ok: bool, results: dict) -> int:
+        """Record the verdict and results; the exit code follows the verdict."""
+        self.verdict = ok
+        self.results = results
+        return EXIT_OK if ok else EXIT_FAIL
+
     def to_dict(self) -> dict:
         d = {
             "schema_version": 1,
-            "command": self.command,
-            "instance": self.instance,
+            "command": self.args.verb,
+            "instance": self.args.target,
             "budget": {
-                "tolerance": self.args.tol,
-                "grid_step": self.args.grid_step,
-                "max_iterations": self.args.budget_iters,
-                "truncation_cap": self.args.cap,
-                "seed": self.args.seed,
+                **dataclasses.asdict(self.budget),
                 "samples": self.args.samples,
                 "range": self.args.range,
             },
             "verdict": self.verdict,
-            "tolerance": self.args.tol,
+            "tolerance": self.budget.tolerance,
             "results": self.results,
             "discrepancies": self.discrepancies,
         }
@@ -193,104 +199,78 @@ class Report:
             print(f"discrepancy: {note}")
 
 
+# --- checks shared by a verb and an audit ------------------------------------
+
+
+def _kkm(problem: SplitProblem, args, rep: Report) -> int:
+    result = kkm_intersection_probe(problem, rep.budget, points_per_axis=args.points_per_axis)
+    return rep.settle(bool(result.members) and all(result.verified), {"probe": result.to_dict()})
+
+
+def _cdp(problem: SplitProblem, args, rep: Report) -> CdpReport:
+    b = rep.budget
+    return cdp_sample_check(
+        problem, args.samples, seed=b.seed, tolerance=b.tolerance, cap=b.truncation_cap
+    )
+
+
+def _enumerate(model: bt.BertrandModel, default_range: float, args, rep: Report) -> dict:
+    hi = args.range if args.range is not None else default_range
+    step = rep.budget.grid_step
+    eqs = bt.enumerate_grid_equilibria(model, step, hi, tolerance=rep.budget.tolerance)
+    return {"grid_step": step, "price_range": hi, "equilibria": [[p1, p2] for p1, p2 in eqs]}
+
+
 # --- verbs -------------------------------------------------------------------
 
 
-def cmd_verify_nash(args) -> int:
-    game = resolve_game(args.target)
-    x = _parse_profile(args.profile)
-    if not game.is_feasible(x, slack=1e-12):
-        raise InputError(f"profile {x.tolist()} infeasible for {args.target}")
-    rep = Report("verify-nash", args.target, args)
-    vr = verify_nash(game, x, _budget(args))
-    rep.verdict = vr.verdict
-    rep.results = {"profile": list(map(float, x)), "verification": vr.to_dict()}
-    rep.emit()
-    return EXIT_OK if vr.verdict else EXIT_FAIL
+def cmd_verify_nash(args, rep: Report) -> int:
+    game = _resolve(args.target, "game")
+    x = _profile(args, game)
+    vr = verify_nash(game, x, rep.budget)
+    return rep.settle(vr.verdict, {"profile": list(map(float, x)), "verification": vr.to_dict()})
 
 
-def cmd_solve_nash(args) -> int:
-    game = resolve_game(args.target)
-    rep = Report("solve-nash", args.target, args)
-    sols = solve_nash(game, _budget(args))
-    rep.verdict = bool(sols)
-    rep.results = {"equilibria": [list(map(float, s)) for s in sols]}
-    rep.emit()
-    return EXIT_OK if sols else EXIT_FAIL
+def cmd_solve_nash(args, rep: Report) -> int:
+    sols = solve_nash(_resolve(args.target, "game"), rep.budget)
+    return rep.settle(bool(sols), {"equilibria": [list(map(float, s)) for s in sols]})
 
 
-def cmd_verify_split(args) -> int:
-    problem = resolve_split(args.target)
-    x = _parse_profile(args.profile)
-    if not problem.game_n.is_feasible(x, slack=1e-12):
-        raise InputError(f"profile {x.tolist()} infeasible for {args.target}")
-    rep = Report("verify-split", args.target, args)
-    vr = verify_split_equilibrium(problem, x, _budget(args))
-    rep.verdict = vr.verdict
-    rep.results = {
+def cmd_verify_split(args, rep: Report) -> int:
+    problem = _resolve(args.target, "split")
+    x = _profile(args, problem.game_n)
+    vr = verify_split_equilibrium(problem, x, rep.budget)
+    return rep.settle(vr.verdict, {
         "profile": list(map(float, x)),
         "verification": vr.to_dict(),
         "relatedness": problem.relatedness.to_dict(),
-    }
-    rep.emit()
-    return EXIT_OK if vr.verdict else EXIT_FAIL
+    })
 
 
-def cmd_solve_split(args) -> int:
-    problem = resolve_split(args.target)
-    rep = Report("solve-split", args.target, args)
-    sols = solve_split(problem, _budget(args))
-    rep.verdict = bool(sols)
-    rep.results = {
+def cmd_solve_split(args, rep: Report) -> int:
+    problem = _resolve(args.target, "split")
+    sols = solve_split(problem, rep.budget)
+    return rep.settle(bool(sols), {
         "split_equilibria": [list(map(float, s)) for s in sols],
         "relatedness": problem.relatedness.to_dict(),
-    }
-    rep.emit()
-    return EXIT_OK if sols else EXIT_FAIL
+    })
 
 
-def cmd_cdp_check(args) -> int:
-    problem = resolve_split(args.target)
-    rep = Report("cdp-check", args.target, args)
-    report = cdp_sample_check(
-        problem, args.samples, seed=args.seed, tolerance=args.tol, cap=args.cap
-    )
-    ok = not report.min_dominance_failures
-    rep.verdict = ok
-    rep.results = {"cdp": report.to_dict()}
-    rep.emit()
-    return EXIT_OK if ok else EXIT_FAIL
+def cmd_cdp_check(args, rep: Report) -> int:
+    report = _cdp(_resolve(args.target, "split"), args, rep)
+    return rep.settle(not report.min_dominance_failures, {"cdp": report.to_dict()})
 
 
-def cmd_kkm_probe(args) -> int:
-    problem = resolve_split(args.target)
-    rep = Report("kkm-probe", args.target, args)
-    result = kkm_intersection_probe(
-        problem, _budget(args), points_per_axis=args.points_per_axis
-    )
-    ok = bool(result.members) and all(result.verified)
-    rep.verdict = ok
-    rep.results = {"probe": result.to_dict()}
-    rep.emit()
-    return EXIT_OK if ok else EXIT_FAIL
+def cmd_kkm_probe(args, rep: Report) -> int:
+    return _kkm(_resolve(args.target, "split"), args, rep)
 
 
-def cmd_bertrand_enumerate(args) -> int:
+def cmd_bertrand_enumerate(args, rep: Report) -> int:
     inst = get_instance(args.target) if not args.target.endswith(".json") else None
     if inst is None or inst.kind != "bertrand":
         raise InputError(f"{args.target!r} is not a builtin duopoly instance")
-    model = inst.problem
-    rep = Report("bertrand-enumerate", args.target, args)
-    hi = args.range if args.range is not None else model.default_price_range()
-    eqs = bt.enumerate_grid_equilibria(model, args.grid_step, hi, tolerance=args.tol)
-    rep.verdict = bool(eqs)
-    rep.results = {
-        "grid_step": args.grid_step,
-        "price_range": hi,
-        "equilibria": [[p1, p2] for p1, p2 in eqs],
-    }
-    rep.emit()
-    return EXIT_OK if eqs else EXIT_FAIL
+    results = _enumerate(inst.problem, inst.problem.default_price_range(), args, rep)
+    return rep.settle(bool(results["equilibria"]), results)
 
 
 # --- audits ------------------------------------------------------------------
@@ -299,7 +279,7 @@ def cmd_bertrand_enumerate(args) -> int:
 def _audit_example_4_1(args, rep: Report) -> int:
     inst = get_instance("example-4.1")
     problem: SplitProblem = inst.problem
-    budget = _budget(args)
+    budget = rep.budget
     x = np.array([1.0, 2.0, 4.0])
     image = problem.image(x)
     regrets_n = nash_regrets(problem.game_n, x, budget)
@@ -318,7 +298,7 @@ def _audit_example_4_1(args, rep: Report) -> int:
         rep.verdict = False
         rep.results["failure"] = "operator image of (1,2,4) is not (9,12)"
         return EXIT_FAIL
-    if max(regrets_m) > args.tol or max(regrets_n[:2]) > args.tol:
+    if max(regrets_m) > budget.tolerance or max(regrets_n[:2]) > budget.tolerance:
         rep.verdict = False
         rep.results["failure"] = "unexpected regret where the oracle predicts zero"
         return EXIT_FAIL
@@ -336,27 +316,23 @@ def _audit_example_4_1(args, rep: Report) -> int:
 
 def _audit_bertrand(args, rep: Report) -> int:
     model = get_instance("bertrand-1-2").problem
-    hi = args.range if args.range is not None else 5.0
-    eqs = bt.enumerate_grid_equilibria(model, args.grid_step, hi, tolerance=args.tol)
-    cost_point = next(
-        (e for e in eqs if abs(e[0] - model.c1) < 1e-9 and abs(e[1] - model.c2) < 1e-9), None
+    results = _enumerate(model, 5.0, args, rep)
+    eqs = results["equilibria"]
+    contains_cost_point = any(
+        abs(p1 - model.c1) < 1e-9 and abs(p2 - model.c2) < 1e-9 for p1, p2 in eqs
     )
-    band = 3.0 * args.grid_step
+    band = 3.0 * rep.budget.grid_step
     within = all(
         max(abs(p1 - model.c1), abs(p2 - model.c2)) <= band + 1e-12 for p1, p2 in eqs
     )
-    rep.results = {
-        "grid_step": args.grid_step,
-        "price_range": hi,
-        "equilibria": [[p1, p2] for p1, p2 in eqs],
-        "contains_cost_point": cost_point is not None,
-        "profits_at_costs": list(bt.profits(model, model.c1, model.c2)),
-        "all_within_band": within,
-        "band": band,
-    }
-    ok = cost_point is not None and within and bt.profits(model, model.c1, model.c2) == (0.0, 0.0)
-    rep.verdict = ok
-    return EXIT_OK if ok else EXIT_FAIL
+    at_costs = bt.profits(model, model.c1, model.c2)
+    results.update(
+        contains_cost_point=contains_cost_point,
+        profits_at_costs=list(at_costs),
+        all_within_band=within,
+        band=band,
+    )
+    return rep.settle(contains_cost_point and within and at_costs == (0.0, 0.0), results)
 
 
 def _audit_thm_6_2(args, rep: Report) -> int:
@@ -371,7 +347,8 @@ def _audit_thm_6_2(args, rep: Report) -> int:
     for ident in ("bertrand-1-1", "bertrand-1-2"):
         model = get_instance(ident).problem
         report = bt.audit_theorem_6_2(
-            model, pairs, grid_step=args.grid_step, price_range=args.range, tolerance=args.tol
+            model, pairs, grid_step=rep.budget.grid_step, price_range=args.range,
+            tolerance=rep.budget.tolerance,
         )
         out[ident] = report.to_dict()
         all_oracle = all_oracle and report.all_match_oracle
@@ -390,29 +367,18 @@ def _audit_thm_6_2(args, rep: Report) -> int:
 
 
 def _audit_cdp(args, rep: Report) -> int:
-    out = {}
-    ok = True
-    for ident in ("quadratic-sanity", "example-4.1"):
-        problem = get_instance(ident).problem
-        report = cdp_sample_check(
-            problem, args.samples, seed=args.seed, tolerance=args.tol, cap=args.cap
-        )
-        out[ident] = report.to_dict()
-        ok = ok and not report.min_dominance_failures
-    rep.results = {"cdp": out}
-    rep.verdict = ok
-    return EXIT_OK if ok else EXIT_FAIL
+    reports = {
+        ident: _cdp(get_instance(ident).problem, args, rep)
+        for ident in ("quadratic-sanity", "example-4.1")
+    }
+    return rep.settle(
+        not any(r.min_dominance_failures for r in reports.values()),
+        {"cdp": {ident: r.to_dict() for ident, r in reports.items()}},
+    )
 
 
 def _audit_kkm(args, rep: Report) -> int:
-    problem = get_instance("quadratic-sanity").problem
-    result = kkm_intersection_probe(
-        problem, _budget(args), points_per_axis=args.points_per_axis
-    )
-    ok = bool(result.members) and all(result.verified)
-    rep.results = {"probe": result.to_dict()}
-    rep.verdict = ok
-    return EXIT_OK if ok else EXIT_FAIL
+    return _kkm(get_instance("quadratic-sanity").problem, args, rep)
 
 
 AUDITS = {
@@ -424,13 +390,10 @@ AUDITS = {
 }
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args, rep: Report) -> int:
     if args.target not in AUDITS:
         raise InputError(f"unknown audit {args.target!r}; known: {sorted(AUDITS)}")
-    rep = Report("audit", args.target, args)
-    code = AUDITS[args.target](args, rep)
-    rep.emit()
-    return code
+    return AUDITS[args.target](args, rep)
 
 
 # --- parser ------------------------------------------------------------------
@@ -503,10 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rep = Report(args)
+        code = args.func(args, rep)
+        rep.emit()
+        return code
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -32,7 +32,6 @@ class Game:
     players: tuple[str, ...]
     strategy_sets: tuple[Interval, ...]
     utilities: tuple[UtilityFn, ...]
-    expressions: tuple[UtilityExpr | None, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.players) < 1:
@@ -41,8 +40,6 @@ class Game:
             raise ValueError("duplicate player identifiers")
         if not (len(self.strategy_sets) == len(self.utilities) == len(self.players)):
             raise ValueError("players, strategy_sets, utilities must align")
-        if not self.expressions:
-            object.__setattr__(self, "expressions", tuple(None for _ in self.players))
 
     @staticmethod
     def from_expressions(
@@ -72,7 +69,7 @@ class Game:
                     f"utility of player {p!r} uses undeclared variables {sorted(undeclared)}"
                 )
         fns = tuple(compile_utility(e, var_names) for e in exprs)
-        return Game(tuple(players), tuple(intervals), fns, expressions=exprs)
+        return Game(tuple(players), tuple(intervals), fns)
 
     @property
     def n_players(self) -> int:
@@ -264,16 +261,6 @@ class ConcavityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "passed": self.passed,
-            "violations": [
-                {"player": p, "u": list(u), "v": list(v), "lam": lam}
-                for p, u, v, lam in self.violations
-            ],
-        }
 
 
 def concavity_sample_check(

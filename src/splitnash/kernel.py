@@ -68,7 +68,7 @@ class Box:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Knobs shared by every search routine; all strictly positive."""
+    """Knobs shared by every search routine; all strictly positive but the seed."""
 
     grid_step: float = 1e-2
     max_iterations: int = 500
@@ -81,6 +81,8 @@ class SearchBudget:
             raise ValueError("budget fields must be strictly positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 # Coarse-scan cell count is capped so that wide truncated ranges stay cheap;

@@ -7,39 +7,21 @@ modification between the two plays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .game import Game
-from .split import CdpReport, LinearOperator, SplitProblem, cdp_sample_check
+from .split import LinearOperator, SplitProblem
 
 
 class TransitionMatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """A square nonnegative matrix whose rows each sum to 1."""
+def validate_transition_matrix(matrix) -> LinearOperator:
+    """Validate Markov constraints, naming the first violated one.
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator(self.matrix)
-
-
-def validate_transition_matrix(matrix) -> TransitionMatrix:
-    """Validate Markov constraints, naming the first violated one."""
+    Returns the square nonnegative row-stochastic matrix as an operator.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise TransitionMatrixError(f"matrix must be square, got shape {m.shape}")
@@ -52,28 +34,14 @@ def validate_transition_matrix(matrix) -> TransitionMatrix:
     if len(bad):
         i = int(bad[0])
         raise TransitionMatrixError(f"row {i} sums to {sums[i]}, expected 1")
-    return TransitionMatrix(m)
+    return LinearOperator(m)
 
 
 def make_repeated_problem(game: Game, matrix) -> SplitProblem:
     """Couple a game with itself through the given operator."""
-    if isinstance(matrix, TransitionMatrix):
-        op = matrix.as_operator()
-    elif isinstance(matrix, LinearOperator):
-        op = matrix
-    else:
-        op = validate_transition_matrix(matrix).as_operator()
+    op = matrix if isinstance(matrix, LinearOperator) else validate_transition_matrix(matrix)
     if op.shape[1] != game.profile_dim:
         raise ValueError(
             f"operator dimension {op.shape[1]} != game profile dimension {game.profile_dim}"
         )
     return SplitProblem(game_n=game, game_m=game, operator=op)
-
-
-def repeated_cdp_check(
-    problem: SplitProblem, samples: int, seed: int = 0, tolerance: float = 1e-6, cap: float = 1e3
-) -> CdpReport:
-    """CDP sampling for a repeated problem (target utilities equal source's)."""
-    if problem.game_m is not problem.game_n:
-        raise ValueError("not a repeated problem: the two games differ")
-    return cdp_sample_check(problem, samples, seed=seed, tolerance=tolerance, cap=cap)

@@ -20,6 +20,7 @@ from .game import (
     Game,
     VerificationReport,
     diagonal_payoff,
+    gamma_membership,
     order_leq,
     solve_nash,
     verify_nash,
@@ -134,16 +135,6 @@ class SurjectivityReport:
     max_residual: float
     failures: tuple[tuple[tuple[float, ...], float], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "surjective_on_samples": self.surjective_on_samples,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "failures": [
-                {"target": list(y), "residual": r} for y, r in self.failures
-            ],
-        }
-
 
 def check_surjectivity(
     problem: SplitProblem, samples: int, seed: int = 0, budget: SearchBudget | None = None
@@ -161,16 +152,12 @@ def check_surjectivity(
     rng = np.random.default_rng(seed)
     src, dst = problem.game_n.profile_box, problem.game_m.profile_box
     lo = np.array([iv.lo for iv in src.intervals])
-    hi = np.array([iv.truncated(budget.truncation_cap).hi if not iv.bounded else iv.hi for iv in src.intervals])
+    hi = np.array([iv.truncated(budget.truncation_cap).hi for iv in src.intervals])
+    windows = [iv.truncated(budget.truncation_cap) for iv in dst.intervals]
     failures = []
     max_res = 0.0
     for _ in range(samples):
-        y = np.array(
-            [
-                rng.uniform(iv.truncated(budget.truncation_cap).lo, iv.truncated(budget.truncation_cap).hi)
-                for iv in dst.intervals
-            ]
-        )
+        y = np.array([rng.uniform(t.lo, t.hi) for t in windows])
         res = lsq_linear(problem.operator.matrix, y, bounds=(lo, hi), tol=1e-12)
         residual = float(np.linalg.norm(problem.operator.matrix @ res.x - y))
         max_res = max(max_res, residual)
@@ -315,13 +302,9 @@ def kkm_t_membership(
     problem: SplitProblem, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
 ) -> bool:
     """Is (z, Az) dominated by no deviation to x's blocks, in both games?"""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    gn, gm = problem.game_n, problem.game_m
-    ax, az = problem.image(x), problem.image(z)
-    if not order_leq(diagonal_payoff(gn, x, z), gn.payoff_vector(z) + tolerance):
-        return False
-    return order_leq(diagonal_payoff(gm, ax, az), gm.payoff_vector(az) + tolerance)
+    return gamma_membership(problem.game_n, x, z, tolerance) and gamma_membership(
+        problem.game_m, problem.image(x), problem.image(z), tolerance
+    )
 
 
 @dataclass(frozen=True)

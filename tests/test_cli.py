@@ -62,6 +62,23 @@ class TestExitCodes:
         assert code == EXIT_DISCREPANCY
         assert "discrepancy" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bertrand-enumerate", "bertrand-1-2", "--cap", "0"),
+            ("cdp-check", "quadratic-sanity", "--budget-iters", "0"),
+            ("audit", "thm-6.2", "--diagonal-only", "--tol", "0"),
+            ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--seed", "-1"),
+            ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--samples", "0"),
+            ("verify-nash", "example-4.1", "--profile", "1,2,4"),
+        ],
+    )
+    def test_invalid_input_writes_no_report(self, capsys, tmp_path, argv):
+        out = tmp_path / "report.json"
+        code, _ = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
 
 class TestVerbs:
     def test_solve_split_finds_the_quadratic_pair(self, capsys):
@@ -104,12 +121,23 @@ class TestVerbs:
 
 
 class TestReports:
-    def test_reports_validate_against_the_schema(self, capsys, schema):
+    def test_reports_validate_against_the_schema(self, capsys, tmp_path, schema):
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps({
+            "players": ["p", "q"],
+            "strategy_sets": [{"lo": 0, "hi": 5}, {"lo": 0, "hi": 5}],
+            "utilities": ["0 - (p - 1)^2", "0 - (q - 2)^2"],
+        }))
         for argv in (
             ("verify-nash", "example-4.1:E2", "--profile", "9,12"),
             ("verify-nash", "example-4.1:E1", "--profile", "1,2,4"),
+            ("solve-nash", str(spec)),
+            ("verify-split", "quadratic-sanity", "--profile", "1,2"),
+            ("solve-split", "quadratic-sanity"),
             ("audit", "bertrand"),
             ("cdp-check", "quadratic-sanity", "--samples", "50"),
+            ("kkm-probe", "quadratic-sanity"),
+            ("bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.01", "--range", "5"),
         ):
             _, doc = run_json(capsys, *argv)
             jsonschema.validate(doc, schema)

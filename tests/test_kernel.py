@@ -55,6 +55,8 @@ class TestSearchBudget:
             SearchBudget(grid_step=0.0)
         with pytest.raises(ValueError):
             SearchBudget(tolerance=-1.0)
+        with pytest.raises(ValueError):
+            SearchBudget(seed=-1)
 
 
 class TestMaximize1d:

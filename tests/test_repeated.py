@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from splitnash import (
-    TransitionMatrix,
     TransitionMatrixError,
+    cdp_sample_check,
     make_repeated_problem,
-    repeated_cdp_check,
     validate_transition_matrix,
 )
-from splitnash.models import default_quadratic_sanity, quadratic_game
+from splitnash.models import quadratic_game
 from splitnash.split import LinearOperator
 
 
 class TestValidation:
     def test_accepts_row_stochastic(self):
         tm = validate_transition_matrix([[0.3, 0.7], [0.9, 0.1]])
-        assert isinstance(tm, TransitionMatrix)
-        assert tm.size == 2
+        assert isinstance(tm, LinearOperator)
+        assert tm.shape == (2, 2)
 
     def test_accepts_identity_and_permutation(self):
         validate_transition_matrix(np.eye(3))
@@ -88,9 +87,5 @@ class TestRepeatedCdp:
     def test_min_dominance_holds_on_repeated_quadratic(self):
         g = quadratic_game((1.0, 2.0), hi=5.0)
         p = make_repeated_problem(g, [[0.25, 0.75], [0.5, 0.5]])
-        rep = repeated_cdp_check(p, samples=300, seed=0)
+        rep = cdp_sample_check(p, samples=300, seed=0)
         assert rep.min_dominance_failures == ()
-
-    def test_rejects_non_repeated_problem(self):
-        with pytest.raises(ValueError, match="repeated"):
-            repeated_cdp_check(default_quadratic_sanity().problem, samples=10)
