@@ -24,7 +24,7 @@ from .game import (
     solve_nash,
     verify_nash,
 )
-from .kernel import Box, Interval, SearchBudget, maximize_1d
+from .kernel import Interval, SearchBudget, maximize_1d
 from .models import NamedInstance, bertrand_instance, example_4_1, get_instance, quadratic_split_instance
 from .repeated import TransitionMatrixError, make_repeated_problem, validate_transition_matrix
 from .split import (

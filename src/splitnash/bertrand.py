@@ -275,6 +275,8 @@ def audit_theorem_6_2(
     """
     rows = []
     for alpha, beta in alphas_betas:
+        # numpy scalars would make the comparisons below numpy booleans
+        alpha, beta = float(alpha), float(beta)
         m = MarkovPriceMatrix(alpha, beta)
         tp = markov_price_transform(m, model.c1, model.c2)
         verdict = is_grid_equilibrium(
@@ -287,8 +289,8 @@ def audit_theorem_6_2(
             stated_claim = m.is_identity
         rows.append(
             MarkovAuditRow(
-                alpha=float(alpha),
-                beta=float(beta),
+                alpha=alpha,
+                beta=beta,
                 transformed=(float(tp[0]), float(tp[1])),
                 verdict=verdict,
                 oracle=oracle,

@@ -11,8 +11,9 @@ flags, and seed produce byte-identical JSON when --deterministic is set.
 
 Exit codes: 0 success / verdict true / nonempty result; 1 verdict false,
 empty result, or unexpected oracle mismatch; 2 input error, including an
-invalid budget, seed or sample count, and then no report is written; 3 a
-documented source-claim discrepancy was confirmed (distinct from failure).
+invalid budget, seed, sample count, price range or probe resolution and a
+malformed spec file, and then no report is written; 3 a documented
+source-claim discrepancy was confirmed (distinct from failure).
 """
 
 from __future__ import annotations
@@ -51,19 +52,32 @@ class InputError(Exception):
     pass
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_game_spec(data: dict) -> Game:
+    if not isinstance(data, dict):
+        raise InputError("game spec must be a JSON object")
     try:
         players = data["players"]
         sets = data["strategy_sets"]
         utilities = data["utilities"]
     except KeyError as exc:
         raise InputError(f"game spec missing field {exc}") from None
+    for name, value in (("players", players), ("utilities", utilities)):
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise InputError(f"game spec field {name!r} must be a list of strings")
+    if not isinstance(sets, list):
+        raise InputError("game spec field 'strategy_sets' must be a list")
     if not (len(players) == len(sets) == len(utilities)):
         raise InputError("players, strategy_sets, utilities must have equal length")
     intervals = []
     for s in sets:
-        hi = s.get("hi")
-        intervals.append(Interval(float(s["lo"]), math.inf if hi is None else float(hi)))
+        lo, hi = (s.get("lo"), s.get("hi")) if isinstance(s, dict) else (None, None)
+        if not (_is_number(lo) and (hi is None or _is_number(hi))):
+            raise InputError(f"strategy set {s!r} needs a numeric 'lo' and a numeric or null 'hi'")
+        intervals.append(Interval(float(lo), math.inf if hi is None else float(hi)))
     try:
         return Game.from_expressions(players, intervals, utilities)
     except ValueError as exc:
@@ -74,13 +88,15 @@ def load_split_spec(data: dict) -> SplitProblem:
     try:
         game_n = load_game_spec(data["game_n"])
         game_m = load_game_spec(data["game_m"])
-        matrix = np.asarray(data["matrix"], dtype=float)
+        entries = data["matrix"]
     except KeyError as exc:
         raise InputError(f"split spec missing field {exc}") from None
     try:
-        return SplitProblem(game_n=game_n, game_m=game_m, operator=LinearOperator(matrix))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        matrix = np.asarray(entries, dtype=float)
+    except TypeError:
+        raise InputError("split spec field 'matrix' must hold numbers") from None
+    # main reports a ValueError (bad shape or entries) as an input error
+    return SplitProblem(game_n=game_n, game_m=game_m, operator=LinearOperator(matrix))
 
 
 def _load_json(path: str) -> dict:
@@ -88,9 +104,12 @@ def _load_json(path: str) -> dict:
     if not p.exists():
         raise InputError(f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
+        data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return data
 
 
 _KINDS = {
@@ -148,6 +167,10 @@ class Report:
             tolerance=args.tol,
             seed=args.seed,
         )
+        if args.range is not None and not self.budget.grid_step <= args.range < math.inf:
+            raise InputError(f"--range must be finite and at least --grid-step, got {args.range}")
+        if args.points_per_axis < 1:
+            raise InputError(f"--points-per-axis must be at least 1, got {args.points_per_axis}")
         self.args = args
         self.verdict: bool | None = None
         self.results: dict = {}

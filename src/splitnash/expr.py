@@ -16,6 +16,7 @@ Fractional powers are defined only for nonnegative bases.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
@@ -157,16 +158,24 @@ def parse_utility(source: str) -> UtilityExpr:
     return _Parser(source).parse()
 
 
-def variables(expr: UtilityExpr) -> set[str]:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Const):
-        return set()
+# binary node kinds: their printed symbol and their float operation
+_SYMBOL = {Add: "+", Sub: "-", Mul: "*"}
+_OPERATOR = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _fold(expr: UtilityExpr, leaf: Callable, node: Callable):
+    """Fold the AST bottom-up: ``leaf(e)`` at a Const or Var, else
+    ``node(e, *folded_children)``, with the children folded left to right."""
+    if isinstance(expr, (Const, Var)):
+        return leaf(expr)
     if isinstance(expr, (Add, Sub, Mul)):
-        return variables(expr.left) | variables(expr.right)
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    return variables(expr.base)
+        return node(expr, _fold(expr.left, leaf, node), _fold(expr.right, leaf, node))
+    return node(expr, _fold(expr.operand if isinstance(expr, Neg) else expr.base, leaf, node))
+
+
+def variables(expr: UtilityExpr) -> set[str]:
+    leaf = lambda e: {e.name} if isinstance(e, Var) else set()
+    return _fold(expr, leaf, lambda e, *names: set().union(*names))
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -180,29 +189,24 @@ def _pow(base: float, exponent: float) -> float:
 
 def eval_utility(expr: UtilityExpr, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST under variable bindings; result must be finite."""
-    v = _eval(expr, bindings)
+
+    def leaf(e):
+        if isinstance(e, Const):
+            return e.value
+        try:
+            return float(bindings[e.name])
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+
+    def node(e, *args):
+        if isinstance(e, Pow):
+            return _pow(args[0], e.exponent)
+        return -args[0] if isinstance(e, Neg) else _OPERATOR[type(e)](*args)
+
+    v = _fold(expr, leaf, node)
     if not math.isfinite(v):
         raise EvalError(f"non-finite result {v!r}")
     return v
-
-
-def _eval(expr: UtilityExpr, bindings: Mapping[str, float]) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(bindings[expr.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Add):
-        return _eval(expr.left, bindings) + _eval(expr.right, bindings)
-    if isinstance(expr, Sub):
-        return _eval(expr.left, bindings) - _eval(expr.right, bindings)
-    if isinstance(expr, Mul):
-        return _eval(expr.left, bindings) * _eval(expr.right, bindings)
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, bindings)
-    return _pow(_eval(expr.base, bindings), expr.exponent)
 
 
 def _literal(x: float) -> str:
@@ -213,44 +217,27 @@ def _literal(x: float) -> str:
     return s
 
 
+def _paren(text: str, child: UtilityExpr, kinds: tuple) -> str:
+    return f"({text})" if isinstance(child, kinds) else text
+
+
 def pretty(expr: UtilityExpr) -> str:
     """Print an AST so that parse_utility(pretty(e)) is structurally equal to e."""
-    if isinstance(expr, Const):
-        return _literal(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Add):
-        return f"{pretty(expr.left)} + {_wrap_addend(expr.right)}"
-    if isinstance(expr, Sub):
-        return f"{pretty(expr.left)} - {_wrap_addend(expr.right)}"
-    if isinstance(expr, Mul):
-        return f"{_wrap_factor(expr.left)}*{_wrap_factor(expr.right)}"
-    if isinstance(expr, Neg):
-        return f"-{_wrap_atom(expr.operand)}"
-    return f"{_wrap_atom(expr.base)}^{_literal(expr.exponent)}"
 
-
-def _wrap_addend(e: UtilityExpr) -> str:
-    # right operand of +/-: parenthesize anything the flat grammar would
-    # re-associate into the left spine
-    if isinstance(e, (Add, Sub)):
-        return f"({pretty(e)})"
-    return pretty(e)
-
-
-def _wrap_factor(e: UtilityExpr) -> str:
-    if isinstance(e, (Add, Sub, Mul)):
-        return f"({pretty(e)})"
-    return pretty(e)
-
-
-def _wrap_atom(e: UtilityExpr) -> str:
-    if isinstance(e, (Const, Var)):
-        return pretty(e)
-    if isinstance(e, Neg):
+    def node(e, *texts):
+        if isinstance(e, (Add, Sub)):
+            # right operand: parenthesize anything the flat grammar would
+            # re-associate into the left spine
+            return f"{texts[0]} {_SYMBOL[type(e)]} {_paren(texts[1], e.right, (Add, Sub))}"
+        if isinstance(e, Mul):
+            return "*".join(_paren(t, c, (Add, Sub, Mul)) for t, c in zip(texts, (e.left, e.right)))
         # '-' is itself an atom prefix, so "-x" is a valid power base
-        return pretty(e)
-    return f"({pretty(e)})"
+        kinds = (Add, Sub, Mul, Pow)
+        if isinstance(e, Neg):
+            return f"-{_paren(texts[0], e.operand, kinds)}"
+        return f"{_paren(texts[0], e.base, kinds)}^{_literal(e.exponent)}"
+
+    return _fold(expr, lambda e: _literal(e.value) if isinstance(e, Const) else e.name, node)
 
 
 def compile_utility(
@@ -266,24 +253,19 @@ def compile_utility(
     if missing:
         raise EvalError(f"undeclared variables: {sorted(missing)}")
 
-    def emit(e: UtilityExpr) -> str:
-        if isinstance(e, Const):
-            return repr(e.value)
-        if isinstance(e, Var):
-            return f"v[{index[e.name]}]"
-        if isinstance(e, Add):
-            return f"({emit(e.left)} + {emit(e.right)})"
-        if isinstance(e, Sub):
-            return f"({emit(e.left)} - {emit(e.right)})"
-        if isinstance(e, Mul):
-            return f"({emit(e.left)} * {emit(e.right)})"
-        if isinstance(e, Neg):
-            return f"(-{emit(e.operand)})"
-        if e.exponent == int(e.exponent):
-            return f"({emit(e.base)})**{int(e.exponent)}"
-        return f"_fpow({emit(e.base)}, {repr(e.exponent)})"
+    def leaf(e):
+        return repr(e.value) if isinstance(e, Const) else f"v[{index[e.name]}]"
 
-    src = f"def _u(v):\n    return {emit(expr)}\n"
+    def node(e, *code):
+        if isinstance(e, Neg):
+            return f"(-{code[0]})"
+        if isinstance(e, Pow):
+            if e.exponent == int(e.exponent):
+                return f"({code[0]})**{int(e.exponent)}"
+            return f"_fpow({code[0]}, {repr(e.exponent)})"
+        return f"({code[0]} {_SYMBOL[type(e)]} {code[1]})"
+
+    src = f"def _u(v):\n    return {_fold(expr, leaf, node)}\n"
     namespace: dict = {"_fpow": _pow}
     exec(compile(src, "<utility>", "exec"), namespace)
     return namespace["_u"]

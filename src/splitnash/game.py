@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import UtilityExpr, compile_utility, parse_utility, variables
-from .kernel import Box, Interval, SearchBudget, maximize_1d
+from .kernel import Interval, SearchBudget, maximize_1d
 
 UtilityFn = Callable[[np.ndarray], float]
 
@@ -75,14 +75,6 @@ class Game:
     def n_players(self) -> int:
         return len(self.players)
 
-    @property
-    def profile_dim(self) -> int:
-        return len(self.players)
-
-    @property
-    def profile_box(self) -> Box:
-        return Box(self.strategy_sets)
-
     def player_index(self, player: str) -> int:
         try:
             return self.players.index(player)
@@ -91,7 +83,7 @@ class Game:
 
     def is_feasible(self, x: np.ndarray, slack: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.profile_dim,):
+        if x.shape != (self.n_players,):
             return False
         return all(iv.contains(v, slack) for iv, v in zip(self.strategy_sets, x))
 
@@ -271,17 +263,11 @@ def concavity_sample_check(
     violations = []
     for _ in range(samples):
         x = game.random_profile(rng, cap)
-        u_prof = game.random_profile(rng, cap)
-        v_prof = game.random_profile(rng, cap)
+        u = game.random_profile(rng, cap)
+        v = game.random_profile(rng, cap)
         lam = rng.uniform(0.0, 1.0)
-        for i, p in enumerate(game.players):
-            a, b = x.copy(), x.copy()
-            a[i] = u_prof[i]
-            b[i] = v_prof[i]
-            mid = x.copy()
-            mid[i] = lam * u_prof[i] + (1 - lam) * v_prof[i]
-            lhs = game.payoff(i, mid)
-            rhs = lam * game.payoff(i, a) + (1 - lam) * game.payoff(i, b)
-            if lhs < rhs - tolerance:
-                violations.append((p, (a[i],), (b[i],), float(lam)))
+        lhs = diagonal_payoff(game, lam * u + (1 - lam) * v, x)
+        rhs = lam * diagonal_payoff(game, u, x) + (1 - lam) * diagonal_payoff(game, v, x)
+        for i in np.flatnonzero(lhs < rhs - tolerance):
+            violations.append((game.players[i], (u[i],), (v[i],), float(lam)))
     return ConcavityReport(samples=samples, violations=tuple(violations))

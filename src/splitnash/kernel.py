@@ -1,8 +1,8 @@
 """Deterministic low-level numerical routines.
 
-Strategy intervals, profile boxes, search budgets, and one-dimensional
-maximization. Everything here is a pure function of its inputs; no global
-state, no hidden randomness.
+Strategy intervals, search budgets, and one-dimensional maximization.
+Everything here is a pure function of its inputs; no global state, no
+hidden randomness.
 """
 
 from __future__ import annotations
@@ -48,27 +48,8 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Box:
-    """A product of intervals, one per coordinate."""
-
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.intervals) == 0:
-            raise ValueError("box must have at least one coordinate")
-
-    @staticmethod
-    def of(*bounds: tuple[float, float]) -> "Box":
-        return Box(tuple(Interval(lo, hi) for lo, hi in bounds))
-
-    @property
-    def dim(self) -> int:
-        return len(self.intervals)
-
-
-@dataclass(frozen=True)
 class SearchBudget:
-    """Knobs shared by every search routine; all strictly positive but the seed."""
+    """Knobs shared by every search routine; all finite and strictly positive but the seed."""
 
     grid_step: float = 1e-2
     max_iterations: int = 500
@@ -77,8 +58,9 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid_step <= 0 or self.truncation_cap <= 0 or self.tolerance <= 0:
-            raise ValueError("budget fields must be strictly positive")
+        # written so that NaN fails too
+        if not all(0 < v < math.inf for v in (self.grid_step, self.truncation_cap, self.tolerance)):
+            raise ValueError("budget fields must be finite and strictly positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if self.seed < 0:

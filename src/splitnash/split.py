@@ -25,7 +25,7 @@ from .game import (
     solve_nash,
     verify_nash,
 )
-from .kernel import Box, SearchBudget
+from .kernel import Interval, SearchBudget
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def apply_operator(op: LinearOperator, x: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelatednessReport:
-    """Exact interval-arithmetic containment of the source box's image."""
+    """Exact interval-arithmetic containment of the source strategy space's image."""
 
     holds: bool
     image_intervals: tuple[tuple[float, float], ...]
@@ -73,9 +73,9 @@ class RelatednessReport:
         }
 
 
-def _image_interval(row: np.ndarray, box: Box) -> tuple[float, float]:
+def _image_interval(row: np.ndarray, intervals: Sequence[Interval]) -> tuple[float, float]:
     lo_sum, hi_sum = 0.0, 0.0
-    for a, iv in zip(row, box.intervals):
+    for a, iv in zip(row, intervals):
         if a == 0.0:
             continue  # avoid 0 * inf
         cands = [a * iv.lo, a * iv.hi]
@@ -85,11 +85,10 @@ def _image_interval(row: np.ndarray, box: Box) -> tuple[float, float]:
 
 
 def check_relatedness(game_n: Game, game_m: Game, op: LinearOperator) -> RelatednessReport:
-    """Does the operator map the source profile box into the target box?"""
-    src, dst = game_n.profile_box, game_m.profile_box
-    image = tuple(_image_interval(row, src) for row in op.matrix)
+    """Does the operator map the source strategy space into the target's?"""
+    image = tuple(_image_interval(row, game_n.strategy_sets) for row in op.matrix)
     failures = []
-    for k, ((lo, hi), iv) in enumerate(zip(image, dst.intervals)):
+    for k, ((lo, hi), iv) in enumerate(zip(image, game_m.strategy_sets)):
         if lo < iv.lo - 1e-12 or hi > iv.hi + 1e-12:
             failures.append(
                 f"image coordinate {k} ranges over [{lo}, {hi}], "
@@ -115,10 +114,10 @@ class SplitProblem:
 
     def __post_init__(self) -> None:
         rows, cols = self.operator.shape
-        if cols != self.game_n.profile_dim or rows != self.game_m.profile_dim:
+        if cols != self.game_n.n_players or rows != self.game_m.n_players:
             raise ValueError(
                 f"operator shape {self.operator.shape} does not match games "
-                f"({self.game_m.profile_dim} x {self.game_n.profile_dim} expected)"
+                f"({self.game_m.n_players} x {self.game_n.n_players} expected)"
             )
         object.__setattr__(
             self, "relatedness", check_relatedness(self.game_n, self.game_m, self.operator)
@@ -141,19 +140,20 @@ def check_surjectivity(
 ) -> SurjectivityReport:
     """Sampled surjectivity: can each sampled target profile be reached?
 
-    Each sampled y in the target box (unbounded coordinates truncated at the
-    cap) is tested by bounded least squares min ||Ax - y|| over the source
-    box; surjective-on-samples iff every residual is within tolerance.
+    Each sampled y in the target strategy space (unbounded coordinates
+    truncated at the cap) is tested by bounded least squares min ||Ax - y||
+    over the source strategy space; surjective-on-samples iff every residual
+    is within tolerance.
     """
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import lsq_linear
 
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
-    src, dst = problem.game_n.profile_box, problem.game_m.profile_box
-    lo = np.array([iv.lo for iv in src.intervals])
-    hi = np.array([iv.truncated(budget.truncation_cap).hi for iv in src.intervals])
-    windows = [iv.truncated(budget.truncation_cap) for iv in dst.intervals]
+    src = problem.game_n.strategy_sets
+    lo = np.array([iv.lo for iv in src])
+    hi = np.array([iv.truncated(budget.truncation_cap).hi for iv in src])
+    windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_m.strategy_sets]
     failures = []
     max_res = 0.0
     for _ in range(samples):
@@ -329,7 +329,6 @@ def kkm_intersection_probe(
     problem: SplitProblem,
     budget: SearchBudget,
     points_per_axis: int = 8,
-    probe_box: Box | None = None,
 ) -> KkmProbeResult:
     """Finite-grid probe of the intersection of all deviation-dominance sets.
 
@@ -338,11 +337,8 @@ def kkm_intersection_probe(
     slack of twice the grid cell diameter. Emptiness is a finding, reported
     with the grid resolution.
     """
-    box = probe_box or problem.game_n.profile_box
-    axes = [
-        np.linspace(iv.truncated(budget.truncation_cap).lo, iv.truncated(budget.truncation_cap).hi, points_per_axis)
-        for iv in box.intervals
-    ]
+    windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
+    axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
     steps = [ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes]
     cell_diameter = float(math.sqrt(sum(s * s for s in steps)))
     grid = [np.array(pt) for pt in itertools.product(*axes)]

@@ -231,6 +231,8 @@ class TestMarkovAudit:
         for m in (model, equal_cost_model):
             rep = audit_theorem_6_2(m, pts, price_range=5.0)
             assert rep.all_match_oracle
+            for row in rep.rows:
+                assert type(row.oracle) is bool and type(row.stated_claim) is bool
 
     def test_non_identity_fixed_points_contradict_the_identity_only_claim(self, model):
         # alpha = 0, beta = 0.5 maps (1, 2) to itself without being the identity

@@ -71,6 +71,13 @@ class TestExitCodes:
             ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--seed", "-1"),
             ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--samples", "0"),
             ("verify-nash", "example-4.1", "--profile", "1,2,4"),
+            ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--tol", "nan"),
+            ("cdp-check", "quadratic-sanity", "--cap", "inf"),
+            ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--grid-step", "inf"),
+            ("bertrand-enumerate", "bertrand-1-2", "--range", "inf"),
+            ("bertrand-enumerate", "bertrand-1-2", "--range", "-1"),
+            ("bertrand-enumerate", "bertrand-1-2", "--range", "0"),
+            ("kkm-probe", "quadratic-sanity", "--points-per-axis", "0"),
         ],
     )
     def test_invalid_input_writes_no_report(self, capsys, tmp_path, argv):
@@ -207,6 +214,31 @@ class TestFileInputs:
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"players": ["p"]}))
         code, _ = run(capsys, "verify-nash", str(path), "--profile", "1")
+        assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"players": ["p"], "strategy_sets": [{"lo": None}], "utilities": ["p"]},
+            {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": [5]},
+            {"players": ["p"], "strategy_sets": [[0, 1]], "utilities": ["p"]},
+            {"players": 3, "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]},
+            [1, 2],
+        ],
+    )
+    def test_malformed_spec_is_an_input_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "report.json"
+        code, _ = run(capsys, "verify-nash", str(path), "--profile", "0.5", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
+    def test_non_numeric_matrix_is_an_input_error(self, capsys, tmp_path):
+        game = {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": {"a": 1}}))
+        code, _ = run(capsys, "verify-split", str(path), "--profile", "0.5")
         assert code == EXIT_INPUT
 
     def test_unbounded_interval_spelled_as_null(self, capsys, tmp_path):

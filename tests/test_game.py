@@ -47,9 +47,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Game.from_expressions(players=("a", "b"), intervals=(Interval(0, 1),), sources=("a",))
 
-    def test_feasibility_and_profile_box(self):
+    def test_feasibility_and_player_count(self):
         g = quadratic_game((1.0, 2.0), hi=5.0)
-        assert g.profile_dim == 2
+        assert g.n_players == 2
         assert g.is_feasible(np.array([0.0, 5.0]))
         assert not g.is_feasible(np.array([0.0, 5.1]))
 
@@ -196,3 +196,24 @@ class TestMembershipAndConcavity:
         for g in (e1_game(), e2_game(), quadratic_game((1.0, 2.0), hi=5.0)):
             rep = concavity_sample_check(g, samples=200, seed=0)
             assert rep.passed, rep
+
+    def test_concavity_violations_of_a_convex_game(self):
+        g = Game.from_expressions(
+            players=("x", "y"),
+            intervals=(Interval(0, 3), Interval(0, 3)),
+            sources=("x^2 - x*y", "y^2*x - y"),
+        )
+        rep = concavity_sample_check(g, samples=100, seed=3, tolerance=1e-6, cap=3.0)
+        # reference: the midpoint inequality player by player, one deviation at a time
+        rng = np.random.default_rng(3)
+        expected = []
+        for _ in range(100):
+            x, u, v = (g.random_profile(rng, 3.0) for _ in range(3))
+            lam = rng.uniform(0.0, 1.0)
+            for i, p in enumerate(g.players):
+                a, b, mid = x.copy(), x.copy(), x.copy()
+                a[i], b[i], mid[i] = u[i], v[i], lam * u[i] + (1 - lam) * v[i]
+                if g.payoff(i, mid) < lam * g.payoff(i, a) + (1 - lam) * g.payoff(i, b) - 1e-6:
+                    expected.append((p, (u[i],), (v[i],), float(lam)))
+        assert not rep.passed and rep.samples == 100
+        assert rep.violations == tuple(expected)

@@ -1,4 +1,4 @@
-"""Intervals, boxes, budgets, and the one-dimensional maximizer."""
+"""Intervals, budgets, and the one-dimensional maximizer."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitnash.kernel import Box, Interval, SearchBudget, maximize_1d
+from splitnash.kernel import Interval, SearchBudget, maximize_1d
 
 
 class TestInterval:
@@ -37,13 +37,6 @@ class TestInterval:
         assert Interval(0.0, 2.0).truncated(8.0) == Interval(0.0, 2.0)
 
 
-class TestBox:
-    def test_of_and_dim(self):
-        b = Box.of((0, 1), (2, 5))
-        assert b.dim == 2
-        assert b.intervals == (Interval(0.0, 1.0), Interval(2.0, 5.0))
-
-
 class TestSearchBudget:
     def test_defaults(self):
         bud = SearchBudget()
@@ -57,6 +50,10 @@ class TestSearchBudget:
             SearchBudget(tolerance=-1.0)
         with pytest.raises(ValueError):
             SearchBudget(seed=-1)
+        for field in ("grid_step", "truncation_cap", "tolerance"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    SearchBudget(**{field: bad})
 
 
 class TestMaximize1d:

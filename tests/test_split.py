@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from splitnash import (
-    Box,
     LinearOperator,
     SearchBudget,
     SplitProblem,
@@ -182,19 +181,21 @@ class TestIntersectionProbe:
             problem, np.array([1.0, 2.0]), np.array([5.0, 5.0]), budget.tolerance
         )
 
-    def test_probe_members_verify_at_grid_slack(self, budget):
-        problem = default_quadratic_sanity().problem
-        res = kkm_intersection_probe(
-            problem, budget, points_per_axis=8, probe_box=Box.of((0, 5), (0, 5))
+    @staticmethod
+    def _bounded_quadratic_pair() -> SplitProblem:
+        # the quadratic sanity pair on [0, 5]^2, so the probe grid is [0, 5]^2
+        swap = LinearOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        return SplitProblem(
+            quadratic_game((1.0, 2.0), hi=5.0), quadratic_game((2.0, 1.0), hi=5.0), swap
         )
+
+    def test_probe_members_verify_at_grid_slack(self, budget):
+        res = kkm_intersection_probe(self._bounded_quadratic_pair(), budget, points_per_axis=8)
         assert res.members  # nonempty intersection
         assert all(res.verified)
         assert res.points_per_axis == 8 and res.grid_points == 64
 
     def test_probe_members_cluster_near_split_equilibrium(self, budget):
-        problem = default_quadratic_sanity().problem
-        res = kkm_intersection_probe(
-            problem, budget, points_per_axis=8, probe_box=Box.of((0, 5), (0, 5))
-        )
+        res = kkm_intersection_probe(self._bounded_quadratic_pair(), budget, points_per_axis=8)
         for m in res.members:
             assert np.linalg.norm(np.array(m) - [1.0, 2.0]) <= 2.0 * res.cell_diameter
