@@ -120,16 +120,26 @@ class _Parser:
             node = Mul(node, self.factor())
         return node
 
+    def _number(self) -> float | None:
+        """The numeric literal at pos, or None; one that overflows is an error."""
+        m = _NUMBER.match(self.src, self.pos)
+        if not m:
+            return None
+        value = float(m.group())
+        if math.isinf(value):
+            raise ParseError(f"numeric literal {m.group()!r} overflows", self.pos)
+        self.pos = m.end()
+        return value
+
     def factor(self) -> UtilityExpr:
         node = self.atom()
         if self._peek() == "^":
             self.pos += 1
             self._skip_ws()
-            m = _NUMBER.match(self.src, self.pos)
-            if not m:
+            exponent = self._number()
+            if exponent is None:
                 raise ParseError("expected numeric exponent", self.pos)
-            self.pos = m.end()
-            node = Pow(node, float(m.group()))
+            node = Pow(node, exponent)
         return node
 
     def atom(self) -> UtilityExpr:
@@ -142,10 +152,9 @@ class _Parser:
         if ch == "-":
             self.pos += 1
             return Neg(self.atom())
-        m = _NUMBER.match(self.src, self.pos)
-        if m:
-            self.pos = m.end()
-            return Const(float(m.group()))
+        value = self._number()
+        if value is not None:
+            return Const(value)
         m = _IDENT.match(self.src, self.pos)
         if m:
             self.pos = m.end()
@@ -178,12 +187,21 @@ def variables(expr: UtilityExpr) -> set[str]:
     return _fold(expr, leaf, lambda e, *names: set().union(*names))
 
 
-def _pow(base: float, exponent: float) -> float:
-    if base < 0 and exponent != int(exponent):
-        raise EvalError(f"fractional power of negative base {base!r}")
+def _pow(base, exponent: float):
+    """base**exponent for a float or an array base; a fractional power of any
+    negative base raises EvalError."""
+    # np.float64 is a float, so a scalar base takes the plain compare, which
+    # is far cheaper than an array test
+    if isinstance(base, np.ndarray):
+        negative = base[base < 0]
+        first = negative[0] if negative.size else None
+    else:
+        first = base if base < 0 else None
+    if first is not None and exponent != int(exponent):
+        raise EvalError(f"fractional power of negative base {first!r}")
     try:
         return base**exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise EvalError(f"power overflow: {base!r}^{exponent!r}") from None
 
 
@@ -242,11 +260,14 @@ def pretty(expr: UtilityExpr) -> str:
 
 def compile_utility(
     expr: UtilityExpr, var_order: Sequence[str]
-) -> Callable[[np.ndarray], float]:
+) -> Callable[[np.ndarray], float | np.ndarray]:
     """Compile an AST to a fast callable over a flat profile vector.
 
     var_order fixes the variable-to-coordinate assignment. Every variable in
-    the expression must appear in var_order.
+    the expression must appear in var_order. The callable maps an (n,)
+    profile to a float and an (n, G) array, one profile per column, to the
+    (G,) array of values; a fractional power of a negative base anywhere in
+    it raises EvalError. An expression without variables returns one float.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = variables(expr) - set(index)

@@ -17,7 +17,11 @@ import numpy as np
 from .expr import UtilityExpr, compile_utility, parse_utility, variables
 from .kernel import Interval, SearchBudget, maximize_1d
 
-UtilityFn = Callable[[np.ndarray], float]
+# A utility maps an (n,) profile to a float and an (n, G) array of G profiles,
+# one per column, to the (G,) array of their values. Compiled expressions
+# broadcast this way; a value that does not depend on the profile may come
+# back as one scalar for all G.
+UtilityFn = Callable[[np.ndarray], float | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,9 @@ class Game:
 
     Player order is fixed and shared by all profile and utility indexing:
     coordinate i of a profile is player i's strategy, and ``utilities[i]``
-    maps the full profile vector to player i's payoff.
+    maps the full profile vector to player i's payoff. Each utility also
+    takes an (n, G) array whose columns are profiles and returns their G
+    payoffs (see ``UtilityFn``); best responses scan their grid that way.
     """
 
     players: tuple[str, ...]
@@ -162,7 +168,11 @@ def best_response(
     mixed = np.array(x, dtype=float)
     u = game.utilities[i]
 
-    def f(v: float) -> float:
+    def f(v):
+        if isinstance(v, np.ndarray):  # the scan's grid: one profile column per point
+            grid = np.repeat(mixed[:, None], len(v), axis=1)
+            grid[i] = v
+            return u(grid)
         mixed[i] = v
         return u(mixed)
 

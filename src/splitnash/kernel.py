@@ -127,6 +127,12 @@ def maximize_1d(
 ) -> tuple[float, float]:
     """Coarse grid scan plus golden-section refinement on the best bracket.
 
+    f maps a float to a float, and a 1-D array of points to an array of
+    their values (or to one scalar, when it does not depend on x). The scan
+    evaluates the whole grid in one call; bracket expansion and
+    golden-section refinement call f on floats. A non-finite value raises
+    EvaluatorError at the first such grid point.
+
     Unbounded intervals are searched over [lo, lo + truncation_cap] after
     bracket expansion (the cap doubles while f is still increasing at it).
     Deterministic for a fixed budget; argmax ties break toward smaller x.
@@ -142,11 +148,14 @@ def maximize_1d(
     span = hi - lo
     cells = min(_MAX_SCAN_CELLS, max(1, int(math.ceil(span / budget.grid_step))))
     xs = np.linspace(lo, hi, cells + 1)
-    best_i, best_v = 0, _checked(f, xs[0])
-    for i in range(1, len(xs)):
-        v = _checked(f, xs[i])
-        if v > best_v:
-            best_i, best_v = i, v
+    # a value that does not depend on x comes back as a scalar
+    vs = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    bad = ~np.isfinite(vs)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluatorError(f"non-finite value {float(vs[i])!r} at {xs[i]!r}")
+    best_i = int(np.argmax(vs))  # the first maximum: ties go to the smaller x
+    best_v = float(vs[best_i])
 
     a = xs[max(0, best_i - 1)]
     b = xs[min(len(xs) - 1, best_i + 1)]

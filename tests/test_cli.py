@@ -224,6 +224,8 @@ class TestFileInputs:
             {"players": ["p"], "strategy_sets": [[0, 1]], "utilities": ["p"]},
             {"players": 3, "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]},
             [1, 2],
+            {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p - 1e999*0"]},
+            {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p^1e999"]},
         ],
     )
     def test_malformed_spec_is_an_input_error(self, capsys, tmp_path, spec):

@@ -23,6 +23,7 @@ from splitnash.expr import (
     pretty,
     variables,
 )
+from splitnash.models import E1_UTILITIES, E2_UTILITIES
 
 
 class TestParse:
@@ -58,7 +59,8 @@ class TestParse:
         assert parse_utility("2.5e2") == Const(250.0)
 
     @pytest.mark.parametrize(
-        "bad", ["x /", "x / y", "x ^ y", "1 +", "(x", "x)", "", "x y", "* x", "x ^"]
+        "bad",
+        ["x /", "x / y", "x ^ y", "1 +", "(x", "x)", "", "x y", "* x", "x ^", "x - 1e999*0", "x^1e999"],
     )
     def test_rejections(self, bad):
         with pytest.raises(ParseError):
@@ -90,6 +92,10 @@ class TestEval:
         e = parse_utility("x^1000")
         with pytest.raises(EvalError):
             eval_utility(e, {"x": 1e10})
+
+    def test_zero_base_under_negative_exponent_raises(self):
+        with pytest.raises(EvalError):
+            eval_utility(Pow(Const(0.0), -1.0), {})
 
     def test_missing_binding_raises(self):
         with pytest.raises(EvalError):
@@ -155,3 +161,28 @@ def test_pretty_handles_division_free_coefficients():
     e = parse_utility(src)
     assert eval_utility(e, {"t": 2.0}) == pytest.approx(16.0 / 48.0)
     assert parse_utility(pretty(e)) == e
+
+
+@pytest.mark.parametrize("sources, names", [(E1_UTILITIES, "xyz"), (E2_UTILITIES, "st")])
+def test_compiled_utility_evaluates_profile_columns(sources, names):
+    # each utility is "term - term"; the array and scalar evaluations of a
+    # term differ by a few ulp at most (numpy's array power is not libm pow),
+    # while their difference can cancel to far fewer significant bits
+    grid = np.random.default_rng(0).uniform(0.0, 20.0, size=(len(names), 2001))
+    for src in sources:
+        e = parse_utility(src)
+        left, right = (compile_utility(part, names) for part in (e.left, e.right))
+        for term in (left, right):
+            np.testing.assert_array_max_ulp(term(grid), [term(col) for col in grid.T], maxulp=4)
+        values = compile_utility(e, names)(grid)
+        assert values.shape == (grid.shape[1],)
+        np.testing.assert_array_equal(values, left(grid) - right(grid))
+
+
+def test_negative_grid_entry_under_a_fractional_power_raises():
+    f = compile_utility(parse_utility(E1_UTILITIES[2]), "xyz")
+    grid = np.ones((3, 50))
+    assert f(grid).shape == (50,)
+    grid[1, 37] = -1e-9
+    with pytest.raises(EvalError, match="negative base"):
+        f(grid)

@@ -170,6 +170,15 @@ class TestSolver:
         for x in solve_nash(quadratic_game((0.25, 4.75), hi=5.0), budget):
             assert verify_nash(quadratic_game((0.25, 4.75), hi=5.0), x, budget).verdict
 
+    def test_utility_that_ignores_the_profile(self, budget):
+        # x's compiled utility returns one float for a whole scan grid; every
+        # grid point ties, and the tie goes to the lower bound
+        g = Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
+        arg, val = best_response(g, "x", np.array([1.0, 1.0]), budget)
+        assert (arg.tolist(), val) == ([0.0], 3.0)
+        sols = solve_nash(g, budget)
+        assert [s.tolist() for s in sols] == [[6.074540017332595e-07, 1.9999993036143433]]
+
     def test_source_game_origin_equilibrium(self):
         # with a tight cap the damped iteration settles at the origin, which
         # verifies on the unbounded strategy sets as a genuine equilibrium
