@@ -131,9 +131,18 @@ def grid_best_response(
 
 
 def _price_grid(hi: float, step: float) -> np.ndarray:
+    # written so that NaN fails too
+    if not 0 < step < math.inf:
+        raise ValueError(f"grid_step must be finite and positive, got {step}")
+    if not step <= hi < math.inf:
+        raise ValueError(f"price range must be finite and at least grid_step, got {hi}")
     cells = int(round(hi / step))
     # snap to exact decimals so tie detection on grid pairs is exact
     return np.round(np.arange(cells + 1) * step, 9)
+
+
+# rows of the price grid evaluated at once; keeps enumeration memory O(G)
+_ROW_BLOCK = 32
 
 
 def enumerate_grid_equilibria(
@@ -143,23 +152,39 @@ def enumerate_grid_equilibria(
     tolerance: float = 1e-6,
 ) -> list[tuple[float, float]]:
     """All grid points where no tie-augmented grid deviation improves either
-    firm's profit by more than tolerance."""
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    firm's profit by more than tolerance.
+
+    Profits are evaluated in blocks of rows (firm 1's price) against every
+    column (firm 2's price), twice: once for the best profits, once for the
+    equilibria. Memory is O(G) in the G grid prices; the result lists the
+    equilibria in row-major order.
+    """
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
-    # [3:] rather than star-unpacking, so demand and shares are freed here
-    u1, u2 = _shares_and_profits(model, g[:, None], g[None, :])[3:]
+    blocks = [slice(r, r + _ROW_BLOCK) for r in range(0, len(g), _ROW_BLOCK)]
+
+    def profit_block(rows: slice) -> tuple[np.ndarray, ...]:
+        # [3:] rather than star-unpacking, so demand and shares are freed here
+        return _shares_and_profits(model, g[rows, None], g[None, :])[3:]
+
+    # max is exact, so the blocked maxima equal those of the whole matrices
+    best1 = np.full(len(g), -np.inf)  # per column (opponent p2)
+    best2 = np.empty(len(g))  # per row (opponent p1)
+    for rows in blocks:
+        u1, u2 = profit_block(rows)
+        np.maximum(best1, u1.max(axis=0), out=best1)
+        best2[rows] = u2.max(axis=1)
     # firm 1 tie candidate per opponent price, firm 2 tie candidate per own row
-    u1_tie = _shares_and_profits(model, model.lam * g, g)[3]
-    u2_tie = _shares_and_profits(model, g, g / model.lam)[4]
+    np.maximum(best1, _shares_and_profits(model, model.lam * g, g)[3], out=best1)
+    np.maximum(best2, _shares_and_profits(model, g, g / model.lam)[4], out=best2)
+    floor1, floor2 = best1 - tolerance, best2 - tolerance
 
-    best1 = np.maximum(u1.max(axis=0), u1_tie)  # per column (opponent p2)
-    best2 = np.maximum(u2.max(axis=1), u2_tie)  # per row (opponent p1)
-
-    mask = (u1 >= best1[None, :] - tolerance) & (u2 >= best2[:, None] - tolerance)
-    ii, jj = np.nonzero(mask)
-    return [(float(g[i]), float(g[j])) for i, j in zip(ii, jj)]
+    out = []
+    for rows in blocks:
+        u1, u2 = profit_block(rows)
+        ii, jj = np.nonzero((u1 >= floor1[None, :]) & (u2 >= floor2[rows, None]))
+        out.extend((float(g[rows.start + i]), float(g[j])) for i, j in zip(ii, jj))
+    return out
 
 
 @dataclass(frozen=True)

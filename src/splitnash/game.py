@@ -97,8 +97,12 @@ class Game:
         return float(self.utilities[i](np.asarray(x, dtype=float)))
 
     def payoff_vector(self, x: np.ndarray) -> np.ndarray:
+        """Every player's payoff: (n,) profile -> (n,), (n, S) columns -> (n, S)."""
         x = np.asarray(x, dtype=float)
-        return np.array([u(x) for u in self.utilities])
+        out = np.empty(x.shape)
+        for i, u in enumerate(self.utilities):
+            out[i] = u(x)  # a scalar for all S columns fills its row
+        return out
 
     def random_profile(self, rng: np.random.Generator, cap: float) -> np.ndarray:
         """A random feasible profile; unbounded coordinates sampled in [lo, lo+cap]."""
@@ -143,15 +147,35 @@ def order_leq(u: Sequence[float], v: Sequence[float]) -> bool:
 
 
 def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vector whose i-th entry is f_i at (z_i, x elsewhere)."""
+    """Vector whose i-th entry is f_i at (z_i, x elsewhere).
+
+    z and x are (n,) profiles, giving an (n,) vector, or (n, S) arrays of S
+    profile columns, giving an (n, S) array whose column s belongs to column
+    s of z and x. A utility that returns one scalar fills its whole row.
+    """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.empty(game.n_players)
+    out = np.empty(x.shape)
     for i in range(game.n_players):
         mixed = x.copy()
         mixed[i] = z[i]
         out[i] = game.utilities[i](mixed)
     return out
+
+
+def uniform_samples(
+    rng: np.random.Generator, samples: int, windows: Sequence[Interval]
+) -> np.ndarray:
+    """One (samples, k) uniform draw whose column j lies in the bounded windows[j].
+
+    Row s holds the values that k scalar rng.uniform calls per sample, one per
+    window in order, would draw for sample s.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    lo = [w.lo for w in windows]
+    hi = [w.hi for w in windows]
+    return rng.uniform(lo, hi, size=(samples, len(windows)))
 
 
 def best_response(
@@ -268,16 +292,23 @@ class ConcavityReport:
 def concavity_sample_check(
     game: Game, samples: int, seed: int = 0, tolerance: float = 1e-6, cap: float = 1e3
 ) -> ConcavityReport:
-    """Sample own-strategy concavity of each utility with opponents fixed."""
+    """Sample own-strategy concavity of each utility with opponents fixed.
+
+    Each sample draws a profile x, two deviations u and v and a weight lambda;
+    a violation is recorded per player, in sample order.
+    """
     rng = np.random.default_rng(seed)
-    violations = []
-    for _ in range(samples):
-        x = game.random_profile(rng, cap)
-        u = game.random_profile(rng, cap)
-        v = game.random_profile(rng, cap)
-        lam = rng.uniform(0.0, 1.0)
-        lhs = diagonal_payoff(game, lam * u + (1 - lam) * v, x)
-        rhs = lam * diagonal_payoff(game, u, x) + (1 - lam) * diagonal_payoff(game, v, x)
-        for i in np.flatnonzero(lhs < rhs - tolerance):
-            violations.append((game.players[i], (u[i],), (v[i],), float(lam)))
-    return ConcavityReport(samples=samples, violations=tuple(violations))
+    n = game.n_players
+    windows = [iv.truncated(cap) for iv in game.strategy_sets]
+    draw = uniform_samples(rng, samples, windows * 3 + [Interval(0.0, 1.0)])
+    x, u, v = draw[:, :n].T, draw[:, n : 2 * n].T, draw[:, 2 * n : 3 * n].T
+    lam = draw[:, 3 * n]
+    # one evaluation per utility: deviations to the mix, to u and to v
+    deviations = np.concatenate([lam * u + (1 - lam) * v, u, v], axis=1)
+    lhs, du, dv = np.split(diagonal_payoff(game, deviations, np.tile(x, 3)), 3, axis=1)
+    rhs = lam * du + (1 - lam) * dv
+    violations = tuple(
+        (game.players[i], (u[i, s],), (v[i, s],), float(lam[s]))
+        for s, i in np.argwhere((lhs < rhs - tolerance).T)
+    )
+    return ConcavityReport(samples=samples, violations=violations)

@@ -21,8 +21,8 @@ from .game import (
     VerificationReport,
     diagonal_payoff,
     gamma_membership,
-    order_leq,
     solve_nash,
+    uniform_samples,
     verify_nash,
 )
 from .kernel import Interval, SearchBudget
@@ -55,6 +55,17 @@ def apply_operator(op: LinearOperator, x: Sequence[float]) -> np.ndarray:
             f"operator expects dimension {op.shape[1]}, got {x.shape}"
         )
     return op.matrix @ x
+
+
+def _images(op: LinearOperator, columns: np.ndarray) -> np.ndarray:
+    """The (m, S) images of the (n, S) profile columns.
+
+    One matrix-vector product per column, stacked into one call, so each
+    image has the bits of apply_operator on that column; the single matrix
+    product op.matrix @ columns rounds differently in the last bits.
+    """
+    rows = np.ascontiguousarray(columns.T)
+    return np.matmul(op.matrix, rows[:, :, None])[:, :, 0].T
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,8 @@ def check_surjectivity(
     over the source strategy space; surjective-on-samples iff every residual
     is within tolerance.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import lsq_linear
 
@@ -263,38 +276,35 @@ def cdp_sample_check(
     """
     rng = np.random.default_rng(seed)
     gn, gm = problem.game_n, problem.game_m
-    joint, vector, mindom = [], [], []
-    for _ in range(samples):
-        u = gn.random_profile(rng, cap)
-        v = gn.random_profile(rng, cap)
-        lam = float(rng.uniform(0.0, 1.0))
-        w = lam * u + (1 - lam) * v
-        au, av, aw = problem.image(u), problem.image(v), problem.image(w)
+    n = gn.n_players
+    windows = [iv.truncated(cap) for iv in gn.strategy_sets]
+    draw = uniform_samples(rng, samples, windows * 2 + [Interval(0.0, 1.0)])
+    u, v, lam = draw[:, :n].T, draw[:, n : 2 * n].T, draw[:, 2 * n]
+    w = lam * u + (1 - lam) * v
+    # one evaluation per utility and game: deviations to u, to v, and w itself
+    z = np.concatenate([u, v, w], axis=1)
+    fu, fv, fw = np.split(diagonal_payoff(gn, z, np.tile(w, 3)), 3, axis=1)
+    az = _images(problem.operator, z)
+    aw = az[:, 2 * samples :]
+    gu, gv, gw = np.split(diagonal_payoff(gm, az, np.tile(aw, 3)), 3, axis=1)
 
-        fu = diagonal_payoff(gn, u, w)
-        fv = diagonal_payoff(gn, v, w)
-        fw = gn.payoff_vector(w)
-        gu = diagonal_payoff(gm, au, aw)
-        gv = diagonal_payoff(gm, av, aw)
-        gw = gm.payoff_vector(aw)
+    n_u = np.all(fu <= fw + tolerance, axis=0)
+    n_v = np.all(fv <= fw + tolerance, axis=0)
+    m_u = np.all(gu <= gw + tolerance, axis=0)
+    m_v = np.all(gv <= gw + tolerance, axis=0)
+    mindom = np.all(np.minimum(fu, fv) <= fw + tolerance, axis=0)
 
-        n_u = order_leq(fu, fw + tolerance)
-        n_v = order_leq(fv, fw + tolerance)
-        m_u = order_leq(gu, gw + tolerance)
-        m_v = order_leq(gv, gw + tolerance)
+    def witnesses(failed: np.ndarray) -> tuple:
+        return tuple(
+            (tuple(map(float, u[:, s])), tuple(map(float, v[:, s])), float(lam[s]))
+            for s in np.flatnonzero(failed)[:50]
+        )
 
-        witness = (tuple(map(float, u)), tuple(map(float, v)), lam)
-        if not ((n_u and m_u) or (n_v and m_v)):
-            joint.append(witness)
-        if not ((n_u or n_v) and (m_u or m_v)):
-            vector.append(witness)
-        if not bool(np.all(np.minimum(fu, fv) <= fw + tolerance)):
-            mindom.append(witness)
     return CdpReport(
         samples=samples,
-        joint_cdp_failures=tuple(joint[:50]),
-        vector_disjunction_failures=tuple(vector[:50]),
-        min_dominance_failures=tuple(mindom[:50]),
+        joint_cdp_failures=witnesses(~((n_u & m_u) | (n_v & m_v))),
+        vector_disjunction_failures=witnesses(~((n_u | n_v) & (m_u | m_v))),
+        min_dominance_failures=witnesses(~mindom),
     )
 
 

@@ -1,11 +1,15 @@
 """Price-competition duopoly: demand splits, profits, grid equilibria, and
 the Markov price-modification audit."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitnash import bertrand
 from splitnash.bertrand import (
     BertrandModel,
     MarkovPriceMatrix,
@@ -156,6 +160,45 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_grid_equilibria(model, grid_step=0.0)
 
+    @pytest.mark.parametrize(
+        "step, hi",
+        [
+            (0.0, 5.0),
+            (-0.01, 5.0),
+            (math.inf, 5.0),
+            (math.nan, 5.0),
+            (0.01, 0.0),
+            (0.01, -1.0),
+            (0.01, math.inf),
+            (0.01, math.nan),
+            (0.01, 0.005),  # a range shorter than one step
+        ],
+    )
+    def test_every_grid_user_rejects_a_bad_grid(self, model, step, hi):
+        # an empty or degenerate grid would otherwise give [] or [(0.0, 0.0)]
+        with pytest.raises(ValueError):
+            enumerate_grid_equilibria(model, grid_step=step, price_range=hi)
+        with pytest.raises(ValueError):
+            is_grid_equilibrium(model, 1.0, 2.0, grid_step=step, price_range=hi)
+        with pytest.raises(ValueError):
+            audit_theorem_6_2(model, [(1.0, 1.0)], grid_step=step, price_range=hi)
+
+    def test_a_range_of_one_step_is_a_two_price_grid(self, model):
+        assert enumerate_grid_equilibria(model, grid_step=0.5, price_range=0.5) == (
+            reference_enumerate_grid_equilibria(model, 0.5, 0.5)
+        )
+
+    def test_enumeration_memory_is_linear_in_the_grid(self):
+        # 2,501 prices: the whole (G, G) profit matrices peaked near 300 MB
+        m = get_instance("bertrand-1-2").problem
+        tracemalloc.start()
+        try:
+            enumerate_grid_equilibria(m, 0.002, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     @pytest.mark.parametrize("ident", ["bertrand-1-2", "bertrand-1-1"])
     def test_enumeration_and_membership_agree_on_the_ring(self, ident):
         # enumeration, membership, and grid best responses share one profit
@@ -176,6 +219,52 @@ class TestEnumeration:
         assert ring
         for p1, p2 in ring:
             assert not is_grid_equilibrium(m, p1, p2, grid_step=step, price_range=hi)
+
+
+def reference_enumerate_grid_equilibria(model, grid_step, price_range=None, tolerance=1e-6):
+    """The enumeration on whole (G, G) profit matrices, as it was before the
+    row blocks: the reference the blocked enumeration must reproduce exactly."""
+    hi = price_range if price_range is not None else model.default_price_range()
+    g = bertrand._price_grid(hi, grid_step)
+    u1, u2 = bertrand._shares_and_profits(model, g[:, None], g[None, :])[3:]
+    u1_tie = bertrand._shares_and_profits(model, model.lam * g, g)[3]
+    u2_tie = bertrand._shares_and_profits(model, g, g / model.lam)[4]
+    best1 = np.maximum(u1.max(axis=0), u1_tie)
+    best2 = np.maximum(u2.max(axis=1), u2_tie)
+    mask = (u1 >= best1[None, :] - tolerance) & (u2 >= best2[:, None] - tolerance)
+    ii, jj = np.nonzero(mask)
+    return [(float(g[i]), float(g[j])) for i, j in zip(ii, jj)]
+
+
+class TestBlockedEnumerationMatchesFullMatrix:
+    @pytest.mark.parametrize("ident", ["bertrand-1-2", "bertrand-1-1"])
+    @pytest.mark.parametrize("hi", [3.0, 5.0])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_grids_around_one_block(self, ident, hi, extra_rows):
+        # grids one row short of, equal to, and one row over the block size
+        m = get_instance(ident).problem
+        rows = bertrand._ROW_BLOCK + extra_rows
+        step = hi / (rows - 1)
+        assert len(bertrand._price_grid(hi, step)) == rows
+        got = enumerate_grid_equilibria(m, step, hi)
+        assert got
+        assert repr(got) == repr(reference_enumerate_grid_equilibria(m, step, hi))
+
+    @pytest.mark.parametrize("ident", ["bertrand-1-2", "bertrand-1-1"])
+    @pytest.mark.parametrize("hi", [3.0, 5.0, None])
+    @pytest.mark.parametrize("step", [0.01, 0.0125])
+    def test_many_blocks(self, ident, hi, step):
+        m = get_instance(ident).problem
+        got = enumerate_grid_equilibria(m, step, hi)
+        assert got
+        assert repr(got) == repr(reference_enumerate_grid_equilibria(m, step, hi))
+
+    def test_loose_tolerance_keeps_row_major_order(self, model):
+        # a tolerance of 2 admits grid points across many rows and blocks
+        got = enumerate_grid_equilibria(model, 0.01, 5.0, tolerance=2.0)
+        assert len({p1 for p1, _ in got}) > 2 * bertrand._ROW_BLOCK
+        assert got == sorted(got)
+        assert repr(got) == repr(reference_enumerate_grid_equilibria(model, 0.01, 5.0, 2.0))
 
 
 class TestMarkovTransform:

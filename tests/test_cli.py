@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON reports, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -253,6 +254,36 @@ class TestFileInputs:
         path.write_text(json.dumps(spec))
         code, _ = run(capsys, "verify-nash", str(path), "--profile", "1")
         assert code == EXIT_OK
+
+
+# SHA-256 of the `--format json --deterministic --seed S` report bytes and the
+# exit code. A change to any of these reports must be deliberate: update the
+# digest and say why. Digests rather than files: the bertrand-enumerate report
+# is 2 MB.
+PINNED_REPORTS = {
+    ("audit", "bertrand", 0): (0, "7efdd5acd6045ff7033eeb73b75dd04f327cf880a53c0a183eabc07e7697d0fd"),
+    ("audit", "cdp", 0): (0, "c56b2c5b3479d5163c1ff0a4b50281688a28477b430668b53803f6547e28299b"),
+    ("audit", "thm-6.2", 0): (3, "b4b5ae6bf9ef711055a4ed7f10091768c70f469a8e332a3167d1f7fce780a28e"),
+    ("bertrand-enumerate", "bertrand-1-2", 0): (
+        0, "b9b9df929d059e688c78671b4499cc5d25d64f1cec82d5d7ae31a667b6f8ddea"
+    ),
+    ("cdp-check", "example-4.1", 0): (0, "5e79bd42ccc2a305818bccdd7444d3ca573c30a29cb2736ea64ac899ac0f44e5"),
+    ("audit", "bertrand", 7): (0, "e0be9baabb477a948eb49e8a5e13c21f401d5a8e842720cc79171e28b41991d0"),
+    ("audit", "cdp", 7): (0, "9ef91f996f01ced36ae2da6e691693f3946fb44e81e0482c1c7e3ddcbddd8f47"),
+    ("audit", "thm-6.2", 7): (3, "e194c1fff93038a51967d7072b02d1a493bf5e3d226fc4106816bc80d16b336a"),
+    ("bertrand-enumerate", "bertrand-1-2", 7): (
+        0, "7517508980fcbcadf2dbd890b099db1c7319ec2b03f9cb4c17c22805c70b71dc"
+    ),
+    ("cdp-check", "example-4.1", 7): (0, "2e9d005c8609e61d2442806e4dc729fc9c9f8947ccce54c328dfbd9435302658"),
+}
+
+
+@pytest.mark.parametrize("verb, target, seed", sorted(PINNED_REPORTS))
+def test_deterministic_report_matches_its_pinned_digest(capsys, verb, target, seed):
+    code, out = run(
+        capsys, verb, target, "--format", "json", "--deterministic", "--seed", str(seed)
+    )
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPORTS[verb, target, seed]
 
 
 def test_cli_import_does_not_load_scipy_optimize():

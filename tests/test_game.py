@@ -16,7 +16,8 @@ from splitnash import (
     solve_nash,
     verify_nash,
 )
-from splitnash.models import e1_game, e2_game, quadratic_game
+from splitnash.game import ConcavityReport
+from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -91,6 +92,30 @@ class TestDiagonalPayoff:
         d = diagonal_payoff(g, z, x)
         assert d[0] == g.payoff(0, np.array([2.0, 2.0, 4.0]))
         assert d[1] == g.payoff(1, np.array([1.0, 2.0, 4.0]))
+
+
+    def test_profile_columns_give_one_column_per_profile(self, rng):
+        # the quadratic utilities and the constant-utility game evaluate the
+        # same way on arrays and on scalars, so the columns agree exactly
+        for g in (quadratic_game((1.0, 2.0, 3.0), hi=5.0), constant_utility_game()):
+            z = np.array([g.random_profile(rng, cap=5.0) for _ in range(7)]).T
+            x = np.array([g.random_profile(rng, cap=5.0) for _ in range(7)]).T
+            d, f = diagonal_payoff(g, z, x), g.payoff_vector(x)
+            assert d.shape == f.shape == (g.n_players, 7)
+            for s in range(7):
+                assert np.array_equal(d[:, s], diagonal_payoff(g, z[:, s], x[:, s]))
+                assert np.array_equal(f[:, s], g.payoff_vector(x[:, s]))
+
+    def test_a_scalar_utility_fills_its_row(self):
+        g = constant_utility_game()
+        x = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.5]])
+        assert diagonal_payoff(g, x + 1.0, x).tolist() == [[3.0] * 3, [3.0, 1.0, -0.5]]
+        assert g.payoff_vector(x).tolist() == [[3.0] * 3, [2.0, 0.0, -1.5]]
+
+
+def constant_utility_game() -> Game:
+    # player x's utility ignores the profile: compiled, it returns one float
+    return Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
 
 
 class TestRecordedValues:
@@ -206,6 +231,11 @@ class TestMembershipAndConcavity:
             rep = concavity_sample_check(g, samples=200, seed=0)
             assert rep.passed, rep
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_concavity_check_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            concavity_sample_check(e2_game(), samples)
+
     def test_concavity_violations_of_a_convex_game(self):
         g = Game.from_expressions(
             players=("x", "y"),
@@ -226,3 +256,47 @@ class TestMembershipAndConcavity:
                     expected.append((p, (u[i],), (v[i],), float(lam)))
         assert not rep.passed and rep.samples == 100
         assert rep.violations == tuple(expected)
+
+
+def reference_concavity_sample_check(game, samples, seed=0, tolerance=1e-6, cap=1e3):
+    """The concavity check as a loop over samples, as it was before the batched
+    draw: the reference the batched check must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    violations = []
+    for _ in range(samples):
+        x = game.random_profile(rng, cap)
+        u = game.random_profile(rng, cap)
+        v = game.random_profile(rng, cap)
+        lam = rng.uniform(0.0, 1.0)
+        lhs = diagonal_payoff(game, lam * u + (1 - lam) * v, x)
+        rhs = lam * diagonal_payoff(game, u, x) + (1 - lam) * diagonal_payoff(game, v, x)
+        for i in np.flatnonzero(lhs < rhs - tolerance):
+            violations.append((game.players[i], (u[i],), (v[i],), float(lam)))
+    return ConcavityReport(samples=samples, violations=tuple(violations))
+
+
+CONCAVITY_GAMES = {
+    "example-4.1:E1": e1_game,
+    "example-4.1:E2": e2_game,
+    "quadratic-sanity": lambda: default_quadratic_sanity().problem.game_n,
+    "quadratic-3": lambda: quadratic_game((1.0, 2.0, 3.0), hi=5.0),
+    "constant-utility": constant_utility_game,
+    "convex": lambda: Game.from_expressions(
+        ("x", "y"), (Interval(0, 3), Interval(0, 3)), ("x^2 - x*y", "y^2*x - y")
+    ),
+}
+
+
+class TestBatchedConcavityMatchesPerSampleLoop:
+    @pytest.mark.parametrize("ident", sorted(CONCAVITY_GAMES))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_same_report(self, ident, seed):
+        g = CONCAVITY_GAMES[ident]()
+        got = concavity_sample_check(g, samples=300, seed=seed, cap=20.0)
+        assert repr(got) == repr(reference_concavity_sample_check(g, 300, seed, cap=20.0))
+
+    def test_violations_keep_sample_then_player_order(self):
+        g = CONCAVITY_GAMES["convex"]()
+        got = concavity_sample_check(g, samples=300, seed=0)
+        assert len({p for p, *_ in got.violations}) == 2  # both players violate
+        assert repr(got) == repr(reference_concavity_sample_check(g, 300, 0))

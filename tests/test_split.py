@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from splitnash import (
+    Game,
+    Interval,
     LinearOperator,
     SearchBudget,
     SplitProblem,
@@ -17,6 +19,7 @@ from splitnash import (
     solve_split,
     verify_split_equilibrium,
 )
+from splitnash.game import diagonal_payoff, order_leq
 from splitnash.models import (
     TWO_ECONOMY_MATRIX,
     default_quadratic_sanity,
@@ -25,6 +28,8 @@ from splitnash.models import (
     example_4_1,
     quadratic_game,
 )
+from splitnash.repeated import make_repeated_problem
+from splitnash.split import CdpReport
 
 
 class TestOperator:
@@ -140,8 +145,6 @@ class TestCdpSampling:
 
     def test_witnesses_replay(self):
         # any recorded joint failure must actually violate the property
-        from splitnash.game import diagonal_payoff, order_leq
-
         problem = example_4_1().problem
         rep = cdp_sample_check(problem, samples=300, seed=0)
         gn, gm = problem.game_n, problem.game_m
@@ -165,6 +168,110 @@ class TestCdpSampling:
             "vector_disjunction_failures",
             "min_dominance_failures",
         }
+
+
+def reference_cdp_sample_check(problem, samples, seed=0, tolerance=1e-6, cap=1e3):
+    """The CDP check as a loop over samples, as it was before the batched draw:
+    the reference the batched check must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    gn, gm = problem.game_n, problem.game_m
+    joint, vector, mindom = [], [], []
+    for _ in range(samples):
+        u = gn.random_profile(rng, cap)
+        v = gn.random_profile(rng, cap)
+        lam = float(rng.uniform(0.0, 1.0))
+        w = lam * u + (1 - lam) * v
+        au, av, aw = problem.image(u), problem.image(v), problem.image(w)
+        fu = diagonal_payoff(gn, u, w)
+        fv = diagonal_payoff(gn, v, w)
+        fw = gn.payoff_vector(w)
+        gu = diagonal_payoff(gm, au, aw)
+        gv = diagonal_payoff(gm, av, aw)
+        gw = gm.payoff_vector(aw)
+        n_u = order_leq(fu, fw + tolerance)
+        n_v = order_leq(fv, fw + tolerance)
+        m_u = order_leq(gu, gw + tolerance)
+        m_v = order_leq(gv, gw + tolerance)
+        witness = (tuple(map(float, u)), tuple(map(float, v)), lam)
+        if not ((n_u and m_u) or (n_v and m_v)):
+            joint.append(witness)
+        if not ((n_u or n_v) and (m_u or m_v)):
+            vector.append(witness)
+        if not bool(np.all(np.minimum(fu, fv) <= fw + tolerance)):
+            mindom.append(witness)
+    return CdpReport(
+        samples=samples,
+        joint_cdp_failures=tuple(joint[:50]),
+        vector_disjunction_failures=tuple(vector[:50]),
+        min_dominance_failures=tuple(mindom[:50]),
+    )
+
+
+STOCHASTIC_2 = [[0.5, 0.5], [0.25, 0.75]]
+STOCHASTIC_3 = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]]
+
+
+def constant_utility_game() -> Game:
+    # player x's utility ignores the profile: compiled, it returns one float
+    return Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
+
+
+def convex_game() -> Game:
+    return Game.from_expressions(
+        ("x", "y"), (Interval(0, 3), Interval(0, 3)), ("x^2 - x*y", "y^2*x - y")
+    )
+
+
+CDP_PROBLEMS = {
+    "example-4.1": lambda: example_4_1().problem,
+    "quadratic-sanity": lambda: default_quadratic_sanity().problem,
+    "repeated-quadratic-3": lambda: make_repeated_problem(
+        quadratic_game((1.0, 2.0, 3.0), hi=5.0), STOCHASTIC_3
+    ),
+    "repeated-e1": lambda: make_repeated_problem(e1_game(), STOCHASTIC_3),
+    "constant-utility": lambda: make_repeated_problem(constant_utility_game(), STOCHASTIC_2),
+    "convex": lambda: make_repeated_problem(convex_game(), STOCHASTIC_2),
+}
+
+
+class TestBatchedCdpMatchesPerSampleLoop:
+    @pytest.mark.parametrize("ident", sorted(CDP_PROBLEMS))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_same_report(self, ident, seed):
+        problem = CDP_PROBLEMS[ident]()
+        got = cdp_sample_check(problem, samples=400, seed=seed)
+        assert repr(got) == repr(reference_cdp_sample_check(problem, 400, seed))
+
+    def test_cases_exercise_every_list_and_the_cap(self):
+        reports = {
+            k: cdp_sample_check(make(), samples=400, seed=0) for k, make in CDP_PROBLEMS.items()
+        }
+        assert len(reports["example-4.1"].joint_cdp_failures) == 50
+        assert len(reports["example-4.1"].vector_disjunction_failures) == 50
+        assert reports["constant-utility"].joint_cdp_failures
+        assert reports["convex"].min_dominance_failures
+
+    def test_narrow_cap_and_tolerance(self):
+        problem = CDP_PROBLEMS["repeated-e1"]()
+        got = cdp_sample_check(problem, samples=200, seed=5, tolerance=1e-3, cap=4.0)
+        assert repr(got) == repr(reference_cdp_sample_check(problem, 200, 5, 1e-3, 4.0))
+
+    def test_one_sample(self):
+        problem = example_4_1().problem
+        got = cdp_sample_check(problem, samples=1, seed=3)
+        assert repr(got) == repr(reference_cdp_sample_check(problem, 1, 3))
+
+
+class TestSamplersRejectNoSamples:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_cdp(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            cdp_sample_check(default_quadratic_sanity().problem, samples)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_surjectivity(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            check_surjectivity(default_quadratic_sanity().problem, samples)
 
 
 class TestIntersectionProbe:
