@@ -204,7 +204,7 @@ class Report:
 
     def emit(self) -> None:
         doc = self.to_dict()
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
         if self.args.out:
             Path(self.args.out).write_text(text + "\n")
         if self.args.format == "json":

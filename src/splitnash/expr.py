@@ -265,9 +265,10 @@ def compile_utility(
 
     var_order fixes the variable-to-coordinate assignment. Every variable in
     the expression must appear in var_order. The callable maps an (n,)
-    profile to a float and an (n, G) array, one profile per column, to the
-    (G,) array of values; a fractional power of a negative base anywhere in
-    it raises EvalError. An expression without variables returns one float.
+    profile to a float and an (n, ...) array of profiles, coordinate first,
+    to the (...) array of values; a fractional power of a negative base
+    anywhere in it raises EvalError. An expression without variables returns
+    one float.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = variables(expr) - set(index)

@@ -17,10 +17,11 @@ import numpy as np
 from .expr import UtilityExpr, compile_utility, parse_utility, variables
 from .kernel import Interval, SearchBudget, maximize_1d
 
-# A utility maps an (n,) profile to a float and an (n, G) array of G profiles,
-# one per column, to the (G,) array of their values. Compiled expressions
-# broadcast this way; a value that does not depend on the profile may come
-# back as one scalar for all G.
+# A utility maps an (n,) profile to a float and an (n, ...) array of profiles,
+# coordinate first, to the (...) array of their values: (n, G) columns give
+# (G,), and the (n, k, P) buffers of maximize_1d's row-batched calls give
+# (k, P). Compiled expressions broadcast this way; a value that does not
+# depend on the profile may come back as one scalar for all of them.
 UtilityFn = Callable[[np.ndarray], float | np.ndarray]
 
 
@@ -31,8 +32,8 @@ class Game:
     Player order is fixed and shared by all profile and utility indexing:
     coordinate i of a profile is player i's strategy, and ``utilities[i]``
     maps the full profile vector to player i's payoff. Each utility also
-    takes an (n, G) array whose columns are profiles and returns their G
-    payoffs (see ``UtilityFn``); best responses scan their grid that way.
+    takes an (n, ...) array of profiles and returns their payoffs (see
+    ``UtilityFn``); best responses evaluate their candidates that way.
     """
 
     players: tuple[str, ...]
@@ -178,33 +179,36 @@ def uniform_samples(
     return rng.uniform(lo, hi, size=(samples, len(windows)))
 
 
+def _own_strategy_objective(u: UtilityFn, i: int, profiles: np.ndarray):
+    """maximize_1d's f for utility u of player i against k profile columns.
+
+    profiles is (n, k); f maps a (k, P) array t to the (k, P) values of u at
+    column r of profiles with coordinate i set to t[r, p]. f keeps one
+    profile buffer per point shape, and its result may be a view of it.
+    """
+    buffers: dict[tuple[int, ...], np.ndarray] = {}
+
+    def f(t: np.ndarray):
+        buf = buffers.get(t.shape)
+        if buf is None:
+            buf = buffers[t.shape] = np.repeat(profiles[:, :, None], t.shape[1], axis=2)
+        buf[i] = t
+        return u(buf)
+
+    return f
+
+
 def best_response(
-    game: Game, player: str, x: np.ndarray, budget: SearchBudget, truncate: bool = False
+    game: Game, player: str, x: np.ndarray, budget: SearchBudget
 ) -> tuple[np.ndarray, float]:
     """Maximize player's own payoff against the opponents' strategies in x.
 
-    Returns the maximizer as a length-1 array and the maximal value. With
-    truncate=True, an unbounded interval is searched only up to the budget
-    cap with no bracket expansion; solver iterations use this to keep
-    divergent best-response dynamics bounded.
+    Returns the maximizer as a length-1 array and the maximal value.
     """
     i = game.player_index(player)
-    mixed = np.array(x, dtype=float)
-    u = game.utilities[i]
-
-    def f(v):
-        if isinstance(v, np.ndarray):  # the scan's grid: one profile column per point
-            grid = np.repeat(mixed[:, None], len(v), axis=1)
-            grid[i] = v
-            return u(grid)
-        mixed[i] = v
-        return u(mixed)
-
-    iv = game.strategy_sets[i]
-    if truncate:
-        iv = iv.truncated(budget.truncation_cap)
-    arg, val = maximize_1d(f, iv, budget)
-    return np.array([arg]), val
+    f = _own_strategy_objective(game.utilities[i], i, np.asarray(x, dtype=float)[:, None])
+    arg, val = maximize_1d(f, game.strategy_sets[i], budget)
+    return arg, float(val[0])
 
 
 def nash_regrets(game: Game, x: np.ndarray, budget: SearchBudget) -> np.ndarray:
@@ -239,33 +243,50 @@ N_STARTS = 32
 DAMPING = 0.5
 
 
+def _distinct(points: Sequence[np.ndarray], tolerance: float) -> list[np.ndarray]:
+    """points in order, less each x within 10 * tolerance * max(1, |x|_inf)
+    of a point kept before it, distances in the sup norm."""
+    kept: list[np.ndarray] = []
+    for x in points:
+        radius = 10 * tolerance * max(1.0, float(np.max(np.abs(x))))
+        if not any(np.max(np.abs(x - y)) <= radius for y in kept):
+            kept.append(x)
+    return kept
+
+
 def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     """Multistart damped simultaneous best-response iteration.
 
-    Runs from N_STARTS seeded random feasible starts, deduplicates fixed
-    points within 10x tolerance, and returns only profiles that pass
-    verify_nash. May return an empty list; emptiness is a finding.
+    Runs from N_STARTS seeded random feasible starts in lockstep: each
+    iteration makes one maximize_1d call per player, one row per start
+    still moving, and a start drops out once its change is below tolerance.
+    Unbounded strategy sets are searched only up to the truncation cap,
+    which keeps divergent dynamics bounded. Fixed points are deduplicated
+    relative to their scale (see _distinct), and only profiles that pass
+    verify_nash are returned. May return an empty list; emptiness is a
+    finding.
     """
     rng = np.random.default_rng(budget.seed)
-    # golden-section refinement keeps best responses accurate, so the
-    # iteration phase can scan coarsely; verification uses the full budget
+    # zoomed rescans keep best responses accurate, so the iteration phase
+    # can scan coarsely; verification uses the full budget
     iter_budget = replace(budget, grid_step=budget.grid_step * 16)
-    found: list[np.ndarray] = []
-    for _ in range(N_STARTS):
-        x = game.random_profile(rng, budget.truncation_cap)
-        for _ in range(budget.max_iterations):
-            br = x.copy()
-            for i, p in enumerate(game.players):
-                arg, _ = best_response(game, p, x, iter_budget, truncate=True)
-                br[i] = arg[0]
-            nxt = x + DAMPING * (br - x)
-            change = float(np.max(np.abs(nxt - x)))
-            x = nxt
-            if change < budget.tolerance:
-                break
-        if not any(np.max(np.abs(x - y)) <= 10 * budget.tolerance for y in found):
-            found.append(x)
-    return [x for x in found if verify_nash(game, x, budget).verdict]
+    windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
+    x = np.stack([game.random_profile(rng, budget.truncation_cap) for _ in range(N_STARTS)], axis=1)
+    moving = np.arange(N_STARTS)
+    for _ in range(budget.max_iterations):
+        cur = x[:, moving]
+        br = np.empty_like(cur)
+        for i, u in enumerate(game.utilities):
+            f = _own_strategy_objective(u, i, cur)
+            br[i], _ = maximize_1d(f, windows[i], iter_budget, moving.size)
+        nxt = cur + DAMPING * (br - cur)
+        change = np.max(np.abs(nxt - cur), axis=0)
+        x[:, moving] = nxt
+        moving = moving[change >= budget.tolerance]
+        if not moving.size:
+            break
+    found = _distinct([x[:, s].copy() for s in range(N_STARTS)], budget.tolerance)
+    return [p for p in found if verify_nash(game, p, budget).verdict]
 
 
 def gamma_membership(

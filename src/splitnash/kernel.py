@@ -68,99 +68,130 @@ class SearchBudget:
 
 
 # Coarse-scan cell count is capped so that wide truncated ranges stay cheap;
-# golden-section refinement restores full accuracy on unimodal objectives.
+# zoomed rescans of the best bracket restore full accuracy on unimodal objectives.
 _MAX_SCAN_CELLS = 2000
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-
-def _checked(f: Callable[[float], float], x: float) -> float:
-    v = float(f(x))
-    if not math.isfinite(v):
-        raise EvaluatorError(f"non-finite value {v!r} at {x!r}")
-    return v
+# Points per zoomed rescan: each rescan narrows a bracket to 2/256 of its width.
+_ZOOM_POINTS = 257
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+# Most points the scan hands f in one call; k rows scan in column blocks of
+# _SCAN_BLOCK_POINTS // k, which keeps f's temporaries small for many rows.
+_SCAN_BLOCK_POINTS = 4096
 
 
-def _expand_cap(f: Callable[[float], float], lo: float, cap: float, budget: SearchBudget) -> float:
-    """Double the truncation cap while f is still increasing there."""
-    hi = lo + cap
-    probe = max(1e-8, 1e-6 * max(1.0, abs(hi)))
+def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+    """f at the (k, P) points t as a (k, P) array; it may be a view that f's
+    next call overwrites. EvaluatorError names the first non-finite value."""
+    vs = np.asarray(f(t), dtype=float)
+    if vs.shape != t.shape:
+        vs = np.broadcast_to(vs, t.shape)
+    finite = np.isfinite(vs)
+    if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
+        r, c = np.unravel_index(finite.argmin(), finite.shape)
+        raise EvaluatorError(f"non-finite value {float(vs[r, c])!r} at {t[r, c]!r}")
+    return vs
+
+
+def _expand_cap(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, k: int, budget: SearchBudget
+) -> float:
+    """Double the truncation cap while f is still increasing there in any row."""
+    hi = lo + budget.truncation_cap
+    t = np.empty((k, 2))
     for _ in range(budget.max_iterations):
-        if _checked(f, hi) <= _checked(f, hi - probe):
+        t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
+        vs = _values(f, t)
+        if (vs[:, 0] <= vs[:, 1]).all():
             break
         hi = lo + 2.0 * (hi - lo)
-        probe = max(1e-8, 1e-6 * max(1.0, abs(hi)))
     return hi
 
 
-def _golden_section(
-    f: Callable[[float], float], a: float, b: float, budget: SearchBudget
-) -> tuple[float, float]:
-    """Golden-section maximization on [a, b]; ties drift toward smaller x."""
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = _checked(f, c), _checked(f, d)
-    width_goal = max(1e-12, budget.tolerance * 1e-4)
-    it = 0
-    while (b - a) > width_goal and it < budget.max_iterations:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = a + _INVPHI2 * (b - a)
-            fc = _checked(f, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _checked(f, d)
-        it += 1
-    # pick the best evaluated point, preferring the smaller coordinate on ties
-    candidates = [(a, _checked(f, a)), (c, fc), (d, fd), (b, _checked(f, b))]
-    best_x, best_v = candidates[0]
-    for x, v in candidates[1:]:
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
 def maximize_1d(
-    f: Callable[[float], float], interval: Interval, budget: SearchBudget
-) -> tuple[float, float]:
-    """Coarse grid scan plus golden-section refinement on the best bracket.
+    f: Callable[[np.ndarray], np.ndarray], interval: Interval, budget: SearchBudget, k: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize k functions of one variable that share an interval.
 
-    f maps a float to a float, and a 1-D array of points to an array of
-    their values (or to one scalar, when it does not depend on x). The scan
-    evaluates the whole grid in one call; bracket expansion and
-    golden-section refinement call f on floats. A non-finite value raises
-    EvaluatorError at the first such grid point.
+    f maps a (k, P) array of points, row r holding candidates for problem r,
+    to the (k, P) array of their values (or to one scalar, when it depends on
+    neither x nor the row). Returns the (k,) maximizers and their (k,) values.
 
-    Unbounded intervals are searched over [lo, lo + truncation_cap] after
-    bracket expansion (the cap doubles while f is still increasing at it).
-    Deterministic for a fixed budget; argmax ties break toward smaller x.
+    Every row scans one shared grid of at most _MAX_SCAN_CELLS cells, evaluated
+    in column blocks. Each row's ±1-cell bracket around its first maximum (ties
+    go to the smaller x) is then refined by zoomed rescans of _ZOOM_POINTS
+    points for all rows at once, until it is narrower than
+    max(1e-12, tolerance * 1e-4) or a rescan no longer narrows it (float
+    resolution), and for at most max_iterations rescans. A row keeps its best
+    point so far unless a rescan finds a strictly larger value. A non-finite
+    value raises EvaluatorError at the first such point. On a bounded
+    interval, row r's result is the k = 1 result for row r alone, bit for bit.
+
+    Unbounded intervals are searched over [lo, lo + cap] after bracket
+    expansion: the cap, shared by all rows, doubles while f is still
+    increasing at it in any row. Deterministic for a fixed budget.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     lo = interval.lo
-    if interval.bounded:
-        hi = interval.hi
-    else:
-        hi = _expand_cap(f, lo, budget.truncation_cap, budget)
+    hi = interval.hi if interval.bounded else _expand_cap(f, lo, k, budget)
     if hi <= lo:
-        return lo, _checked(f, lo)
+        x = np.full(k, lo)
+        return x, _values(f, x[:, None])[:, 0].copy()
 
-    span = hi - lo
-    cells = min(_MAX_SCAN_CELLS, max(1, int(math.ceil(span / budget.grid_step))))
-    xs = np.linspace(lo, hi, cells + 1)
-    # a value that does not depend on x comes back as a scalar
-    vs = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
-    bad = ~np.isfinite(vs)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluatorError(f"non-finite value {float(vs[i])!r} at {xs[i]!r}")
-    best_i = int(np.argmax(vs))  # the first maximum: ties go to the smaller x
-    best_v = float(vs[best_i])
+    cells = min(_MAX_SCAN_CELLS, max(1, int(math.ceil((hi - lo) / budget.grid_step))))
+    # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
+    xs = np.arange(cells + 1.0)
+    xs *= (hi - lo) / cells
+    xs += lo
+    xs[-1] = hi
+    # one row needs no broadcast, whose call costs a few percent of a k = 1 call
+    grid = xs[None, :] if k == 1 else np.broadcast_to(xs, (k, xs.size))
+    vs = np.empty(grid.shape)
+    block = max(1, _SCAN_BLOCK_POINTS // k)
+    for s in range(0, xs.size, block):
+        vs[:, s : s + block] = _values(f, grid[:, s : s + block])
 
-    a = xs[max(0, best_i - 1)]
-    b = xs[min(len(xs) - 1, best_i + 1)]
-    gx, gv = _golden_section(f, a, b, budget)
-    if gv > best_v or (gv == best_v and gx < xs[best_i]):
-        return gx, gv
-    return float(xs[best_i]), best_v
-
+    # Row r's rescan is left[r] + i * step[r] for i < _ZOOM_POINTS - 1, then
+    # right[r]: the points of np.linspace(left[r], right[r], _ZOOM_POINTS).
+    # A row finished by the scan rescans its maximizer alone (step 0), and a
+    # row finished by a rescan repeats that rescan: f sees no new point of a
+    # finished row, and nothing of it is read. The bookkeeping is per row in
+    # Python: k is small, and a numpy call on k values costs as much as a
+    # Python loop over them.
+    goal = max(1e-12, budget.tolerance * 1e-4)
+    last = _ZOOM_POINTS - 1
+    left, step, right = np.empty(k), np.empty(k), np.empty(k)
+    x, v, width, active = [], [], [], []
+    # the first maximum: ties go to the smaller x
+    for r, j in enumerate(vs.argmax(axis=1).tolist()):
+        x.append(xs.item(j))
+        v.append(vs.item(r, j))
+        a, b = xs.item(j - 1 if j else 0), xs.item(j + 1 if j < cells else j)
+        width.append(b - a)
+        if b - a > goal:
+            left[r], step[r], right[r] = a, (b - a) / last, b
+            active.append(r)
+        else:
+            left[r], step[r], right[r] = x[r], 0.0, x[r]
+    step_col, left_col = step[:, None], left[:, None]
+    for _ in range(budget.max_iterations):
+        if not active:
+            break
+        pts = _ZOOM_STEPS * step_col
+        pts += left_col
+        pts[:, -1] = right
+        vals = _values(f, pts)
+        best = vals.argmax(axis=1).tolist()
+        still = []
+        for r in active:
+            j = best[r]
+            top = vals.item(r, j)
+            if top > v[r]:
+                x[r], v[r] = pts.item(r, j), top
+            a, b = pts.item(r, j - 1 if j else 0), pts.item(r, j + 1 if j < last else j)
+            # stop below the goal width, or at float resolution, where a
+            # rescan no longer narrows the bracket
+            if goal < b - a < width[r]:
+                left[r], step[r], right[r], width[r] = a, (b - a) / last, b, b - a
+                still.append(r)
+        active = still
+    return np.array(x), np.array(v)

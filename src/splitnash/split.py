@@ -77,9 +77,12 @@ class RelatednessReport:
     failures: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        # strict JSON has no infinity: an infinite bound is written as null
         return {
             "holds": self.holds,
-            "image_intervals": [list(iv) for iv in self.image_intervals],
+            "image_intervals": [
+                [v if math.isfinite(v) else None for v in iv] for iv in self.image_intervals
+            ],
             "failures": list(self.failures),
         }
 

@@ -150,6 +150,25 @@ class TestReports:
             _, doc = run_json(capsys, *argv)
             jsonschema.validate(doc, schema)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve-split", "example-4.1"),
+            ("verify-split", "example-4.1", "--profile", "1,2,4"),
+            ("audit", "example-4.1"),
+        ],
+    )
+    def test_reports_are_strict_json(self, capsys, schema, argv):
+        # the unbounded source sets map to image intervals [0, inf), whose
+        # infinite bound is written as null: no Infinity or NaN token
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        _, out = run(capsys, *argv, "--format", "json", "--deterministic")
+        doc = json.loads(out, parse_constant=reject)
+        jsonschema.validate(doc, schema)
+        assert doc["results"]["relatedness"]["image_intervals"] == [[0.0, None], [0.0, None]]
+
     def test_deterministic_flag_gives_byte_identical_output(self, capsys):
         _, a = run(
             capsys, "verify-nash", "example-4.1:E2", "--profile", "9,12",

@@ -1,5 +1,7 @@
 """Game construction, payoffs, order relation, regrets, and the Nash solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from splitnash import (
     solve_nash,
     verify_nash,
 )
-from splitnash.game import ConcavityReport
+from splitnash.game import DAMPING, N_STARTS, ConcavityReport, _distinct
+from splitnash.kernel import maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
 SQRT2 = float(np.sqrt(2.0))
@@ -204,6 +207,20 @@ class TestSolver:
         sols = solve_nash(g, budget)
         assert [s.tolist() for s in sols] == [[6.074540017332595e-07, 1.9999993036143433]]
 
+    def test_a_utility_that_returns_a_view_of_its_input(self, budget):
+        # "y" compiles to a view of the profile buffer that the next candidate
+        # overwrites; "y + 0" computes the same values into a fresh array
+        def game(u_y):
+            return Game.from_expressions(
+                ("x", "y"), (Interval(0, 2), Interval(0, 2)), ("x*(y - x)", u_y)
+            )
+
+        view, fresh = game("y"), game("y + 0")
+        arg, val = best_response(view, "y", np.array([0.5, 0.5]), budget)
+        assert (arg.tolist(), val) == ([2.0], 2.0)
+        assert repr(solve_nash(view, budget)) == repr(solve_nash(fresh, budget))
+        assert np.allclose(solve_nash(view, budget), [[1.0, 2.0]], atol=1e-5)
+
     def test_source_game_origin_equilibrium(self):
         # with a tight cap the damped iteration settles at the origin, which
         # verifies on the unbounded strategy sets as a genuine equilibrium
@@ -300,3 +317,76 @@ class TestBatchedConcavityMatchesPerSampleLoop:
         got = concavity_sample_check(g, samples=300, seed=0)
         assert len({p for p, *_ in got.violations}) == 2  # both players violate
         assert repr(got) == repr(reference_concavity_sample_check(g, 300, 0))
+
+
+class TestDistinctFixedPoints:
+    def test_points_close_relative_to_their_scale_merge(self):
+        x = np.array([800.0, 412.5])
+        assert len(_distinct([x, x + 1.2e-5], 1e-6)) == 1
+
+    def test_points_far_relative_to_their_scale_stay(self):
+        x = np.array([0.5, 1.0])
+        kept = _distinct([x, x + 1e-3, x], 1e-6)
+        assert len(kept) == 2 and kept[0] is x
+
+
+def reference_solve_nash(game, budget):
+    """solve_nash one start at a time, each best response a one-row
+    maximize_1d call: the reference the lockstep solver must reproduce exactly."""
+    rng = np.random.default_rng(budget.seed)
+    iter_budget = replace(budget, grid_step=budget.grid_step * 16)
+
+    def best(i, x):
+        def f(t):
+            grid = np.repeat(x[:, None, None], t.shape[1], axis=2)
+            grid[i] = t
+            return game.utilities[i](grid)
+
+        (arg,), _ = maximize_1d(f, game.strategy_sets[i].truncated(budget.truncation_cap),
+                                iter_budget)
+        return arg
+
+    found = []
+    for _ in range(N_STARTS):
+        x = game.random_profile(rng, budget.truncation_cap)
+        for _ in range(budget.max_iterations):
+            br = np.array([best(i, x) for i in range(game.n_players)])
+            nxt = x + DAMPING * (br - x)
+            change = float(np.max(np.abs(nxt - x)))
+            x = nxt
+            if change < budget.tolerance:
+                break
+        scale = max(1.0, float(np.max(np.abs(x))))
+        if not any(np.max(np.abs(x - y)) <= 10 * budget.tolerance * scale for y in found):
+            found.append(x)
+    return [x for x in found if verify_nash(game, x, budget).verdict]
+
+
+def lq_game(hi, sources):
+    names = tuple("xyz"[: len(sources)])
+    return Game.from_expressions(names, [Interval(0.0, hi)] * len(sources), sources)
+
+
+SOLVER_GAMES = {
+    "example-4.1:E2": e2_game,
+    "quadratic-sanity": lambda: default_quadratic_sanity().problem.game_n,
+    "constant-utility": constant_utility_game,
+    "lq2-wide": lambda: lq_game(1000.0, ("x*(600 + 0.2*y) - 0.8*x^2", "y*(500 - 0.3*x) - 1.1*y^2")),
+    "lq3-narrow": lambda: lq_game(
+        10.0,
+        (
+            "x*(8 + 0.3*y - 0.2*z) - 1.5*x^2",
+            "y*(6 - 0.1*x + 0.25*z) - 0.9*y^2",
+            "z*(5 + 0.2*x + 0.1*y) - 1.2*z^2",
+        ),
+    ),
+}
+
+
+class TestLockstepSolverMatchesPerStartLoop:
+    @pytest.mark.parametrize("ident", sorted(SOLVER_GAMES))
+    def test_same_profiles(self, ident):
+        g, budget = SOLVER_GAMES[ident](), SearchBudget()
+        got = solve_nash(g, budget)
+        assert got, "every game here has an equilibrium the solver finds"
+        assert repr(got) == repr(reference_solve_nash(g, budget))

@@ -97,29 +97,129 @@ class TestMaximize1d:
         with pytest.raises(EvaluatorError, match=r"inf at np.float64\(2.51"):
             maximize_1d(f, Interval(0.0, 10.0), SearchBudget())
 
+    def test_non_finite_value_inside_a_zoom_bracket_raises(self):
+        # the scan grid (step 0.01) misses the pole; the first rescan of
+        # [2.99, 3.01] (step 7.8e-5) hits it
+        f = lambda t: np.where(np.abs(t - 3.003) < 1e-4, np.nan, -(t - 3.0) * (t - 3.0))
+        with pytest.raises(EvaluatorError, match=r"nan at np.float64\(3.00"):
+            maximize_1d(f, Interval(0.0, 10.0), SearchBudget())
+
+    @pytest.mark.parametrize("peak", [1e6, 5e6])
+    def test_refinement_stops_at_float_resolution(self, peak):
+        # a 1e-10 bracket is narrower than the float spacing here (1.2e-10 at
+        # 1e6), so refinement ends when a rescan stops narrowing the bracket
+        calls = []
+
+        def f(t):
+            calls.append(np.size(t))
+            return -(t - peak) * (t - peak)
+
+        iv, budget = Interval(0.0, 3.0 * peak), SearchBudget()
+        x, v = scalar_result(maximize_1d(f, iv, budget))
+        assert len(calls) < 60
+        assert (x, v) == reference_maximize_1d(f, iv, budget)
+        assert abs(x - peak) <= 2 * np.spacing(peak) and v == 0.0
+
+    def test_rows_keep_their_own_maximizers(self):
+        # the row peaked below the interval ends at its boundary, with a
+        # half-width bracket, before the interior rows
+        peaks = np.array([[-1.0], [1.0], [4.25], [9.5]])
+        xs, vs = maximize_1d(lambda t: -(t - peaks) * (t - peaks), Interval(0.0, 10.0),
+                             SearchBudget(), k=4)
+        assert xs.shape == vs.shape == (4,)
+        assert xs == pytest.approx([0.0, 1.0, 4.25, 9.5], abs=1e-9)
+        assert vs == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-18)
+
+    @pytest.mark.parametrize(
+        "hi, step",
+        [
+            # cells of 1e-3: the boundary bracket [0, 1e-3] gets under 1e-10
+            # after 3 rescans, the interior bracket of 2e-3 after 4
+            (1.0, 1e-3),
+            # cells of 7.5e-11: the boundary bracket is finished by the scan,
+            # the interior one needs a rescan
+            (1.5e-7, 1e-12),
+        ],
+    )
+    def test_a_finished_row_is_evaluated_at_no_new_point(self, hi, step):
+        # row 0 peaks below the interval and finishes first; it must see only
+        # points its own k = 1 call sees, so that an f that raises at some
+        # other point (a fractional power, say) cannot fail the shared call
+        def recorder(peaks, seen):
+            def f(t):
+                seen.update(t[0].tolist())
+                return -(t - peaks) * (t - peaks)
+
+            return f
+
+        iv, budget = Interval(0.0, hi), SearchBudget(grid_step=step)
+        alone, shared = set(), set()
+        maximize_1d(recorder(np.array([[-1.0]]), alone), iv, budget)
+        maximize_1d(recorder(np.array([[-1.0], [0.425 * hi]]), shared), iv, budget, k=2)
+        assert shared <= alone
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_no_rows(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            maximize_1d(lambda t: t, Interval(0.0, 1.0), SearchBudget(), k=k)
+
+    def test_a_scalar_value_fills_every_row(self):
+        xs, vs = maximize_1d(lambda t: 3.0, Interval(1.0, 2.0), SearchBudget(), k=4)
+        assert xs.tolist() == [1.0] * 4 and vs.tolist() == [3.0] * 4
+
 
 def reference_maximize_1d(f, interval, budget):
-    """The point-by-point scan that maximize_1d vectorises, kept as its reference."""
-    lo = interval.lo
-    if interval.bounded:
-        hi = interval.hi
-    else:
-        hi = kernel._expand_cap(f, lo, budget.truncation_cap, budget)
+    """maximize_1d for one function, point by point: the scan and the zoomed
+    rescans that maximize_1d vectorises, kept as its reference."""
+
+    def value(t):
+        v = float(f(t))
+        if not math.isfinite(v):
+            raise EvaluatorError(f"non-finite value {v!r} at {t!r}")
+        return v
+
+    def first_max(vals):
+        best = 0
+        for i in range(1, len(vals)):
+            if vals[i] > vals[best]:
+                best = i
+        return best
+
+    lo, hi = interval.lo, interval.hi
+    if not interval.bounded:
+        hi = lo + budget.truncation_cap
+        for _ in range(budget.max_iterations):
+            probe = max(1e-8, 1e-6 * max(1.0, abs(hi)))
+            if value(hi) <= value(hi - probe):
+                break
+            hi = lo + 2.0 * (hi - lo)
     if hi <= lo:
-        return lo, kernel._checked(f, lo)
+        return lo, value(np.float64(lo))
     cells = min(kernel._MAX_SCAN_CELLS, max(1, int(math.ceil((hi - lo) / budget.grid_step))))
     xs = np.linspace(lo, hi, cells + 1)
-    best_i, best_v = 0, kernel._checked(f, xs[0])
-    for i in range(1, len(xs)):
-        v = kernel._checked(f, xs[i])
-        if v > best_v:
-            best_i, best_v = i, v
-    a = xs[max(0, best_i - 1)]
-    b = xs[min(len(xs) - 1, best_i + 1)]
-    gx, gv = kernel._golden_section(f, a, b, budget)
-    if gv > best_v or (gv == best_v and gx < xs[best_i]):
-        return gx, gv
-    return float(xs[best_i]), best_v
+    vs = [value(t) for t in xs]
+    best = first_max(vs)
+    x, v = xs[best], vs[best]
+    a, b = xs[max(0, best - 1)], xs[min(cells, best + 1)]
+    goal = max(1e-12, budget.tolerance * 1e-4)
+    for _ in range(budget.max_iterations):
+        if not b - a > goal:
+            break
+        pts = np.linspace(a, b, kernel._ZOOM_POINTS)
+        vals = [value(t) for t in pts]
+        j = first_max(vals)
+        if vals[j] > v:
+            x, v = pts[j], vals[j]
+        na, nb = pts[max(0, j - 1)], pts[min(len(pts) - 1, j + 1)]
+        if not nb - na < b - a:
+            break  # float resolution: the rescan no longer narrows the bracket
+        a, b = na, nb
+    return float(x), v
+
+
+def scalar_result(result):
+    (x,), (v,) = result
+    return float(x), float(v)
 
 
 class TestMaximize1dMatchesPointwiseScan:
@@ -141,7 +241,7 @@ class TestMaximize1dMatchesPointwiseScan:
     def test_bounded(self, lo, width, peak, curvature, tilt, step):
         f = self.bump(peak, curvature, tilt)
         iv, budget = Interval(lo, lo + width), SearchBudget(grid_step=step)
-        assert maximize_1d(f, iv, budget) == reference_maximize_1d(f, iv, budget)
+        assert scalar_result(maximize_1d(f, iv, budget)) == reference_maximize_1d(f, iv, budget)
 
     @given(
         lo=st.floats(-50.0, 50.0),
@@ -153,4 +253,31 @@ class TestMaximize1dMatchesPointwiseScan:
     def test_half_line(self, lo, peak, curvature, cap):
         f = self.bump(peak, curvature, 0.0)
         iv, budget = Interval(lo), SearchBudget(truncation_cap=cap)
-        assert maximize_1d(f, iv, budget) == reference_maximize_1d(f, iv, budget)
+        assert scalar_result(maximize_1d(f, iv, budget)) == reference_maximize_1d(f, iv, budget)
+
+
+class TestRowsMatchOneRowCalls:
+    # row r of a k-row call must equal the k = 1 call on row r's function, bit
+    # for bit; the bumps use + - * only, as above
+    @staticmethod
+    def bumps(peak, curvature, tilt):
+        p, c, m = (np.array(a, dtype=float)[:, None] for a in (peak, curvature, tilt))
+        return lambda t: m * t - c * (t - p) * (t - p)
+
+    @given(
+        lo=st.floats(-50.0, 50.0),
+        width=st.floats(0.0, 3000.0),
+        rows=st.lists(
+            st.tuples(st.floats(-100.0, 3000.0), st.floats(0.0, 10.0), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=40,
+        ),
+        step=st.sampled_from([1e-3, 1e-2, 0.16, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounded(self, lo, width, rows, step):
+        iv, budget = Interval(lo, lo + width), SearchBudget(grid_step=step)
+        xs, vs = maximize_1d(self.bumps(*zip(*rows)), iv, budget, k=len(rows))
+        for r, row in enumerate(rows):
+            (x,), (v,) = maximize_1d(self.bumps(*zip(row)), iv, budget)
+            assert (xs[r], vs[r]) == (x, v)
