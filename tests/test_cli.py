@@ -275,10 +275,11 @@ class TestFileInputs:
         assert code == EXIT_OK
 
 
-# SHA-256 of the `--format json --deterministic --seed S` report bytes and the
-# exit code. A change to any of these reports must be deliberate: update the
-# digest and say why. Digests rather than files: the bertrand-enumerate report
-# is 2 MB.
+# SHA-256 of the `--deterministic --seed S` report bytes and the exit code, for
+# `verb target` followed by any flags written after the target; the report is
+# JSON unless those flags name a `--format`. A change to any of these reports
+# must be deliberate: update the digest and say why. Digests rather than files:
+# the bertrand-enumerate report is 2 MB.
 PINNED_REPORTS = {
     ("audit", "bertrand", 0): (0, "7efdd5acd6045ff7033eeb73b75dd04f327cf880a53c0a183eabc07e7697d0fd"),
     ("audit", "cdp", 0): (0, "c56b2c5b3479d5163c1ff0a4b50281688a28477b430668b53803f6547e28299b"),
@@ -294,14 +295,45 @@ PINNED_REPORTS = {
         0, "7517508980fcbcadf2dbd890b099db1c7319ec2b03f9cb4c17c22805c70b71dc"
     ),
     ("cdp-check", "example-4.1", 7): (0, "2e9d005c8609e61d2442806e4dc729fc9c9f8947ccce54c328dfbd9435302658"),
+    ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
+        0, "8c923d8970f144d162636e7fc436f59eba8abcb650d4f7df2c5c1c657b7328a7"
+    ),
+    ("solve-nash", "example-4.1:E2", 0): (0, "9fab1dd6838ab13b366b31cd0fa24405318e2c31df2f7b6449fe21a77bbb4077"),
+    ("verify-split", "example-4.1 --profile 1,2,4", 0): (
+        1, "5be60a021fbf335b67c1745714f113805100b7bee1179b46d070dee8448a3199"
+    ),
+    ("solve-split", "quadratic-sanity", 0): (0, "81bc073bae41936fb7f4c2ed7a11c5da9cec35a08f56c3eefb08bab5a4d56907"),
+    ("solve-split", "example-4.1", 0): (1, "6693859cc9164843fca51dedec050f38bee24b93c8ee6838f41a79a12169d307"),
+    ("kkm-probe", "quadratic-sanity", 0): (0, "aabc55efb7ea727650ad3fe6802b1e210ff486d5c5b8e75e465976106134a93e"),
+    ("audit", "example-4.1", 0): (3, "b3d73c72f9bdd53aa5c38b7306ad10b2f76cec11dc1a22fe5b6630d4cb9c1600"),
+    ("audit", "kkm", 0): (0, "857fa552103b484be9916be466fde6ac5caa7805e9ad1738a4173b48e06ebe8a"),
+    ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
+        0, "0fbafe497d3761c008f39a593f9c143911cda50ee44c3d1e3cbae9dd47132be5"
+    ),
+    ("solve-nash", "example-4.1:E2", 7): (0, "f4cc2428a77c66712b7994c7128576ec63ee5506c1506da898f013c61d1f0af3"),
+    ("verify-split", "example-4.1 --profile 1,2,4", 7): (
+        1, "3a8c954ae1315259db39ee859326959624f06bf9ca515a16fc7000490482cbf7"
+    ),
+    ("solve-split", "quadratic-sanity", 7): (0, "e2e8b0a882876941935fd568505a87530a6b03bef425964ebb9b1a38b7128863"),
+    ("solve-split", "example-4.1", 7): (1, "ae814bb121f80c2fe54cbde531eb172ec6692c0c4945e9b059c2bf78722ebcd9"),
+    ("kkm-probe", "quadratic-sanity", 7): (0, "2ead745c7ae2b94fea83978714c49d7ba779f682f3d6b397e9482a69d57eb1f2"),
+    ("audit", "example-4.1", 7): (3, "d036224daa99ff77dc0bebdd0f91484b588ec286beabc60bcb53470f7385c596"),
+    ("audit", "kkm", 7): (0, "d44a11342545368a4ab91e7c7987b512fa4196564b17ce79d2da01406ad407c5"),
+    ("verify-split", "example-4.1 --profile 1,2,4 --format text", 0): (
+        1, "064830fbe378d0e7b839d554b00cdda110e616951d4fdbbaff32a53e6815a9a7"
+    ),
+    ("audit", "thm-6.2 --format text", 0): (
+        3, "72585f154cc2b56f4edd88bfd0678906d85bb7b0ca902e733fff2ddf804eaf58"
+    ),
 }
 
 
 @pytest.mark.parametrize("verb, target, seed", sorted(PINNED_REPORTS))
 def test_deterministic_report_matches_its_pinned_digest(capsys, verb, target, seed):
-    code, out = run(
-        capsys, verb, target, "--format", "json", "--deterministic", "--seed", str(seed)
-    )
+    argv = [verb, *target.split(), "--deterministic", "--seed", str(seed)]
+    if "--format" not in argv:
+        argv += ["--format", "json"]
+    code, out = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPORTS[verb, target, seed]
 
 
