@@ -250,18 +250,6 @@ class MarkovAuditRow:
     def agrees_with_claim(self) -> bool:
         return self.verdict == self.stated_claim
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "transformed": list(self.transformed),
-            "verdict": self.verdict,
-            "oracle": self.oracle,
-            "stated_claim": self.stated_claim,
-            "agrees_with_oracle": self.agrees_with_oracle,
-            "agrees_with_claim": self.agrees_with_claim,
-        }
-
 
 @dataclass(frozen=True)
 class MarkovAuditReport:
@@ -274,13 +262,6 @@ class MarkovAuditReport:
     @property
     def claim_discrepancies(self) -> tuple[MarkovAuditRow, ...]:
         return tuple(r for r in self.rows if not r.agrees_with_claim)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "all_match_oracle": self.all_match_oracle,
-            "claim_discrepancy_count": len(self.claim_discrepancies),
-        }
 
 
 def audit_theorem_6_2(

@@ -29,13 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from . import bertrand as bt
-from .game import Game, nash_regrets, solve_nash, verify_nash
+from .game import Game, VerificationReport, nash_regrets, solve_nash, verify_nash
 from .kernel import Interval, SearchBudget
 from .models import get_instance
 from .split import (
     CdpReport,
+    KkmProbeResult,
     LinearOperator,
+    RelatednessReport,
     SplitProblem,
+    SplitVerificationReport,
     cdp_sample_check,
     kkm_intersection_probe,
     solve_split,
@@ -141,17 +144,59 @@ def _profile(args, game: Game) -> np.ndarray:
     return x
 
 
+def _records(witnesses) -> list[dict]:
+    return [w._asdict() for w in witnesses]
+
+
+# The report layout of every result type. A result is written as an object of
+# its fields, less "players", with report_n and report_m renamed; then each key
+# in its row below is set, or overwritten, to that function of the result.
+_RENAMED = {"report_n": "game_n", "report_m": "game_m"}
+_LAYOUT = {
+    VerificationReport: {
+        "regrets": lambda r: dict(zip(r.players, r.regrets)),
+        "witnesses": lambda r: {p: w._asdict() for p, w in r.witnesses.items()},
+    },
+    SplitVerificationReport: {},
+    # strict JSON has no infinity: an infinite bound is written as null
+    RelatednessReport: {
+        "image_intervals": lambda r: [
+            [v if math.isfinite(v) else None for v in iv] for iv in r.image_intervals
+        ],
+    },
+    CdpReport: {
+        "joint_cdp_failures": lambda r: _records(r.joint_cdp_failures),
+        "vector_disjunction_failures": lambda r: _records(r.vector_disjunction_failures),
+        "min_dominance_failures": lambda r: _records(r.min_dominance_failures),
+    },
+    KkmProbeResult: {},
+    bt.MarkovAuditRow: {
+        "agrees_with_oracle": lambda r: r.agrees_with_oracle,
+        "agrees_with_claim": lambda r: r.agrees_with_claim,
+    },
+    bt.MarkovAuditReport: {
+        "all_match_oracle": lambda r: r.all_match_oracle,
+        "claim_discrepancy_count": lambda r: len(r.claim_discrepancies),
+    },
+}
+
+
 def _json_default(value):
-    """Coerce numpy scalars/arrays so reports always serialize."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    """json.dumps' hook for what it cannot write: numpy values and results."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    if isinstance(value, np.generic):
+        return value.item()
+    layout = _LAYOUT.get(type(value))
+    if layout is None:
+        raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    doc = {
+        _RENAMED.get(f.name, f.name): getattr(value, f.name)
+        for f in dataclasses.fields(value)
+        if f.name != "players"
+    }
+    doc.update((key, derive(value)) for key, derive in layout.items())
+    return doc
 
 
 class Report:
@@ -227,7 +272,7 @@ class Report:
 
 def _kkm(problem: SplitProblem, args, rep: Report) -> int:
     result = kkm_intersection_probe(problem, rep.budget, points_per_axis=args.points_per_axis)
-    return rep.settle(bool(result.members) and all(result.verified), {"probe": result.to_dict()})
+    return rep.settle(bool(result.members) and all(result.verified), {"probe": result})
 
 
 def _cdp(problem: SplitProblem, args, rep: Report) -> CdpReport:
@@ -241,7 +286,7 @@ def _enumerate(model: bt.BertrandModel, default_range: float, args, rep: Report)
     hi = args.range if args.range is not None else default_range
     step = rep.budget.grid_step
     eqs = bt.enumerate_grid_equilibria(model, step, hi, tolerance=rep.budget.tolerance)
-    return {"grid_step": step, "price_range": hi, "equilibria": [[p1, p2] for p1, p2 in eqs]}
+    return {"grid_step": step, "price_range": hi, "equilibria": eqs}
 
 
 # --- verbs -------------------------------------------------------------------
@@ -251,12 +296,12 @@ def cmd_verify_nash(args, rep: Report) -> int:
     game = _resolve(args.target, "game")
     x = _profile(args, game)
     vr = verify_nash(game, x, rep.budget)
-    return rep.settle(vr.verdict, {"profile": list(map(float, x)), "verification": vr.to_dict()})
+    return rep.settle(vr.verdict, {"profile": x, "verification": vr})
 
 
 def cmd_solve_nash(args, rep: Report) -> int:
     sols = solve_nash(_resolve(args.target, "game"), rep.budget)
-    return rep.settle(bool(sols), {"equilibria": [list(map(float, s)) for s in sols]})
+    return rep.settle(bool(sols), {"equilibria": sols})
 
 
 def cmd_verify_split(args, rep: Report) -> int:
@@ -264,24 +309,19 @@ def cmd_verify_split(args, rep: Report) -> int:
     x = _profile(args, problem.game_n)
     vr = verify_split_equilibrium(problem, x, rep.budget)
     return rep.settle(vr.verdict, {
-        "profile": list(map(float, x)),
-        "verification": vr.to_dict(),
-        "relatedness": problem.relatedness.to_dict(),
+        "profile": x, "verification": vr, "relatedness": problem.relatedness,
     })
 
 
 def cmd_solve_split(args, rep: Report) -> int:
     problem = _resolve(args.target, "split")
     sols = solve_split(problem, rep.budget)
-    return rep.settle(bool(sols), {
-        "split_equilibria": [list(map(float, s)) for s in sols],
-        "relatedness": problem.relatedness.to_dict(),
-    })
+    return rep.settle(bool(sols), {"split_equilibria": sols, "relatedness": problem.relatedness})
 
 
 def cmd_cdp_check(args, rep: Report) -> int:
     report = _cdp(_resolve(args.target, "split"), args, rep)
-    return rep.settle(not report.min_dominance_failures, {"cdp": report.to_dict()})
+    return rep.settle(not report.min_dominance_failures, {"cdp": report})
 
 
 def cmd_kkm_probe(args, rep: Report) -> int:
@@ -302,38 +342,34 @@ def cmd_bertrand_enumerate(args, rep: Report) -> int:
 def _audit_example_4_1(args, rep: Report) -> int:
     inst = get_instance("example-4.1")
     problem: SplitProblem = inst.problem
-    budget = rep.budget
+    tol = rep.budget.tolerance
     x = np.array([1.0, 2.0, 4.0])
     image = problem.image(x)
-    regrets_n = nash_regrets(problem.game_n, x, budget)
-    regrets_m = nash_regrets(problem.game_m, image, budget)
+    regrets_n = nash_regrets(problem.game_n, x, rep.budget)
+    regrets_m = nash_regrets(problem.game_m, image, rep.budget)
     c_expected = 3.0 - 2.0 * math.sqrt(2.0)
 
-    rep.results = {
-        "profile": list(x),
-        "image": list(map(float, image)),
-        "source_regrets": list(map(float, regrets_n)),
-        "target_regrets": list(map(float, regrets_m)),
+    results = {
+        "profile": x,
+        "image": image,
+        "source_regrets": regrets_n,
+        "target_regrets": regrets_m,
         "player_c_regret_oracle": c_expected,
-        "relatedness": problem.relatedness.to_dict(),
+        "relatedness": problem.relatedness,
     }
-    if not np.allclose(image, [9.0, 12.0], atol=1e-12):
-        rep.verdict = False
-        rep.results["failure"] = "operator image of (1,2,4) is not (9,12)"
-        return EXIT_FAIL
-    if max(regrets_m) > budget.tolerance or max(regrets_n[:2]) > budget.tolerance:
-        rep.verdict = False
-        rep.results["failure"] = "unexpected regret where the oracle predicts zero"
-        return EXIT_FAIL
-    if abs(regrets_n[2] - c_expected) > 1e-4:
-        rep.verdict = False
-        rep.results["failure"] = "player c regret does not match the analytic oracle"
-        return EXIT_FAIL
-    rep.verdict = False  # the claimed profile is not a split equilibrium
+    oracle_failures = {
+        "operator image of (1,2,4) is not (9,12)": not np.allclose(image, [9, 12], atol=1e-12),
+        "unexpected regret where the oracle predicts zero": max(*regrets_m, *regrets_n[:2]) > tol,
+        "player c regret does not match the analytic oracle": abs(regrets_n[2] - c_expected) > 1e-4,
+    }
+    for failure, failed in oracle_failures.items():
+        if failed:
+            return rep.settle(False, {**results, "failure": failure})
     rep.discrepancies.append(
         "source claims (1,2,4) is an equilibrium, but player c improves by "
         f"deviating to z = x*y = 2 (regret {regrets_n[2]:.6f} = 3 - 2*sqrt(2))"
     )
+    rep.settle(False, results)  # the claimed profile is not a split equilibrium
     return EXIT_DISCREPANCY
 
 
@@ -351,7 +387,7 @@ def _audit_bertrand(args, rep: Report) -> int:
     at_costs = bt.profits(model, model.c1, model.c2)
     results.update(
         contains_cost_point=contains_cost_point,
-        profits_at_costs=list(at_costs),
+        profits_at_costs=at_costs,
         all_within_band=within,
         band=band,
     )
@@ -365,7 +401,6 @@ def _audit_thm_6_2(args, rep: Report) -> int:
         axis = np.linspace(0.0, 1.0, 5)
         pairs = [(a, b) for a in axis for b in axis]
     out = {}
-    any_claim_disagreement = False
     all_oracle = True
     for ident in ("bertrand-1-1", "bertrand-1-2"):
         model = get_instance(ident).problem
@@ -373,20 +408,16 @@ def _audit_thm_6_2(args, rep: Report) -> int:
             model, pairs, grid_step=rep.budget.grid_step, price_range=args.range,
             tolerance=rep.budget.tolerance,
         )
-        out[ident] = report.to_dict()
+        out[ident] = report
         all_oracle = all_oracle and report.all_match_oracle
         for row in report.claim_discrepancies:
-            any_claim_disagreement = True
             rep.discrepancies.append(
                 f"{ident}: claim predicts {row.stated_claim} at alpha={row.alpha:g}, "
                 f"beta={row.beta:g}, grid verdict is {row.verdict} "
                 f"(transform fixes costs: {row.oracle})"
             )
-    rep.results = {"audits": out, "all_match_oracle": all_oracle}
-    rep.verdict = all_oracle
-    if not all_oracle:
-        return EXIT_FAIL
-    return EXIT_DISCREPANCY if any_claim_disagreement else EXIT_OK
+    code = rep.settle(all_oracle, {"audits": out, "all_match_oracle": all_oracle})
+    return EXIT_DISCREPANCY if code == EXIT_OK and rep.discrepancies else code
 
 
 def _audit_cdp(args, rep: Report) -> int:
@@ -396,7 +427,7 @@ def _audit_cdp(args, rep: Report) -> int:
     }
     return rep.settle(
         not any(r.min_dominance_failures for r in reports.values()),
-        {"cdp": {ident: r.to_dict() for ident, r in reports.items()}},
+        {"cdp": reports},
     )
 
 

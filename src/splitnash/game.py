@@ -10,7 +10,7 @@ verification, best responses, and a multistart best-response solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +111,13 @@ class Game:
         return np.array([rng.uniform(t.lo, t.hi) for t in windows])
 
 
+class Witness(NamedTuple):
+    """A player's improving deviation: the best-response strategy and its payoff."""
+
+    strategy: tuple[float, ...]
+    value: float
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a regret-based equilibrium check at one profile."""
@@ -119,23 +126,12 @@ class VerificationReport:
     players: tuple[str, ...]
     regrets: tuple[float, ...]
     tolerance: float
-    witnesses: Mapping[str, tuple[tuple[float, ...], float]] = field(default_factory=dict)
+    witnesses: Mapping[str, Witness] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
     @property
     def max_regret(self) -> float:
         return max(self.regrets)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "regrets": {p: r for p, r in zip(self.players, self.regrets)},
-            "tolerance": self.tolerance,
-            "witnesses": {
-                p: {"strategy": list(s), "value": v} for p, (s, v) in self.witnesses.items()
-            },
-            "notes": list(self.notes),
-        }
 
 
 def order_leq(u: Sequence[float], v: Sequence[float]) -> bool:
@@ -222,13 +218,13 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
     if not game.is_feasible(x, slack=1e-12):
         raise ValueError("profile is not feasible for this game")
     regrets = []
-    witnesses: dict[str, tuple[tuple[float, ...], float]] = {}
+    witnesses: dict[str, Witness] = {}
     for i, p in enumerate(game.players):
         arg, val = best_response(game, p, x, budget)
         eps = max(val - game.payoff(i, x), 0.0)
         regrets.append(eps)
         if eps > budget.tolerance:
-            witnesses[p] = (tuple(float(a) for a in arg), float(val))
+            witnesses[p] = Witness(tuple(float(a) for a in arg), float(val))
     verdict = max(regrets) <= budget.tolerance
     return VerificationReport(
         verdict=verdict,

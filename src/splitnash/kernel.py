@@ -38,7 +38,8 @@ class Interval:
         return math.isfinite(self.hi)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x and (not self.bounded or x <= self.hi + slack)
+        """Is x a finite point of [lo - slack, hi + slack]?"""
+        return math.isfinite(x) and self.lo - slack <= x <= self.hi + slack
 
     def truncated(self, cap: float) -> "Interval":
         """Finite search window: [lo, hi] or [lo, lo + cap] when unbounded."""

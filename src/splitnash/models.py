@@ -9,7 +9,7 @@ asserting them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -196,29 +196,22 @@ def bertrand_instance(
 # --- registry ----------------------------------------------------------------
 
 
+_BUILTINS: dict[str, Callable[[], NamedInstance]] = {
+    "example-4.1": example_4_1,
+    "example-4.1:E1": lambda: NamedInstance("example-4.1:E1", "game", e1_game()),
+    "example-4.1:E2": lambda: NamedInstance("example-4.1:E2", "game", e2_game()),
+    "quadratic-sanity": default_quadratic_sanity,
+    "bertrand-1-2": lambda: bertrand_instance(1.0, 2.0),
+    "bertrand-1-1": lambda: bertrand_instance(1.0, 1.0),
+}
+
+
 def builtin_ids() -> list[str]:
-    return [
-        "example-4.1",
-        "example-4.1:E1",
-        "example-4.1:E2",
-        "quadratic-sanity",
-        "bertrand-1-2",
-        "bertrand-1-1",
-    ]
+    return list(_BUILTINS)
 
 
 def get_instance(identifier: str) -> NamedInstance:
     """Look up a built-in instance by its CLI identifier."""
-    if identifier == "example-4.1":
-        return example_4_1()
-    if identifier == "example-4.1:E1":
-        return NamedInstance("example-4.1:E1", "game", e1_game())
-    if identifier == "example-4.1:E2":
-        return NamedInstance("example-4.1:E2", "game", e2_game())
-    if identifier == "quadratic-sanity":
-        return default_quadratic_sanity()
-    if identifier == "bertrand-1-2":
-        return bertrand_instance(1.0, 2.0)
-    if identifier == "bertrand-1-1":
-        return bertrand_instance(1.0, 1.0)
-    raise KeyError(f"unknown builtin instance {identifier!r}; known: {builtin_ids()}")
+    if identifier not in _BUILTINS:
+        raise KeyError(f"unknown builtin instance {identifier!r}; known: {builtin_ids()}")
+    return _BUILTINS[identifier]()

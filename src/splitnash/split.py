@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,16 +75,6 @@ class RelatednessReport:
     holds: bool
     image_intervals: tuple[tuple[float, float], ...]
     failures: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        # strict JSON has no infinity: an infinite bound is written as null
-        return {
-            "holds": self.holds,
-            "image_intervals": [
-                [v if math.isfinite(v) else None for v in iv] for iv in self.image_intervals
-            ],
-            "failures": list(self.failures),
-        }
 
 
 def _image_interval(row: np.ndarray, intervals: Sequence[Interval]) -> tuple[float, float]:
@@ -195,15 +185,6 @@ class SplitVerificationReport:
     image_profile: tuple[float, ...]
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "game_n": self.report_n.to_dict(),
-            "game_m": self.report_m.to_dict(),
-            "image_profile": list(self.image_profile),
-            "notes": list(self.notes),
-        }
-
 
 def verify_split_equilibrium(
     problem: SplitProblem, x: np.ndarray, budget: SearchBudget
@@ -238,29 +219,22 @@ def solve_split(problem: SplitProblem, budget: SearchBudget) -> list[np.ndarray]
     return out
 
 
+class CdpWitness(NamedTuple):
+    """A sampled (u, v, lambda) triple, replayable to re-verify its violation."""
+
+    u: tuple[float, ...]
+    v: tuple[float, ...]
+    lam: float
+
+
 @dataclass(frozen=True)
 class CdpReport:
-    """Sampled audit of the convexity-direction-preserved property.
-
-    Witness tuples are (u, v, lambda) triples that can be replayed to
-    re-verify the recorded violation.
-    """
+    """Sampled audit of the convexity-direction-preserved property."""
 
     samples: int
-    joint_cdp_failures: tuple[tuple[tuple[float, ...], tuple[float, ...], float], ...]
-    vector_disjunction_failures: tuple[tuple[tuple[float, ...], tuple[float, ...], float], ...]
-    min_dominance_failures: tuple[tuple[tuple[float, ...], tuple[float, ...], float], ...]
-
-    def to_dict(self) -> dict:
-        def w(items):
-            return [{"u": list(u), "v": list(v), "lam": lam} for u, v, lam in items]
-
-        return {
-            "samples": self.samples,
-            "joint_cdp_failures": w(self.joint_cdp_failures),
-            "vector_disjunction_failures": w(self.vector_disjunction_failures),
-            "min_dominance_failures": w(self.min_dominance_failures),
-        }
+    joint_cdp_failures: tuple[CdpWitness, ...]
+    vector_disjunction_failures: tuple[CdpWitness, ...]
+    min_dominance_failures: tuple[CdpWitness, ...]
 
 
 def cdp_sample_check(
@@ -299,7 +273,7 @@ def cdp_sample_check(
 
     def witnesses(failed: np.ndarray) -> tuple:
         return tuple(
-            (tuple(map(float, u[:, s])), tuple(map(float, v[:, s])), float(lam[s]))
+            CdpWitness(tuple(map(float, u[:, s])), tuple(map(float, v[:, s])), float(lam[s]))
             for s in np.flatnonzero(failed)[:50]
         )
 
@@ -327,15 +301,6 @@ class KkmProbeResult:
     points_per_axis: int
     cell_diameter: float
     verified: tuple[bool, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "members": [list(m) for m in self.members],
-            "grid_points": self.grid_points,
-            "points_per_axis": self.points_per_axis,
-            "cell_diameter": self.cell_diameter,
-            "verified": list(self.verified),
-        }
 
 
 def kkm_intersection_probe(

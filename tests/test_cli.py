@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -17,8 +18,10 @@ from splitnash.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
     EXIT_OK,
+    _json_default,
     main,
 )
+from splitnash.kernel import Interval, SearchBudget
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -86,6 +89,28 @@ class TestExitCodes:
         code, _ = run(capsys, *argv, "--out", str(out))
         assert code == EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("-inf", "-inf"), ("nan", "nan")])
+    @pytest.mark.parametrize(
+        "verb, target, rest",
+        [("verify-nash", "example-4.1:E2", ",1"), ("verify-split", "example-4.1", ",1,1")],
+    )
+    def test_non_finite_profile_is_an_input_error(self, capsys, verb, target, rest, value, shown):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # "--profile=" so that argparse does not read "-inf" as an option
+            code = main([verb, target, f"--profile={value}{rest}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        ones = ", 1.0" * rest.count(",")
+        assert f"profile [{shown}{ones}] infeasible for {target}" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("value", [object(), SearchBudget(), Interval(0.0, 1.0), {1, 2}])
+def test_report_serializer_rejects_what_is_not_a_result(value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _json_default(value)
 
 
 class TestVerbs:

@@ -34,6 +34,11 @@ class TestInterval:
         assert not iv.contains(1.0 + 1e-9)
         assert iv.contains(1.0 + 1e-9, slack=1e-8)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("iv", [Interval(0.0), Interval(0.0, 1.0)])
+    def test_contains_no_non_finite_point(self, iv, x):
+        assert not iv.contains(x) and not iv.contains(x, slack=1e300)
+
     def test_truncated_caps_only_the_infinite_end(self):
         assert Interval(0.0).truncated(8.0) == Interval(0.0, 8.0)
         assert Interval(0.0, 2.0).truncated(8.0) == Interval(0.0, 2.0)

@@ -35,8 +35,12 @@ class TestRegistry:
             assert inst.kind in ("game", "split", "bertrand")
 
     def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"unknown builtin instance 'nope'; known: \['example-4.1'"):
             get_instance("nope")
+
+    def test_each_lookup_builds_a_fresh_instance(self):
+        assert [get_instance(i).identifier for i in builtin_ids()] == builtin_ids()
+        assert get_instance("example-4.1") is not get_instance("example-4.1")
 
     def test_kinds(self):
         assert get_instance("example-4.1").kind == "split"

@@ -19,6 +19,7 @@ from splitnash import (
     solve_split,
     verify_split_equilibrium,
 )
+from splitnash.cli import _json_default
 from splitnash.game import diagonal_payoff, order_leq
 from splitnash.models import (
     TWO_ECONOMY_MATRIX,
@@ -29,7 +30,7 @@ from splitnash.models import (
     quadratic_game,
 )
 from splitnash.repeated import make_repeated_problem
-from splitnash.split import CdpReport
+from splitnash.split import CdpReport, CdpWitness
 
 
 class TestOperator:
@@ -160,7 +161,7 @@ class TestCdpSampling:
 
     def test_report_serializes(self):
         rep = cdp_sample_check(default_quadratic_sanity().problem, samples=50, seed=1)
-        d = rep.to_dict()
+        d = _json_default(rep)
         assert d["samples"] == 50
         assert set(d) == {
             "samples",
@@ -192,7 +193,7 @@ def reference_cdp_sample_check(problem, samples, seed=0, tolerance=1e-6, cap=1e3
         n_v = order_leq(fv, fw + tolerance)
         m_u = order_leq(gu, gw + tolerance)
         m_v = order_leq(gv, gw + tolerance)
-        witness = (tuple(map(float, u)), tuple(map(float, v)), lam)
+        witness = CdpWitness(tuple(map(float, u)), tuple(map(float, v)), lam)
         if not ((n_u and m_u) or (n_v and m_v)):
             joint.append(witness)
         if not ((n_u or n_v) and (m_u or m_v)):
