@@ -350,6 +350,15 @@ PINNED_REPORTS = {
     ("audit", "thm-6.2 --format text", 0): (
         3, "72585f154cc2b56f4edd88bfd0678906d85bb7b0ca902e733fff2ddf804eaf58"
     ),
+    ("bertrand-enumerate", "bertrand-1-1", 0): (
+        0, "8c4fe3ac04ec4767e2ca0c7181154a294229f74c4e059d29da33284e0dc8f3f7"
+    ),
+    ("bertrand-enumerate", "bertrand-1-2 --grid-step 0.002 --range 5", 0): (
+        0, "83983904ca14bbe3bf8bb851bc3ce808d4396382127f8084195c1af7e85e7de4"
+    ),
+    ("bertrand-enumerate", "bertrand-1-2 --tol 2", 0): (
+        0, "556e6dd0fa4ba3f10acd89f4cbcbf55dd804d055ae7ad5d5a93f81eaa87b4cac"
+    ),
 }
 
 
