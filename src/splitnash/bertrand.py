@@ -71,16 +71,28 @@ def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
     c1, c2 = model.c1, model.c2
     d = np.asarray(model.demand(p1, p2), dtype=float)
     pos = d > 0.0
+    # the mask passes are needed only where some demand is zero (or NaN)
+    masked = not pos.all()
     diff = p1 - model.lam * p2
-    on_tie = pos & (np.abs(diff) <= TIE_TOL)
     # np.array, not astype: scalar prices must still give assignable arrays
-    s1 = np.array(pos & (diff < 0), dtype=float)
-    s2 = np.array(pos & (diff > 0), dtype=float)
+    s1 = np.array(pos & (diff < 0) if masked else diff < 0, dtype=float)
+    s2 = np.array(pos & (diff > 0) if masked else diff > 0, dtype=float)
+    on_tie = np.abs(diff) <= TIE_TOL
     del diff
-    s1[on_tie] = c1 / (c1 + c2)
-    s2[on_tie] = c2 / (c1 + c2)
-    u1 = np.where(pos, (p1 - c1) * s1 * d, 0.0)
-    u2 = np.where(pos, (p2 - c2) * s2 * d, 0.0)
+    if on_tie.any():
+        if masked:
+            on_tie = pos & on_tie
+        s1[on_tie] = c1 / (c1 + c2)
+        s2[on_tie] = c2 / (c1 + c2)
+    # ((p - c) * s) * d in that order fixes every bit, sign of zero included;
+    # asarray keeps the product of scalar prices a 0-d array, like the shares
+    u1 = np.asarray((p1 - c1) * s1)
+    u1 *= d
+    u2 = np.asarray((p2 - c2) * s2)
+    u2 *= d
+    if masked:
+        u1 = np.where(pos, u1, 0.0)
+        u2 = np.where(pos, u2, 0.0)
     return d, s1, s2, u1, u2
 
 
@@ -154,37 +166,39 @@ def enumerate_grid_equilibria(
     """All grid points where no tie-augmented grid deviation improves either
     firm's profit by more than tolerance.
 
-    Profits are evaluated in blocks of rows (firm 1's price) against every
-    column (firm 2's price), twice: once for the best profits, once for the
-    equilibria. Memory is O(G) in the G grid prices; the result lists the
-    equilibria in row-major order.
+    Profits are evaluated once, in blocks of rows (firm 1's price) against
+    every column (firm 2's price). A block gives its rows' exact best profits
+    for firm 2 and raises the running best profits of firm 1 per column. It
+    keeps the cells within tolerance of both; a running best never exceeds
+    the final one, so no equilibrium is dropped. The kept cells are then
+    filtered against firm 1's final best profits. Memory is O(G) in the G
+    grid prices plus the kept cells; the result lists the equilibria in
+    row-major order.
     """
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
-    blocks = [slice(r, r + _ROW_BLOCK) for r in range(0, len(g), _ROW_BLOCK)]
-
-    def profit_block(rows: slice) -> tuple[np.ndarray, ...]:
-        # [3:] rather than star-unpacking, so demand and shares are freed here
-        return _shares_and_profits(model, g[rows, None], g[None, :])[3:]
-
-    # max is exact, so the blocked maxima equal those of the whole matrices
-    best1 = np.full(len(g), -np.inf)  # per column (opponent p2)
-    best2 = np.empty(len(g))  # per row (opponent p1)
-    for rows in blocks:
-        u1, u2 = profit_block(rows)
-        np.maximum(best1, u1.max(axis=0), out=best1)
-        best2[rows] = u2.max(axis=1)
     # firm 1 tie candidate per opponent price, firm 2 tie candidate per own row
-    np.maximum(best1, _shares_and_profits(model, model.lam * g, g)[3], out=best1)
-    np.maximum(best2, _shares_and_profits(model, g, g / model.lam)[4], out=best2)
-    floor1, floor2 = best1 - tolerance, best2 - tolerance
-
-    out = []
-    for rows in blocks:
-        u1, u2 = profit_block(rows)
-        ii, jj = np.nonzero((u1 >= floor1[None, :]) & (u2 >= floor2[rows, None]))
-        out.extend((float(g[rows.start + i]), float(g[j])) for i, j in zip(ii, jj))
-    return out
+    best1 = _shares_and_profits(model, model.lam * g, g)[3]  # per column (opponent p2)
+    tie2 = _shares_and_profits(model, g, g / model.lam)[4]  # per row (opponent p1)
+    kept_i, kept_j, kept_u1 = [], [], []
+    for r in range(0, len(g), _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        # [3:] rather than star-unpacking, so demand and shares are freed here
+        u1, u2 = _shares_and_profits(model, g[rows, None], g[None, :])[3:]
+        # max is exact, so the blocked maxima equal those of the whole matrices
+        np.maximum(best1, u1.max(axis=0), out=best1)
+        best2 = np.maximum(u2.max(axis=1), tie2[rows])
+        mask = (u1 >= best1 - tolerance) & (u2 >= (best2 - tolerance)[:, None])
+        if mask.any():
+            ii, jj = np.nonzero(mask)
+            kept_i.append(ii + r)
+            kept_j.append(jj)
+            kept_u1.append(u1[ii, jj])
+    if not kept_i:
+        return []
+    ii, jj = np.concatenate(kept_i), np.concatenate(kept_j)
+    keep = np.concatenate(kept_u1) >= (best1 - tolerance)[jj]
+    return list(zip(g[ii[keep]].tolist(), g[jj[keep]].tolist()))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ Exit codes: 0 success / verdict true / nonempty result; 1 verdict false,
 empty result, or unexpected oracle mismatch; 2 input error, including an
 invalid budget, seed, sample count, price range or probe resolution and a
 malformed spec file, and then no report is written; 3 a documented
-source-claim discrepancy was confirmed (distinct from failure).
+source-claim discrepancy was confirmed (distinct from failure). `main`
+returns these codes and never raises `SystemExit`: arguments that argparse
+rejects return its code 2, and --help returns 0.
 """
 
 from __future__ import annotations
@@ -454,6 +456,10 @@ def cmd_audit(args, rep: Report) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    profile_help = (
+        "comma-separated strategy values; write --profile=-1,2 when the first "
+        "is negative, so that it is not read as an option"
+    )
     parser = argparse.ArgumentParser(
         prog="splitnash",
         description="Verify, solve, and audit split Nash equilibrium problems.",
@@ -475,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-nash", help="check a profile for Nash equilibrium")
     p.add_argument("target", help="builtin game id or game spec JSON file")
-    p.add_argument("--profile", required=True, help="comma-separated strategy values")
+    p.add_argument("--profile", required=True, help=profile_help)
     common(p)
     p.set_defaults(func=cmd_verify_nash)
 
@@ -486,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-split", help="check a profile and its operator image")
     p.add_argument("target", help="builtin split id or split spec JSON file")
-    p.add_argument("--profile", required=True)
+    p.add_argument("--profile", required=True, help=profile_help)
     common(p)
     p.set_defaults(func=cmd_verify_split)
 
@@ -520,7 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on rejected arguments, 0 after --help
+        return exc.code
     try:
         rep = Report(args)
         code = args.func(args, rep)

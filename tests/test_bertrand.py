@@ -97,6 +97,100 @@ class TestProfits:
         assert tie_price(model, 2, 1.0) == 2.0
 
 
+def reference_shares_and_profits(model, p1, p2):
+    """The profit kernel as it was before its lean rewrite, with a `where`
+    pass and both tie fix-ups on every call: the reference the kernel must
+    reproduce bit for bit, sign of zero included."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if np.any(p1 < 0) or np.any(p2 < 0):
+        raise ValueError("prices must be nonnegative")
+    c1, c2 = model.c1, model.c2
+    d = np.asarray(model.demand(p1, p2), dtype=float)
+    pos = d > 0.0
+    diff = p1 - model.lam * p2
+    on_tie = pos & (np.abs(diff) <= bertrand.TIE_TOL)
+    s1 = np.array(pos & (diff < 0), dtype=float)
+    s2 = np.array(pos & (diff > 0), dtype=float)
+    s1[on_tie] = c1 / (c1 + c2)
+    s2[on_tie] = c2 / (c1 + c2)
+    u1 = np.where(pos, (p1 - c1) * s1 * d, 0.0)
+    u2 = np.where(pos, (p2 - c2) * s2 * d, 0.0)
+    return d, s1, s2, u1, u2
+
+
+def assert_same_bits(model, p1, p2):
+    got = bertrand._shares_and_profits(model, p1, p2)
+    want = reference_shares_and_profits(model, p1, p2)
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def falling_demand(p1, p2):
+    """Untruncated linear demand: negative beyond p1 + p2 = 4."""
+    return 4.0 - p1 - p2
+
+
+KERNEL_MODELS = {
+    "bertrand-1-2": get_instance("bertrand-1-2").problem,
+    "bertrand-1-1": get_instance("bertrand-1-1").problem,
+    "slopes": BertrandModel(0.7, 3.1, linear_demand(8.0, 1.5, 0.5)),
+    "falling": BertrandModel(1.0, 2.0, falling_demand),
+}
+
+
+class TestLeanKernelMatchesReference:
+    """Every returned array keeps its type, shape and bits, on the all-positive
+    path and on the zero-demand path, with and without cells on the tie line."""
+
+    @pytest.fixture(params=sorted(KERNEL_MODELS))
+    def model(self, request):
+        return KERNEL_MODELS[request.param]
+
+    @pytest.mark.parametrize("hi", [5.0, 10.0])
+    def test_whole_grid(self, model, hi):
+        g = bertrand._price_grid(hi, 0.01)
+        assert_same_bits(model, g[:, None], g[None, :])
+
+    def test_row_blocks(self, model):
+        g = bertrand._price_grid(5.0, 0.01)
+        for r in range(0, len(g), bertrand._ROW_BLOCK):
+            assert_same_bits(model, g[r : r + bertrand._ROW_BLOCK, None], g[None, :])
+
+    def test_tie_vectors(self, model):
+        g = bertrand._price_grid(5.0, 0.01)
+        assert_same_bits(model, model.lam * g, g)
+        assert_same_bits(model, g, g / model.lam)
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [(0.0, 0.0), (0.5, 0.1), (0.9, 2.0), (1.0, 2.0), (1.1, 2.0), (2.0, 1.0),
+         (1.5, 1.5), (3.0, 6.0), (5.0, 5.0), (4.0, 9.0), (0.1, 0.2 + 1e-13)],
+    )
+    def test_scalar_prices(self, model, p1, p2):
+        assert_same_bits(model, p1, p2)
+
+    def test_random_prices_with_exact_ties(self, model, rng):
+        p1 = rng.uniform(0.0, 6.0, size=(40, 1))
+        p2 = np.concatenate([rng.uniform(0.0, 6.0, size=40), p1[:5, 0] / model.lam])
+        assert_same_bits(model, p1, p2[None, :])
+
+    def test_a_loss_with_no_sales_is_negative_zero(self):
+        # firm 1 prices below cost and sells nothing: (0.5 - 1) * 0 * d
+        u1, u2 = profits(BertrandModel(1, 2), 0.5, 0.1)
+        assert (u1, u2) == (-0.0, (0.1 - 2.0) * 1.0 * 9.4)
+        assert math.copysign(1.0, u1) == -1.0
+
+    def test_negative_demand_is_masked_to_zero(self):
+        m = KERNEL_MODELS["falling"]
+        d, s1, s2, u1, u2 = bertrand._shares_and_profits(m, 3.0, 2.0)
+        assert d == -1.0 and (s1, s2, u1, u2) == (0.0, 0.0, 0.0, 0.0)
+        assert not np.signbit(u1) and not np.signbit(u2)
+
+
 class TestGridBestResponse:
     def test_firm_one_best_response_is_the_tie_price(self, model):
         grid = np.round(np.arange(0, 501) * 0.01, 9)
@@ -265,6 +359,33 @@ class TestBlockedEnumerationMatchesFullMatrix:
         assert len({p1 for p1, _ in got}) > 2 * bertrand._ROW_BLOCK
         assert got == sorted(got)
         assert repr(got) == repr(reference_enumerate_grid_equilibria(model, 0.01, 5.0, 2.0))
+
+    def test_the_default_range_of_ten(self):
+        # test_many_blocks compares this grid with the reference; the range
+        # reaches the zero-demand region p1 + p2 >= 10, which holds all but 4
+        # of the equilibria
+        m = get_instance("bertrand-1-2").problem
+        assert m.default_price_range() == 10.0
+        assert len(enumerate_grid_equilibria(m, 0.01)) == 46_060
+
+    def test_unequal_demand_slopes(self):
+        m = KERNEL_MODELS["slopes"]
+        got = enumerate_grid_equilibria(m, 0.01)
+        assert got
+        assert repr(got) == repr(reference_enumerate_grid_equilibria(m, 0.01))
+
+    def test_loose_tolerance_in_memory_linear_in_the_kept_cells(self, model):
+        # about twice the equilibria pass firm 1's running best profits, so the
+        # final filter matters; the whole (G, G) matrices peaked near 77 MB
+        tracemalloc.start()
+        try:
+            got = enumerate_grid_equilibria(model, 0.004, 5.0, tolerance=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+        assert len(got) == 49_099
+        assert repr(got) == repr(reference_enumerate_grid_equilibria(model, 0.004, 5.0, 2.0))
 
 
 class TestMarkovTransform:

@@ -106,6 +106,35 @@ class TestExitCodes:
         assert f"profile [{shown}{ones}] infeasible for {target}" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-split", "example-4.1", "--profile", "-1,2,4"),
+            ("verify-nash", "example-4.1:E2"),
+            ("no-such-verb", "example-4.1"),
+            ("bertrand-enumerate", "bertrand-1-2", "--tol", "two"),
+        ],
+    )
+    def test_rejected_arguments_return_the_parser_exit_code(self, capsys, argv):
+        # main returns argparse's code rather than raising SystemExit
+        assert main(list(argv)) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_a_leading_minus_needs_the_equals_form(self, capsys):
+        # "--profile -1,2" reads "-1,2" as an option; "--profile=-1,2" is a profile
+        assert main(["verify-nash", "example-4.1:E2", "--profile", "-1,2"]) == EXIT_INPUT
+        assert "argument --profile: expected one argument" in capsys.readouterr().err
+        assert main(["verify-nash", "example-4.1:E2", "--profile=-1,2"]) == EXIT_INPUT
+        assert "profile [-1.0, 2.0] infeasible for example-4.1:E2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify-nash", "--help"), ("verify-split", "-h")])
+    def test_help_returns_zero(self, capsys, argv):
+        assert main(list(argv)) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: splitnash")
+        if len(argv) > 1:
+            assert "--profile=-1,2" in " ".join(out.split())
+
 
 @pytest.mark.parametrize("value", [object(), SearchBudget(), Interval(0.0, 1.0), {1, 2}])
 def test_report_serializer_rejects_what_is_not_a_result(value):
