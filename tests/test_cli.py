@@ -400,6 +400,27 @@ def test_deterministic_report_matches_its_pinned_digest(capsys, verb, target, se
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPORTS[verb, target, seed]
 
 
+# SHA-256 of the --help text of the parser ("") and of each verb, at 80 columns
+PINNED_HELP = {
+    "": "b1c85b4aeb2cf0d004a5137d3afee6550395e1409d0ecc19060062092a6dce57",
+    "verify-nash": "18501ae171a3eab8ca696c7f07df9b3b0712564ef66d3044ab0a197cbb339c7e",
+    "solve-nash": "50a9b6454b49062247bba419b2a1d1aa1f71bcd1bdf4678568d920a2879d3287",
+    "verify-split": "437f8b5454dadffd8ff54201dd6ee960f864aec82c19e498ba894a9b7f070e6a",
+    "solve-split": "37584e16a3b6145eb841422aa56def103e5d530a8c7228a4a05652497b9f0521",
+    "audit": "11ee59efbdb704b50dc4d1737e72f553e4edc2c5936625a6a415a2c0d7f15a88",
+    "cdp-check": "56cd4cbaa0613b0903dc3b6a183082b9a0624b7d25624643ef6ce0e1e69ff17c",
+    "kkm-probe": "b8826b75ccb3ea4edef70d9212e9b761e2eba8621e9b480e46511d155c99890d",
+    "bertrand-enumerate": "e31300ebda8b4f6e7e740ab0c824177d40648e9ce955eab671f23bb72b066470",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(PINNED_HELP))
+def test_help_text_matches_its_pinned_digest(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out = run(capsys, *verb.split(), "--help")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, PINNED_HELP[verb])
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     # only check_surjectivity needs scipy.optimize; every CLI call pays the import
     src = str(Path(splitnash.__file__).resolve().parent.parent)

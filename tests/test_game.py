@@ -18,7 +18,7 @@ from splitnash import (
     solve_nash,
     verify_nash,
 )
-from splitnash.game import DAMPING, N_STARTS, ConcavityReport, _distinct
+from splitnash.game import DAMPING, N_STARTS, ConcavityReport, _distinct, uniform_samples
 from splitnash.kernel import maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
@@ -275,15 +275,40 @@ class TestMembershipAndConcavity:
         assert rep.violations == tuple(expected)
 
 
+class TestUniformSamplesMatchScalarDraws:
+    """The batched draw must equal a scalar rng.uniform loop, sample-major and
+    in window order, including one sample and a degenerate window [a, a]."""
+
+    WINDOWS = [Interval(0.0, 1.0), Interval(-3.0, 5.5), Interval(2.5, 2.5), Interval(1e-3, 1e3)]
+
+    @pytest.mark.parametrize("samples", [1, 2, 37])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_values(self, samples, seed):
+        got = uniform_samples(np.random.default_rng(seed), samples, self.WINDOWS)
+        rng = np.random.default_rng(seed)
+        want = [[rng.uniform(w.lo, w.hi) for w in self.WINDOWS] for _ in range(samples)]
+        assert got.shape == (samples, len(self.WINDOWS))
+        assert got.tolist() == want
+        assert (got[:, 2] == 2.5).all()
+
+    def test_random_profile_is_one_scalar_draw_per_player(self):
+        g = Game.from_expressions(
+            ("x", "y", "z"), (Interval(0, 2), Interval(1.5, 1.5), Interval(-1)), ("x", "y", "z")
+        )
+        got = g.random_profile(np.random.default_rng(5), cap=30.0)
+        rng = np.random.default_rng(5)
+        want = [rng.uniform(0, 2), rng.uniform(1.5, 1.5), rng.uniform(-1, 29)]
+        assert got.tolist() == want
+
+
 def reference_concavity_sample_check(game, samples, seed=0, tolerance=1e-6, cap=1e3):
     """The concavity check as a loop over samples, as it was before the batched
     draw: the reference the batched check must reproduce exactly."""
     rng = np.random.default_rng(seed)
+    windows = [iv.truncated(cap) for iv in game.strategy_sets]
     violations = []
     for _ in range(samples):
-        x = game.random_profile(rng, cap)
-        u = game.random_profile(rng, cap)
-        v = game.random_profile(rng, cap)
+        x, u, v = (np.array([rng.uniform(w.lo, w.hi) for w in windows]) for _ in range(3))
         lam = rng.uniform(0.0, 1.0)
         lhs = diagonal_payoff(game, lam * u + (1 - lam) * v, x)
         rhs = lam * diagonal_payoff(game, u, x) + (1 - lam) * diagonal_payoff(game, v, x)
@@ -346,9 +371,10 @@ def reference_solve_nash(game, budget):
                                 iter_budget)
         return arg
 
+    windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
     found = []
     for _ in range(N_STARTS):
-        x = game.random_profile(rng, budget.truncation_cap)
+        x = np.array([rng.uniform(w.lo, w.hi) for w in windows])
         for _ in range(budget.max_iterations):
             br = np.array([best(i, x) for i in range(game.n_players)])
             nxt = x + DAMPING * (br - x)

@@ -1,6 +1,8 @@
 """Linear operators, split problems, relatedness/surjectivity audits, CDP
 sampling, and the deviation-dominance intersection probe."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from splitnash.models import (
     quadratic_game,
 )
 from splitnash.repeated import make_repeated_problem
-from splitnash.split import CdpReport, CdpWitness
+from splitnash.split import CdpReport, CdpWitness, _images
 
 
 class TestOperator:
@@ -58,6 +60,30 @@ class TestOperator:
         op = LinearOperator(TWO_ECONOMY_MATRIX)
         with pytest.raises(ValueError):
             apply_operator(op, np.array([1.0, 2.0]))
+
+
+class TestOperatorProducts:
+    """apply_operator of a profile must keep the bits of op.matrix @ x, and the
+    image of profile columns those of one call per column."""
+
+    @staticmethod
+    def _cases(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            m, n, s = (int(v) for v in rng.integers(1, 5, size=3))
+            scale = 10.0 ** rng.integers(-3, 4)
+            yield LinearOperator(rng.normal(size=(m, n)) * scale), rng.uniform(-1e3, 1e3, (n, s))
+
+    def test_profile_image_is_the_matrix_vector_product(self):
+        for op, cols in self._cases(3, 2000):
+            x = cols[:, 0]
+            assert apply_operator(op, x).tobytes() == (op.matrix @ x).tobytes()
+
+    def test_column_images_are_the_per_column_images(self):
+        for op, cols in self._cases(4, 500):
+            want = np.hstack([_images(op, cols[:, s : s + 1]) for s in range(cols.shape[1])])
+            got = _images(op, cols)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestRelatedness:
@@ -176,10 +202,10 @@ def reference_cdp_sample_check(problem, samples, seed=0, tolerance=1e-6, cap=1e3
     the reference the batched check must reproduce exactly."""
     rng = np.random.default_rng(seed)
     gn, gm = problem.game_n, problem.game_m
+    windows = [iv.truncated(cap) for iv in gn.strategy_sets]
     joint, vector, mindom = [], [], []
     for _ in range(samples):
-        u = gn.random_profile(rng, cap)
-        v = gn.random_profile(rng, cap)
+        u, v = (np.array([rng.uniform(w.lo, w.hi) for w in windows]) for _ in range(2))
         lam = float(rng.uniform(0.0, 1.0))
         w = lam * u + (1 - lam) * v
         au, av, aw = problem.image(u), problem.image(v), problem.image(w)
@@ -261,6 +287,26 @@ class TestBatchedCdpMatchesPerSampleLoop:
         problem = example_4_1().problem
         got = cdp_sample_check(problem, samples=1, seed=3)
         assert repr(got) == repr(reference_cdp_sample_check(problem, 1, 3))
+
+
+# SHA-256 of repr(check_surjectivity(problem, 40, seed)): every sampled
+# target, residual and failure must keep its bits.
+PINNED_SURJECTIVITY = {
+    ("example-4.1", 0): "e044ce2497267a592d24ff71c9e7ec87b0acfdf0cc4417a54422bfb1296d95c9",
+    ("example-4.1", 7): "7bf7696fbe4601d5f9ea49fac176264d7df1e9adf32ee576a65a8eb09566240d",
+    ("quadratic-sanity", 0): "a70b30625632751eb48123f9f4e2dda42a7bec0a8ecdd923635b7844c82df2c2",
+    ("quadratic-sanity", 7): "f441207f6806c98f208d11c2f81192ef557c188f691448ff9f655eddb1581f07",
+    ("repeated-e1", 0): "1f06eb8a534c37fa123b6d4b9cb23177a6c211c0cc35b0003c14de9d2f92c7fa",
+    ("repeated-e1", 7): "363e50cb8011f54c1fb6fc083cb949d2e4af4c861b75ea9ab4f7be960366878a",
+    ("repeated-quadratic-3", 0): "6d7c9750e75ccd6e3bb3f3bc69900974d8e04815802d3c6f0b8854f5d0ac1400",
+    ("repeated-quadratic-3", 7): "9ec08d5bfdfec6b1afa98c0da84bc5096252218353e78376887d0cca5d234072",
+}
+
+
+@pytest.mark.parametrize("ident, seed", sorted(PINNED_SURJECTIVITY))
+def test_surjectivity_report_matches_its_pinned_digest(ident, seed):
+    rep = check_surjectivity(CDP_PROBLEMS[ident](), 40, seed=seed)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == PINNED_SURJECTIVITY[ident, seed]
 
 
 class TestSamplersRejectNoSamples:
