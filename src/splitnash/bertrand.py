@@ -31,19 +31,15 @@ def linear_demand(d0: float = 10.0, a: float = 1.0, b: float = 1.0) -> Callable:
 
 @dataclass(frozen=True)
 class BertrandModel:
-    """Costs, quality ratio, demand, and price caps for the duopoly."""
+    """Costs, quality ratio, and demand for the duopoly."""
 
     c1: float
     c2: float
     demand: Callable = field(default_factory=linear_demand)
-    price_caps: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (0 < self.c1 <= self.c2):
             raise ValueError(f"need 0 < c1 <= c2, got c1={self.c1}, c2={self.c2}")
-        if self.price_caps is None:
-            caps = getattr(self.demand, "caps", (math.inf, math.inf))
-            object.__setattr__(self, "price_caps", tuple(float(c) for c in caps))
         d = float(self.demand(self.c1, self.c2))
         if not (0 < d < math.inf):
             raise ValueError(f"demand at costs must be positive and finite, got {d}")
@@ -54,7 +50,8 @@ class BertrandModel:
         return self.c1 / self.c2
 
     def default_price_range(self) -> float:
-        return min(min(self.price_caps), 5.0 * self.c2)
+        """The smaller of 5 * c2 and the price caps of the demand (demand.caps), if any."""
+        return min([*map(float, getattr(self.demand, "caps", ())), 5.0 * self.c2])
 
 
 def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
@@ -111,7 +108,8 @@ def profits(model: BertrandModel, p1: float, p2: float) -> tuple[float, float]:
 
 
 def tie_price(model: BertrandModel, firm: int, opponent_price: float) -> float:
-    """The exact price putting the given firm on the demand-split tie line."""
+    """The exact price putting the given firm on the demand-split tie line;
+    elementwise for an array of opponent prices."""
     if firm == 1:
         return model.lam * opponent_price
     return opponent_price / model.lam
@@ -178,8 +176,8 @@ def enumerate_grid_equilibria(
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
     # firm 1 tie candidate per opponent price, firm 2 tie candidate per own row
-    best1 = _shares_and_profits(model, model.lam * g, g)[3]  # per column (opponent p2)
-    tie2 = _shares_and_profits(model, g, g / model.lam)[4]  # per row (opponent p1)
+    best1 = _shares_and_profits(model, tie_price(model, 1, g), g)[3]  # per column (opponent p2)
+    tie2 = _shares_and_profits(model, g, tie_price(model, 2, g))[4]  # per row (opponent p1)
     kept_i, kept_j, kept_u1 = [], [], []
     for r in range(0, len(g), _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)

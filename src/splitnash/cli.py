@@ -456,72 +456,53 @@ def cmd_audit(args, rep: Report) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    profile_help = (
-        "comma-separated strategy values; write --profile=-1,2 when the first "
-        "is negative, so that it is not read as an option"
+    profile = ("--profile",), {
+        "required": True,
+        "help": "comma-separated strategy values; write --profile=-1,2 when the first "
+        "is negative, so that it is not read as an option",
+    }
+    diagonal = ("--diagonal-only",), {"action": "store_true", "dest": "diagonal_only"}
+    # verb, function, help, target help, options before the common ones
+    verbs = (
+        ("verify-nash", cmd_verify_nash, "check a profile for Nash equilibrium",
+         "builtin game id or game spec JSON file", [profile]),
+        ("solve-nash", cmd_solve_nash, "multistart best-response search", None, []),
+        ("verify-split", cmd_verify_split, "check a profile and its operator image",
+         "builtin split id or split spec JSON file", [profile]),
+        ("solve-split", cmd_solve_split, "solve the split equilibrium problem", None, []),
+        ("audit", cmd_audit, "run a named source-claim audit", "|".join(sorted(AUDITS)),
+         [diagonal]),
+        ("cdp-check", cmd_cdp_check, "sample the convexity-direction property", None, []),
+        ("kkm-probe", cmd_kkm_probe, "finite-grid intersection probe", None, []),
+        ("bertrand-enumerate", cmd_bertrand_enumerate, "grid equilibrium enumeration",
+         "builtin duopoly id, e.g. bertrand-1-2", []),
+    )
+    common = (
+        ("--tol", {"type": float, "default": 1e-6}),
+        ("--grid-step", {"type": float, "default": 1e-2, "dest": "grid_step"}),
+        ("--samples", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--budget-iters", {"type": int, "default": 500, "dest": "budget_iters"}),
+        ("--cap", {"type": float, "default": 1e3}),
+        ("--range", {"type": float, "default": None}),
+        ("--points-per-axis", {"type": int, "default": 8, "dest": "points_per_axis"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ("--out", {"type": str, "default": None}),
+        ("--deterministic", {"action": "store_true"}),
     )
     parser = argparse.ArgumentParser(
         prog="splitnash",
         description="Verify, solve, and audit split Nash equilibrium problems.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--grid-step", type=float, default=1e-2, dest="grid_step")
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-iters", type=int, default=500, dest="budget_iters")
-        p.add_argument("--cap", type=float, default=1e3)
-        p.add_argument("--range", type=float, default=None)
-        p.add_argument("--points-per-axis", type=int, default=8, dest="points_per_axis")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--deterministic", action="store_true")
-
-    p = sub.add_parser("verify-nash", help="check a profile for Nash equilibrium")
-    p.add_argument("target", help="builtin game id or game spec JSON file")
-    p.add_argument("--profile", required=True, help=profile_help)
-    common(p)
-    p.set_defaults(func=cmd_verify_nash)
-
-    p = sub.add_parser("solve-nash", help="multistart best-response search")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_solve_nash)
-
-    p = sub.add_parser("verify-split", help="check a profile and its operator image")
-    p.add_argument("target", help="builtin split id or split spec JSON file")
-    p.add_argument("--profile", required=True, help=profile_help)
-    common(p)
-    p.set_defaults(func=cmd_verify_split)
-
-    p = sub.add_parser("solve-split", help="solve the split equilibrium problem")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_solve_split)
-
-    p = sub.add_parser("audit", help="run a named source-claim audit")
-    p.add_argument("target", help="|".join(sorted(AUDITS)))
-    p.add_argument("--diagonal-only", action="store_true", dest="diagonal_only")
-    common(p)
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("cdp-check", help="sample the convexity-direction property")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_cdp_check)
-
-    p = sub.add_parser("kkm-probe", help="finite-grid intersection probe")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_kkm_probe)
-
-    p = sub.add_parser("bertrand-enumerate", help="grid equilibrium enumeration")
-    p.add_argument("target", help="builtin duopoly id, e.g. bertrand-1-2")
-    common(p)
-    p.set_defaults(func=cmd_bertrand_enumerate)
-
+    for verb, func, verb_help, target_help, options in verbs:
+        p = sub.add_parser(verb, help=verb_help)
+        p.add_argument("target", help=target_help)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        for flag, kwargs in common:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .expr import UtilityExpr, compile_utility, parse_utility, variables
-from .kernel import Interval, SearchBudget, maximize_1d
+from .kernel import EvaluatorError, Interval, SearchBudget, maximize_1d
 
 # A utility maps an (n,) profile to a float and an (n, ...) array of profiles,
 # coordinate first, to the (...) array of their values: (n, G) columns give
@@ -107,8 +107,7 @@ class Game:
 
     def random_profile(self, rng: np.random.Generator, cap: float) -> np.ndarray:
         """A random feasible profile; unbounded coordinates sampled in [lo, lo+cap]."""
-        windows = [iv.truncated(cap) for iv in self.strategy_sets]
-        return np.array([rng.uniform(t.lo, t.hi) for t in windows])
+        return uniform_samples(rng, 1, [iv.truncated(cap) for iv in self.strategy_sets])[0]
 
 
 class Witness(NamedTuple):
@@ -220,8 +219,11 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
     regrets = []
     witnesses: dict[str, Witness] = {}
     for i, p in enumerate(game.players):
+        current = game.payoff(i, x)
+        if not np.isfinite(current):
+            raise EvaluatorError(f"non-finite payoff {current!r} of player {p!r} at {x.tolist()}")
         arg, val = best_response(game, p, x, budget)
-        eps = max(val - game.payoff(i, x), 0.0)
+        eps = max(val - current, 0.0)
         regrets.append(eps)
         if eps > budget.tolerance:
             witnesses[p] = Witness(tuple(float(a) for a in arg), float(val))
@@ -267,7 +269,7 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     # can scan coarsely; verification uses the full budget
     iter_budget = replace(budget, grid_step=budget.grid_step * 16)
     windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
-    x = np.stack([game.random_profile(rng, budget.truncation_cap) for _ in range(N_STARTS)], axis=1)
+    x = uniform_samples(rng, N_STARTS, windows).T
     moving = np.arange(N_STARTS)
     for _ in range(budget.max_iterations):
         cur = x[:, moving]

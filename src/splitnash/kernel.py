@@ -138,7 +138,7 @@ def maximize_1d(
         x = np.full(k, lo)
         return x, _values(f, x[:, None])[:, 0].copy()
 
-    cells = min(_MAX_SCAN_CELLS, max(1, int(math.ceil((hi - lo) / budget.grid_step))))
+    cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / budget.grid_step)))
     # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
     xs = np.arange(cells + 1.0)
     xs *= (hi - lo) / cells

@@ -8,7 +8,7 @@ asserting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -40,9 +40,13 @@ class Claim:
 @dataclass(frozen=True)
 class NamedInstance:
     identifier: str
-    kind: str  # "game" | "split" | "bertrand"
-    problem: Any
+    problem: Game | SplitProblem | BertrandModel
     reference_claims: tuple[Claim, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """The problem's kind: "game", "split" or "bertrand"."""
+        return {Game: "game", SplitProblem: "split", BertrandModel: "bertrand"}[type(self.problem)]
 
 
 # --- the two-economy example -------------------------------------------------
@@ -116,7 +120,7 @@ def example_4_1() -> NamedInstance:
             DERIVED,
         ),
     )
-    return NamedInstance("example-4.1", "split", problem, claims)
+    return NamedInstance("example-4.1", problem, claims)
 
 
 # --- quadratic sanity family -------------------------------------------------
@@ -160,7 +164,7 @@ def quadratic_split_instance(
         Claim("dominant strategies of the target game", tuple(map(float, b)), DERIVED),
         Claim("a is a split equilibrium iff the operator maps a to b", maps_to_b, DERIVED),
     )
-    return NamedInstance(identifier, "split", problem, claims)
+    return NamedInstance(identifier, problem, claims)
 
 
 def default_quadratic_sanity() -> NamedInstance:
@@ -190,7 +194,7 @@ def bertrand_instance(
             DERIVED,
         ),
     )
-    return NamedInstance(f"bertrand-{c1:g}-{c2:g}", "bertrand", model, claims)
+    return NamedInstance(f"bertrand-{c1:g}-{c2:g}", model, claims)
 
 
 # --- registry ----------------------------------------------------------------
@@ -198,8 +202,8 @@ def bertrand_instance(
 
 _BUILTINS: dict[str, Callable[[], NamedInstance]] = {
     "example-4.1": example_4_1,
-    "example-4.1:E1": lambda: NamedInstance("example-4.1:E1", "game", e1_game()),
-    "example-4.1:E2": lambda: NamedInstance("example-4.1:E2", "game", e2_game()),
+    "example-4.1:E1": lambda: NamedInstance("example-4.1:E1", e1_game()),
+    "example-4.1:E2": lambda: NamedInstance("example-4.1:E2", e2_game()),
     "quadratic-sanity": default_quadratic_sanity,
     "bertrand-1-2": lambda: bertrand_instance(1.0, 2.0),
     "bertrand-1-1": lambda: bertrand_instance(1.0, 1.0),

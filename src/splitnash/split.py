@@ -49,23 +49,19 @@ class LinearOperator:
 
 
 def apply_operator(op: LinearOperator, x: Sequence[float]) -> np.ndarray:
+    """The (m,) image of an (n,) profile, or the (m, S) images of (n, S) columns.
+
+    One matrix-vector product per column, stacked into one call, so each
+    column's image has the bits of the call on that column alone; the single
+    matrix product op.matrix @ columns rounds differently in the last bits.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (op.shape[1],):
+    if x.ndim not in (1, 2) or x.shape[0] != op.shape[1]:
         raise ValueError(
             f"operator expects dimension {op.shape[1]}, got {x.shape}"
         )
-    return op.matrix @ x
-
-
-def _images(op: LinearOperator, columns: np.ndarray) -> np.ndarray:
-    """The (m, S) images of the (n, S) profile columns.
-
-    One matrix-vector product per column, stacked into one call, so each
-    image has the bits of apply_operator on that column; the single matrix
-    product op.matrix @ columns rounds differently in the last bits.
-    """
-    rows = np.ascontiguousarray(columns.T)
-    return np.matmul(op.matrix, rows[:, :, None])[:, :, 0].T
+    rows = np.ascontiguousarray(x.T)
+    return np.matmul(op.matrix, rows[..., None])[..., 0].T
 
 
 @dataclass(frozen=True)
@@ -139,33 +135,28 @@ class SurjectivityReport:
     failures: tuple[tuple[tuple[float, ...], float], ...] = ()
 
 
-def check_surjectivity(
-    problem: SplitProblem, samples: int, seed: int = 0, budget: SearchBudget | None = None
-) -> SurjectivityReport:
+def check_surjectivity(problem: SplitProblem, samples: int, seed: int = 0) -> SurjectivityReport:
     """Sampled surjectivity: can each sampled target profile be reached?
 
     Each sampled y in the target strategy space (unbounded coordinates
-    truncated at the cap) is tested by bounded least squares min ||Ax - y||
-    over the source strategy space; surjective-on-samples iff every residual
-    is within tolerance.
+    truncated at the default budget's cap) is tested by bounded least squares
+    min ||Ax - y|| over the source strategy space; surjective-on-samples iff
+    every residual is within the default budget's tolerance.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    budget = SearchBudget()
+    windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_m.strategy_sets]
+    targets = uniform_samples(np.random.default_rng(seed), samples, windows)
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import lsq_linear
 
-    budget = budget or SearchBudget()
-    rng = np.random.default_rng(seed)
     src = problem.game_n.strategy_sets
     lo = np.array([iv.lo for iv in src])
     hi = np.array([iv.truncated(budget.truncation_cap).hi for iv in src])
-    windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_m.strategy_sets]
     failures = []
     max_res = 0.0
-    for _ in range(samples):
-        y = np.array([rng.uniform(t.lo, t.hi) for t in windows])
+    for y in targets:
         res = lsq_linear(problem.operator.matrix, y, bounds=(lo, hi), tol=1e-12)
-        residual = float(np.linalg.norm(problem.operator.matrix @ res.x - y))
+        residual = float(np.linalg.norm(problem.image(res.x) - y))
         max_res = max(max_res, residual)
         if residual > budget.tolerance:
             failures.append((tuple(float(v) for v in y), residual))
@@ -186,17 +177,29 @@ class SplitVerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def verify_split_equilibrium(
-    problem: SplitProblem, x: np.ndarray, budget: SearchBudget
-) -> SplitVerificationReport:
-    """Verify x in game N and its operator image in game M."""
-    x = np.asarray(x, dtype=float)
+def _target_image(problem: SplitProblem, x: np.ndarray) -> np.ndarray:
+    """Ax clipped into the target box; ValueError if it lies more than 1e-9 outside.
+
+    A feasible x can map a rounding error outside the box, which the target
+    game's verification would reject; within the slack, its clipped point is
+    verified instead.
+    """
     y = problem.image(x)
     if not problem.game_m.is_feasible(y, slack=1e-9):
         raise ValueError(
             f"operator image {y.tolist()} is infeasible in the target game "
             "(relatedness violated at this profile)"
         )
+    box = problem.game_m.strategy_sets
+    return np.clip(y, [iv.lo for iv in box], [iv.hi for iv in box])
+
+
+def verify_split_equilibrium(
+    problem: SplitProblem, x: np.ndarray, budget: SearchBudget
+) -> SplitVerificationReport:
+    """Verify x in game N and its (clipped) operator image in game M."""
+    x = np.asarray(x, dtype=float)
+    y = _target_image(problem, x)
     rep_n = verify_nash(problem.game_n, x, budget)
     rep_m = verify_nash(problem.game_m, y, budget)
     return SplitVerificationReport(
@@ -208,13 +211,18 @@ def verify_split_equilibrium(
 
 
 def solve_split(problem: SplitProblem, budget: SearchBudget) -> list[np.ndarray]:
-    """Nash candidates of game N filtered by the split verification."""
+    """Nash candidates of game N whose operator image is Nash in game M.
+
+    solve_nash returns only candidates that pass verify_nash in game N under
+    this budget, so only the image is verified here.
+    """
     out = []
     for x in solve_nash(problem.game_n, budget):
-        y = problem.image(x)
-        if not problem.game_m.is_feasible(y, slack=1e-9):
+        try:
+            y = _target_image(problem, x)
+        except ValueError:
             continue
-        if verify_split_equilibrium(problem, x, budget).verdict:
+        if verify_nash(problem.game_m, y, budget).verdict:
             out.append(x)
     return out
 
@@ -261,7 +269,7 @@ def cdp_sample_check(
     # one evaluation per utility and game: deviations to u, to v, and w itself
     z = np.concatenate([u, v, w], axis=1)
     fu, fv, fw = np.split(diagonal_payoff(gn, z, np.tile(w, 3)), 3, axis=1)
-    az = _images(problem.operator, z)
+    az = apply_operator(problem.operator, z)
     aw = az[:, 2 * samples :]
     gu, gv, gw = np.split(diagonal_payoff(gm, az, np.tile(aw, 3)), 3, axis=1)
 

@@ -6,13 +6,16 @@ work it prescribes.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitnash
 from splitnash import (
     SearchBudget,
     apply_operator,
@@ -66,8 +69,14 @@ def _line(number: int, ok: bool, detail: str) -> None:
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
+    # the child imports the splitnash this test imported, also from a checkout
+    src = str(Path(splitnash.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "splitnash.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "splitnash.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -106,6 +106,23 @@ class TestExitCodes:
         assert f"profile [{shown}{ones}] infeasible for {target}" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the utilities overflow
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (("solve-nash", "example-4.1:E2", "--cap", "1e308"), "error: non-finite value"),
+            (
+                ("verify-nash", "example-4.1:E2", "--profile", "1e308,1"),
+                "error: non-finite payoff -inf of player 'd' at [1e+308, 1.0]",
+            ),
+        ],
+    )
+    def test_overflowing_evaluation_is_an_input_error(self, capsys, argv, cause):
+        assert main(list(argv)) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert cause in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -327,6 +344,38 @@ class TestFileInputs:
         path.write_text(json.dumps(spec))
         code, _ = run(capsys, "verify-nash", str(path), "--profile", "1")
         assert code == EXIT_OK
+
+
+class TestImageOneRoundingErrorOutsideTheTargetBox:
+    """(0.56, 0.39) maps the feasible corner (1e5, 1e5) to 95000.00000000001,
+    one rounding error above the target box [0, 95000]: it is verified at its
+    clipped point."""
+
+    SPEC = {
+        "game_n": {
+            "players": ["x", "y"],
+            "strategy_sets": [{"lo": 0, "hi": 100000}, {"lo": 0, "hi": 100000}],
+            "utilities": ["x", "y"],
+        },
+        "game_m": {"players": ["s"], "strategy_sets": [{"lo": 0, "hi": 95000}], "utilities": ["s"]},
+        "matrix": [[0.56, 0.39]],
+    }
+
+    @pytest.fixture
+    def spec(self, tmp_path) -> str:
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(self.SPEC))
+        return str(path)
+
+    def test_verify_split(self, capsys, spec):
+        code, doc = run_json(capsys, "verify-split", spec, "--profile", "100000,100000")
+        assert code == EXIT_OK and doc["verdict"] is True
+        assert doc["results"]["verification"]["image_profile"] == [95000.0]
+
+    def test_kkm_probe(self, capsys, spec):
+        code, doc = run_json(capsys, "kkm-probe", spec, "--points-per-axis", "4")
+        assert code == EXIT_OK and doc["verdict"] is True
+        assert doc["results"]["probe"]["members"] == [[100000.0, 100000.0]]
 
 
 # SHA-256 of the `--deterministic --seed S` report bytes and the exit code, for

@@ -19,7 +19,7 @@ from splitnash import (
     verify_nash,
 )
 from splitnash.game import DAMPING, N_STARTS, ConcavityReport, _distinct, uniform_samples
-from splitnash.kernel import maximize_1d
+from splitnash.kernel import EvaluatorError, maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
 SQRT2 = float(np.sqrt(2.0))
@@ -177,6 +177,12 @@ class TestRegretsAndVerification:
         for _ in range(20):
             x = g.random_profile(rng, cap=5.0)
             assert np.all(nash_regrets(g, x, budget) >= 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_current_payoff_raises(self, budget):
+        # player d's utility 0.5*s*t - s^2/3 overflows to -inf at s = 1e308
+        with pytest.raises(EvaluatorError, match=r"payoff -inf of player 'd' at \[1e\+308, 1.0\]"):
+            verify_nash(e2_game(), np.array([1e308, 1.0]), budget)
 
     def test_infeasible_profile_rejected(self, budget):
         with pytest.raises(ValueError):

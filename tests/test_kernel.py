@@ -97,6 +97,18 @@ class TestMaximize1d:
         assert points.count(2001) == 1
         assert len(points) < 100
 
+    def test_range_over_grid_step_past_float_range_scans_the_capped_grid(self):
+        # (hi - lo) / grid_step is inf: the scan keeps _MAX_SCAN_CELLS cells
+        points = []
+
+        def f(t):
+            points.append(t.shape[1])
+            return -t
+
+        x, v = maximize_1d(f, Interval(0.0), SearchBudget(truncation_cap=1e308))
+        assert (x.tolist(), v.tolist()) == ([0.0], [-0.0])
+        assert kernel._MAX_SCAN_CELLS + 1 in points
+
     def test_first_non_finite_grid_value_raises(self):
         f = lambda t: np.where(t > 2.505, np.inf, t)
         with pytest.raises(EvaluatorError, match=r"inf at np.float64\(2.51"):

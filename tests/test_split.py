@@ -32,7 +32,7 @@ from splitnash.models import (
     quadratic_game,
 )
 from splitnash.repeated import make_repeated_problem
-from splitnash.split import CdpReport, CdpWitness, _images
+from splitnash.split import CdpReport, CdpWitness
 
 
 class TestOperator:
@@ -64,7 +64,12 @@ class TestOperator:
 
 class TestOperatorProducts:
     """apply_operator of a profile must keep the bits of op.matrix @ x, and the
-    image of profile columns those of one call per column."""
+    image of profile columns those of one call per column.
+
+    numpy computes op.matrix @ x for a one-row matrix with at least four
+    columns as a dot product, which sums in another order than the stacked
+    product: there the two agree up to rounding only.
+    """
 
     @staticmethod
     def _cases(seed, count):
@@ -77,12 +82,17 @@ class TestOperatorProducts:
     def test_profile_image_is_the_matrix_vector_product(self):
         for op, cols in self._cases(3, 2000):
             x = cols[:, 0]
-            assert apply_operator(op, x).tobytes() == (op.matrix @ x).tobytes()
+            got, want = apply_operator(op, x), op.matrix @ x
+            if op.shape[0] == 1 and op.shape[1] >= 4:
+                bound = op.shape[1] * np.finfo(float).eps * (np.abs(op.matrix) @ np.abs(x))
+                assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)
+            else:
+                assert got.tobytes() == want.tobytes()
 
     def test_column_images_are_the_per_column_images(self):
         for op, cols in self._cases(4, 500):
-            want = np.hstack([_images(op, cols[:, s : s + 1]) for s in range(cols.shape[1])])
-            got = _images(op, cols)
+            want = np.stack([apply_operator(op, cols[:, s]) for s in range(cols.shape[1])], axis=1)
+            got = apply_operator(op, cols)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -152,6 +162,27 @@ class TestVerifyAndSolve:
         sols = solve_split(default_quadratic_sanity().problem, budget)
         assert len(sols) == 1
         assert np.allclose(sols[0], [1.0, 2.0], atol=1e-4)
+
+    @staticmethod
+    def _corner_problem(target_hi: float) -> SplitProblem:
+        # (0.56, 0.39) maps the only source profile (1e5, 1e5) to 95000.00000000001
+        source = Game.from_expressions(("x", "y"), [Interval(1e5, 1e5)] * 2, ("x", "y"))
+        target = Game.from_expressions(("s",), [Interval(0.0, target_hi)], ("s",))
+        return SplitProblem(source, target, LinearOperator(np.array([[0.56, 0.39]])))
+
+    def test_image_a_rounding_error_outside_the_box_is_verified_clipped(self, budget):
+        problem = self._corner_problem(95000.0)
+        assert problem.image(np.array([1e5, 1e5])).tolist() == [95000.00000000001]
+        sols = solve_split(problem, budget)
+        assert [x.tolist() for x in sols] == [[1e5, 1e5]]
+        rep = verify_split_equilibrium(problem, sols[0], budget)
+        assert rep.verdict and rep.image_profile == (95000.0,)
+
+    def test_image_beyond_the_slack_is_rejected(self, budget):
+        problem = self._corner_problem(94999.0)
+        assert solve_split(problem, budget) == []
+        with pytest.raises(ValueError, match="infeasible in the target game"):
+            verify_split_equilibrium(problem, np.array([1e5, 1e5]), budget)
 
     def test_two_economy_candidate_fails_split_verification(self, budget):
         rep = verify_split_equilibrium(example_4_1().problem, np.array([1.0, 2.0, 4.0]), budget)
