@@ -9,17 +9,14 @@ from .bertrand import (
     linear_demand,
     markov_price_transform,
     profits,
-    sales_shares,
 )
-from .expr import EvalError, ParseError, UtilityExpr, eval_utility, parse_utility, pretty
+from .expr import EvalError, ParseError, UtilityExpr, parse_utility
 from .game import (
     Game,
     VerificationReport,
     best_response,
-    concavity_sample_check,
     diagonal_payoff,
     gamma_membership,
-    nash_regrets,
     order_leq,
     solve_nash,
     verify_nash,

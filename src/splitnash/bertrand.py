@@ -93,14 +93,6 @@ def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
     return d, s1, s2, u1, u2
 
 
-def sales_shares(model: BertrandModel, p1: float, p2: float) -> tuple[float, float]:
-    """Market split: all-or-nothing by the p1 vs lambda*p2 threshold,
-    cost-proportional on the tie (detected with absolute tolerance 1e-12).
-    Returns (0, 0) when total demand is zero."""
-    _, s1, s2, _, _ = _shares_and_profits(model, p1, p2)
-    return (float(s1), float(s2))
-
-
 def profits(model: BertrandModel, p1: float, p2: float) -> tuple[float, float]:
     """Per-firm profit (p_j - c_j) * share_j * demand."""
     u1, u2 = _shares_and_profits(model, p1, p2)[3:]
@@ -209,10 +201,6 @@ class MarkovPriceMatrix:
     def __post_init__(self) -> None:
         if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
             raise ValueError("alpha and beta must lie in [0, 1]")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.alpha, 1 - self.beta], [1 - self.alpha, self.beta]])
 
     @property
     def is_identity(self) -> bool:

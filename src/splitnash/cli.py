@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bertrand as bt
-from .game import Game, VerificationReport, nash_regrets, solve_nash, verify_nash
+from .game import Game, VerificationReport, solve_nash, verify_nash
 from .kernel import Interval, SearchBudget
 from .models import get_instance
 from .split import (
@@ -347,8 +347,8 @@ def _audit_example_4_1(args, rep: Report) -> int:
     tol = rep.budget.tolerance
     x = np.array([1.0, 2.0, 4.0])
     image = problem.image(x)
-    regrets_n = nash_regrets(problem.game_n, x, rep.budget)
-    regrets_m = nash_regrets(problem.game_m, image, rep.budget)
+    regrets_n = verify_nash(problem.game_n, x, rep.budget).regrets
+    regrets_m = verify_nash(problem.game_m, image, rep.budget).regrets
     c_expected = 3.0 - 2.0 * math.sqrt(2.0)
 
     results = {

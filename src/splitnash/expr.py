@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluator for closed-form utility expressions.
+"""Recursive-descent parser and compiler for closed-form utility expressions.
 
 Grammar (whitespace-insensitive):
 
@@ -16,10 +16,9 @@ Fractional powers are defined only for nonnegative bases.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -167,9 +166,8 @@ def parse_utility(source: str) -> UtilityExpr:
     return _Parser(source).parse()
 
 
-# binary node kinds: their printed symbol and their float operation
+# binary node kinds and their operator symbol
 _SYMBOL = {Add: "+", Sub: "-", Mul: "*"}
-_OPERATOR = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def _fold(expr: UtilityExpr, leaf: Callable, node: Callable):
@@ -205,59 +203,6 @@ def _pow(base, exponent: float):
         raise EvalError(f"power overflow: {base!r}^{exponent!r}") from None
 
 
-def eval_utility(expr: UtilityExpr, bindings: Mapping[str, float]) -> float:
-    """Evaluate an AST under variable bindings; result must be finite."""
-
-    def leaf(e):
-        if isinstance(e, Const):
-            return e.value
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-
-    def node(e, *args):
-        if isinstance(e, Pow):
-            return _pow(args[0], e.exponent)
-        return -args[0] if isinstance(e, Neg) else _OPERATOR[type(e)](*args)
-
-    v = _fold(expr, leaf, node)
-    if not math.isfinite(v):
-        raise EvalError(f"non-finite result {v!r}")
-    return v
-
-
-def _literal(x: float) -> str:
-    # emit literals the tokenizer accepts (no sign, no bare exponent forms)
-    s = repr(float(x))
-    if s.startswith("-") or "inf" in s or "nan" in s:
-        raise ValueError(f"cannot print literal {x!r}")
-    return s
-
-
-def _paren(text: str, child: UtilityExpr, kinds: tuple) -> str:
-    return f"({text})" if isinstance(child, kinds) else text
-
-
-def pretty(expr: UtilityExpr) -> str:
-    """Print an AST so that parse_utility(pretty(e)) is structurally equal to e."""
-
-    def node(e, *texts):
-        if isinstance(e, (Add, Sub)):
-            # right operand: parenthesize anything the flat grammar would
-            # re-associate into the left spine
-            return f"{texts[0]} {_SYMBOL[type(e)]} {_paren(texts[1], e.right, (Add, Sub))}"
-        if isinstance(e, Mul):
-            return "*".join(_paren(t, c, (Add, Sub, Mul)) for t, c in zip(texts, (e.left, e.right)))
-        # '-' is itself an atom prefix, so "-x" is a valid power base
-        kinds = (Add, Sub, Mul, Pow)
-        if isinstance(e, Neg):
-            return f"-{_paren(texts[0], e.operand, kinds)}"
-        return f"{_paren(texts[0], e.base, kinds)}^{_literal(e.exponent)}"
-
-    return _fold(expr, lambda e: _literal(e.value) if isinstance(e, Const) else e.name, node)
-
-
 def compile_utility(
     expr: UtilityExpr, var_order: Sequence[str]
 ) -> Callable[[np.ndarray], float | np.ndarray]:
@@ -267,8 +212,8 @@ def compile_utility(
     the expression must appear in var_order. The callable maps an (n,)
     profile to a float and an (n, ...) array of profiles, coordinate first,
     to the (...) array of values; a fractional power of a negative base
-    anywhere in it raises EvalError. An expression without variables returns
-    one float.
+    anywhere in it, or an overflowing power of a base without variables,
+    raises EvalError. An expression without variables returns one float.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = variables(expr) - set(index)
@@ -282,7 +227,8 @@ def compile_utility(
         if isinstance(e, Neg):
             return f"(-{code[0]})"
         if isinstance(e, Pow):
-            if e.exponent == int(e.exponent):
+            # a base without variables is a float, whose ** raises on overflow
+            if e.exponent == int(e.exponent) and variables(e.base):
                 return f"({code[0]})**{int(e.exponent)}"
             return f"_fpow({code[0]}, {repr(e.exponent)})"
         return f"({code[0]} {_SYMBOL[type(e)]} {code[1]})"

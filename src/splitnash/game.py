@@ -3,8 +3,9 @@
 A game holds an ordered player list, one interval strategy set per player,
 and one utility evaluator per player over the full profile vector, whose
 coordinate i is player i's strategy. The module provides the diagonal
-payoff map, the component-wise vector order, regret-based Nash
-verification, best responses, and a multistart best-response solver.
+payoff map, the component-wise vector order and gamma membership, the one
+uniform sampler, regret-based Nash verification, best responses, and a
+multistart best-response solver.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class Game:
             out[i] = u(x)  # a scalar for all S columns fills its row
         return out
 
-    def random_profile(self, rng: np.random.Generator, cap: float) -> np.ndarray:
-        """A random feasible profile; unbounded coordinates sampled in [lo, lo+cap]."""
-        return uniform_samples(rng, 1, [iv.truncated(cap) for iv in self.strategy_sets])[0]
-
 
 class Witness(NamedTuple):
     """A player's improving deviation: the best-response strategy and its payoff."""
@@ -127,10 +124,6 @@ class VerificationReport:
     tolerance: float
     witnesses: Mapping[str, Witness] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-
-    @property
-    def max_regret(self) -> float:
-        return max(self.regrets)
 
 
 def order_leq(u: Sequence[float], v: Sequence[float]) -> bool:
@@ -204,11 +197,6 @@ def best_response(
     f = _own_strategy_objective(game.utilities[i], i, np.asarray(x, dtype=float)[:, None])
     arg, val = maximize_1d(f, game.strategy_sets[i], budget)
     return arg, float(val[0])
-
-
-def nash_regrets(game: Game, x: np.ndarray, budget: SearchBudget) -> np.ndarray:
-    """Per-player regret: best-response value minus current value, clamped at 0."""
-    return np.array(verify_nash(game, x, budget).regrets)
 
 
 def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> VerificationReport:
@@ -297,37 +285,3 @@ def gamma_membership(
     fz = game.payoff_vector(z)
     return order_leq(diag, fz + tolerance)
 
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    samples: int
-    violations: tuple[tuple[str, tuple[float, ...], tuple[float, ...], float], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def concavity_sample_check(
-    game: Game, samples: int, seed: int = 0, tolerance: float = 1e-6, cap: float = 1e3
-) -> ConcavityReport:
-    """Sample own-strategy concavity of each utility with opponents fixed.
-
-    Each sample draws a profile x, two deviations u and v and a weight lambda;
-    a violation is recorded per player, in sample order.
-    """
-    rng = np.random.default_rng(seed)
-    n = game.n_players
-    windows = [iv.truncated(cap) for iv in game.strategy_sets]
-    draw = uniform_samples(rng, samples, windows * 3 + [Interval(0.0, 1.0)])
-    x, u, v = draw[:, :n].T, draw[:, n : 2 * n].T, draw[:, 2 * n : 3 * n].T
-    lam = draw[:, 3 * n]
-    # one evaluation per utility: deviations to the mix, to u and to v
-    deviations = np.concatenate([lam * u + (1 - lam) * v, u, v], axis=1)
-    lhs, du, dv = np.split(diagonal_payoff(game, deviations, np.tile(x, 3)), 3, axis=1)
-    rhs = lam * du + (1 - lam) * dv
-    violations = tuple(
-        (game.players[i], (u[i, s],), (v[i, s],), float(lam[s]))
-        for s, i in np.argwhere((lhs < rhs - tolerance).T)
-    )
-    return ConcavityReport(samples=samples, violations=violations)

@@ -88,7 +88,7 @@ def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
     finite = np.isfinite(vs)
     if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
         r, c = np.unravel_index(finite.argmin(), finite.shape)
-        raise EvaluatorError(f"non-finite value {float(vs[r, c])!r} at {t[r, c]!r}")
+        raise EvaluatorError(f"non-finite value {float(vs[r, c])!r} at {float(t[r, c])!r}")
     return vs
 
 

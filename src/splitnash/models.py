@@ -1,15 +1,15 @@
-"""Built-in problem instances with replayable reference claims.
+"""Built-in problem instances, looked up by their CLI identifiers.
 
-Each instance packages a problem (game, split problem, or duopoly model)
-together with the answers claimed for it, tagged by provenance so the audit
-suite can re-derive DERIVED values and report on PAPER values instead of
-asserting them.
+The two related economies of example 4.1 and their operator, the quadratic
+sanity family, and the price duopolies. An instance holds only its problem:
+the values the source claims for it are checked by the example-4.1, bertrand
+and thm-6.2 audits of the CLI, which hold their own oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,30 +18,11 @@ from .game import Game
 from .kernel import Interval
 from .split import LinearOperator, SplitProblem
 
-PAPER = "PAPER"
-DERIVED = "DERIVED"
-TRIVIAL = "TRIVIAL"
-
-
-@dataclass(frozen=True)
-class Claim:
-    description: str
-    value: Any
-    provenance: str
-    citation: str = ""
-
-    def __post_init__(self) -> None:
-        if self.provenance not in (PAPER, DERIVED, TRIVIAL):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == PAPER and not self.citation:
-            raise ValueError("PAPER claims require a citation")
-
 
 @dataclass(frozen=True)
 class NamedInstance:
     identifier: str
     problem: Game | SplitProblem | BertrandModel
-    reference_claims: tuple[Claim, ...] = ()
 
     @property
     def kind(self) -> str:
@@ -90,37 +71,7 @@ def example_4_1() -> NamedInstance:
         game_m=e2_game(),
         operator=LinearOperator(TWO_ECONOMY_MATRIX),
     )
-    claims = (
-        Claim(
-            "split equilibrium candidate in the source game",
-            (1.0, 2.0, 4.0),
-            PAPER,
-            "claimed source-game equilibrium",
-        ),
-        Claim(
-            "operator image of (1, 2, 4)",
-            (9.0, 12.0),
-            PAPER,
-            "claimed image equilibrium",
-        ),
-        Claim(
-            "target-game regrets at (9, 12)",
-            (0.0, 0.0),
-            PAPER,
-            "claimed target-game equilibrium",
-        ),
-        Claim(
-            "player c analytic best response against (x, y) is z* = x*y",
-            "z_star = x*y",
-            DERIVED,
-        ),
-        Claim(
-            "player c regret at (1, 2, 4) is 3 - 2*sqrt(2)",
-            3.0 - 2.0 * np.sqrt(2.0),
-            DERIVED,
-        ),
-    )
-    return NamedInstance("example-4.1", problem, claims)
+    return NamedInstance("example-4.1", problem)
 
 
 # --- quadratic sanity family -------------------------------------------------
@@ -158,13 +109,7 @@ def quadratic_split_instance(
         game_m=quadratic_game(b, hi),
         operator=LinearOperator(m),
     )
-    maps_to_b = bool(np.allclose(m @ a, b, atol=1e-12))
-    claims = (
-        Claim("dominant strategies of the source game", tuple(map(float, a)), DERIVED),
-        Claim("dominant strategies of the target game", tuple(map(float, b)), DERIVED),
-        Claim("a is a split equilibrium iff the operator maps a to b", maps_to_b, DERIVED),
-    )
-    return NamedInstance(identifier, problem, claims)
+    return NamedInstance(identifier, problem)
 
 
 def default_quadratic_sanity() -> NamedInstance:
@@ -180,21 +125,7 @@ def bertrand_instance(
     c1: float, c2: float, d0: float = 10.0, a: float = 1.0, b: float = 1.0
 ) -> NamedInstance:
     model = BertrandModel(c1=c1, c2=c2, demand=linear_demand(d0, a, b))
-    claims = (
-        Claim(
-            "unique price equilibrium is (c1, c2)",
-            (float(c1), float(c2)),
-            PAPER,
-            "both firms price at cost",
-        ),
-        Claim("profits at the equilibrium are (0, 0)", (0.0, 0.0), PAPER, "zero profit at cost"),
-        Claim(
-            "Markov price modification fixes (c1, c2) iff the transform does",
-            "transform(c1, c2) == (c1, c2)",
-            DERIVED,
-        ),
-    )
-    return NamedInstance(f"bertrand-{c1:g}-{c2:g}", model, claims)
+    return NamedInstance(f"bertrand-{c1:g}-{c2:g}", model)
 
 
 # --- registry ----------------------------------------------------------------

@@ -40,8 +40,4 @@ def validate_transition_matrix(matrix) -> LinearOperator:
 def make_repeated_problem(game: Game, matrix) -> SplitProblem:
     """Couple a game with itself through the given operator."""
     op = matrix if isinstance(matrix, LinearOperator) else validate_transition_matrix(matrix)
-    if op.shape[1] != game.n_players:
-        raise ValueError(
-            f"operator dimension {op.shape[1]} != game profile dimension {game.n_players}"
-        )
     return SplitProblem(game_n=game, game_m=game, operator=op)

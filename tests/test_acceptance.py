@@ -23,20 +23,20 @@ from splitnash import (
     diagonal_payoff,
     kkm_intersection_probe,
     kkm_t_membership,
-    nash_regrets,
     order_leq,
     solve_split,
     validate_transition_matrix,
     verify_nash,
     verify_split_equilibrium,
 )
+from _expr_reference import pretty
 from splitnash.bertrand import (
     BertrandModel,
+    _shares_and_profits,
     audit_theorem_6_2,
     enumerate_grid_equilibria,
     linear_demand,
     profits,
-    sales_shares,
 )
 from splitnash.expr import (
     Add,
@@ -47,7 +47,6 @@ from splitnash.expr import (
     Sub,
     Var,
     parse_utility,
-    pretty,
 )
 from splitnash.models import (
     default_quadratic_sanity,
@@ -56,6 +55,7 @@ from splitnash.models import (
     example_4_1,
 )
 from splitnash.repeated import TransitionMatrixError
+from splitnash.game import uniform_samples
 from splitnash.split import cdp_sample_check
 
 BUDGET = SearchBudget()
@@ -99,7 +99,7 @@ def test_criterion_1_target_game_equilibrium():
 
 def test_criterion_2_source_game_audit():
     t0 = time.perf_counter()
-    r = nash_regrets(e1_game(), np.array([1.0, 2.0, 4.0]), BUDGET)
+    r = verify_nash(e1_game(), np.array([1.0, 2.0, 4.0]), BUDGET).regrets
     want = 3.0 - 2.0 * np.sqrt(2.0)
 
     # independent brute-force oracle for the third player: step 1e-3 on [0, 50]
@@ -233,8 +233,9 @@ def test_criterion_7_property_suites():
     games += [problem.game_n, problem.game_m]
     diag_ok = True
     for g in games:
+        windows = [iv.truncated(50.0) for iv in g.strategy_sets]
         for _ in range(1000):
-            x = g.random_profile(rng, cap=50.0)
+            x = uniform_samples(rng, 1, windows)[0]
             if not np.array_equal(diagonal_payoff(g, x, x), g.payoff_vector(x)):
                 diag_ok = False
     checks.append(("diagonal payoff identity x4 games x1000 profiles", diag_ok))
@@ -245,15 +246,16 @@ def test_criterion_7_property_suites():
     for _ in range(10_000):
         p1 = float(rng.uniform(0, 4.99))
         p2 = float(rng.uniform(0, 4.99))
-        s1, s2 = sales_shares(model, p1, p2)
-        if s1 + s2 != 1.0:
+        _, s1, s2, _, _ = _shares_and_profits(model, p1, p2)
+        if float(s1) + float(s2) != 1.0:
             shares_ok = False
     checks.append(("share conservation on 10000 live price pairs", shares_ok))
 
     # every feasible profile belongs to its own deviation-dominance set
+    windows = [iv.truncated(20.0) for iv in problem.game_n.strategy_sets]
     self_ok = all(
         kkm_t_membership(problem, x, x, BUDGET.tolerance)
-        for x in (problem.game_n.random_profile(rng, cap=20.0) for _ in range(1000))
+        for x in (uniform_samples(rng, 1, windows)[0] for _ in range(1000))
     )
     checks.append(("deviation-dominance self-membership x1000", self_ok))
 

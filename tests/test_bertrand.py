@@ -20,7 +20,6 @@ from splitnash.bertrand import (
     linear_demand,
     markov_price_transform,
     profits,
-    sales_shares,
     tie_price,
 )
 from splitnash.models import get_instance
@@ -52,6 +51,12 @@ class TestModel:
         # demand 10 - p1 - p2 vanishes at p1 + p2 >= 10
         with pytest.raises(ValueError):
             BertrandModel(c1=5.0, c2=5.0, demand=linear_demand(10.0, 1.0, 1.0))
+
+
+def sales_shares(model, p1, p2):
+    """The market split that the profit kernel computes at one price pair."""
+    _, s1, s2, _, _ = bertrand._shares_and_profits(model, p1, p2)
+    return (float(s1), float(s2))
 
 
 class TestShares:
@@ -414,8 +419,10 @@ class TestMarkovTransform:
         assert q1 + q2 == pytest.approx(p1 + p2, abs=1e-9)
 
     def test_column_stochastic_matrix(self):
-        m = MarkovPriceMatrix(0.3, 0.8).matrix
-        assert np.allclose(m.sum(axis=0), 1.0)
+        # the transform's columns are its images of the unit price vectors
+        m = MarkovPriceMatrix(0.3, 0.8)
+        columns = np.array([markov_price_transform(m, *unit) for unit in ((1.0, 0.0), (0.0, 1.0))])
+        assert np.allclose(columns.sum(axis=1), 1.0)
 
 
 class TestMarkovAudit:

@@ -110,7 +110,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, cause",
         [
-            (("solve-nash", "example-4.1:E2", "--cap", "1e308"), "error: non-finite value"),
+            (
+                ("solve-nash", "example-4.1:E2", "--cap", "1e308"),
+                "error: non-finite value nan at 5e+304",
+            ),
             (
                 ("verify-nash", "example-4.1:E2", "--profile", "1e308,1"),
                 "error: non-finite payoff -inf of player 'd' at [1e+308, 1.0]",
@@ -120,8 +123,23 @@ class TestExitCodes:
     def test_overflowing_evaluation_is_an_input_error(self, capsys, argv, cause):
         assert main(list(argv)) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert cause in captured.err and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == cause and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [("verify-nash", "--profile", "1"), ("solve-nash",)])
+    def test_overflowing_power_of_a_constant_is_an_input_error(self, capsys, tmp_path, argv):
+        # 1e300^2 has no variable, so it is a float power, which raises on overflow
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps({
+            "players": ["x"],
+            "strategy_sets": [{"lo": 0, "hi": 1}],
+            "utilities": ["x - 1e300^2"],
+        }))
+        out = tmp_path / "report.json"
+        assert main([argv[0], str(spec), *argv[1:], "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: power overflow: 1e+300^2.0\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
-"""Parser, evaluator, printer, and compiler for utility expressions."""
+"""Parser and compiler for utility expressions, against the reference
+interpreter and printer of _expr_reference."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _expr_reference import eval_utility, pretty
 from splitnash.expr import (
     Add,
     Const,
@@ -18,9 +20,7 @@ from splitnash.expr import (
     Sub,
     Var,
     compile_utility,
-    eval_utility,
     parse_utility,
-    pretty,
     variables,
 )
 from splitnash.models import E1_UTILITIES, E2_UTILITIES
@@ -148,6 +148,20 @@ def test_compiled_matches_interpreter(e, seed):
             f(vals)
         return
     assert f(vals) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_overflowing_power_of_a_constant_raises():
+    # a base without variables is a float, whose ** raises OverflowError
+    f = compile_utility(parse_utility("x - 1e300^2"), ["x"])
+    for v in (np.array([0.5]), np.full((1, 4), 0.5)):
+        with pytest.raises(EvalError, match=r"power overflow: 1e\+300\^2\.0"):
+            f(v)
+
+
+def test_integer_power_of_a_constant_keeps_its_value():
+    f = compile_utility(parse_utility("x*(-1.5)^3 + 0.1^2"), ["x"])
+    assert f(np.array([2.0])) == 2.0 * (-1.5) ** 3 + 0.1**2
+    assert f(np.full((1, 3), 2.0)).tolist() == [2.0 * (-1.5) ** 3 + 0.1**2] * 3
 
 
 def test_compile_rejects_unlisted_variable():

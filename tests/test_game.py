@@ -10,19 +10,22 @@ from splitnash import (
     Interval,
     SearchBudget,
     best_response,
-    concavity_sample_check,
     diagonal_payoff,
     gamma_membership,
-    nash_regrets,
     order_leq,
     solve_nash,
     verify_nash,
 )
-from splitnash.game import DAMPING, N_STARTS, ConcavityReport, _distinct, uniform_samples
+from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
 from splitnash.kernel import EvaluatorError, maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
 SQRT2 = float(np.sqrt(2.0))
+
+
+def random_profile(game, rng, cap):
+    """One feasible profile; unbounded coordinates are drawn in [lo, lo + cap]."""
+    return uniform_samples(rng, 1, [iv.truncated(cap) for iv in game.strategy_sets])[0]
 
 
 class TestConstruction:
@@ -83,7 +86,7 @@ class TestDiagonalPayoff:
     def test_diagonal_equals_payoff_vector(self, rng):
         g = e1_game()
         for _ in range(50):
-            x = g.random_profile(rng, cap=20.0)
+            x = random_profile(g, rng, cap=20.0)
             assert np.array_equal(diagonal_payoff(g, x, x), g.payoff_vector(x))
 
     def test_deviation_changes_only_own_component_inputs(self):
@@ -101,8 +104,8 @@ class TestDiagonalPayoff:
         # the quadratic utilities and the constant-utility game evaluate the
         # same way on arrays and on scalars, so the columns agree exactly
         for g in (quadratic_game((1.0, 2.0, 3.0), hi=5.0), constant_utility_game()):
-            z = np.array([g.random_profile(rng, cap=5.0) for _ in range(7)]).T
-            x = np.array([g.random_profile(rng, cap=5.0) for _ in range(7)]).T
+            z = np.array([random_profile(g, rng, cap=5.0) for _ in range(7)]).T
+            x = np.array([random_profile(g, rng, cap=5.0) for _ in range(7)]).T
             d, f = diagonal_payoff(g, z, x), g.payoff_vector(x)
             assert d.shape == f.shape == (g.n_players, 7)
             for s in range(7):
@@ -158,14 +161,13 @@ class TestRegretsAndVerification:
     def test_target_candidate_is_equilibrium(self, budget):
         rep = verify_nash(e2_game(), np.array([9.0, 12.0]), budget)
         assert rep.verdict
-        assert rep.max_regret <= budget.tolerance
+        assert max(rep.regrets) <= budget.tolerance
 
     def test_source_candidate_fails_through_third_player(self, budget):
-        g = e1_game()
-        r = nash_regrets(g, np.array([1.0, 2.0, 4.0]), budget)
+        rep = verify_nash(e1_game(), np.array([1.0, 2.0, 4.0]), budget)
+        r = rep.regrets
         assert r[0] <= 1e-6 and r[1] <= 1e-6
         assert r[2] == pytest.approx(3.0 - 2.0 * SQRT2, abs=1e-4)
-        rep = verify_nash(g, np.array([1.0, 2.0, 4.0]), budget)
         assert not rep.verdict
         assert set(rep.witnesses) == {"c"}
         strategy, value = rep.witnesses["c"]
@@ -175,8 +177,8 @@ class TestRegretsAndVerification:
     def test_regrets_are_never_negative(self, budget, rng):
         g = quadratic_game((1.0, 2.0), hi=5.0)
         for _ in range(20):
-            x = g.random_profile(rng, cap=5.0)
-            assert np.all(nash_regrets(g, x, budget) >= 0.0)
+            x = random_profile(g, rng, cap=5.0)
+            assert all(r >= 0.0 for r in verify_nash(g, x, budget).regrets)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_current_payoff_raises(self, budget):
@@ -241,7 +243,7 @@ class TestMembershipAndConcavity:
     def test_gamma_membership_of_self(self, budget, rng):
         g = quadratic_game((1.0, 2.0), hi=5.0)
         for _ in range(50):
-            x = g.random_profile(rng, cap=5.0)
+            x = random_profile(g, rng, cap=5.0)
             assert gamma_membership(g, x, x, budget.tolerance)
 
     def test_gamma_membership_rejects_dominated_profile(self, budget):
@@ -251,13 +253,8 @@ class TestMembershipAndConcavity:
 
     def test_own_concavity_of_builtin_games(self):
         for g in (e1_game(), e2_game(), quadratic_game((1.0, 2.0), hi=5.0)):
-            rep = concavity_sample_check(g, samples=200, seed=0)
-            assert rep.passed, rep
-
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_concavity_check_rejects_no_samples(self, samples):
-        with pytest.raises(ValueError, match="samples"):
-            concavity_sample_check(e2_game(), samples)
+            violations = reference_concavity_sample_check(g, samples=200, seed=0)
+            assert violations == (), violations
 
     def test_concavity_violations_of_a_convex_game(self):
         g = Game.from_expressions(
@@ -265,20 +262,20 @@ class TestMembershipAndConcavity:
             intervals=(Interval(0, 3), Interval(0, 3)),
             sources=("x^2 - x*y", "y^2*x - y"),
         )
-        rep = concavity_sample_check(g, samples=100, seed=3, tolerance=1e-6, cap=3.0)
-        # reference: the midpoint inequality player by player, one deviation at a time
+        violations = reference_concavity_sample_check(g, samples=100, seed=3, cap=3.0)
+        # the midpoint inequality player by player, one deviation at a time
         rng = np.random.default_rng(3)
         expected = []
         for _ in range(100):
-            x, u, v = (g.random_profile(rng, 3.0) for _ in range(3))
+            x, u, v = (random_profile(g, rng, 3.0) for _ in range(3))
             lam = rng.uniform(0.0, 1.0)
             for i, p in enumerate(g.players):
                 a, b, mid = x.copy(), x.copy(), x.copy()
                 a[i], b[i], mid[i] = u[i], v[i], lam * u[i] + (1 - lam) * v[i]
                 if g.payoff(i, mid) < lam * g.payoff(i, a) + (1 - lam) * g.payoff(i, b) - 1e-6:
                     expected.append((p, (u[i],), (v[i],), float(lam)))
-        assert not rep.passed and rep.samples == 100
-        assert rep.violations == tuple(expected)
+        assert {p for p, *_ in violations} == {"x", "y"}
+        assert violations == tuple(expected)
 
 
 class TestUniformSamplesMatchScalarDraws:
@@ -297,19 +294,20 @@ class TestUniformSamplesMatchScalarDraws:
         assert got.tolist() == want
         assert (got[:, 2] == 2.5).all()
 
-    def test_random_profile_is_one_scalar_draw_per_player(self):
-        g = Game.from_expressions(
-            ("x", "y", "z"), (Interval(0, 2), Interval(1.5, 1.5), Interval(-1)), ("x", "y", "z")
-        )
-        got = g.random_profile(np.random.default_rng(5), cap=30.0)
+    def test_truncated_windows_are_one_scalar_draw_per_player(self):
+        # solve_nash draws its starts in the strategy sets truncated at the cap
+        sets = (Interval(0, 2), Interval(1.5, 1.5), Interval(-1))
+        got = uniform_samples(np.random.default_rng(5), 1, [iv.truncated(30.0) for iv in sets])
         rng = np.random.default_rng(5)
         want = [rng.uniform(0, 2), rng.uniform(1.5, 1.5), rng.uniform(-1, 29)]
-        assert got.tolist() == want
+        assert got[0].tolist() == want
 
 
 def reference_concavity_sample_check(game, samples, seed=0, tolerance=1e-6, cap=1e3):
-    """The concavity check as a loop over samples, as it was before the batched
-    draw: the reference the batched check must reproduce exactly."""
+    """Sample own-strategy concavity of each utility with opponents fixed.
+
+    Each sample draws a profile x, two deviations u and v and a weight lambda;
+    returns the violations (player, (u_i,), (v_i,), lambda), in sample order."""
     rng = np.random.default_rng(seed)
     windows = [iv.truncated(cap) for iv in game.strategy_sets]
     violations = []
@@ -320,34 +318,7 @@ def reference_concavity_sample_check(game, samples, seed=0, tolerance=1e-6, cap=
         rhs = lam * diagonal_payoff(game, u, x) + (1 - lam) * diagonal_payoff(game, v, x)
         for i in np.flatnonzero(lhs < rhs - tolerance):
             violations.append((game.players[i], (u[i],), (v[i],), float(lam)))
-    return ConcavityReport(samples=samples, violations=tuple(violations))
-
-
-CONCAVITY_GAMES = {
-    "example-4.1:E1": e1_game,
-    "example-4.1:E2": e2_game,
-    "quadratic-sanity": lambda: default_quadratic_sanity().problem.game_n,
-    "quadratic-3": lambda: quadratic_game((1.0, 2.0, 3.0), hi=5.0),
-    "constant-utility": constant_utility_game,
-    "convex": lambda: Game.from_expressions(
-        ("x", "y"), (Interval(0, 3), Interval(0, 3)), ("x^2 - x*y", "y^2*x - y")
-    ),
-}
-
-
-class TestBatchedConcavityMatchesPerSampleLoop:
-    @pytest.mark.parametrize("ident", sorted(CONCAVITY_GAMES))
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-    def test_same_report(self, ident, seed):
-        g = CONCAVITY_GAMES[ident]()
-        got = concavity_sample_check(g, samples=300, seed=seed, cap=20.0)
-        assert repr(got) == repr(reference_concavity_sample_check(g, 300, seed, cap=20.0))
-
-    def test_violations_keep_sample_then_player_order(self):
-        g = CONCAVITY_GAMES["convex"]()
-        got = concavity_sample_check(g, samples=300, seed=0)
-        assert len({p for p, *_ in got.violations}) == 2  # both players violate
-        assert repr(got) == repr(reference_concavity_sample_check(g, 300, 0))
+    return tuple(violations)
 
 
 class TestDistinctFixedPoints:

@@ -1,13 +1,11 @@
-"""Built-in instances and replay of their recorded reference claims."""
+"""Built-in instances and the values the source claims for them."""
 
 import numpy as np
 import pytest
 
-from splitnash import SearchBudget, apply_operator, nash_regrets, verify_nash
+from splitnash import apply_operator, verify_nash
+from splitnash.bertrand import is_grid_equilibrium
 from splitnash.models import (
-    DERIVED,
-    PAPER,
-    Claim,
     bertrand_instance,
     builtin_ids,
     default_quadratic_sanity,
@@ -15,17 +13,6 @@ from splitnash.models import (
     get_instance,
     quadratic_split_instance,
 )
-
-
-class TestClaim:
-    def test_primary_source_claims_require_citation(self):
-        with pytest.raises(ValueError):
-            Claim("something", 1.0, PAPER)
-        Claim("something", 1.0, PAPER, "a citation")
-
-    def test_unknown_provenance_rejected(self):
-        with pytest.raises(ValueError):
-            Claim("something", 1.0, "GUESSED")
 
 
 class TestRegistry:
@@ -49,7 +36,7 @@ class TestRegistry:
 
 
 class TestTwoEconomyClaims:
-    """Replay every recorded claim of the two-economy instance."""
+    """The values the source claims for the two-economy instance."""
 
     def test_operator_image_claim(self):
         inst = example_4_1()
@@ -60,35 +47,24 @@ class TestTwoEconomyClaims:
 
     def test_target_regret_claim(self, budget):
         inst = example_4_1()
-        r = nash_regrets(inst.problem.game_m, np.array([9.0, 12.0]), budget)
-        assert np.all(r <= budget.tolerance)
+        r = verify_nash(inst.problem.game_m, np.array([9.0, 12.0]), budget).regrets
+        assert all(v <= budget.tolerance for v in r)
 
     def test_third_player_regret_claim(self, budget):
         inst = example_4_1()
-        want = next(
-            c.value for c in inst.reference_claims if "regret at (1, 2, 4)" in c.description
-        )
-        r = nash_regrets(inst.problem.game_n, np.array([1.0, 2.0, 4.0]), budget)
-        assert r[2] == pytest.approx(want, abs=1e-6)
-        assert want == pytest.approx(3.0 - 2.0 * np.sqrt(2.0))
-
-    def test_claim_provenances_are_recorded(self):
-        inst = example_4_1()
-        assert {c.provenance for c in inst.reference_claims} == {PAPER, DERIVED}
+        r = verify_nash(inst.problem.game_n, np.array([1.0, 2.0, 4.0]), budget).regrets
+        assert r[2] == pytest.approx(3.0 - 2.0 * np.sqrt(2.0), abs=1e-6)
 
 
 class TestQuadraticFamily:
-    def test_default_instance_claim_replays(self):
-        inst = default_quadratic_sanity()
-        claim = next(c for c in inst.reference_claims if "iff" in c.description)
-        m = inst.problem.operator.matrix
-        assert claim.value == bool(np.allclose(m @ [1.0, 2.0], [2.0, 1.0]))
-        assert claim.value is True  # the swap matrix does map (1,2) to (2,1)
+    def test_default_operator_maps_a_to_b(self):
+        # the swap matrix maps (1,2) to (2,1), so a is a split equilibrium
+        m = default_quadratic_sanity().problem.operator.matrix
+        assert np.allclose(m @ [1.0, 2.0], [2.0, 1.0])
 
-    def test_unsatisfied_operator_claim_is_recorded_as_false(self):
+    def test_identity_operator_does_not_map_a_to_b(self):
         inst = quadratic_split_instance(a=(1.0, 2.0), matrix=np.eye(2), b=(2.0, 1.0))
-        claim = next(c for c in inst.reference_claims if "iff" in c.description)
-        assert claim.value is False
+        assert not np.allclose(inst.problem.operator.matrix @ [1.0, 2.0], [2.0, 1.0])
 
     def test_matrix_shape_validated(self):
         with pytest.raises(ValueError):
@@ -103,6 +79,7 @@ class TestQuadraticFamily:
 class TestBertrandInstances:
     def test_cost_claims(self):
         inst = bertrand_instance(1.0, 2.0)
-        assert inst.problem.c1 == 1.0 and inst.problem.c2 == 2.0
-        prices = next(c.value for c in inst.reference_claims if "price equilibrium" in c.description)
-        assert prices == (1.0, 2.0)
+        assert (inst.problem.c1, inst.problem.c2) == (1.0, 2.0)
+        assert inst.identifier == "bertrand-1-2"
+        # the source claims the cost pair is the price equilibrium
+        assert is_grid_equilibrium(inst.problem, 1.0, 2.0)

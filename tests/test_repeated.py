@@ -59,7 +59,7 @@ class TestRepeatedProblem:
 
     def test_rejects_dimension_mismatch(self):
         g = quadratic_game((1.0, 2.0, 3.0), hi=5.0)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"operator shape \(2, 2\) does not match games"):
             make_repeated_problem(g, np.eye(2))
 
     def test_rejects_invalid_raw_matrix(self):

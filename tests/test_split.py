@@ -22,7 +22,7 @@ from splitnash import (
     verify_split_equilibrium,
 )
 from splitnash.cli import _json_default
-from splitnash.game import diagonal_payoff, order_leq
+from splitnash.game import diagonal_payoff, order_leq, uniform_samples
 from splitnash.models import (
     TWO_ECONOMY_MATRIX,
     default_quadratic_sanity,
@@ -355,8 +355,9 @@ class TestSamplersRejectNoSamples:
 class TestIntersectionProbe:
     def test_self_membership(self, rng, budget):
         problem = default_quadratic_sanity().problem
+        windows = [iv.truncated(20.0) for iv in problem.game_n.strategy_sets]
         for _ in range(100):
-            x = problem.game_n.random_profile(rng, cap=20.0)
+            x = uniform_samples(rng, 1, windows)[0]
             assert kkm_t_membership(problem, x, x, budget.tolerance)
 
     def test_dominated_point_is_not_a_member(self, budget):
