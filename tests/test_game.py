@@ -263,19 +263,8 @@ class TestMembershipAndConcavity:
             sources=("x^2 - x*y", "y^2*x - y"),
         )
         violations = reference_concavity_sample_check(g, samples=100, seed=3, cap=3.0)
-        # the midpoint inequality player by player, one deviation at a time
-        rng = np.random.default_rng(3)
-        expected = []
-        for _ in range(100):
-            x, u, v = (random_profile(g, rng, 3.0) for _ in range(3))
-            lam = rng.uniform(0.0, 1.0)
-            for i, p in enumerate(g.players):
-                a, b, mid = x.copy(), x.copy(), x.copy()
-                a[i], b[i], mid[i] = u[i], v[i], lam * u[i] + (1 - lam) * v[i]
-                if g.payoff(i, mid) < lam * g.payoff(i, a) + (1 - lam) * g.payoff(i, b) - 1e-6:
-                    expected.append((p, (u[i],), (v[i],), float(lam)))
         assert {p for p, *_ in violations} == {"x", "y"}
-        assert violations == tuple(expected)
+        assert violations == per_player_concavity_violations(g, samples=100, seed=3, cap=3.0)
 
 
 class TestUniformSamplesMatchScalarDraws:
@@ -319,6 +308,53 @@ def reference_concavity_sample_check(game, samples, seed=0, tolerance=1e-6, cap=
         for i in np.flatnonzero(lhs < rhs - tolerance):
             violations.append((game.players[i], (u[i],), (v[i],), float(lam)))
     return tuple(violations)
+
+
+def per_player_concavity_violations(game, samples, seed=0, tolerance=1e-6, cap=1e3):
+    """The midpoint inequality player by player, one deviation and one scalar
+    payoff at a time, on the draws of reference_concavity_sample_check."""
+    rng = np.random.default_rng(seed)
+    violations = []
+    for _ in range(samples):
+        x, u, v = (random_profile(game, rng, cap) for _ in range(3))
+        lam = rng.uniform(0.0, 1.0)
+        for i, p in enumerate(game.players):
+            a, b, mid = x.copy(), x.copy(), x.copy()
+            a[i], b[i], mid[i] = u[i], v[i], lam * u[i] + (1 - lam) * v[i]
+            rhs = lam * game.payoff(i, a) + (1 - lam) * game.payoff(i, b)
+            if game.payoff(i, mid) < rhs - tolerance:
+                violations.append((p, (u[i],), (v[i],), float(lam)))
+    return tuple(violations)
+
+
+CONCAVITY_GAMES = {
+    "example-4.1:E1": e1_game,
+    "example-4.1:E2": e2_game,
+    "quadratic-sanity": lambda: default_quadratic_sanity().problem.game_n,
+    "quadratic-3": lambda: quadratic_game((1.0, 2.0, 3.0), hi=5.0),
+    "constant-utility": constant_utility_game,
+    "convex": lambda: Game.from_expressions(
+        ("x", "y"), (Interval(0, 3), Interval(0, 3)), ("x^2 - x*y", "y^2*x - y")
+    ),
+}
+
+
+class TestDiagonalConcavityMatchesPerPlayerLoop:
+    """diagonal_payoff, one row per player, must flag exactly the violations
+    that scalar payoffs with one player's deviation at a time flag."""
+
+    @pytest.mark.parametrize("ident", sorted(CONCAVITY_GAMES))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_same_violations(self, ident, seed):
+        g = CONCAVITY_GAMES[ident]()
+        got = reference_concavity_sample_check(g, samples=300, seed=seed, cap=20.0)
+        assert got == per_player_concavity_violations(g, samples=300, seed=seed, cap=20.0)
+
+    def test_violations_keep_sample_then_player_order(self):
+        g = CONCAVITY_GAMES["convex"]()
+        got = reference_concavity_sample_check(g, samples=300, seed=0)
+        assert len({p for p, *_ in got}) == 2  # both players violate
+        assert got == per_player_concavity_violations(g, samples=300, seed=0)
 
 
 class TestDistinctFixedPoints:
