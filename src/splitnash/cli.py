@@ -33,7 +33,7 @@ import numpy as np
 from . import bertrand as bt
 from .game import Game, VerificationReport, solve_nash, verify_nash
 from .kernel import Interval, SearchBudget
-from .models import get_instance
+from .models import builtin_ids, get_instance
 from .split import (
     CdpReport,
     KkmProbeResult,
@@ -75,8 +75,6 @@ def load_game_spec(data: dict) -> Game:
             raise InputError(f"game spec field {name!r} must be a list of strings")
     if not isinstance(sets, list):
         raise InputError("game spec field 'strategy_sets' must be a list")
-    if not (len(players) == len(sets) == len(utilities)):
-        raise InputError("players, strategy_sets, utilities must have equal length")
     intervals = []
     for s in sets:
         lo, hi = (s.get("lo"), s.get("hi")) if isinstance(s, dict) else (None, None)
@@ -331,7 +329,7 @@ def cmd_kkm_probe(args, rep: Report) -> int:
 
 
 def cmd_bertrand_enumerate(args, rep: Report) -> int:
-    inst = get_instance(args.target) if not args.target.endswith(".json") else None
+    inst = get_instance(args.target) if args.target in builtin_ids() else None
     if inst is None or inst.kind != "bertrand":
         raise InputError(f"{args.target!r} is not a builtin duopoly instance")
     results = _enumerate(inst.problem, inst.problem.default_price_range(), args, rep)
@@ -512,9 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on rejected arguments, 0 after --help
         return exc.code
     try:
-        rep = Report(args)
-        code = args.func(args, rep)
-        rep.emit()
+        # a value that overflows is reported by the finite checks, not by numpy
+        with np.errstate(all="ignore"):
+            rep = Report(args)
+            code = args.func(args, rep)
+            rep.emit()
         return code
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,8 +61,6 @@ class Game:
         variable_names maps expression variables onto players positionally;
         by default the player identifiers themselves are the variables.
         """
-        if not (len(players) == len(intervals) == len(sources)):
-            raise ValueError("players, intervals, utilities must have equal length")
         var_names = tuple(variable_names) if variable_names is not None else tuple(players)
         if len(var_names) != len(players):
             raise ValueError("variable_names must align with players")
@@ -126,13 +124,10 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def order_leq(u: Sequence[float], v: Sequence[float]) -> bool:
-    """Component-wise order: true iff u_i <= v_i for every i."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("dimension mismatch")
-    return bool(np.all(u <= v))
+def order_leq(u: np.ndarray, v: np.ndarray) -> bool | np.ndarray:
+    """Component-wise order along axis 0: one bool for (n,) vectors, the (S,)
+    answers of their columns for (n, S) arrays."""
+    return np.all(np.asarray(u) <= np.asarray(v), axis=0)
 
 
 def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,7 +135,8 @@ def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     z and x are (n,) profiles, giving an (n,) vector, or (n, S) arrays of S
     profile columns, giving an (n, S) array whose column s belongs to column
-    s of z and x. A utility that returns one scalar fills its whole row.
+    s of z and x; an (n,) z against (n, S) columns x deviates every column
+    to the same z. A utility that returns one scalar fills its whole row.
     """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -277,11 +273,8 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
 
 def gamma_membership(
     game: Game, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
-) -> bool:
-    """True iff f_i(x_i, z_{-i}) <= f_i(z) + tolerance for every player i."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    diag = diagonal_payoff(game, x, z)
-    fz = game.payoff_vector(z)
-    return order_leq(diag, fz + tolerance)
+) -> bool | np.ndarray:
+    """True iff f_i(x_i, z_{-i}) <= f_i(z) + tolerance for every player i; for
+    (n, S) columns z, the (S,) answers of its columns against one (n,) x."""
+    return order_leq(diagonal_payoff(game, x, z), game.payoff_vector(z) + tolerance)
 

@@ -74,9 +74,6 @@ _MAX_SCAN_CELLS = 2000
 # Points per zoomed rescan: each rescan narrows a bracket to 2/256 of its width.
 _ZOOM_POINTS = 257
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
-# Most points the scan hands f in one call; k rows scan in column blocks of
-# _SCAN_BLOCK_POINTS // k, which keeps f's temporaries small for many rows.
-_SCAN_BLOCK_POINTS = 4096
 
 
 def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
@@ -116,8 +113,8 @@ def maximize_1d(
     to the (k, P) array of their values (or to one scalar, when it depends on
     neither x nor the row). Returns the (k,) maximizers and their (k,) values.
 
-    Every row scans one shared grid of at most _MAX_SCAN_CELLS cells, evaluated
-    in column blocks. Each row's ±1-cell bracket around its first maximum (ties
+    Every row scans one shared grid of at most _MAX_SCAN_CELLS cells in one
+    call of f. Each row's ±1-cell bracket around its first maximum (ties
     go to the smaller x) is then refined by zoomed rescans of _ZOOM_POINTS
     points for all rows at once, until it is narrower than
     max(1e-12, tolerance * 1e-4) or a rescan no longer narrows it (float
@@ -146,10 +143,7 @@ def maximize_1d(
     xs[-1] = hi
     # one row needs no broadcast, whose call costs a few percent of a k = 1 call
     grid = xs[None, :] if k == 1 else np.broadcast_to(xs, (k, xs.size))
-    vs = np.empty(grid.shape)
-    block = max(1, _SCAN_BLOCK_POINTS // k)
-    for s in range(0, xs.size, block):
-        vs[:, s : s + block] = _values(f, grid[:, s : s + block])
+    vs = _values(f, grid)
 
     # Row r's rescan is left[r] + i * step[r] for i < _ZOOM_POINTS - 1, then
     # right[r]: the points of np.linspace(left[r], right[r], _ZOOM_POINTS).

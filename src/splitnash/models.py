@@ -101,8 +101,6 @@ def quadratic_split_instance(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = np.asarray(matrix, dtype=float)
-    if m.shape != (len(b), len(a)):
-        raise ValueError(f"matrix shape {m.shape} does not match |a|={len(a)}, |b|={len(b)}")
     hi = 10.0 * max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
     problem = SplitProblem(
         game_n=quadratic_game(a, hi),

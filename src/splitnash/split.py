@@ -9,7 +9,6 @@ finite-grid intersection of the deviation-dominance map.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -21,6 +20,7 @@ from .game import (
     VerificationReport,
     diagonal_payoff,
     gamma_membership,
+    order_leq,
     solve_nash,
     uniform_samples,
     verify_nash,
@@ -273,11 +273,11 @@ def cdp_sample_check(
     aw = az[:, 2 * samples :]
     gu, gv, gw = np.split(diagonal_payoff(gm, az, np.tile(aw, 3)), 3, axis=1)
 
-    n_u = np.all(fu <= fw + tolerance, axis=0)
-    n_v = np.all(fv <= fw + tolerance, axis=0)
-    m_u = np.all(gu <= gw + tolerance, axis=0)
-    m_v = np.all(gv <= gw + tolerance, axis=0)
-    mindom = np.all(np.minimum(fu, fv) <= fw + tolerance, axis=0)
+    n_u = order_leq(fu, fw + tolerance)
+    n_v = order_leq(fv, fw + tolerance)
+    m_u = order_leq(gu, gw + tolerance)
+    m_v = order_leq(gv, gw + tolerance)
+    mindom = order_leq(np.minimum(fu, fv), fw + tolerance)
 
     def witnesses(failed: np.ndarray) -> tuple:
         return tuple(
@@ -295,9 +295,10 @@ def cdp_sample_check(
 
 def kkm_t_membership(
     problem: SplitProblem, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
-) -> bool:
-    """Is (z, Az) dominated by no deviation to x's blocks, in both games?"""
-    return gamma_membership(problem.game_n, x, z, tolerance) and gamma_membership(
+) -> bool | np.ndarray:
+    """Is (z, Az) dominated by no deviation to x's blocks, in both games? For
+    (n, S) columns z, the (S,) answers of its columns against one (n,) x."""
+    return gamma_membership(problem.game_n, x, z, tolerance) & gamma_membership(
         problem.game_m, problem.image(x), problem.image(z), tolerance
     )
 
@@ -319,20 +320,25 @@ def kkm_intersection_probe(
     """Finite-grid probe of the intersection of all deviation-dominance sets.
 
     Returns every grid point z that stays a member against every grid point
-    x. Each member is cross-checked with the split verifier under a regret
-    slack of twice the grid cell diameter. Emptiness is a finding, reported
-    with the grid resolution.
+    x, in grid order. x walks the grid in order and is tested only against
+    the columns z that no earlier x has excluded, so each z meets the x of
+    the grid up to the first that excludes it. Each member is cross-checked
+    with the split verifier under a regret slack of twice the grid cell
+    diameter. Emptiness is a finding, reported with the grid resolution.
     """
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
     axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
     steps = [ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes]
     cell_diameter = float(math.sqrt(sum(s * s for s in steps)))
-    grid = [np.array(pt) for pt in itertools.product(*axes)]
+    # (n, G) columns in itertools.product order: the last axis varies fastest
+    grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
 
-    members = []
-    for z in grid:
-        if all(kkm_t_membership(problem, x, z, budget.tolerance) for x in grid):
-            members.append(z)
+    alive = np.arange(grid.shape[1])
+    for x in grid.T:
+        if not alive.size:
+            break
+        alive = alive[kkm_t_membership(problem, x, grid[:, alive], budget.tolerance)]
+    members = grid[:, alive].T
 
     slack_budget = replace(budget, tolerance=max(budget.tolerance, 2.0 * cell_diameter))
     verified = tuple(
@@ -340,7 +346,7 @@ def kkm_intersection_probe(
     )
     return KkmProbeResult(
         members=tuple(tuple(float(v) for v in z) for z in members),
-        grid_points=len(grid),
+        grid_points=grid.shape[1],
         points_per_axis=points_per_axis,
         cell_diameter=cell_diameter,
         verified=verified,

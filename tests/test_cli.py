@@ -34,6 +34,13 @@ def run_json(capsys, *argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A child Python run on argv that imports the splitnash this test imported."""
+    src = str(Path(splitnash.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 @pytest.fixture(scope="module")
 def schema() -> dict:
     with resources.files("splitnash").joinpath("report_schema.json").open() as fh:
@@ -106,7 +113,6 @@ class TestExitCodes:
         assert f"profile [{shown}{ones}] infeasible for {target}" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the utilities overflow
     @pytest.mark.parametrize(
         "argv, cause",
         [
@@ -120,11 +126,13 @@ class TestExitCodes:
             ),
         ],
     )
-    def test_overflowing_evaluation_is_an_input_error(self, capsys, argv, cause):
-        assert main(list(argv)) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1] == cause and "Traceback" not in captured.err
-        assert captured.out == ""
+    def test_overflowing_evaluation_is_an_input_error(self, tmp_path, argv, cause):
+        # in a child process, where numpy's overflow warnings would reach stderr
+        out = tmp_path / "report.json"
+        done = _python("-m", "splitnash.cli", *argv, "--out", str(out))
+        assert done.returncode == EXIT_INPUT
+        assert (done.stderr, done.stdout) == (cause + "\n", "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [("verify-nash", "--profile", "1"), ("solve-nash",)])
     def test_overflowing_power_of_a_constant_is_an_input_error(self, capsys, tmp_path, argv):
@@ -154,6 +162,13 @@ class TestExitCodes:
         # main returns argparse's code rather than raising SystemExit
         assert main(list(argv)) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["foo", "x.json", "example-4.1"])
+    def test_bertrand_enumerate_needs_a_builtin_duopoly(self, capsys, target):
+        assert main(["bertrand-enumerate", target]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: '{target}' is not a builtin duopoly instance\n"
+        assert captured.out == ""
 
     def test_a_leading_minus_needs_the_equals_form(self, capsys):
         # "--profile -1,2" reads "-1,2" as an option; "--profile=-1,2" is a profile
@@ -335,6 +350,7 @@ class TestFileInputs:
             [1, 2],
             {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p - 1e999*0"]},
             {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p^1e999"]},
+            {"players": ["p", "q"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]},
         ],
     )
     def test_malformed_spec_is_an_input_error(self, capsys, tmp_path, spec):
@@ -490,8 +506,6 @@ def test_help_text_matches_its_pinned_digest(capsys, monkeypatch, verb):
 
 def test_cli_import_does_not_load_scipy_optimize():
     # only check_surjectivity needs scipy.optimize; every CLI call pays the import
-    src = str(Path(splitnash.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, splitnash.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = _python("-c", probe)
+    assert (out.returncode, out.stdout.strip()) == (0, "False")

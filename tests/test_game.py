@@ -20,6 +20,8 @@ from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
 from splitnash.kernel import EvaluatorError, maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
+import _kkm_reference
+
 SQRT2 = float(np.sqrt(2.0))
 
 
@@ -355,6 +357,39 @@ class TestDiagonalConcavityMatchesPerPlayerLoop:
         got = reference_concavity_sample_check(g, samples=300, seed=0)
         assert len({p for p, *_ in got}) == 2  # both players violate
         assert got == per_player_concavity_violations(g, samples=300, seed=0)
+
+
+class TestMembershipColumnsMatchScalarCalls:
+    """order_leq and gamma_membership on (n, S) columns must answer, column by
+    column, what the scalar reference answers for one pair at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_order_leq(self, seed):
+        rng = np.random.default_rng(seed)
+        # small integers, so that ties and both orders occur in every coordinate
+        u, v = rng.integers(0, 3, size=(2, 3, 200)).astype(float)
+        want = [_kkm_reference.order_leq(u[:, s], v[:, s]) for s in range(200)]
+        assert order_leq(u, v).tolist() == want
+        assert [bool(order_leq(u[:, s], v[:, s])) for s in range(200)] == want
+        assert any(want) and not all(want)
+
+    @pytest.mark.parametrize("ident", sorted(CONCAVITY_GAMES))
+    def test_gamma_membership(self, ident, budget):
+        g = CONCAVITY_GAMES[ident]()
+        windows = [iv.truncated(20.0) for iv in g.strategy_sets]
+        rng = np.random.default_rng(0)
+        columns = uniform_samples(rng, 200, windows).T
+        answers = []
+        for x in uniform_samples(rng, 5, windows):
+            z = np.concatenate([columns, x[:, None]], axis=1)  # x keeps itself
+            want = [
+                _kkm_reference.gamma_membership(g, x, z[:, s], budget.tolerance)
+                for s in range(z.shape[1])
+            ]
+            assert gamma_membership(g, x, z, budget.tolerance).tolist() == want
+            assert [bool(gamma_membership(g, x, c, budget.tolerance)) for c in z.T] == want
+            answers += want
+        assert any(answers)
 
 
 class TestDistinctFixedPoints:

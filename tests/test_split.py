@@ -21,6 +21,7 @@ from splitnash import (
     solve_split,
     verify_split_equilibrium,
 )
+from splitnash import split as split_module
 from splitnash.cli import _json_default
 from splitnash.game import diagonal_payoff, order_leq, uniform_samples
 from splitnash.models import (
@@ -33,6 +34,8 @@ from splitnash.models import (
 )
 from splitnash.repeated import make_repeated_problem
 from splitnash.split import CdpReport, CdpWitness
+
+import _kkm_reference
 
 
 class TestOperator:
@@ -385,3 +388,57 @@ class TestIntersectionProbe:
         res = kkm_intersection_probe(self._bounded_quadratic_pair(), budget, points_per_axis=8)
         for m in res.members:
             assert np.linalg.norm(np.array(m) - [1.0, 2.0]) <= 2.0 * res.cell_diameter
+
+    @pytest.mark.parametrize("ident", ["example-4.1", "quadratic-sanity", "repeated-e1"])
+    def test_membership_columns_match_scalar_calls(self, ident, budget):
+        problem = CDP_PROBLEMS[ident]()
+        windows = [iv.truncated(20.0) for iv in problem.game_n.strategy_sets]
+        rng = np.random.default_rng(0)
+        columns = uniform_samples(rng, 200, windows).T
+        answers = []
+        for x in uniform_samples(rng, 5, windows):
+            z = np.concatenate([columns, x[:, None]], axis=1)  # x keeps itself
+            want = [
+                _kkm_reference.kkm_t_membership(problem, x, z[:, s], budget.tolerance)
+                for s in range(z.shape[1])
+            ]
+            assert kkm_t_membership(problem, x, z, budget.tolerance).tolist() == want
+            assert [bool(kkm_t_membership(problem, x, c, budget.tolerance)) for c in z.T] == want
+            answers += want
+        assert any(answers) and not all(answers)
+
+    @pytest.mark.parametrize(
+        "ident, points_per_axis, pairs",
+        [
+            ("quadratic-sanity", 4, None),
+            ("quadratic-sanity", 8, None),
+            ("quadratic-sanity", 16, 802),
+            ("bounded-quadratic", 4, None),
+            ("bounded-quadratic", 8, None),
+            ("bounded-quadratic", 16, None),
+            ("example-4.1", 3, None),
+            ("example-4.1", 4, 127),
+            ("repeated-e1", 3, None),
+            ("repeated-e1", 4, None),
+        ],
+    )
+    def test_probe_matches_the_scalar_reference(
+        self, monkeypatch, budget, ident, points_per_axis, pairs
+    ):
+        """The same members in the same order, from the same (x, z) pairs:
+        the columns the probe tests add up to the reference's calls."""
+        problems = {**CDP_PROBLEMS, "bounded-quadratic": self._bounded_quadratic_pair}
+        problem = problems[ident]()
+        tested = []
+
+        def counted(problem, x, z, tolerance):
+            tested.append(z.shape[1])
+            return kkm_t_membership(problem, x, z, tolerance)
+
+        monkeypatch.setattr(split_module, "kkm_t_membership", counted)
+        res = kkm_intersection_probe(problem, budget, points_per_axis=points_per_axis)
+        members, calls = _kkm_reference.probe_members(problem, budget, points_per_axis)
+        assert list(res.members) == members
+        assert sum(tested) == calls
+        if pairs is not None:
+            assert calls == pairs
