@@ -103,11 +103,12 @@ def load_split_spec(data: dict) -> SplitProblem:
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # a missing file or a directory, say
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -251,7 +252,10 @@ class Report:
         doc = self.to_dict()
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
         if self.args.out:
-            Path(self.args.out).write_text(text + "\n")
+            try:
+                Path(self.args.out).write_text(text + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write {self.args.out}: {exc.strerror}") from None
         if self.args.format == "json":
             print(text)
         else:

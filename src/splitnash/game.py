@@ -163,36 +163,31 @@ def uniform_samples(
     return rng.uniform(lo, hi, size=(samples, len(windows)))
 
 
-def _own_strategy_objective(u: UtilityFn, i: int, profiles: np.ndarray):
-    """maximize_1d's f for utility u of player i against k profile columns.
+def best_response(
+    game: Game, player: str, x: np.ndarray, budget: SearchBudget
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize player's own payoff against the opponents' strategies in x.
 
-    profiles is (n, k); f maps a (k, P) array t to the (k, P) values of u at
-    column r of profiles with coordinate i set to t[r, p]. f keeps one
-    profile buffer per point shape, and its result may be a view of it.
+    x is an (n,) profile or (n, k) profile columns, column r being row r of
+    one maximize_1d call (k = 1 for a profile). Returns the (k,) maximizers
+    and their (k,) values.
     """
+    i = game.player_index(player)
+    u = game.utilities[i]
+    x = np.asarray(x, dtype=float)
+    cols = x[:, None] if x.ndim == 1 else x
     buffers: dict[tuple[int, ...], np.ndarray] = {}
 
     def f(t: np.ndarray):
+        # u at column r of cols with coordinate i set to t[r, p], through one
+        # profile buffer per point shape; u's result may be a view of it
         buf = buffers.get(t.shape)
         if buf is None:
-            buf = buffers[t.shape] = np.repeat(profiles[:, :, None], t.shape[1], axis=2)
+            buf = buffers[t.shape] = np.repeat(cols[:, :, None], t.shape[1], axis=2)
         buf[i] = t
         return u(buf)
 
-    return f
-
-
-def best_response(
-    game: Game, player: str, x: np.ndarray, budget: SearchBudget
-) -> tuple[np.ndarray, float]:
-    """Maximize player's own payoff against the opponents' strategies in x.
-
-    Returns the maximizer as a length-1 array and the maximal value.
-    """
-    i = game.player_index(player)
-    f = _own_strategy_objective(game.utilities[i], i, np.asarray(x, dtype=float)[:, None])
-    arg, val = maximize_1d(f, game.strategy_sets[i], budget)
-    return arg, float(val[0])
+    return maximize_1d(f, game.strategy_sets[i], budget, cols.shape[1])
 
 
 def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> VerificationReport:
@@ -207,10 +202,10 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
         if not np.isfinite(current):
             raise EvaluatorError(f"non-finite payoff {current!r} of player {p!r} at {x.tolist()}")
         arg, val = best_response(game, p, x, budget)
-        eps = max(val - current, 0.0)
+        eps = max(float(val[0]) - current, 0.0)
         regrets.append(eps)
         if eps > budget.tolerance:
-            witnesses[p] = Witness(tuple(float(a) for a in arg), float(val))
+            witnesses[p] = Witness((float(arg[0]),), float(val[0]))
     verdict = max(regrets) <= budget.tolerance
     return VerificationReport(
         verdict=verdict,
@@ -240,10 +235,11 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     """Multistart damped simultaneous best-response iteration.
 
     Runs from N_STARTS seeded random feasible starts in lockstep: each
-    iteration makes one maximize_1d call per player, one row per start
-    still moving, and a start drops out once its change is below tolerance.
-    Unbounded strategy sets are searched only up to the truncation cap,
-    which keeps divergent dynamics bounded. Fixed points are deduplicated
+    iteration makes one best_response call per player, on the game truncated
+    to the windows the starts are drawn in, with one column per start still
+    moving; a start drops out once its change is below tolerance. Unbounded
+    strategy sets are thus searched only up to the truncation cap, which
+    keeps divergent dynamics bounded. Fixed points are deduplicated
     relative to their scale (see _distinct), and only profiles that pass
     verify_nash are returned. May return an empty list; emptiness is a
     finding.
@@ -252,15 +248,15 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     # zoomed rescans keep best responses accurate, so the iteration phase
     # can scan coarsely; verification uses the full budget
     iter_budget = replace(budget, grid_step=budget.grid_step * 16)
-    windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
+    windows = tuple(iv.truncated(budget.truncation_cap) for iv in game.strategy_sets)
+    truncated = replace(game, strategy_sets=windows)
     x = uniform_samples(rng, N_STARTS, windows).T
     moving = np.arange(N_STARTS)
     for _ in range(budget.max_iterations):
         cur = x[:, moving]
         br = np.empty_like(cur)
-        for i, u in enumerate(game.utilities):
-            f = _own_strategy_objective(u, i, cur)
-            br[i], _ = maximize_1d(f, windows[i], iter_budget, moving.size)
+        for i, p in enumerate(game.players):
+            br[i], _ = best_response(truncated, p, cur, iter_budget)
         nxt = cur + DAMPING * (br - cur)
         change = np.max(np.abs(nxt - cur), axis=0)
         x[:, moving] = nxt

@@ -131,10 +131,7 @@ def maximize_1d(
         raise ValueError(f"k must be at least 1, got {k}")
     lo = interval.lo
     hi = interval.hi if interval.bounded else _expand_cap(f, lo, k, budget)
-    if hi <= lo:
-        x = np.full(k, lo)
-        return x, _values(f, x[:, None])[:, 0].copy()
-
+    # a degenerate interval scans one cell [lo, lo], whose bracket has width 0
     cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / budget.grid_step)))
     # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
     xs = np.arange(cells + 1.0)
@@ -142,40 +139,25 @@ def maximize_1d(
     xs += lo
     xs[-1] = hi
     # one row needs no broadcast, whose call costs a few percent of a k = 1 call
-    grid = xs[None, :] if k == 1 else np.broadcast_to(xs, (k, xs.size))
-    vs = _values(f, grid)
+    pts = xs[None, :] if k == 1 else np.broadcast_to(xs, (k, xs.size))
 
-    # Row r's rescan is left[r] + i * step[r] for i < _ZOOM_POINTS - 1, then
-    # right[r]: the points of np.linspace(left[r], right[r], _ZOOM_POINTS).
-    # A row finished by the scan rescans its maximizer alone (step 0), and a
-    # row finished by a rescan repeats that rescan: f sees no new point of a
-    # finished row, and nothing of it is read. The bookkeeping is per row in
-    # Python: k is small, and a numpy call on k values costs as much as a
-    # Python loop over them.
+    # Pass 0 is the scan; pass p > 0 rescans row r at left[r] + i * step[r]
+    # for i < _ZOOM_POINTS - 1, then right[r]: the points of
+    # np.linspace(left[r], right[r], _ZOOM_POINTS). A row finished by the scan
+    # rescans lo alone (step 0), and a row finished by a rescan repeats that
+    # rescan: f sees no new point of a finished row, and nothing of it is
+    # read. The bookkeeping is per row in Python: k is small, and a numpy call
+    # on k values costs as much as a Python loop over them.
     goal = max(1e-12, budget.tolerance * 1e-4)
-    last = _ZOOM_POINTS - 1
-    left, step, right = np.empty(k), np.empty(k), np.empty(k)
-    x, v, width, active = [], [], [], []
-    # the first maximum: ties go to the smaller x
-    for r, j in enumerate(vs.argmax(axis=1).tolist()):
-        x.append(xs.item(j))
-        v.append(vs.item(r, j))
-        a, b = xs.item(j - 1 if j else 0), xs.item(j + 1 if j < cells else j)
-        width.append(b - a)
-        if b - a > goal:
-            left[r], step[r], right[r] = a, (b - a) / last, b
-            active.append(r)
-        else:
-            left[r], step[r], right[r] = x[r], 0.0, x[r]
+    left, step, right = np.full(k, lo), np.zeros(k), np.full(k, lo)
     step_col, left_col = step[:, None], left[:, None]
-    for _ in range(budget.max_iterations):
-        if not active:
-            break
-        pts = _ZOOM_STEPS * step_col
-        pts += left_col
-        pts[:, -1] = right
+    x, v, width = [lo] * k, [-math.inf] * k, [math.inf] * k
+    active = range(k)
+    for _ in range(budget.max_iterations + 1):
         vals = _values(f, pts)
+        # the first maximum: ties go to the smaller x
         best = vals.argmax(axis=1).tolist()
+        last = pts.shape[1] - 1
         still = []
         for r in active:
             j = best[r]
@@ -186,7 +168,12 @@ def maximize_1d(
             # stop below the goal width, or at float resolution, where a
             # rescan no longer narrows the bracket
             if goal < b - a < width[r]:
-                left[r], step[r], right[r], width[r] = a, (b - a) / last, b, b - a
+                left[r], step[r], right[r], width[r] = a, (b - a) / (_ZOOM_POINTS - 1), b, b - a
                 still.append(r)
         active = still
+        if not active:
+            break
+        pts = _ZOOM_STEPS * step_col
+        pts += left_col
+        pts[:, -1] = right
     return np.array(x), np.array(v)

@@ -77,21 +77,12 @@ def example_4_1() -> NamedInstance:
 # --- quadratic sanity family -------------------------------------------------
 
 
-def _quadratic_utility(i: int, target: float):
-    def u(x: np.ndarray) -> float:
-        d = x[i] - target
-        return -d * d
-
-    return u
-
-
 def quadratic_game(targets: Sequence[float], hi: float) -> Game:
     """Dominant-strategy game: player i maximizes -(x_i - a_i)^2 on [0, hi]."""
-    targets = tuple(float(t) for t in targets)
     players = tuple(f"p{i + 1}" for i in range(len(targets)))
-    intervals = tuple(Interval(0.0, hi) for _ in targets)
-    utils = tuple(_quadratic_utility(i, t) for i, t in enumerate(targets))
-    return Game(players, intervals, utils)
+    # the outer parentheses negate the square: unary minus binds tighter than ^
+    sources = tuple(f"-(({p} - {float(a)!r})^2)" for p, a in zip(players, targets))
+    return Game.from_expressions(players, tuple(Interval(0.0, hi) for _ in targets), sources)
 
 
 def quadratic_split_instance(

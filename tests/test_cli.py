@@ -170,6 +170,35 @@ class TestExitCodes:
         assert captured.err == f"error: '{target}' is not a builtin duopoly instance\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/report.json", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_an_unwritable_out_path_is_an_input_error(self, capsys, tmp_path, where, reason):
+        out = tmp_path / where
+        argv = ["verify-nash", "example-4.1:E2", "--profile", "9,12", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("spec-dir", "Is a directory"),
+            ("binary.json", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("missing.json", "No such file or directory"),
+        ],
+    )
+    def test_an_unreadable_spec_is_an_input_error(self, capsys, tmp_path, name, reason):
+        (tmp_path / "spec-dir").mkdir()
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+        spec, out = tmp_path / name, tmp_path / "report.json"
+        assert main(["verify-nash", str(spec), "--profile", "1", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot read {spec}: {reason}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_a_leading_minus_needs_the_equals_form(self, capsys):
         # "--profile -1,2" reads "-1,2" as an option; "--profile=-1,2" is a profile
         assert main(["verify-nash", "example-4.1:E2", "--profile", "-1,2"]) == EXIT_INPUT

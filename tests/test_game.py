@@ -17,6 +17,7 @@ from splitnash import (
     verify_nash,
 )
 from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
+from splitnash import kernel
 from splitnash.kernel import EvaluatorError, maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
@@ -213,7 +214,7 @@ class TestSolver:
         # grid point ties, and the tie goes to the lower bound
         g = Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
         arg, val = best_response(g, "x", np.array([1.0, 1.0]), budget)
-        assert (arg.tolist(), val) == ([0.0], 3.0)
+        assert (arg.tolist(), val.tolist()) == ([0.0], [3.0])
         sols = solve_nash(g, budget)
         assert [s.tolist() for s in sols] == [[6.074540017332595e-07, 1.9999993036143433]]
 
@@ -227,7 +228,7 @@ class TestSolver:
 
         view, fresh = game("y"), game("y + 0")
         arg, val = best_response(view, "y", np.array([0.5, 0.5]), budget)
-        assert (arg.tolist(), val) == ([2.0], 2.0)
+        assert (arg.tolist(), val.tolist()) == ([2.0], [2.0])
         assert repr(solve_nash(view, budget)) == repr(solve_nash(fresh, budget))
         assert np.allclose(solve_nash(view, budget), [[1.0, 2.0]], atol=1e-5)
 
@@ -239,6 +240,74 @@ class TestSolver:
         assert any(np.allclose(s, 0.0, atol=1e-4) for s in sols)
         for s in sols:
             assert verify_nash(e1_game(), s, bud).verdict
+
+
+# (game, budget, windows the profile columns are drawn in). The rows of one
+# call share the expanded cap, so a column matches its profile call only
+# where both expand the cap alike. From a cap of 1, every row of these E1
+# columns keeps it at 1 for player a and expands it to 4 and 8 for players
+# b and c, and every row of these E2 columns expands it to 16.
+BEST_RESPONSE_CASES = {
+    "E1": (e1_game, SearchBudget(truncation_cap=1.0), [Interval(2.0, 2.5)] * 3),
+    "E2": (e2_game, SearchBudget(truncation_cap=1.0), [Interval(9.0, 15.0), Interval(12.0, 20.0)]),
+    "quadratic": (
+        lambda: quadratic_game((-1.5, 0.0, 1.0 / 3.0), hi=5.0),
+        SearchBudget(),
+        [Interval(0.0, 5.0)] * 3,
+    ),
+    "narrow": (
+        lambda: Game.from_expressions(
+            ("x", "y"),
+            (Interval(0.0, 0.05), Interval(0.01, 0.02)),
+            ("x*(0.5 + y) - 10*x^2", "y*(0.3 - x) - 10*y^2"),
+        ),
+        SearchBudget(),
+        [Interval(0.0, 0.05), Interval(0.01, 0.02)],
+    ),
+}
+
+
+class TestBestResponseColumnsMatchProfileCalls:
+    @pytest.mark.parametrize("ident", sorted(BEST_RESPONSE_CASES))
+    def test_same_bits(self, ident, monkeypatch):
+        caps, expand_cap = [], kernel._expand_cap
+
+        def recording(*args):
+            caps.append(expand_cap(*args))
+            return caps[-1]
+
+        monkeypatch.setattr(kernel, "_expand_cap", recording)
+        make, budget, windows = BEST_RESPONSE_CASES[ident]
+        g = make()
+        cols = uniform_samples(np.random.default_rng(11), 6, windows).T
+        for p in g.players:
+            args, vals = best_response(g, p, cols, budget)
+            assert args.shape == vals.shape == (6,)
+            for s in range(6):
+                arg, val = best_response(g, p, cols[:, s], budget)
+                assert arg.shape == val.shape == (1,)
+                assert arg.tobytes() == args[s:s + 1].tobytes()
+                assert val.tobytes() == vals[s:s + 1].tobytes()
+            assert len(set(caps[-7:])) <= 1, "each row expands the cap like the shared call"
+        assert (max(caps, default=0.0) > budget.truncation_cap) == (ident in ("E1", "E2"))
+
+    def test_solver_best_responses_are_seen_by_a_wrapper(self, monkeypatch):
+        # bench/tracer.py counts a layer by replacing its module attribute
+        import splitnash.game as game_module
+
+        calls = {"best_response": 0, "maximize_1d": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(game_module, name, counting(name, getattr(game_module, name)))
+        solve_nash(e2_game(), SearchBudget())
+        assert calls["best_response"] == calls["maximize_1d"]
 
 
 class TestMembershipAndConcavity:

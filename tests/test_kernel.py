@@ -180,6 +180,21 @@ class TestMaximize1d:
         with pytest.raises(ValueError, match="k must be"):
             maximize_1d(lambda t: t, Interval(0.0, 1.0), SearchBudget(), k=k)
 
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("a", [0.0, 2.5, -7.125, 1e20])
+    def test_a_degenerate_interval_is_evaluated_only_at_its_point(self, a, k):
+        seen = set()
+        slopes = np.arange(1.0, k + 1.0)[:, None]
+
+        def f(t):
+            seen.update(t.ravel().tolist())
+            return slopes * t - 1.0
+
+        xs, vs = maximize_1d(f, Interval(a, a), SearchBudget(), k=k)
+        assert seen == {a}
+        assert xs.tolist() == [a] * k
+        assert vs.tolist() == (slopes[:, 0] * a - 1.0).tolist()
+
     def test_a_scalar_value_fills_every_row(self):
         xs, vs = maximize_1d(lambda t: 3.0, Interval(1.0, 2.0), SearchBudget(), k=4)
         assert xs.tolist() == [1.0] * 4 and vs.tolist() == [3.0] * 4

@@ -11,8 +11,20 @@ from splitnash.models import (
     default_quadratic_sanity,
     example_4_1,
     get_instance,
+    quadratic_game,
     quadratic_split_instance,
 )
+
+
+def reference_quadratic_utility(i, target):
+    """Player i's utility as quadratic_game wrote it by hand before it
+    compiled expressions: the reference for the compiled one."""
+
+    def u(x):
+        d = x[i] - target
+        return -d * d
+
+    return u
 
 
 class TestRegistry:
@@ -69,6 +81,24 @@ class TestQuadraticFamily:
     def test_matrix_shape_validated(self):
         with pytest.raises(ValueError):
             quadratic_split_instance(a=(1.0, 2.0), matrix=np.eye(3), b=(2.0, 1.0))
+
+    @pytest.mark.parametrize("targets", [(-2.5, 0.0, 1.0 / 3.0), (7.0, -1e-3, 0.1)])
+    def test_compiled_utilities_keep_the_hand_written_bits(self, targets):
+        g = quadratic_game(targets, hi=10.0)
+        refs = [reference_quadratic_utility(i, float(a)) for i, a in enumerate(targets)]
+        rng = np.random.default_rng(4)
+        # each target itself and -0.0, where the payoff is a signed zero
+        cols = np.column_stack([
+            rng.uniform(-10.0, 10.0, size=(3, 50)),
+            np.array(targets),
+            np.full(3, -0.0),
+            np.zeros(3),
+        ])
+        for i, (u, ref) in enumerate(zip(g.utilities, refs)):
+            assert np.asarray(u(cols)).tobytes() == np.asarray(ref(cols)).tobytes()
+            for x in cols.T:
+                assert np.float64(u(x)).tobytes() == np.float64(ref(x)).tobytes()
+        assert np.signbit(g.utilities[0](np.array(targets)))
 
     def test_dominant_strategies_verify(self, budget):
         inst = default_quadratic_sanity()
