@@ -76,12 +76,12 @@ def load_game_spec(data: dict) -> Game:
     if not isinstance(sets, list):
         raise InputError("game spec field 'strategy_sets' must be a list")
     intervals = []
-    for s in sets:
-        lo, hi = (s.get("lo"), s.get("hi")) if isinstance(s, dict) else (None, None)
-        if not (_is_number(lo) and (hi is None or _is_number(hi))):
-            raise InputError(f"strategy set {s!r} needs a numeric 'lo' and a numeric or null 'hi'")
-        intervals.append(Interval(float(lo), math.inf if hi is None else float(hi)))
     try:
+        for s in sets:
+            lo, hi = (s.get("lo"), s.get("hi")) if isinstance(s, dict) else (None, None)
+            if not (_is_number(lo) and (hi is None or _is_number(hi))):
+                raise InputError(f"strategy set {s!r} needs a numeric 'lo' and a numeric or null 'hi'")
+            intervals.append(Interval(lo, math.inf if hi is None else hi))
         return Game.from_expressions(players, intervals, utilities)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -520,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args, rep)
             rep.emit()
         return code
-    except (InputError, ValueError, KeyError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

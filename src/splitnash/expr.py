@@ -205,15 +205,17 @@ def _pow(base, exponent: float):
 
 def compile_utility(
     expr: UtilityExpr, var_order: Sequence[str]
-) -> Callable[[np.ndarray], float | np.ndarray]:
-    """Compile an AST to a fast callable over a flat profile vector.
+) -> Callable[[Sequence[float | np.ndarray]], float | np.ndarray]:
+    """Compile an AST to a fast callable over a sequence of coordinates.
 
-    var_order fixes the variable-to-coordinate assignment. Every variable in
-    the expression must appear in var_order. The callable maps an (n,)
-    profile to a float and an (n, ...) array of profiles, coordinate first,
-    to the (...) array of values; a fractional power of a negative base
-    anywhere in it, or an overflowing power of a base without variables,
-    raises EvalError. An expression without variables returns one float.
+    var_order fixes the variable-to-coordinate assignment: the callable reads
+    variable var_order[j] as v[j]. Every variable in the expression must
+    appear in var_order. The coordinates are floats, giving a float, or
+    arrays that broadcast together, giving their broadcast shape: an (n,)
+    profile, (n, S) profile columns, or a list whose entries differ in
+    shape. A fractional power of a negative base anywhere in it, or an
+    overflowing power of a base without variables, raises EvalError. An
+    expression without variables returns one float.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = variables(expr) - set(index)

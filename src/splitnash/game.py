@@ -1,8 +1,8 @@
 """Continuous-strategy noncooperative games, one real strategy per player.
 
 A game holds an ordered player list, one interval strategy set per player,
-and one utility evaluator per player over the full profile vector, whose
-coordinate i is player i's strategy. The module provides the diagonal
+and one utility evaluator per player over the n coordinates of a profile,
+coordinate i being player i's strategy. The module provides the diagonal
 payoff map, the component-wise vector order and gamma membership, the one
 uniform sampler, regret-based Nash verification, best responses, and a
 multistart best-response solver.
@@ -18,12 +18,13 @@ import numpy as np
 from .expr import UtilityExpr, compile_utility, parse_utility, variables
 from .kernel import EvaluatorError, Interval, SearchBudget, maximize_1d
 
-# A utility maps an (n,) profile to a float and an (n, ...) array of profiles,
-# coordinate first, to the (...) array of their values: (n, G) columns give
-# (G,), and the (n, k, P) buffers of maximize_1d's row-batched calls give
-# (k, P). Compiled expressions broadcast this way; a value that does not
-# depend on the profile may come back as one scalar for all of them.
-UtilityFn = Callable[[np.ndarray], float | np.ndarray]
+# A utility maps a sequence of n coordinates, floats or arrays that broadcast
+# together, to player i's payoff, of their broadcast shape: an (n,) profile
+# gives a float, (n, S) columns give (S,), and best_response's (k, 1)
+# opponents with (k, P) candidates give (k, P). A deviation replaces one entry
+# of the sequence. Compiled expressions read coordinate j as v[j]; a value
+# that does not depend on the profile may come back as one scalar for all.
+UtilityFn = Callable[[Sequence[float | np.ndarray]], float | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,10 @@ class Game:
 
     Player order is fixed and shared by all profile and utility indexing:
     coordinate i of a profile is player i's strategy, and ``utilities[i]``
-    maps the full profile vector to player i's payoff. Each utility also
-    takes an (n, ...) array of profiles and returns their payoffs (see
-    ``UtilityFn``); best responses evaluate their candidates that way.
+    maps the n coordinates of a profile to player i's payoff. A utility reads
+    coordinate j as ``v[j]`` of the sequence it is given, whose entries may be
+    arrays that broadcast together (see ``UtilityFn``): a deviation replaces
+    one entry, and best responses pass their candidates that way.
     """
 
     players: tuple[str, ...]
@@ -133,18 +135,21 @@ def order_leq(u: np.ndarray, v: np.ndarray) -> bool | np.ndarray:
 def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vector whose i-th entry is f_i at (z_i, x elsewhere).
 
-    z and x are (n,) profiles, giving an (n,) vector, or (n, S) arrays of S
-    profile columns, giving an (n, S) array whose column s belongs to column
-    s of z and x; an (n,) z against (n, S) columns x deviates every column
-    to the same z. A utility that returns one scalar fills its whole row.
+    z and x are (n,) profiles, giving an (n,) vector, or (n, ...) arrays
+    whose coordinates broadcast together, giving n rows of their broadcast
+    shape: (n, S) columns give (n, S), column s belonging to column s of z
+    and x; an (n,) z deviates every column of an (n, S) x to the same z, and
+    an (n, R, S) stack of R deviations against (n, S) columns gives
+    (n, R, S). A utility that returns one scalar fills its whole row.
     """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    for i in range(game.n_players):
-        mixed = x.copy()
-        mixed[i] = z[i]
-        out[i] = game.utilities[i](mixed)
+    v = list(x)
+    out = np.empty((len(v),) + np.broadcast(z[0], v[0]).shape)
+    for i, u in enumerate(game.utilities):
+        v[i] = z[i]
+        out[i] = u(v)
+        v[i] = x[i]
     return out
 
 
@@ -169,25 +174,18 @@ def best_response(
     """Maximize player's own payoff against the opponents' strategies in x.
 
     x is an (n,) profile or (n, k) profile columns, column r being row r of
-    one maximize_1d call (k = 1 for a profile). Returns the (k,) maximizers
-    and their (k,) values.
+    one maximize_1d call (k = 1 for a profile). The utility sees the
+    opponents as (k, 1) columns and the candidates as (k, P). Returns the
+    (k,) maximizers and their (k,) values.
     """
     i = game.player_index(player)
-    u = game.utilities[i]
-    x = np.asarray(x, dtype=float)
-    cols = x[:, None] if x.ndim == 1 else x
-    buffers: dict[tuple[int, ...], np.ndarray] = {}
+    v = list(np.asarray(x, dtype=float).reshape(game.n_players, -1, 1))
 
     def f(t: np.ndarray):
-        # u at column r of cols with coordinate i set to t[r, p], through one
-        # profile buffer per point shape; u's result may be a view of it
-        buf = buffers.get(t.shape)
-        if buf is None:
-            buf = buffers[t.shape] = np.repeat(cols[:, :, None], t.shape[1], axis=2)
-        buf[i] = t
-        return u(buf)
+        v[i] = t
+        return game.utilities[i](v)
 
-    return maximize_1d(f, game.strategy_sets[i], budget, cols.shape[1])
+    return maximize_1d(f, game.strategy_sets[i], budget, len(v[0]))
 
 
 def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> VerificationReport:

@@ -30,7 +30,7 @@ class Interval:
         object.__setattr__(self, "hi", float(self.hi))
         if not math.isfinite(self.lo):
             raise ValueError("interval lower bound must be finite")
-        if self.hi < self.lo:
+        if not self.hi >= self.lo:  # a NaN hi fails too: [lo, nan] holds no point
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @property

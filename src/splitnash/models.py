@@ -80,25 +80,25 @@ def example_4_1() -> NamedInstance:
 def quadratic_game(targets: Sequence[float], hi: float) -> Game:
     """Dominant-strategy game: player i maximizes -(x_i - a_i)^2 on [0, hi]."""
     players = tuple(f"p{i + 1}" for i in range(len(targets)))
+    for p, a in zip(players, targets):
+        if not np.isfinite(a):
+            raise ValueError(f"target of player {p!r} must be finite, got {float(a)!r}")
     # the outer parentheses negate the square: unary minus binds tighter than ^
     sources = tuple(f"-(({p} - {float(a)!r})^2)" for p, a in zip(players, targets))
     return Game.from_expressions(players, tuple(Interval(0.0, hi) for _ in targets), sources)
 
 
-def quadratic_split_instance(
-    a: Sequence[float], matrix, b: Sequence[float], identifier: str = "quadratic-sanity"
-) -> NamedInstance:
+def quadratic_split_instance(a: Sequence[float], matrix, b: Sequence[float]) -> NamedInstance:
     """Analytic sanity family: x_hat = a is a split equilibrium iff matrix @ a = b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m = np.asarray(matrix, dtype=float)
     hi = 10.0 * max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
     problem = SplitProblem(
         game_n=quadratic_game(a, hi),
         game_m=quadratic_game(b, hi),
-        operator=LinearOperator(m),
+        operator=LinearOperator(matrix),
     )
-    return NamedInstance(identifier, problem)
+    return NamedInstance("quadratic-sanity", problem)
 
 
 def default_quadratic_sanity() -> NamedInstance:
@@ -110,10 +110,9 @@ def default_quadratic_sanity() -> NamedInstance:
 # --- duopoly instances -------------------------------------------------------
 
 
-def bertrand_instance(
-    c1: float, c2: float, d0: float = 10.0, a: float = 1.0, b: float = 1.0
-) -> NamedInstance:
-    model = BertrandModel(c1=c1, c2=c2, demand=linear_demand(d0, a, b))
+def bertrand_instance(c1: float, c2: float) -> NamedInstance:
+    """Unit costs c1 and c2 under the demand max(0, 10 - p1 - p2)."""
+    model = BertrandModel(c1=c1, c2=c2, demand=linear_demand())
     return NamedInstance(f"bertrand-{c1:g}-{c2:g}", model)
 
 

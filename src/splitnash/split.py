@@ -266,12 +266,12 @@ def cdp_sample_check(
     draw = uniform_samples(rng, samples, windows * 2 + [Interval(0.0, 1.0)])
     u, v, lam = draw[:, :n].T, draw[:, n : 2 * n].T, draw[:, 2 * n]
     w = lam * u + (1 - lam) * v
-    # one evaluation per utility and game: deviations to u, to v, and w itself
-    z = np.concatenate([u, v, w], axis=1)
-    fu, fv, fw = np.split(diagonal_payoff(gn, z, np.tile(w, 3)), 3, axis=1)
-    az = apply_operator(problem.operator, z)
-    aw = az[:, 2 * samples :]
-    gu, gv, gw = np.split(diagonal_payoff(gm, az, np.tile(aw, 3)), 3, axis=1)
+    # one evaluation per utility and game: an (n, 3, S) stack of deviations
+    # to u, to v, and w itself, against w
+    z = np.stack([u, v, w], axis=1)
+    fu, fv, fw = diagonal_payoff(gn, z, w).swapaxes(0, 1)
+    az = apply_operator(problem.operator, z.reshape(n, -1)).reshape(-1, 3, samples)
+    gu, gv, gw = diagonal_payoff(gm, az, az[:, 2]).swapaxes(0, 1)
 
     n_u = order_leq(fu, fw + tolerance)
     n_v = order_leq(fv, fw + tolerance)

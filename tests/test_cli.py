@@ -397,6 +397,25 @@ class TestFileInputs:
         code, _ = run(capsys, "verify-split", str(path), "--profile", "0.5")
         assert code == EXIT_INPUT
 
+    def test_a_nan_upper_bound_is_an_input_error(self, capsys, tmp_path):
+        # Python's json reads and writes NaN, which strict JSON does not have
+        spec = {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": float("nan")}], "utilities": ["p"]}
+        path, out = tmp_path / "nan.json", tmp_path / "report.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve-nash", str(path), "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: empty interval [0.0, nan]\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_an_internal_key_error_is_not_an_input_error(self, monkeypatch):
+        # no input reaches main as a KeyError, so one is a fault to propagate
+        def broken(args, rep):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(splitnash.cli, "cmd_verify_nash", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["verify-nash", "example-4.1:E2", "--profile", "9,12"])
+
     def test_unbounded_interval_spelled_as_null(self, capsys, tmp_path):
         spec = {
             "players": ["p"],

@@ -219,8 +219,9 @@ class TestSolver:
         assert [s.tolist() for s in sols] == [[6.074540017332595e-07, 1.9999993036143433]]
 
     def test_a_utility_that_returns_a_view_of_its_input(self, budget):
-        # "y" compiles to a view of the profile buffer that the next candidate
-        # overwrites; "y + 0" computes the same values into a fresh array
+        # "y" compiles to y's coordinate itself, which for y's best response
+        # is maximize_1d's own array of candidates; "y + 0" computes the same
+        # values into a fresh array
         def game(u_y):
             return Game.from_expressions(
                 ("x", "y"), (Interval(0, 2), Interval(0, 2)), ("x*(y - x)", u_y)
@@ -308,6 +309,60 @@ class TestBestResponseColumnsMatchProfileCalls:
             monkeypatch.setattr(game_module, name, counting(name, getattr(game_module, name)))
         solve_nash(e2_game(), SearchBudget())
         assert calls["best_response"] == calls["maximize_1d"]
+
+
+class TestUtilitiesTakeCoordinates:
+    """A utility reads coordinate j as v[j] of a sequence whose entries
+    broadcast together, and a deviation replaces one entry: best_response
+    passes (k, 1) opponents with (k, P) candidates, and diagonal_payoff
+    deviates a stack of profiles against shared columns."""
+
+    def test_an_opponent_only_utility_broadcasts_over_the_candidates(self, budget):
+        # x's utility "y" gives one (k, 1) value per column for all candidates,
+        # which all tie, so x's best response is its lower bound
+        g = Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("y", "x*y"))
+        cols = uniform_samples(np.random.default_rng(3), 3, g.strategy_sets).T
+        args, vals = best_response(g, "x", cols, budget)
+        for s in range(3):
+            arg, val = best_response(g, "x", cols[:, s], budget)
+            assert arg.tobytes() == args[s : s + 1].tobytes()
+            assert val.tobytes() == vals[s : s + 1].tobytes()
+        assert args.tolist() == [0.0] * 3 and vals.tolist() == cols[1].tolist()
+
+    @pytest.mark.parametrize("ident", ["example-4.1:E1", "example-4.1:E2", "quadratic-3"])
+    def test_a_stack_of_deviations_equals_one_call_per_deviation(self, ident):
+        g = CONCAVITY_GAMES[ident]()
+        windows = [iv.truncated(20.0) for iv in g.strategy_sets]
+        rng = np.random.default_rng(5)
+        z = np.stack([uniform_samples(rng, 40, windows).T for _ in range(3)], axis=1)
+        x = uniform_samples(rng, 40, windows).T
+        got = diagonal_payoff(g, z, x)
+        assert got.shape == (g.n_players, 3, 40)
+        for r in range(3):
+            assert got[:, r].tobytes() == diagonal_payoff(g, z[:, r], x).tobytes()
+
+    def test_best_response_passes_opponent_columns_and_candidates(self):
+        seen = []
+
+        def recording(u):
+            def wrapped(v):
+                seen.append((getattr(v, "shape", None), [np.shape(c) for c in v]))
+                return u(v)
+
+            return wrapped
+
+        g = e1_game()
+        g = replace(g, utilities=tuple(recording(u) for u in g.utilities))
+        cols = uniform_samples(np.random.default_rng(2), 4, [Interval(1.0, 3.0)] * 3).T
+        for i, p in enumerate(g.players):
+            seen.clear()
+            best_response(g, p, cols, SearchBudget(truncation_cap=8.0))
+            assert len(seen) > 2
+            for whole, shapes in seen:
+                assert whole is None or len(whole) < 3, "no (n, k, P) profile array"
+                assert all(s == (4, 1) for j, s in enumerate(shapes) if j != i)
+                assert shapes[i][0] == 4
+            assert max(shapes[i][1] for _, shapes in seen) > 1
 
 
 class TestMembershipAndConcavity:

@@ -28,6 +28,11 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(-math.inf, 0.0)
 
+    def test_rejects_a_nan_upper_bound(self):
+        # [0, nan] would be neither bounded nor contain any point
+        with pytest.raises(ValueError, match=r"^empty interval \[0.0, nan\]$"):
+            Interval(0, math.nan)
+
     def test_contains_and_slack(self):
         iv = Interval(0.0, 1.0)
         assert iv.contains(0.0) and iv.contains(1.0)

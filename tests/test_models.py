@@ -100,6 +100,11 @@ class TestQuadraticFamily:
                 assert np.float64(u(x)).tobytes() == np.float64(ref(x)).tobytes()
         assert np.signbit(g.utilities[0](np.array(targets)))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_target_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"target of player 'p2' must be finite, got {bad!r}$"):
+            quadratic_game((1.0, bad), 5.0)
+
     def test_dominant_strategies_verify(self, budget):
         inst = default_quadratic_sanity()
         assert verify_nash(inst.problem.game_n, np.array([1.0, 2.0]), budget).verdict
