@@ -348,9 +348,8 @@ def _audit_example_4_1(args, rep: Report) -> int:
     problem: SplitProblem = inst.problem
     tol = rep.budget.tolerance
     x = np.array([1.0, 2.0, 4.0])
-    image = problem.image(x)
-    regrets_n = verify_nash(problem.game_n, x, rep.budget).regrets
-    regrets_m = verify_nash(problem.game_m, image, rep.budget).regrets
+    vr = verify_split_equilibrium(problem, x, rep.budget)
+    image, regrets_n, regrets_m = vr.image_profile, vr.report_n.regrets, vr.report_m.regrets
     c_expected = 3.0 - 2.0 * math.sqrt(2.0)
 
     results = {

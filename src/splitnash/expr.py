@@ -22,15 +22,13 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .kernel import EvalError
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
         self.position = position
-
-
-class EvalError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def compile_utility(
     index = {name: i for i, name in enumerate(var_order)}
     missing = variables(expr) - set(index)
     if missing:
-        raise EvalError(f"undeclared variables: {sorted(missing)}")
+        raise EvalError(f"undeclared variables {sorted(missing)}")
 
     def leaf(e):
         return repr(e.value) if isinstance(e, Const) else f"v[{index[e.name]}]"

@@ -15,8 +15,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expr import UtilityExpr, compile_utility, parse_utility, variables
-from .kernel import EvaluatorError, Interval, SearchBudget, maximize_1d
+from .expr import UtilityExpr, compile_utility, parse_utility
+from .kernel import EvalError, Interval, SearchBudget, maximize_1d
 
 # A utility maps a sequence of n coordinates, floats or arrays that broadcast
 # together, to player i's payoff, of their broadcast shape: an (n,) profile
@@ -69,15 +69,15 @@ class Game:
         exprs = tuple(
             parse_utility(s) if isinstance(s, str) else s for s in sources
         )
-        declared = set(var_names)
-        for p, e in zip(players, exprs):
-            undeclared = variables(e) - declared
-            if undeclared:
-                raise ValueError(
-                    f"utility of player {p!r} uses undeclared variables {sorted(undeclared)}"
-                )
-        fns = tuple(compile_utility(e, var_names) for e in exprs)
-        return Game(tuple(players), tuple(intervals), fns)
+        fns = []
+        for i, e in enumerate(exprs):
+            try:
+                fns.append(compile_utility(e, var_names))
+            except EvalError as exc:  # undeclared variables, its one compile-time error
+                # a utility past the last player is named by its index; Game rejects it
+                who = players[i] if i < len(players) else i
+                raise ValueError(f"utility of player {who!r} uses {exc}") from None
+        return Game(tuple(players), tuple(intervals), tuple(fns))
 
     @property
     def n_players(self) -> int:
@@ -95,16 +95,14 @@ class Game:
             return False
         return all(iv.contains(v, slack) for iv, v in zip(self.strategy_sets, x))
 
-    def payoff(self, i: int, x: np.ndarray) -> float:
-        return float(self.utilities[i](np.asarray(x, dtype=float)))
-
     def payoff_vector(self, x: np.ndarray) -> np.ndarray:
-        """Every player's payoff: (n,) profile -> (n,), (n, S) columns -> (n, S)."""
+        """Every player's payoff: (n,) profile -> (n,), (n, S) columns -> (n, S).
+        A non-finite payoff raises EvalError, as in diagonal_payoff."""
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         for i, u in enumerate(self.utilities):
             out[i] = u(x)  # a scalar for all S columns fills its row
-        return out
+        return _finite(self, out, x, x)
 
 
 class Witness(NamedTuple):
@@ -126,10 +124,25 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
+def _finite(game: Game, out: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out, whose row i holds f_i at (z_i, x elsewhere); EvalError names its
+    first non-finite payoff, that payoff's player and its profile."""
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
+        i, *at = np.unravel_index(finite.argmin(), finite.shape)
+        v = list(x)
+        v[i] = z[i]
+        profile = [float(np.broadcast_to(c, out.shape[1:])[tuple(at)]) for c in v]
+        raise EvalError(
+            f"non-finite payoff {float(out[(i, *at)])!r} of player {game.players[i]!r} at {profile}"
+        )
+    return out
+
+
 def order_leq(u: np.ndarray, v: np.ndarray) -> bool | np.ndarray:
     """Component-wise order along axis 0: one bool for (n,) vectors, the (S,)
     answers of their columns for (n, S) arrays."""
-    return np.all(np.asarray(u) <= np.asarray(v), axis=0)
+    return (np.asarray(u) <= np.asarray(v)).all(axis=0)  # the method skips np.all's wrapper
 
 
 def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,7 +153,8 @@ def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     shape: (n, S) columns give (n, S), column s belonging to column s of z
     and x; an (n,) z deviates every column of an (n, S) x to the same z, and
     an (n, R, S) stack of R deviations against (n, S) columns gives
-    (n, R, S). A utility that returns one scalar fills its whole row.
+    (n, R, S). A utility that returns one scalar fills its whole row. A
+    non-finite payoff raises EvalError naming it, its player and its profile.
     """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -150,7 +164,7 @@ def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         v[i] = z[i]
         out[i] = u(v)
         v[i] = x[i]
-    return out
+    return _finite(game, out, z, x)
 
 
 def uniform_samples(
@@ -193,14 +207,12 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
     x = np.asarray(x, dtype=float)
     if not game.is_feasible(x, slack=1e-12):
         raise ValueError("profile is not feasible for this game")
+    current = game.payoff_vector(x).tolist()
     regrets = []
     witnesses: dict[str, Witness] = {}
     for i, p in enumerate(game.players):
-        current = game.payoff(i, x)
-        if not np.isfinite(current):
-            raise EvaluatorError(f"non-finite payoff {current!r} of player {p!r} at {x.tolist()}")
         arg, val = best_response(game, p, x, budget)
-        eps = max(float(val[0]) - current, 0.0)
+        eps = max(float(val[0]) - current[i], 0.0)
         regrets.append(eps)
         if eps > budget.tolerance:
             witnesses[p] = Witness((float(arg[0]),), float(val[0]))

@@ -14,8 +14,9 @@ from typing import Callable
 import numpy as np
 
 
-class EvaluatorError(ValueError):
-    """A function under optimization returned a non-finite value."""
+class EvalError(ValueError):
+    """A utility cannot be evaluated here: a non-finite value, a fractional
+    power of a negative base, an overflowing power or an undeclared variable."""
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,14 @@ _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 
 def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
     """f at the (k, P) points t as a (k, P) array; it may be a view that f's
-    next call overwrites. EvaluatorError names the first non-finite value."""
+    next call overwrites. EvalError names the first non-finite value."""
     vs = np.asarray(f(t), dtype=float)
     if vs.shape != t.shape:
         vs = np.broadcast_to(vs, t.shape)
     finite = np.isfinite(vs)
     if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
         r, c = np.unravel_index(finite.argmin(), finite.shape)
-        raise EvaluatorError(f"non-finite value {float(vs[r, c])!r} at {float(t[r, c])!r}")
+        raise EvalError(f"non-finite value {float(vs[r, c])!r} at {float(t[r, c])!r}")
     return vs
 
 
@@ -120,7 +121,7 @@ def maximize_1d(
     max(1e-12, tolerance * 1e-4) or a rescan no longer narrows it (float
     resolution), and for at most max_iterations rescans. A row keeps its best
     point so far unless a rescan finds a strictly larger value. A non-finite
-    value raises EvaluatorError at the first such point. On a bounded
+    value raises EvalError at the first such point. On a bounded
     interval, row r's result is the k = 1 result for row r alone, bit for bit.
 
     Unbounded intervals are searched over [lo, lo + cap] after bracket

@@ -257,7 +257,7 @@ def cdp_sample_check(
     (i) the joint disjunction coupling deviation dominance in both games,
     (ii) the per-game vector disjunctions, and (iii) the per-component
     min-dominance property, which is the only one provable from own-strategy
-    concavity alone.
+    concavity alone. A non-finite payoff is no violation, and raises EvalError.
     """
     rng = np.random.default_rng(seed)
     gn, gm = problem.game_n, problem.game_m
@@ -324,8 +324,11 @@ def kkm_intersection_probe(
     the columns z that no earlier x has excluded, so each z meets the x of
     the grid up to the first that excludes it. Each member is cross-checked
     with the split verifier under a regret slack of twice the grid cell
-    diameter. Emptiness is a finding, reported with the grid resolution.
+    diameter. Emptiness is a finding, reported with the grid resolution; a
+    non-finite payoff is none, and raises EvalError.
     """
+    if points_per_axis < 1:
+        raise ValueError(f"points_per_axis must be at least 1, got {points_per_axis}")
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
     axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
     steps = [ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes]

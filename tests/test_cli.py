@@ -134,6 +134,37 @@ class TestExitCodes:
         assert (done.stderr, done.stdout) == (cause + "\n", "")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (
+                ("cdp-check", "--samples", "20"),
+                "error: non-finite payoff nan of player 'x' at [636.9616873214543, 222.49570666462554]",
+            ),
+            (
+                ("kkm-probe", "--points-per-axis", "4"),
+                "error: non-finite payoff nan of player 'x' at [333.3333333333333, 0.0]",
+            ),
+        ],
+    )
+    def test_a_non_finite_payoff_is_no_finding(self, tmp_path, argv, cause):
+        # x^200 overflows on most of [0, 1000], and inf - inf is nan, which
+        # compares false: it read as 20 min-dominance failures and no member
+        box = [{"lo": 0, "hi": 1000}, {"lo": 0, "hi": 1000}]
+        spec = tmp_path / "split.json"
+        spec.write_text(json.dumps({
+            "game_n": {"players": ["x", "y"], "strategy_sets": box,
+                       "utilities": ["x^200*y - x^201", "y - y^2"]},
+            "game_m": {"players": ["x", "y"], "strategy_sets": box,
+                       "utilities": ["x - x^2", "y - y^2"]},
+            "matrix": [[1, 0], [0, 1]],
+        }))
+        out = tmp_path / "report.json"
+        done = _python("-m", "splitnash.cli", argv[0], str(spec), *argv[1:], "--out", str(out))
+        assert done.returncode == EXIT_INPUT
+        assert (done.stderr, done.stdout) == (cause + "\n", "")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [("verify-nash", "--profile", "1"), ("solve-nash",)])
     def test_overflowing_power_of_a_constant_is_an_input_error(self, capsys, tmp_path, argv):
         # 1e300^2 has no variable, so it is a float power, which raises on overflow

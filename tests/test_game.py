@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import splitnash
 from splitnash import (
     Game,
     Interval,
@@ -18,7 +19,7 @@ from splitnash import (
 )
 from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
 from splitnash import kernel
-from splitnash.kernel import EvaluatorError, maximize_1d
+from splitnash.kernel import EvalError, maximize_1d
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
 import _kkm_reference
@@ -45,13 +46,26 @@ class TestConstruction:
         g = Game.from_expressions(
             players=("x", "y"), intervals=(Interval(0, 1), Interval(0, 1)), sources=("x*y", "y")
         )
-        assert g.payoff(0, np.array([0.5, 0.5])) == 0.25
+        assert g.payoff_vector(np.array([0.5, 0.5]))[0] == 0.25
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
             Game.from_expressions(
                 players=("a",), intervals=(Interval(0, 1),), sources=("a + ghost",)
             )
+
+    def test_undeclared_variable_message_names_the_player(self):
+        with pytest.raises(ValueError) as caught:
+            Game.from_expressions(
+                players=("a", "b"), intervals=(Interval(0, 1),) * 2, sources=("a*b", "a + ghost")
+            )
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "utility of player 'b' uses undeclared variables ['ghost']"
+
+    def test_a_utility_past_the_last_player_is_named_by_its_index(self):
+        # a spec may list more utilities than players; Game would reject it
+        with pytest.raises(ValueError, match=r"^utility of player 1 uses undeclared variables \['ghost'\]$"):
+            Game.from_expressions(players=("a",), intervals=(Interval(0, 1),), sources=("a", "ghost"))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -99,8 +113,8 @@ class TestDiagonalPayoff:
         x = np.array([1.0, 2.0, 4.0])
         z = np.array([2.0, 2.0, 4.0])
         d = diagonal_payoff(g, z, x)
-        assert d[0] == g.payoff(0, np.array([2.0, 2.0, 4.0]))
-        assert d[1] == g.payoff(1, np.array([1.0, 2.0, 4.0]))
+        assert d[0] == g.payoff_vector(np.array([2.0, 2.0, 4.0]))[0]
+        assert d[1] == g.payoff_vector(np.array([1.0, 2.0, 4.0]))[1]
 
 
     def test_profile_columns_give_one_column_per_profile(self, rng):
@@ -125,6 +139,42 @@ class TestDiagonalPayoff:
 def constant_utility_game() -> Game:
     # player x's utility ignores the profile: compiled, it returns one float
     return Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
+
+
+class TestNonFinitePayoffsRaise:
+    """Both profile-payoff evaluators name the first non-finite payoff, its
+    player and the profile it was computed at."""
+
+    @staticmethod
+    def _game() -> Game:
+        # player a's payoff is +inf where a > 1, player b's is nan where b > 6
+        return Game(
+            ("a", "b"),
+            (Interval(0, 10), Interval(0, 10)),
+            (lambda v: np.where(v[0] > 1, np.inf, v[0]), lambda v: np.where(v[1] > 6, np.nan, v[1])),
+        )
+
+    def test_payoff_vector_names_the_column(self):
+        x = np.array([[0.0, 0.5, 3.0], [5.0, 7.0, 2.0]])
+        with pytest.raises(EvalError, match=r"^non-finite payoff inf of player 'a' at \[3.0, 2.0\]$"):
+            self._game().payoff_vector(x)
+
+    def test_diagonal_payoff_names_the_deviation(self):
+        x = np.array([[0.0, 0.5], [5.0, 6.0]])
+        z = np.array([[0.0, 1.0], [5.0, 8.0]])
+        with pytest.raises(EvalError, match=r"^non-finite payoff nan of player 'b' at \[0.5, 8.0\]$"):
+            diagonal_payoff(self._game(), z, x)
+
+    def test_finite_payoffs_pass(self):
+        x = np.array([[0.0, 0.5], [5.0, 6.0]])
+        assert self._game().payoff_vector(x).tolist() == [[0.0, 0.5], [5.0, 6.0]]
+
+
+def test_one_evaluation_error_under_every_name():
+    # so the NaN objective of test_kernel.py, the negative base of test_expr.py
+    # and the -inf payoff of TestRegretsAndVerification raise splitnash.EvalError
+    assert splitnash.EvalError is splitnash.expr.EvalError is kernel.EvalError
+    assert issubclass(splitnash.EvalError, ValueError)
 
 
 class TestRecordedValues:
@@ -186,7 +236,7 @@ class TestRegretsAndVerification:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_current_payoff_raises(self, budget):
         # player d's utility 0.5*s*t - s^2/3 overflows to -inf at s = 1e308
-        with pytest.raises(EvaluatorError, match=r"payoff -inf of player 'd' at \[1e\+308, 1.0\]"):
+        with pytest.raises(EvalError, match=r"payoff -inf of player 'd' at \[1e\+308, 1.0\]"):
             verify_nash(e2_game(), np.array([1e308, 1.0]), budget)
 
     def test_infeasible_profile_rejected(self, budget):
@@ -447,8 +497,8 @@ def per_player_concavity_violations(game, samples, seed=0, tolerance=1e-6, cap=1
         for i, p in enumerate(game.players):
             a, b, mid = x.copy(), x.copy(), x.copy()
             a[i], b[i], mid[i] = u[i], v[i], lam * u[i] + (1 - lam) * v[i]
-            rhs = lam * game.payoff(i, a) + (1 - lam) * game.payoff(i, b)
-            if game.payoff(i, mid) < rhs - tolerance:
+            rhs = lam * game.payoff_vector(a)[i] + (1 - lam) * game.payoff_vector(b)[i]
+            if game.payoff_vector(mid)[i] < rhs - tolerance:
                 violations.append((p, (u[i],), (v[i],), float(lam)))
     return tuple(violations)
 

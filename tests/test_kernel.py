@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitnash import kernel
-from splitnash.kernel import EvaluatorError, Interval, SearchBudget, maximize_1d
+from splitnash.kernel import EvalError, Interval, SearchBudget, maximize_1d
 
 
 class TestInterval:
@@ -116,14 +116,14 @@ class TestMaximize1d:
 
     def test_first_non_finite_grid_value_raises(self):
         f = lambda t: np.where(t > 2.505, np.inf, t)
-        with pytest.raises(EvaluatorError, match=r"^non-finite value inf at 2\.51000"):
+        with pytest.raises(EvalError, match=r"^non-finite value inf at 2\.51000"):
             maximize_1d(f, Interval(0.0, 10.0), SearchBudget())
 
     def test_non_finite_value_inside_a_zoom_bracket_raises(self):
         # the scan grid (step 0.01) misses the pole; the first rescan of
         # [2.99, 3.01] (step 7.8e-5) hits it
         f = lambda t: np.where(np.abs(t - 3.003) < 1e-4, np.nan, -(t - 3.0) * (t - 3.0))
-        with pytest.raises(EvaluatorError, match=r"^non-finite value nan at 3\.00296"):
+        with pytest.raises(EvalError, match=r"^non-finite value nan at 3\.00296"):
             maximize_1d(f, Interval(0.0, 10.0), SearchBudget())
 
     @pytest.mark.parametrize("peak", [1e6, 5e6])
@@ -212,7 +212,7 @@ def reference_maximize_1d(f, interval, budget):
     def value(t):
         v = float(f(t))
         if not math.isfinite(v):
-            raise EvaluatorError(f"non-finite value {v!r} at {t!r}")
+            raise EvalError(f"non-finite value {v!r} at {t!r}")
         return v
 
     def first_max(vals):

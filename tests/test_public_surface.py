@@ -63,6 +63,8 @@ def test_test_only_helpers_stay_out():
     removed = ("eval_utility", "pretty", "concavity_sample_check", "nash_regrets", "sales_shares")
     assert [n for n in removed if hasattr(splitnash, n)] == []
     assert not hasattr(splitnash.Game, "random_profile")
+    assert not hasattr(splitnash.Game, "payoff")  # row i of Game.payoff_vector
+    assert not hasattr(splitnash.kernel, "EvaluatorError")  # merged into EvalError
     assert not hasattr(splitnash.VerificationReport, "max_regret")
     assert not hasattr(splitnash.MarkovPriceMatrix, "matrix")
     assert not hasattr(splitnash.NamedInstance, "reference_claims")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from splitnash import (
+    EvalError,
     Game,
     Interval,
     LinearOperator,
@@ -343,6 +344,32 @@ def test_surjectivity_report_matches_its_pinned_digest(ident, seed):
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == PINNED_SURJECTIVITY[ident, seed]
 
 
+def overflowing_split_problem() -> SplitProblem:
+    """x^200 overflows on most of [0, 1000], and inf - inf is nan."""
+    box = (Interval(0, 1000), Interval(0, 1000))
+    return SplitProblem(
+        Game.from_expressions(("x", "y"), box, ("x^200*y - x^201", "y - y^2")),
+        Game.from_expressions(("x", "y"), box, ("x - x^2", "y - y^2")),
+        LinearOperator(np.eye(2)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinitePayoffsAreNoFinding:
+    """A nan payoff compares false, which read as violations and as an empty
+    intersection; it is an evaluation error, as on every other path."""
+
+    def test_cdp(self):
+        with pytest.raises(EvalError, match=r"^non-finite payoff nan of player 'x' at \[636\.96"):
+            cdp_sample_check(overflowing_split_problem(), 20)
+
+    def test_kkm_probe(self, budget):
+        with pytest.raises(
+            EvalError, match=r"^non-finite payoff nan of player 'x' at \[333\.3333333333333, 0\.0\]$"
+        ):
+            kkm_intersection_probe(overflowing_split_problem(), budget, points_per_axis=4)
+
+
 class TestSamplersRejectNoSamples:
     @pytest.mark.parametrize("samples", [0, -1])
     def test_cdp(self, samples):
@@ -388,6 +415,11 @@ class TestIntersectionProbe:
         res = kkm_intersection_probe(self._bounded_quadratic_pair(), budget, points_per_axis=8)
         for m in res.members:
             assert np.linalg.norm(np.array(m) - [1.0, 2.0]) <= 2.0 * res.cell_diameter
+
+    def test_no_grid_point_is_an_error(self, budget):
+        # an empty grid would read as the finding "empty intersection"
+        with pytest.raises(ValueError, match="^points_per_axis must be at least 1, got 0$"):
+            kkm_intersection_probe(default_quadratic_sanity().problem, budget, points_per_axis=0)
 
     @pytest.mark.parametrize("ident", ["example-4.1", "quadratic-sanity", "repeated-e1"])
     def test_membership_columns_match_scalar_calls(self, ident, budget):
