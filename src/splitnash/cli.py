@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -517,7 +518,12 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             rep = Report(args)
             code = args.func(args, rep)
-            rep.emit()
+            try:
+                rep.emit()
+                sys.stdout.flush()  # a reader that left raises here, not at exit
+            except BrokenPipeError:
+                # as Python's docs advise: the flush at exit then writes nowhere
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

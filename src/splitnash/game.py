@@ -190,7 +190,7 @@ def best_response(
     x is an (n,) profile or (n, k) profile columns, column r being row r of
     one maximize_1d call (k = 1 for a profile). The utility sees the
     opponents as (k, 1) columns and the candidates as (k, P). Returns the
-    (k,) maximizers and their (k,) values.
+    (k,) maximizers and their (k,) values; an EvalError names the player.
     """
     i = game.player_index(player)
     v = list(np.asarray(x, dtype=float).reshape(game.n_players, -1, 1))
@@ -199,7 +199,10 @@ def best_response(
         v[i] = t
         return game.utilities[i](v)
 
-    return maximize_1d(f, game.strategy_sets[i], budget, len(v[0]))
+    try:
+        return maximize_1d(f, game.strategy_sets[i], budget, len(v[0]))
+    except EvalError as exc:
+        raise EvalError(f"{exc} in the best response of player {player!r}") from None
 
 
 def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> VerificationReport:

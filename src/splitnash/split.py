@@ -2,13 +2,15 @@
 
 A split problem couples a source game, a target game, and a dense matrix
 mapping source profiles to target profiles. The module verifies and searches
-for split equilibria, checks relatedness and sampled surjectivity of the
-operator, samples the convexity-direction-preserved property, and probes the
-finite-grid intersection of the deviation-dominance map.
+for split equilibria, checks relatedness of the operator and its surjectivity
+on samples (each sample's distance is exact), samples the
+convexity-direction-preserved property, and probes the finite-grid
+intersection of the deviation-dominance map.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -138,33 +140,35 @@ class SurjectivityReport:
 def check_surjectivity(problem: SplitProblem, samples: int, seed: int = 0) -> SurjectivityReport:
     """Sampled surjectivity: can each sampled target profile be reached?
 
-    Each sampled y in the target strategy space (unbounded coordinates
-    truncated at the default budget's cap) is tested by bounded least squares
-    min ||Ax - y|| over the source strategy space; surjective-on-samples iff
-    every residual is within the default budget's tolerance.
+    Each sampled y in the target strategy space gets its exact distance
+    min ||Ax - y|| over the source strategy space, both truncated at the
+    default budget's cap; surjective-on-samples iff every distance is within
+    the default budget's tolerance. Each of the 3^n patterns of free, at-lo
+    and at-hi source coordinates solves least squares on the free columns for
+    every y at once, clipped into the box. Every candidate is feasible, and
+    some optimum has linearly independent free columns, whose pattern returns
+    it, so the smallest residual is the distance. At most 8 source players.
     """
+    a = problem.operator.matrix
+    if a.shape[1] > 8:
+        raise ValueError(f"surjectivity check takes at most 8 source players, got {a.shape[1]}")
     budget = SearchBudget()
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_m.strategy_sets]
-    targets = uniform_samples(np.random.default_rng(seed), samples, windows)
-    # imported here so that loading the package does not pay for scipy.optimize
-    from scipy.optimize import lsq_linear
-
-    src = problem.game_n.strategy_sets
-    lo = np.array([iv.lo for iv in src])
-    hi = np.array([iv.truncated(budget.truncation_cap).hi for iv in src])
-    failures = []
-    max_res = 0.0
-    for y in targets:
-        res = lsq_linear(problem.operator.matrix, y, bounds=(lo, hi), tol=1e-12)
-        residual = float(np.linalg.norm(problem.image(res.x) - y))
-        max_res = max(max_res, residual)
-        if residual > budget.tolerance:
-            failures.append((tuple(float(v) for v in y), residual))
+    y = uniform_samples(np.random.default_rng(seed), samples, windows).T
+    box = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
+    lo, hi = np.array([[iv.lo for iv in box], [iv.hi for iv in box]])[..., None]
+    residuals = np.full(samples, np.inf)
+    for state in itertools.product((0, 1, 2), repeat=len(box)):
+        free = np.equal(state, 0)
+        x = np.where(np.equal(state, 1)[:, None], lo, hi).repeat(samples, axis=1)
+        x[free] = np.linalg.pinv(a[:, free]) @ (y - a[:, ~free] @ x[~free])
+        residuals = np.minimum(residuals, np.linalg.norm(a @ np.clip(x, lo, hi) - y, axis=0))
+    failed = np.flatnonzero(residuals > budget.tolerance)
     return SurjectivityReport(
-        surjective_on_samples=not failures,
+        surjective_on_samples=not failed.size,
         samples=samples,
-        max_residual=max_res,
-        failures=tuple(failures[:20]),
+        max_residual=float(residuals.max()),
+        failures=tuple((tuple(map(float, y[:, s])), float(residuals[s])) for s in failed[:20]),
     )
 
 

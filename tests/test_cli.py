@@ -34,11 +34,15 @@ def run_json(capsys, *argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
+def _child_env() -> dict:
+    """The environment of a child Python that imports the splitnash this test imported."""
+    src = str(Path(splitnash.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(*argv: str) -> subprocess.CompletedProcess:
     """A child Python run on argv that imports the splitnash this test imported."""
-    src = str(Path(splitnash.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=_child_env(), capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +122,7 @@ class TestExitCodes:
         [
             (
                 ("solve-nash", "example-4.1:E2", "--cap", "1e308"),
-                "error: non-finite value nan at 5e+304",
+                "error: non-finite value nan at 5e+304 in the best response of player 'd'",
             ),
             (
                 ("verify-nash", "example-4.1:E2", "--profile", "1e308,1"),
@@ -177,7 +181,9 @@ class TestExitCodes:
         out = tmp_path / "report.json"
         assert main([argv[0], str(spec), *argv[1:], "--out", str(out)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.err == "error: power overflow: 1e+300^2.0\n"
+        # verify-nash first evaluates the current payoff, solve-nash a best response
+        where = " in the best response of player 'x'" if argv[0] == "solve-nash" else ""
+        assert captured.err == f"error: power overflow: 1e+300^2.0{where}\n"
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
@@ -583,8 +589,31 @@ def test_help_text_matches_its_pinned_digest(capsys, monkeypatch, verb):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, PINNED_HELP[verb])
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # only check_surjectivity needs scipy.optimize; every CLI call pays the import
-    probe = "import sys, splitnash.cli; print('scipy.optimize' in sys.modules)"
+def test_the_package_runs_without_scipy():
+    # scipy is a test reference only: the child cannot import any of it
+    probe = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import splitnash, splitnash.cli\n"
+        "from splitnash.models import example_4_1\n"
+        "rep = splitnash.check_surjectivity(example_4_1().problem, 50)\n"
+        "print(rep.surjective_on_samples, len(rep.failures))"
+    )
     out = _python("-c", probe)
-    assert (out.returncode, out.stdout.strip()) == (0, "False")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False 20\n", "")
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
+    # the 2 MB report fills the pipe, so the child is still writing when it closes
+    out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
+    argv = ("bertrand-enumerate", "bertrand-1-2", "--format", "json", "--out", str(out))
+    with err.open("w") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "splitnash.cli", *argv],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=stderr, text=True,
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        code = child.wait(timeout=300)
+    assert (first, code, err.read_text()) == ("{\n", EXIT_OK, "")
+    # --out is written before stdout, so it is complete
+    assert json.loads(out.read_text())["command"] == "bertrand-enumerate"

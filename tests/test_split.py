@@ -324,17 +324,18 @@ class TestBatchedCdpMatchesPerSampleLoop:
         assert repr(got) == repr(reference_cdp_sample_check(problem, 1, 3))
 
 
-# SHA-256 of repr(check_surjectivity(problem, 40, seed)): every sampled
-# target, residual and failure must keep its bits.
+# SHA-256 of repr(check_surjectivity(problem, 40, seed)): every failing
+# target and every residual must keep its bits. A surjective report lists no
+# target, so both quadratic-sanity seeds give one digest.
 PINNED_SURJECTIVITY = {
-    ("example-4.1", 0): "e044ce2497267a592d24ff71c9e7ec87b0acfdf0cc4417a54422bfb1296d95c9",
-    ("example-4.1", 7): "7bf7696fbe4601d5f9ea49fac176264d7df1e9adf32ee576a65a8eb09566240d",
-    ("quadratic-sanity", 0): "a70b30625632751eb48123f9f4e2dda42a7bec0a8ecdd923635b7844c82df2c2",
-    ("quadratic-sanity", 7): "f441207f6806c98f208d11c2f81192ef557c188f691448ff9f655eddb1581f07",
-    ("repeated-e1", 0): "1f06eb8a534c37fa123b6d4b9cb23177a6c211c0cc35b0003c14de9d2f92c7fa",
-    ("repeated-e1", 7): "363e50cb8011f54c1fb6fc083cb949d2e4af4c861b75ea9ab4f7be960366878a",
-    ("repeated-quadratic-3", 0): "6d7c9750e75ccd6e3bb3f3bc69900974d8e04815802d3c6f0b8854f5d0ac1400",
-    ("repeated-quadratic-3", 7): "9ec08d5bfdfec6b1afa98c0da84bc5096252218353e78376887d0cca5d234072",
+    ("example-4.1", 0): "7206718731a0096c84d2998468476eb25d1139cb193e434786f1a3539679dffd",
+    ("example-4.1", 7): "235302b9c1ed773488df3cfc465c0bc05efa9e2e2b0608291f48b881aa8ad216",
+    ("quadratic-sanity", 0): "b8e1ef9330636e068c769675f77a2bdb191ea459f873170bb3f6e57e796f3f83",
+    ("quadratic-sanity", 7): "b8e1ef9330636e068c769675f77a2bdb191ea459f873170bb3f6e57e796f3f83",
+    ("repeated-e1", 0): "8c74d43f0bbd980a05b356e3f43a22841a9111fd5225d02bc985db0a5a4a8f8b",
+    ("repeated-e1", 7): "a1beab1da056bf3bf0546e72face6a996ace9ce5a946dd56293f4b1233f86927",
+    ("repeated-quadratic-3", 0): "747e51e4cee806acbc601c692fdfc527fadfa0bd5f689638b924355acc1c542d",
+    ("repeated-quadratic-3", 7): "f3f21b7be5040973ae00bb0afa9c62c4e9d1932e19c36415182cc197dfa293f7",
 }
 
 
@@ -342,6 +343,75 @@ PINNED_SURJECTIVITY = {
 def test_surjectivity_report_matches_its_pinned_digest(ident, seed):
     rep = check_surjectivity(CDP_PROBLEMS[ident](), 40, seed=seed)
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == PINNED_SURJECTIVITY[ident, seed]
+
+
+def reference_surjectivity(problem: SplitProblem, samples: int, seed: int) -> list:
+    """(target, residual) per sample from one scipy lsq_linear solve each, on
+    the same draw and truncated boxes as check_surjectivity."""
+    lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
+    budget = SearchBudget()
+    windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_m.strategy_sets]
+    box = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
+    bounds = ([iv.lo for iv in box], [iv.hi for iv in box])
+    out = []
+    for y in uniform_samples(np.random.default_rng(seed), samples, windows):
+        res = lsq_linear(problem.operator.matrix, y, bounds=bounds, tol=1e-12)
+        out.append((tuple(map(float, y)), float(np.linalg.norm(problem.image(res.x) - y))))
+    return out
+
+
+def random_box_problem(seed: int) -> SplitProblem:
+    """m, n <= 3 players on random boxes, some unbounded, under a random
+    matrix with zero entries and, for every third seed, a repeated column."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 4, size=2)
+
+    def game(k: int) -> Game:
+        lo = rng.uniform(-5, 5, k)
+        hi = np.where(rng.random(k) < 0.25, np.inf, lo + rng.uniform(0, 10, k))
+        names = tuple(f"p{i}" for i in range(k))
+        return Game.from_expressions(names, tuple(map(Interval, lo, hi)), ("0",) * k)
+
+    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
+    if seed % 3 == 0:
+        a[:, -1] = a[:, 0]
+    return SplitProblem(game(n), game(m), LinearOperator(a))
+
+
+class TestSurjectivityMatchesLsqLinear:
+    """Each sample's distance is exact: no residual above scipy's bounded least
+    squares beyond 1e-9 relative, and the same failing targets."""
+
+    @staticmethod
+    def assert_matches(problem: SplitProblem, samples: int, seed: int):
+        ref = reference_surjectivity(problem, samples, seed)
+        rep = check_surjectivity(problem, samples, seed=seed)
+        failing = [(y, r) for y, r in ref if r > SearchBudget().tolerance]
+        assert (rep.surjective_on_samples, rep.samples) == (not failing, samples)
+        assert [y for y, _ in rep.failures] == [y for y, _ in failing[:20]]
+        for (_, got), (_, want) in zip(rep.failures, failing):
+            assert got <= want + 1e-9 * want
+        worst = max(r for _, r in ref)
+        assert rep.max_residual <= worst + 1e-9 * max(worst, 1.0)
+
+    @pytest.mark.parametrize("ident", sorted(CDP_PROBLEMS))
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_cdp_problems(self, ident, seed):
+        self.assert_matches(CDP_PROBLEMS[ident](), 40, seed)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_boxes(self, seed):
+        self.assert_matches(random_box_problem(seed), 20, seed)
+
+
+def test_surjectivity_rejects_more_than_eight_source_players():
+    problem = SplitProblem(
+        quadratic_game(tuple(range(9)), hi=5.0),
+        quadratic_game((1.0,), hi=50.0),
+        LinearOperator(np.ones((1, 9))),
+    )
+    with pytest.raises(ValueError, match="at most 8 source players, got 9"):
+        check_surjectivity(problem, 10)
 
 
 def overflowing_split_problem() -> SplitProblem:
