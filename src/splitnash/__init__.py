@@ -16,7 +16,6 @@ from .game import (
     VerificationReport,
     best_response,
     diagonal_payoff,
-    gamma_membership,
     order_leq,
     solve_nash,
     verify_nash,

@@ -3,9 +3,9 @@
 A game holds an ordered player list, one interval strategy set per player,
 and one utility evaluator per player over the n coordinates of a profile,
 coordinate i being player i's strategy. The module provides the diagonal
-payoff map, the component-wise vector order and gamma membership, the one
-uniform sampler, regret-based Nash verification, best responses, and a
-multistart best-response solver.
+payoff map, the component-wise vector order, the one uniform sampler,
+regret-based Nash verification, best responses, and a multistart
+best-response solver.
 """
 
 from __future__ import annotations
@@ -96,13 +96,9 @@ class Game:
         return all(iv.contains(v, slack) for iv, v in zip(self.strategy_sets, x))
 
     def payoff_vector(self, x: np.ndarray) -> np.ndarray:
-        """Every player's payoff: (n,) profile -> (n,), (n, S) columns -> (n, S).
-        A non-finite payoff raises EvalError, as in diagonal_payoff."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i, u in enumerate(self.utilities):
-            out[i] = u(x)  # a scalar for all S columns fills its row
-        return _finite(self, out, x, x)
+        """Every player's payoff, diagonal_payoff(self, x, x): (n,) profile ->
+        (n,), (n, S) columns -> (n, S); a non-finite payoff raises EvalError."""
+        return diagonal_payoff(self, x, x)
 
 
 class Witness(NamedTuple):
@@ -278,12 +274,3 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
             break
     found = _distinct([x[:, s].copy() for s in range(N_STARTS)], budget.tolerance)
     return [p for p in found if verify_nash(game, p, budget).verdict]
-
-
-def gamma_membership(
-    game: Game, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
-) -> bool | np.ndarray:
-    """True iff f_i(x_i, z_{-i}) <= f_i(z) + tolerance for every player i; for
-    (n, S) columns z, the (S,) answers of its columns against one (n,) x."""
-    return order_leq(diagonal_payoff(game, x, z), game.payoff_vector(z) + tolerance)
-

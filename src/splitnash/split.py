@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .game import (
     Game,
     VerificationReport,
     diagonal_payoff,
-    gamma_membership,
     order_leq,
     solve_nash,
     uniform_samples,
@@ -300,11 +299,26 @@ def cdp_sample_check(
 def kkm_t_membership(
     problem: SplitProblem, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
 ) -> bool | np.ndarray:
-    """Is (z, Az) dominated by no deviation to x's blocks, in both games? For
-    (n, S) columns z, the (S,) answers of its columns against one (n,) x."""
-    return gamma_membership(problem.game_n, x, z, tolerance) & gamma_membership(
-        problem.game_m, problem.image(x), problem.image(z), tolerance
-    )
+    """Is (z, Az) dominated by no deviation to the blocks of any column of x, in
+    either game? (n, R) x and (n, S) z give (S,) answers. x's columns are walked
+    in order over the columns of z that none before excluded; z's images and
+    payoffs are computed once, after the first x's deviations, as a call per x would."""
+    x = np.asarray(x, dtype=float).reshape(problem.game_n.n_players, -1)
+    cols = np.asarray(z, dtype=float).reshape(problem.game_n.n_players, -1)
+    sides = ((problem.game_n, x, cols), (problem.game_m, problem.image(x), problem.image(cols)))
+    bounds: list[np.ndarray] = []
+    member = np.ones(cols.shape[1], dtype=bool)
+    for r in range(x.shape[1]):
+        kept = True
+        for k, (game, xs, zs) in enumerate(sides):
+            deviated = diagonal_payoff(game, xs[:, r], zs[:, member])
+            if k == len(bounds):  # the first x: after its deviation, as one call per x
+                bounds.append(game.payoff_vector(zs) + tolerance)
+            kept = kept & order_leq(deviated, bounds[k][:, member])
+        member[member] = kept
+        if not member.any():
+            break
+    return member if np.ndim(z) > 1 else member[0]
 
 
 @dataclass(frozen=True)
@@ -324,32 +338,34 @@ def kkm_intersection_probe(
     """Finite-grid probe of the intersection of all deviation-dominance sets.
 
     Returns every grid point z that stays a member against every grid point
-    x, in grid order. x walks the grid in order and is tested only against
-    the columns z that no earlier x has excluded, so each z meets the x of
-    the grid up to the first that excludes it. Each member is cross-checked
-    with the split verifier under a regret slack of twice the grid cell
-    diameter. Emptiness is a finding, reported with the grid resolution; a
-    non-finite payoff is none, and raises EvalError.
+    x, in grid order: each z meets the x of the grid up to the first that
+    excludes it. Each member is cross-checked with the split verifier at the
+    budget: a player passes with no witness or one within an axis step of its
+    coordinate (in game M, the steps' image under |A|): strategy units, not a
+    payoff slack. Emptiness is a finding, reported with the grid
+    resolution; a non-finite payoff is none, and raises EvalError.
     """
     if points_per_axis < 1:
         raise ValueError(f"points_per_axis must be at least 1, got {points_per_axis}")
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
     axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
-    steps = [ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes]
+    steps = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
     cell_diameter = float(math.sqrt(sum(s * s for s in steps)))
     # (n, G) columns in itertools.product order: the last axis varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+    members = grid[:, kkm_t_membership(problem, grid, grid, budget.tolerance)].T
 
-    alive = np.arange(grid.shape[1])
-    for x in grid.T:
-        if not alive.size:
-            break
-        alive = alive[kkm_t_membership(problem, x, grid[:, alive], budget.tolerance)]
-    members = grid[:, alive].T
+    def near(report: VerificationReport, profile: Sequence[float], step: np.ndarray) -> bool:
+        return all(
+            p not in report.witnesses or abs(report.witnesses[p].strategy[0] - c) <= h
+            for p, c, h in zip(report.players, profile, step)
+        )
 
-    slack_budget = replace(budget, tolerance=max(budget.tolerance, 2.0 * cell_diameter))
+    image_steps = np.abs(problem.operator.matrix) @ steps
+    reports = [verify_split_equilibrium(problem, z, budget) for z in members]
     verified = tuple(
-        verify_split_equilibrium(problem, z, slack_budget).verdict for z in members
+        near(r.report_n, z, steps) and near(r.report_m, r.image_profile, image_steps)
+        for z, r in zip(members, reports)
     )
     return KkmProbeResult(
         members=tuple(tuple(float(v) for v in z) for z in members),

@@ -324,6 +324,6 @@ def test_criterion_8_intersection_probe_consistency():
         8,
         nonempty and all_verified and elapsed < 30.0,
         f"{len(res.members)} members on the 8-per-axis grid, all pass split "
-        f"verification at 2x grid-diameter slack ({2 * res.cell_diameter:.3f}), "
+        f"verification with every witness within one grid step, "
         f"{elapsed:.2f}s < 30s",
     )

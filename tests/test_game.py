@@ -12,7 +12,6 @@ from splitnash import (
     SearchBudget,
     best_response,
     diagonal_payoff,
-    gamma_membership,
     order_leq,
     solve_nash,
     verify_nash,
@@ -416,17 +415,6 @@ class TestUtilitiesTakeCoordinates:
 
 
 class TestMembershipAndConcavity:
-    def test_gamma_membership_of_self(self, budget, rng):
-        g = quadratic_game((1.0, 2.0), hi=5.0)
-        for _ in range(50):
-            x = random_profile(g, rng, cap=5.0)
-            assert gamma_membership(g, x, x, budget.tolerance)
-
-    def test_gamma_membership_rejects_dominated_profile(self, budget):
-        g = quadratic_game((1.0,), hi=5.0)
-        # z = 4 is dominated by deviating to x = 1
-        assert not gamma_membership(g, np.array([1.0]), np.array([4.0]), budget.tolerance)
-
     def test_own_concavity_of_builtin_games(self):
         for g in (e1_game(), e2_game(), quadratic_game((1.0, 2.0), hi=5.0)):
             violations = reference_concavity_sample_check(g, samples=200, seed=0)
@@ -534,8 +522,8 @@ class TestDiagonalConcavityMatchesPerPlayerLoop:
 
 
 class TestMembershipColumnsMatchScalarCalls:
-    """order_leq and gamma_membership on (n, S) columns must answer, column by
-    column, what the scalar reference answers for one pair at a time."""
+    """order_leq on (n, S) columns must answer, column by column, what the
+    scalar reference answers for one pair at a time."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_order_leq(self, seed):
@@ -546,24 +534,6 @@ class TestMembershipColumnsMatchScalarCalls:
         assert order_leq(u, v).tolist() == want
         assert [bool(order_leq(u[:, s], v[:, s])) for s in range(200)] == want
         assert any(want) and not all(want)
-
-    @pytest.mark.parametrize("ident", sorted(CONCAVITY_GAMES))
-    def test_gamma_membership(self, ident, budget):
-        g = CONCAVITY_GAMES[ident]()
-        windows = [iv.truncated(20.0) for iv in g.strategy_sets]
-        rng = np.random.default_rng(0)
-        columns = uniform_samples(rng, 200, windows).T
-        answers = []
-        for x in uniform_samples(rng, 5, windows):
-            z = np.concatenate([columns, x[:, None]], axis=1)  # x keeps itself
-            want = [
-                _kkm_reference.gamma_membership(g, x, z[:, s], budget.tolerance)
-                for s in range(z.shape[1])
-            ]
-            assert gamma_membership(g, x, z, budget.tolerance).tolist() == want
-            assert [bool(gamma_membership(g, x, c, budget.tolerance)) for c in z.T] == want
-            answers += want
-        assert any(answers)
 
 
 class TestDistinctFixedPoints:

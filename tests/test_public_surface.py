@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "diagonal_payoff",
     "enumerate_grid_equilibria",
     "example_4_1",
-    "gamma_membership",
     "get_instance",
     "grid_best_response",
     "kkm_intersection_probe",
@@ -60,10 +59,18 @@ def test_public_names_are_pinned():
 
 
 def test_test_only_helpers_stay_out():
-    removed = ("eval_utility", "pretty", "concavity_sample_check", "nash_regrets", "sales_shares")
+    removed = (
+        "eval_utility",
+        "pretty",
+        "concavity_sample_check",
+        "nash_regrets",
+        "sales_shares",
+        "gamma_membership",
+    )
     assert [n for n in removed if hasattr(splitnash, n)] == []
     assert not hasattr(splitnash.Game, "random_profile")
     assert not hasattr(splitnash.Game, "payoff")  # row i of Game.payoff_vector
+    assert not hasattr(splitnash.game, "gamma_membership")  # folded into kkm_t_membership
     assert not hasattr(splitnash.kernel, "EvaluatorError")  # merged into EvalError
     assert not hasattr(splitnash.VerificationReport, "max_regret")
     assert not hasattr(splitnash.MarkovPriceMatrix, "matrix")

@@ -2,6 +2,7 @@
 sampling, and the deviation-dominance intersection probe."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -475,7 +476,7 @@ class TestIntersectionProbe:
             quadratic_game((1.0, 2.0), hi=5.0), quadratic_game((2.0, 1.0), hi=5.0), swap
         )
 
-    def test_probe_members_verify_at_grid_slack(self, budget):
+    def test_probe_members_verify_within_a_grid_step(self, budget):
         res = kkm_intersection_probe(self._bounded_quadratic_pair(), budget, points_per_axis=8)
         assert res.members  # nonempty intersection
         assert all(res.verified)
@@ -527,20 +528,67 @@ class TestIntersectionProbe:
     def test_probe_matches_the_scalar_reference(
         self, monkeypatch, budget, ident, points_per_axis, pairs
     ):
-        """The same members in the same order, from the same (x, z) pairs:
-        the columns the probe tests add up to the reference's calls."""
+        """The same members in the same order, from the same (x, z) pairs: each
+        x deviates the same columns in game N, then in game M, and the columns
+        add up to the reference's calls."""
         problems = {**CDP_PROBLEMS, "bounded-quadratic": self._bounded_quadratic_pair}
         problem = problems[ident]()
         tested = []
 
-        def counted(problem, x, z, tolerance):
-            tested.append(z.shape[1])
-            return kkm_t_membership(problem, x, z, tolerance)
+        def counted(game, z, x):
+            tested.append(x.shape[1])
+            return diagonal_payoff(game, z, x)
 
-        monkeypatch.setattr(split_module, "kkm_t_membership", counted)
+        monkeypatch.setattr(split_module, "diagonal_payoff", counted)
         res = kkm_intersection_probe(problem, budget, points_per_axis=points_per_axis)
         members, calls = _kkm_reference.probe_members(problem, budget, points_per_axis)
         assert list(res.members) == members
-        assert sum(tested) == calls
+        assert tested[::2] == tested[1::2]
+        assert sum(tested[::2]) == calls
         if pairs is not None:
             assert calls == pairs
+
+    @pytest.mark.parametrize("ident", sorted(CDP_PROBLEMS))
+    def test_profiles_answer_as_the_and_of_single_profiles(self, ident, budget):
+        problem = CDP_PROBLEMS[ident]()
+        windows = [iv.truncated(20.0) for iv in problem.game_n.strategy_sets]
+        rng = np.random.default_rng(1)
+        x = uniform_samples(rng, 6, windows).T
+        z = np.concatenate([uniform_samples(rng, 200, windows).T, x[:, :1]], axis=1)
+        single = [kkm_t_membership(problem, c, z, budget.tolerance) for c in x.T]
+        for r in range(1, 7):  # every prefix of x, down to one column
+            want = np.logical_and.reduce(single[:r]).tolist()
+            assert kkm_t_membership(problem, x[:, :r], z, budget.tolerance).tolist() == want
+        assert [bool(kkm_t_membership(problem, x, c, budget.tolerance)) for c in z.T] == want
+        assert single[0].any() and not single[0].all()
+
+    def test_membership_evaluates_the_grid_once_per_game(self, monkeypatch, budget):
+        problem = default_quadratic_sanity().problem
+        evaluated = []
+        payoff_vector = Game.payoff_vector
+
+        def counted(game, x):
+            if np.ndim(x) == 2:
+                evaluated.append((game, np.shape(x)))
+            return payoff_vector(game, x)
+
+        monkeypatch.setattr(Game, "payoff_vector", counted)
+        res = kkm_intersection_probe(problem, budget, points_per_axis=8)
+        assert res.members
+        assert evaluated == [(problem.game_n, (2, 64)), (problem.game_m, (2, 64))]
+
+    @pytest.mark.parametrize("points_per_axis", [8, 16])
+    @pytest.mark.parametrize("factor", [1e3, 1e-3])
+    def test_verdicts_do_not_depend_on_the_payoff_unit(self, budget, factor, points_per_axis):
+        problem = default_quadratic_sanity().problem
+
+        def scaled(game: Game) -> Game:
+            return replace(
+                game, utilities=tuple(lambda v, u=u: factor * u(v) for u in game.utilities)
+            )
+
+        copy = replace(problem, game_n=scaled(problem.game_n), game_m=scaled(problem.game_m))
+        res = kkm_intersection_probe(problem, budget, points_per_axis=points_per_axis)
+        got = kkm_intersection_probe(copy, budget, points_per_axis=points_per_axis)
+        assert res.members and all(res.verified)
+        assert (got.members, got.verified) == (res.members, res.verified)
