@@ -63,8 +63,9 @@ def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if np.any(p1 < 0) or np.any(p2 < 0):
-        raise ValueError("prices must be nonnegative")
+    # on the inputs before broadcasting: O(G) per block of the enumeration
+    if not all(np.all((p >= 0) & (p < math.inf)) for p in (p1, p2)):
+        raise ValueError("prices must be finite and nonnegative")
     c1, c2 = model.c1, model.c2
     d = np.asarray(model.demand(p1, p2), dtype=float)
     pos = d > 0.0
@@ -108,28 +109,35 @@ def tie_price(model: BertrandModel, firm: int, opponent_price: float) -> float:
 
 
 def grid_best_response(
-    model: BertrandModel, firm: int, opponent_price: float, grid: Sequence[float]
-) -> tuple[float, float]:
-    """Exhaustive profit maximization over the grid plus the exact tie price.
+    model: BertrandModel, firm: int, opponent_price: float | np.ndarray, grid: Sequence[float]
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Exhaustive profit maximization over the grid plus the exact tie price;
+    elementwise for an array of opponent prices.
 
     The tie line carries the only positive-profit region near equilibrium and
     would otherwise be missed. Ties in profit break toward the lower price.
+    Opponents go in blocks of rows, each the grid plus its own tie price, so
+    memory is O(G) in the G grid prices.
     """
     if firm not in (1, 2):
         raise ValueError("firm must be 1 or 2")
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    candidates = np.asarray(grid, dtype=float)
-    tie = tie_price(model, firm, opponent_price)
-    if math.isfinite(tie) and tie >= 0:
-        candidates = np.append(candidates, tie)
-    candidates = np.sort(candidates)
-    if firm == 1:
-        u = _shares_and_profits(model, candidates, opponent_price)[3]
-    else:
-        u = _shares_and_profits(model, opponent_price, candidates)[4]
-    best = int(np.argmax(u))  # the first maximum: ties break toward the lower price
-    return float(candidates[best]), float(u[best])
+    g = np.asarray(grid, dtype=float)
+    opp = np.asarray(opponent_price, dtype=float)
+    flat = opp.ravel()
+    price, best = np.empty_like(flat), np.empty_like(flat)
+    for r in range(0, len(flat), _ROW_BLOCK):
+        o = flat[r : r + _ROW_BLOCK, None]
+        cands = np.concatenate([np.broadcast_to(g, (len(o), len(g))), tie_price(model, firm, o)], 1)
+        u = _shares_and_profits(model, *((cands, o) if firm == 1 else (o, cands)))[2 + firm]
+        # the lowest price among the maxima, whose own profit keeps the sign of zero
+        k = np.where(u == u.max(axis=1, keepdims=True), cands, math.inf).argmin(axis=1)
+        rows = np.arange(len(o))
+        price[r : r + _ROW_BLOCK], best[r : r + _ROW_BLOCK] = cands[rows, k], u[rows, k]
+    if opp.ndim == 0:
+        return float(price[0]), float(best[0])
+    return price.reshape(opp.shape), best.reshape(opp.shape)
 
 
 def _price_grid(hi: float, step: float) -> np.ndarray:
@@ -143,7 +151,7 @@ def _price_grid(hi: float, step: float) -> np.ndarray:
     return np.round(np.arange(cells + 1) * step, 9)
 
 
-# rows of the price grid evaluated at once; keeps enumeration memory O(G)
+# rows of the price grid, or opponent prices, evaluated at once; keeps memory O(G)
 _ROW_BLOCK = 32
 
 
@@ -216,21 +224,20 @@ def markov_price_transform(
 
 def is_grid_equilibrium(
     model: BertrandModel,
-    p1: float,
-    p2: float,
+    p1: float | np.ndarray,
+    p2: float | np.ndarray,
     grid_step: float = 1e-2,
     price_range: float | None = None,
     tolerance: float = 1e-6,
-) -> bool:
-    """No tie-augmented grid deviation improves either firm beyond tolerance."""
+) -> bool | np.ndarray:
+    """No tie-augmented grid deviation improves either firm beyond tolerance;
+    elementwise over broadcast price arrays (a bool for scalar prices)."""
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
-    cur1, cur2 = profits(model, p1, p2)
-    _, best1 = grid_best_response(model, 1, p2, g)
-    if best1 > cur1 + tolerance:
-        return False
-    _, best2 = grid_best_response(model, 2, p1, g)
-    return bool(best2 <= cur2 + tolerance)
+    cur1, cur2 = _shares_and_profits(model, p1, p2)[3:]
+    ok = grid_best_response(model, 1, p2, g)[1] <= cur1 + tolerance
+    ok &= grid_best_response(model, 2, p1, g)[1] <= cur2 + tolerance
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)
@@ -279,28 +286,20 @@ def audit_theorem_6_2(
     equal costs, every matrix works; with unequal costs, only the identity).
     Disagreements are tabulated, never overridden.
     """
-    rows = []
-    for alpha, beta in alphas_betas:
-        # numpy scalars would make the comparisons below numpy booleans
-        alpha, beta = float(alpha), float(beta)
-        m = MarkovPriceMatrix(alpha, beta)
-        tp = markov_price_transform(m, model.c1, model.c2)
-        verdict = is_grid_equilibrium(
-            model, tp[0], tp[1], grid_step=grid_step, price_range=price_range, tolerance=tolerance
+    # numpy scalars would make the comparisons below numpy booleans
+    matrices = [MarkovPriceMatrix(float(a), float(b)) for a, b in alphas_betas]
+    tps = [markov_price_transform(m, model.c1, model.c2) for m in matrices]
+    # one test of every pair, which checks the grid even when there are none
+    verdicts = is_grid_equilibrium(
+        model, [tp[0] for tp in tps], [tp[1] for tp in tps], grid_step=grid_step,
+        price_range=price_range, tolerance=tolerance,
+    ).tolist()
+    rows = tuple(
+        MarkovAuditRow(
+            m.alpha, m.beta, (float(tp[0]), float(tp[1])), verdict,
+            oracle=abs(tp[0] - model.c1) <= 1e-9 and abs(tp[1] - model.c2) <= 1e-9,
+            stated_claim=model.c1 == model.c2 or m.is_identity,
         )
-        oracle = abs(tp[0] - model.c1) <= 1e-9 and abs(tp[1] - model.c2) <= 1e-9
-        if model.c1 == model.c2:
-            stated_claim = True
-        else:
-            stated_claim = m.is_identity
-        rows.append(
-            MarkovAuditRow(
-                alpha=alpha,
-                beta=beta,
-                transformed=(float(tp[0]), float(tp[1])),
-                verdict=verdict,
-                oracle=oracle,
-                stated_claim=stated_claim,
-            )
-        )
-    return MarkovAuditReport(rows=tuple(rows))
+        for m, tp, verdict in zip(matrices, tps, verdicts)
+    )
+    return MarkovAuditReport(rows=rows)

@@ -102,6 +102,26 @@ class TestProfits:
         assert tie_price(model, 2, 1.0) == 2.0
 
 
+class TestNonFinitePrices:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_every_price_user_rejects_a_bad_price(self, bad):
+        # a NaN or infinite price used to read as a market with no sales:
+        # profits (0.0, 0.0) and a grid equilibrium at (nan, 2.0)
+        m = get_instance("bertrand-1-2").problem
+        grid = [0.5, 1.0, 2.0]
+        for p1, p2 in ((bad, 2.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                profits(m, p1, p2)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                is_grid_equilibrium(m, p1, p2, price_range=5.0)
+        for firm in (1, 2):
+            for opponent in (bad, np.array([1.0, bad, 2.0])):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    grid_best_response(m, firm, opponent, grid)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                grid_best_response(m, firm, 2.0, [*grid, bad])
+
+
 def reference_shares_and_profits(model, p1, p2):
     """The profit kernel as it was before its lean rewrite, with a `where`
     pass and both tie fix-ups on every call: the reference the kernel must
@@ -281,6 +301,8 @@ class TestEnumeration:
             is_grid_equilibrium(model, 1.0, 2.0, grid_step=step, price_range=hi)
         with pytest.raises(ValueError):
             audit_theorem_6_2(model, [(1.0, 1.0)], grid_step=step, price_range=hi)
+        with pytest.raises(ValueError):
+            audit_theorem_6_2(model, [], grid_step=step, price_range=hi)
 
     def test_a_range_of_one_step_is_a_two_price_grid(self, model):
         assert enumerate_grid_equilibria(model, grid_step=0.5, price_range=0.5) == (
@@ -306,8 +328,6 @@ class TestEnumeration:
         step, hi = 0.01, 5.0
         members = set(enumerate_grid_equilibria(m, grid_step=step, price_range=hi))
         assert members
-        for p1, p2 in members:
-            assert is_grid_equilibrium(m, p1, p2, grid_step=step, price_range=hi)
         ring = {
             (round(p1 + i * step, 9), round(p2 + j * step, 9))
             for p1, p2 in members
@@ -316,8 +336,23 @@ class TestEnumeration:
         }
         ring = {q for q in ring - members if 0.0 <= min(q) and max(q) <= hi}
         assert ring
-        for p1, p2 in ring:
-            assert not is_grid_equilibrium(m, p1, p2, grid_step=step, price_range=hi)
+        p1, p2 = np.array([*members, *ring]).T
+        verdicts = is_grid_equilibrium(m, p1, p2, grid_step=step, price_range=hi)
+        assert verdicts.tolist() == [True] * len(members) + [False] * len(ring)
+
+    def test_membership_memory_is_linear_in_the_grid(self):
+        # 1,000 pairs on 2,501 prices: each firm's best responses take the
+        # opponents in blocks of rows, never one (pairs, G) array
+        m = get_instance("bertrand-1-2").problem
+        p1, p2 = np.random.default_rng(7).uniform(0.0, 5.0, size=(2, 1000))
+        tracemalloc.start()
+        try:
+            verdicts = is_grid_equilibrium(m, p1, p2, grid_step=0.002, price_range=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts.shape == (1000,)
+        assert peak < 32e6
 
 
 def reference_enumerate_grid_equilibria(model, grid_step, price_range=None, tolerance=1e-6):
@@ -393,6 +428,90 @@ class TestBlockedEnumerationMatchesFullMatrix:
         assert repr(got) == repr(reference_enumerate_grid_equilibria(model, 0.004, 5.0, 2.0))
 
 
+def reference_grid_best_response(model, firm, opponent_price, grid):
+    """The grid best response as it was before it took arrays of opponent
+    prices: the grid plus a finite, nonnegative tie price, sorted, and the
+    first maximum. The reference the batched best response must reproduce
+    bit for bit, sign of zero included."""
+    candidates = np.asarray(grid, dtype=float)
+    tie = tie_price(model, firm, opponent_price)
+    if math.isfinite(tie) and tie >= 0:
+        candidates = np.append(candidates, tie)
+    candidates = np.sort(candidates)
+    if firm == 1:
+        u = bertrand._shares_and_profits(model, candidates, opponent_price)[3]
+    else:
+        u = bertrand._shares_and_profits(model, opponent_price, candidates)[4]
+    best = int(np.argmax(u))
+    return float(candidates[best]), float(u[best])
+
+
+def reference_is_grid_equilibrium(model, p1, p2, grid_step, price_range, tolerance=1e-6):
+    """Grid equilibrium of one pair, as it was before the batched best
+    responses: scalar profits and one best response per firm."""
+    g = bertrand._price_grid(price_range, grid_step)
+    cur1, cur2 = profits(model, p1, p2)
+    _, best1 = reference_grid_best_response(model, 1, p2, g)
+    if best1 > cur1 + tolerance:
+        return False
+    _, best2 = reference_grid_best_response(model, 2, p1, g)
+    return bool(best2 <= cur2 + tolerance)
+
+
+class TestBatchedGridMatchesScalarReference:
+    """Verdicts, best prices and best profits on arrays of prices equal the
+    scalar reference's, pair by pair, sign of zero included."""
+
+    STEP = 0.01
+
+    @pytest.fixture(params=sorted(KERNEL_MODELS))
+    def case(self, request):
+        # on-grid, off-grid, both firms' tie lines, zero demand, equilibria
+        m = KERNEL_MODELS[request.param]
+        hi = m.default_price_range()
+        g = bertrand._price_grid(hi, self.STEP)
+        rng = np.random.default_rng(11)
+        on_grid = rng.choice(g, size=(2, 40))
+        off_grid = rng.uniform(0.0, hi, size=(2, 40))
+        tie1 = np.stack([m.lam * on_grid[1], on_grid[1]])
+        tie2 = np.stack([off_grid[0], off_grid[0] / m.lam])
+        no_demand = rng.uniform(6.0, 12.0, size=(2, 40))
+        members = np.array(enumerate_grid_equilibria(m, self.STEP, hi)[:40]).T
+        p1, p2 = np.concatenate([on_grid, off_grid, tie1, tie2, no_demand, members], axis=1)
+        assert m.demand(no_demand[0], no_demand[1]).max() <= 0.0 and members.shape[1] > 0
+        return m, hi, g, p1, p2
+
+    def test_verdicts(self, case):
+        m, hi, _, p1, p2 = case
+        got = is_grid_equilibrium(m, p1, p2, grid_step=self.STEP, price_range=hi)
+        want = [reference_is_grid_equilibrium(m, a, b, self.STEP, hi) for a, b in zip(p1, p2)]
+        assert got.dtype == bool and got.tolist() == want
+        assert 0 < sum(want) < len(want)
+        for a, b, w in zip(p1[::25], p2[::25], want[::25]):
+            v = is_grid_equilibrium(m, a, b, grid_step=self.STEP, price_range=hi)
+            assert type(v) is bool and v == w
+
+    @pytest.mark.parametrize("firm", [1, 2])
+    def test_best_prices_and_profits(self, case, firm):
+        m, _, g, p1, p2 = case
+        opponents = p2 if firm == 1 else p1
+        price, best = grid_best_response(m, firm, opponents, g)
+        want = np.array([reference_grid_best_response(m, firm, o, g) for o in opponents])
+        assert np.array_equal(price, want[:, 0])
+        assert np.array_equal(best, want[:, 1])
+        assert np.array_equal(np.signbit(best), np.signbit(want[:, 1]))
+        # a best profit of -0.0 (a price below cost with no sales) keeps its sign
+        assert (np.signbit(best) & (best == 0.0)).any()
+        # a 2-D array of opponents answers in its own shape
+        price2, best2 = grid_best_response(m, firm, opponents.reshape(2, -1), g)
+        assert price2.shape == best2.shape == (2, len(opponents) // 2)
+        assert np.array_equal(price2.ravel(), price) and np.array_equal(best2.ravel(), best)
+        for o, (p, u) in zip(opponents[::25], want[::25]):
+            got = grid_best_response(m, firm, float(o), g)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == (p, u) and math.copysign(1.0, got[1]) == math.copysign(1.0, u)
+
+
 class TestMarkovTransform:
     def test_identity_detection(self):
         assert MarkovPriceMatrix(1.0, 1.0).is_identity
@@ -450,6 +569,21 @@ class TestMarkovAudit:
             assert rep.all_match_oracle
             for row in rep.rows:
                 assert type(row.oracle) is bool and type(row.stated_claim) is bool
+
+    def test_one_membership_call_per_model(self, model, monkeypatch):
+        # every pair is tested in one call: one best response per firm, and
+        # no per-pair grid or scalar profits
+        calls = {}
+        for name in ("is_grid_equilibrium", "grid_best_response", "profits", "_price_grid"):
+            def counted(*args, _f=getattr(bertrand, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(bertrand, name, counted)
+        pts = [(a, b) for a in np.linspace(0, 1, 5) for b in np.linspace(0, 1, 5)]
+        rep = audit_theorem_6_2(model, pts, price_range=5.0)
+        assert len(rep.rows) == 25 and rep.all_match_oracle
+        assert calls == {"is_grid_equilibrium": 1, "grid_best_response": 2, "_price_grid": 1}
 
     def test_non_identity_fixed_points_contradict_the_identity_only_claim(self, model):
         # alpha = 0, beta = 0.5 maps (1, 2) to itself without being the identity
