@@ -146,7 +146,8 @@ def _price_grid(hi: float, step: float) -> np.ndarray:
         raise ValueError(f"grid_step must be finite and positive, got {step}")
     if not step <= hi < math.inf:
         raise ValueError(f"price range must be finite and at least grid_step, got {hi}")
-    cells = int(round(hi / step))
+    # the last price is at most hi; the slack keeps a dividing step's last cell
+    cells = math.floor(hi / step + 1e-9)
     # snap to exact decimals so tie detection on grid pairs is exact
     return np.round(np.arange(cells + 1) * step, 9)
 

@@ -201,6 +201,11 @@ def _json_default(value):
     return doc
 
 
+def _dumps(value, indent: int | None = None) -> str:
+    """Strict JSON, keys sorted: a NaN or an infinity raises ValueError."""
+    return json.dumps(value, indent=indent, sort_keys=True, allow_nan=False, default=_json_default)
+
+
 class Report:
     """The one report of a run, holding the budget it was computed with."""
 
@@ -250,8 +255,9 @@ class Report:
         return d
 
     def emit(self) -> None:
+        """Write the report: JSON text only where --out or --format json asks for it."""
         doc = self.to_dict()
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+        text = _dumps(doc, indent=2) if self.args.out or self.args.format == "json" else None
         if self.args.out:
             try:
                 Path(self.args.out).write_text(text + "\n")
@@ -263,13 +269,15 @@ class Report:
             self._emit_text(doc)
 
     def _emit_text(self, doc: dict) -> None:
-        print(f"command:  {doc['command']}")
-        print(f"instance: {doc['instance']}")
-        print(f"verdict:  {doc['verdict']} (tolerance {doc['tolerance']:g})")
-        for key, value in doc["results"].items():
-            print(f"{key}: {json.dumps(value, sort_keys=True, default=_json_default)}")
-        for note in doc["discrepancies"]:
-            print(f"discrepancy: {note}")
+        # built whole before printing, so a non-finite value prints nothing
+        lines = [
+            f"command:  {doc['command']}",
+            f"instance: {doc['instance']}",
+            f"verdict:  {doc['verdict']} (tolerance {doc['tolerance']:g})",
+            *(f"{key}: {_dumps(value)}" for key, value in doc["results"].items()),
+            *(f"discrepancy: {note}" for note in doc["discrepancies"]),
+        ]
+        print("\n".join(lines))
 
 
 # --- checks shared by a verb and an audit ------------------------------------

@@ -51,7 +51,8 @@ class Interval:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Knobs shared by every search routine; all finite and strictly positive but the seed."""
+    """Search knobs, finite and positive but the seed. maximize_1d reads grid_step,
+    tolerance and truncation_cap; max_iterations caps solve_nash alone."""
 
     grid_step: float = 1e-2
     max_iterations: int = 500
@@ -93,16 +94,17 @@ def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
 def _expand_cap(
     f: Callable[[np.ndarray], np.ndarray], lo: float, k: int, budget: SearchBudget
 ) -> float:
-    """Double the truncation cap while f is still increasing there in any row."""
-    hi = lo + budget.truncation_cap
+    """Double the truncation cap while f is still increasing there in any row;
+    hi grows by at least one float a pass, so it ends there or overflows."""
+    hi = min(lo + budget.truncation_cap, math.nextafter(math.inf, 0.0))  # the largest float
     t = np.empty((k, 2))
-    for _ in range(budget.max_iterations):
+    while hi < math.inf:
         t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
         vs = _values(f, t)
         if (vs[:, 0] <= vs[:, 1]).all():
-            break
-        hi = lo + 2.0 * (hi - lo)
-    return hi
+            return hi
+        hi = max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf))
+    raise EvalError(f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)")
 
 
 def maximize_1d(
@@ -115,18 +117,19 @@ def maximize_1d(
     neither x nor the row). Returns the (k,) maximizers and their (k,) values.
 
     Every row scans one shared grid of at most _MAX_SCAN_CELLS cells in one
-    call of f. Each row's ±1-cell bracket around its first maximum (ties
-    go to the smaller x) is then refined by zoomed rescans of _ZOOM_POINTS
-    points for all rows at once, until it is narrower than
-    max(1e-12, tolerance * 1e-4) or a rescan no longer narrows it (float
-    resolution), and for at most max_iterations rescans. A row keeps its best
-    point so far unless a rescan finds a strictly larger value. A non-finite
-    value raises EvalError at the first such point. On a bounded
-    interval, row r's result is the k = 1 result for row r alone, bit for bit.
+    call of f. Each row's ±1-cell bracket around its first maximum (ties go
+    to the smaller x) is then refined by zoomed rescans of _ZOOM_POINTS points
+    for all rows at once, while it is wider than max(1e-12, tolerance * 1e-4)
+    and the last rescan narrowed it: a float width cannot shrink forever, so
+    no count bounds the rescans. A row keeps its best point so far unless a
+    rescan finds a strictly larger value. A non-finite value raises EvalError
+    at the first such point. On a bounded interval, row r's result is the
+    k = 1 result for row r alone, bit for bit.
 
     Unbounded intervals are searched over [lo, lo + cap] after bracket
     expansion: the cap, shared by all rows, doubles while f is still
-    increasing at it in any row. Deterministic for a fixed budget.
+    increasing at it in any row, and EvalError reports f unbounded above where
+    it would overflow. Deterministic for a fixed budget.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -154,9 +157,8 @@ def maximize_1d(
     step_col, left_col = step[:, None], left[:, None]
     x, v, width = [lo] * k, [-math.inf] * k, [math.inf] * k
     active = range(k)
-    for _ in range(budget.max_iterations + 1):
+    while True:
         vals = _values(f, pts)
-        # the first maximum: ties go to the smaller x
         best = vals.argmax(axis=1).tolist()
         last = pts.shape[1] - 1
         still = []
@@ -166,8 +168,6 @@ def maximize_1d(
             if top > v[r]:
                 x[r], v[r] = pts.item(r, j), top
             a, b = pts.item(r, j - 1 if j else 0), pts.item(r, j + 1 if j < last else j)
-            # stop below the goal width, or at float resolution, where a
-            # rescan no longer narrows the bracket
             if goal < b - a < width[r]:
                 left[r], step[r], right[r], width[r] = a, (b - a) / (_ZOOM_POINTS - 1), b, b - a
                 still.append(r)

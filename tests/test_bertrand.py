@@ -304,6 +304,17 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             audit_theorem_6_2(model, [], grid_step=step, price_range=hi)
 
+    @pytest.mark.parametrize("hi, step, last", [(5.0, 0.3, 4.8), (10.0, 0.6, 9.6), (1.0, 0.6, 0.6)])
+    def test_a_step_that_does_not_divide_the_range_stops_short_of_it(self, hi, step, last):
+        assert bertrand._price_grid(hi, step)[-1] == last
+
+    @given(hi=st.floats(0.01, 20.0), cells=st.integers(1, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_a_non_dividing_step_keeps_every_whole_cell_within_the_range(self, hi, cells):
+        step = hi / (cells + 0.5)  # half a step short of dividing it
+        g = bertrand._price_grid(hi, step)
+        assert len(g) == cells + 1 and g[-1] <= hi
+
     def test_a_range_of_one_step_is_a_two_price_grid(self, model):
         assert enumerate_grid_equilibria(model, grid_step=0.5, price_range=0.5) == (
             reference_enumerate_grid_equilibria(model, 0.5, 0.5)

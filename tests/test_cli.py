@@ -278,6 +278,14 @@ class TestVerbs:
         assert [1.0, 2.0] in eqs
         assert all(max(abs(p1 - 1.0), abs(p2 - 2.0)) <= 0.03 for p1, p2 in eqs)
 
+    def test_bertrand_enumeration_lists_no_price_past_the_range(self, capsys):
+        # 0.6 does not divide 10: the grid ends at 9.6, not at 10.2
+        code, doc = run_json(
+            capsys, "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.6", "--range", "10"
+        )
+        assert code == EXIT_OK
+        assert max(max(e) for e in doc["results"]["equilibria"]) == 9.6
+
     def test_cost_audit(self, capsys):
         code, _ = run(capsys, "audit", "bertrand")
         assert code == EXIT_OK
@@ -338,6 +346,37 @@ class TestReports:
         doc = json.loads(out, parse_constant=reject)
         jsonschema.validate(doc, schema)
         assert doc["results"]["relatedness"]["image_intervals"] == [[0.0, None], [0.0, None]]
+
+    @pytest.mark.parametrize(
+        "flags, documents", [((), 0), (("--format", "json"), 1), (("--out",), 1)]
+    )
+    def test_only_a_json_report_is_encoded_as_one(
+        self, capsys, monkeypatch, tmp_path, flags, documents
+    ):
+        indents = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            indents.append(kwargs.get("indent"))
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        out = (str(tmp_path / "report.json"),) if flags == ("--out",) else ()
+        code, _ = run(
+            capsys, "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.05", *flags, *out
+        )
+        assert code == EXIT_OK
+        assert indents.count(2) == documents
+
+    def test_a_text_report_rejects_a_non_finite_value_before_printing(self, capsys, monkeypatch):
+        def settle(rep, ok, results):
+            rep.verdict, rep.results = ok, {"x": float("inf")}
+            return EXIT_OK
+
+        monkeypatch.setattr(splitnash.cli.Report, "settle", settle)
+        assert main(["bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Out of range float values" in captured.err
 
     def test_deterministic_flag_gives_byte_identical_output(self, capsys):
         _, a = run(
@@ -463,6 +502,39 @@ class TestFileInputs:
         path.write_text(json.dumps(spec))
         code, _ = run(capsys, "verify-nash", str(path), "--profile", "1")
         assert code == EXIT_OK
+
+
+class TestHalfLineBestResponses:
+    """A best response on [0, inf) is followed as far as it goes: no budget
+    cuts it short, and one that never turns down is an input error."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        def write(utility: str) -> str:
+            path = tmp_path / "halfline.json"
+            path.write_text(json.dumps({
+                "players": ["x"], "strategy_sets": [{"lo": 0, "hi": None}], "utilities": [utility],
+            }))
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize("budget", [(), ("--budget-iters", "1"), ("--cap", "1e-300")])
+    def test_no_budget_cuts_a_best_response_short(self, capsys, spec, budget):
+        code, out = run(capsys, "verify-nash", spec("-((x - 5000)^2)"), "--profile", "2000", *budget)
+        assert code == EXIT_FAIL
+        assert "verdict:  False" in out and '"regrets": {"x": 9000000.0}' in out
+
+    @pytest.mark.parametrize("argv", [("verify-nash", "--profile", "2"), ("solve-nash",)])
+    def test_an_unbounded_best_response_is_an_input_error(self, capsys, tmp_path, spec, argv):
+        out = tmp_path / "report.json"
+        assert main([argv[0], spec("x"), *argv[1:], "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: value still increasing as the cap overflows: unbounded above on [0.0, inf)"
+            " in the best response of player 'x'\n"
+        )
+        assert captured.out == "" and not out.exists()
 
 
 class TestImageOneRoundingErrorOutsideTheTargetBox:

@@ -1,6 +1,7 @@
 """Intervals, budgets, and the one-dimensional maximizer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,33 @@ class TestMaximize1d:
         assert (x.tolist(), v.tolist()) == ([0.0], [-0.0])
         assert kernel._MAX_SCAN_CELLS + 1 in points
 
+    @pytest.mark.parametrize("lo, shown", [(0.0, "0.0"), (-3.5, "-3.5"), (1e300, "1e+300")])
+    def test_a_value_increasing_until_the_cap_overflows_is_unbounded_above(self, lo, shown):
+        with pytest.raises(EvalError) as caught:
+            maximize_1d(lambda t: t, Interval(lo), SearchBudget())
+        assert str(caught.value) == (
+            f"value still increasing as the cap overflows: unbounded above on [{shown}, inf)"
+        )
+
+    @pytest.mark.parametrize("cap", [1e-300, 1e-3, 1.0])
+    def test_no_cap_stops_the_expansion_short_of_the_peak(self, cap):
+        # 1e-300 doubles more than 1,000 times before it passes the peak
+        f = lambda t: -(t - 5000.0) * (t - 5000.0)
+        (x,), _ = maximize_1d(f, Interval(0.0), SearchBudget(truncation_cap=cap))
+        assert x == pytest.approx(5000.0, abs=1e-6)
+
+    def test_a_window_past_the_largest_float_ends_at_it(self):
+        # 1e308 + 1e308 overflows: the window is [1e308, largest float]
+        f = lambda t: -t
+        (x,), (v,) = maximize_1d(f, Interval(1e308), SearchBudget(truncation_cap=1e308))
+        assert (x, v) == (1e308, -1e308)
+
+    def test_a_cap_below_the_spacing_of_floats_at_lo_still_grows(self):
+        # 1e20 + 1e3 is 1e20, so doubling the cap alone would never move it
+        peak = 1.00000000001e20
+        (x,), _ = maximize_1d(lambda t: -(t - peak) * (t - peak), Interval(1e20), SearchBudget())
+        assert abs(x - peak) <= 4 * math.ulp(peak)
+
     def test_first_non_finite_grid_value_raises(self):
         f = lambda t: np.where(t > 2.505, np.inf, t)
         with pytest.raises(EvalError, match=r"^non-finite value inf at 2\.51000"):
@@ -224,12 +252,14 @@ def reference_maximize_1d(f, interval, budget):
 
     lo, hi = interval.lo, interval.hi
     if not interval.bounded:
-        hi = lo + budget.truncation_cap
-        for _ in range(budget.max_iterations):
+        hi = min(lo + budget.truncation_cap, np.finfo(float).max)
+        while True:
             probe = max(1e-8, 1e-6 * max(1.0, abs(hi)))
             if value(hi) <= value(hi - probe):
                 break
-            hi = lo + 2.0 * (hi - lo)
+            hi = max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf))
+            if hi == math.inf:
+                raise EvalError("unbounded above")
     if hi <= lo:
         return lo, value(np.float64(lo))
     cells = min(kernel._MAX_SCAN_CELLS, max(1, int(math.ceil((hi - lo) / budget.grid_step))))
@@ -239,9 +269,7 @@ def reference_maximize_1d(f, interval, budget):
     x, v = xs[best], vs[best]
     a, b = xs[max(0, best - 1)], xs[min(cells, best + 1)]
     goal = max(1e-12, budget.tolerance * 1e-4)
-    for _ in range(budget.max_iterations):
-        if not b - a > goal:
-            break
+    while b - a > goal:
         pts = np.linspace(a, b, kernel._ZOOM_POINTS)
         vals = [value(t) for t in pts]
         j = first_max(vals)
@@ -259,38 +287,62 @@ def scalar_result(result):
     return float(x), float(v)
 
 
-class TestMaximize1dMatchesPointwiseScan:
-    # + - * only: they round the same in scalar and array code, where numpy's
-    # array ** may differ from libm pow by one ulp
-    @staticmethod
-    def bump(peak, curvature, tilt):
-        return lambda t: tilt * t - curvature * (t - peak) * (t - peak)
+# + - * only: they round the same in scalar and array code, where numpy's
+# array ** may differ from libm pow by one ulp
+def bump(peak, curvature, tilt):
+    return lambda t: tilt * t - curvature * (t - peak) * (t - peak)
 
-    @given(
-        lo=st.floats(-50.0, 50.0),
-        width=st.floats(0.0, 3000.0),
-        peak=st.floats(-100.0, 3000.0),
-        curvature=st.floats(0.0, 10.0),
-        tilt=st.floats(-1.0, 1.0),
-        step=st.sampled_from([1e-3, 1e-2, 0.16, 1.0]),
-    )
+
+BOUNDED_BUMPS = {
+    "lo": st.floats(-50.0, 50.0),
+    "width": st.floats(0.0, 3000.0),
+    "peak": st.floats(-100.0, 3000.0),
+    "curvature": st.floats(0.0, 10.0),
+    "tilt": st.floats(-1.0, 1.0),
+    "step": st.sampled_from([1e-3, 1e-2, 0.16, 1.0]),
+}
+HALF_LINE_BUMPS = {
+    "lo": st.floats(-50.0, 50.0),
+    "peak": st.floats(-100.0, 5000.0),
+    "curvature": st.floats(1e-3, 10.0),
+    "cap": st.sampled_from([8.0, 1e3]),
+}
+
+
+class TestMaximize1dMatchesPointwiseScan:
+    @given(**BOUNDED_BUMPS)
     @settings(max_examples=60, deadline=None)
     def test_bounded(self, lo, width, peak, curvature, tilt, step):
-        f = self.bump(peak, curvature, tilt)
+        f = bump(peak, curvature, tilt)
         iv, budget = Interval(lo, lo + width), SearchBudget(grid_step=step)
         assert scalar_result(maximize_1d(f, iv, budget)) == reference_maximize_1d(f, iv, budget)
 
-    @given(
-        lo=st.floats(-50.0, 50.0),
-        peak=st.floats(-100.0, 5000.0),
-        curvature=st.floats(1e-3, 10.0),
-        cap=st.sampled_from([8.0, 1e3]),
-    )
+    @given(**HALF_LINE_BUMPS)
     @settings(max_examples=60, deadline=None)
     def test_half_line(self, lo, peak, curvature, cap):
-        f = self.bump(peak, curvature, 0.0)
+        f = bump(peak, curvature, 0.0)
         iv, budget = Interval(lo), SearchBudget(truncation_cap=cap)
         assert scalar_result(maximize_1d(f, iv, budget)) == reference_maximize_1d(f, iv, budget)
+
+
+class TestMaximize1dReadsNoIterationCount:
+    # max_iterations caps solve_nash alone: no value of it stops a search early
+    @staticmethod
+    def same_at_1_and_500(f, iv, budget):
+        one, many = (maximize_1d(f, iv, replace(budget, max_iterations=n)) for n in (1, 500))
+        assert scalar_result(one) == scalar_result(many)
+
+    @given(**BOUNDED_BUMPS)
+    @settings(max_examples=60, deadline=None)
+    def test_bounded(self, lo, width, peak, curvature, tilt, step):
+        iv = Interval(lo, lo + width)
+        self.same_at_1_and_500(bump(peak, curvature, tilt), iv, SearchBudget(grid_step=step))
+
+    @given(**HALF_LINE_BUMPS)
+    @settings(max_examples=60, deadline=None)
+    def test_half_line(self, lo, peak, curvature, cap):
+        iv = Interval(lo)
+        self.same_at_1_and_500(bump(peak, curvature, 0.0), iv, SearchBudget(truncation_cap=cap))
 
 
 class TestRowsMatchOneRowCalls:
