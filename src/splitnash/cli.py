@@ -27,6 +27,8 @@ import math
 import os
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +186,7 @@ _LAYOUT = {
 
 
 def _json_default(value):
-    """json.dumps' hook for what it cannot write: numpy values and results."""
+    """The hook for what json and _json cannot write: numpy values and results."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
@@ -201,9 +203,86 @@ def _json_default(value):
     return doc
 
 
-def _dumps(value, indent: int | None = None) -> str:
-    """Strict JSON, keys sorted: a NaN or an infinity raises ValueError."""
-    return json.dumps(value, indent=indent, sort_keys=True, allow_nan=False, default=_json_default)
+def _dumps(value) -> str:
+    """One line of strict JSON, keys sorted: a NaN or an infinity raises ValueError."""
+    return json.dumps(value, sort_keys=True, allow_nan=False, default=_json_default)
+
+
+def _key_json(key) -> str:
+    """A dict key as json converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return _json(key, 0)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_rows(rows, level: int) -> str | None:
+    """rows written in one %-format call, when they are equal-length lists or
+    tuples of finite floats (the enumerated price pairs, a 2-D array); else None."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    width = widths.pop() if len(widths) == 1 else 0
+    flat = tuple(chain.from_iterable(rows))
+    if not width or set(map(type, flat)) != {float}:
+        return None
+    # a price grid repeats its prices: float.__repr__ runs once per distinct
+    # value, told apart by its bits, so that -0.0 is not 0.0
+    bits, where = np.unique(np.array(flat).view(np.int64), return_inverse=True)
+    values = bits.view(float).tolist()
+    if not all(map(math.isfinite, values)):
+        return None
+    texts = np.array(list(map(float.__repr__, values)), dtype=object)[where]
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    row = "[" + inner + ("," + inner).join(("%s",) * width) + outer + "]"
+    return ("[" + outer + ("," + outer).join((row,) * len(rows)) + outer[:-2] + "]") % tuple(texts)
+
+
+def _json(value, level: int) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False,
+    default=_json_default) writes it at this nesting level, byte for byte and
+    with the same errors, without json's pure-Python indent encoder. The
+    checks run in json's order, so a bool is not an int and a NamedTuple is a list."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _float_rows(value, level)
+        if text is not None:
+            return text
+        items = (_json(item, level + 1) for item in value)
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{_quote(_key_json(key))}: {_json(item, level + 1)}"
+            for key, item in sorted(value.items())
+        )
+        brackets = "{}"
+    else:
+        return _json(_json_default(value), level)
+    newline = "\n" + "  " * (level + 1)
+    return brackets[0] + newline + ("," + newline).join(items) + newline[:-2] + brackets[1]
+
+
+def _pretty(doc) -> str:
+    """The JSON document of a report: strict, keys sorted, indented by 2."""
+    return _json(doc, 0)
 
 
 class Report:
@@ -257,7 +336,7 @@ class Report:
     def emit(self) -> None:
         """Write the report: JSON text only where --out or --format json asks for it."""
         doc = self.to_dict()
-        text = _dumps(doc, indent=2) if self.args.out or self.args.format == "json" else None
+        text = _pretty(doc) if self.args.out or self.args.format == "json" else None
         if self.args.out:
             try:
                 Path(self.args.out).write_text(text + "\n")

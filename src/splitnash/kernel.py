@@ -78,16 +78,22 @@ _ZOOM_POINTS = 257
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 
 
-def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+def _values(
+    f: Callable[[np.ndarray], np.ndarray], t: np.ndarray, overflow: str = ""
+) -> np.ndarray:
     """f at the (k, P) points t as a (k, P) array; it may be a view that f's
-    next call overwrites. EvalError names the first non-finite value."""
+    next call overwrites. EvalError names the first non-finite value, or
+    reads `overflow`, when given, if that value is +inf."""
     vs = np.asarray(f(t), dtype=float)
     if vs.shape != t.shape:
         vs = np.broadcast_to(vs, t.shape)
     finite = np.isfinite(vs)
     if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
         r, c = np.unravel_index(finite.argmin(), finite.shape)
-        raise EvalError(f"non-finite value {float(vs[r, c])!r} at {float(t[r, c])!r}")
+        value = float(vs[r, c])
+        if overflow and value == math.inf:
+            raise EvalError(overflow)
+        raise EvalError(f"non-finite value {value!r} at {float(t[r, c])!r}")
     return vs
 
 
@@ -95,16 +101,18 @@ def _expand_cap(
     f: Callable[[np.ndarray], np.ndarray], lo: float, k: int, budget: SearchBudget
 ) -> float:
     """Double the truncation cap while f is still increasing there in any row;
-    hi grows by at least one float a pass, so it ends there or overflows."""
+    hi grows by at least one float a pass, so it ends there or overflows.
+    f overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
+    unbounded = f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)"
     hi = min(lo + budget.truncation_cap, math.nextafter(math.inf, 0.0))  # the largest float
     t = np.empty((k, 2))
     while hi < math.inf:
         t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
-        vs = _values(f, t)
+        vs = _values(f, t, unbounded)
         if (vs[:, 0] <= vs[:, 1]).all():
             return hi
         hi = max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf))
-    raise EvalError(f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)")
+    raise EvalError(unbounded)
 
 
 def maximize_1d(

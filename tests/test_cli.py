@@ -2,15 +2,20 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitnash
 from splitnash.cli import (
@@ -19,6 +24,7 @@ from splitnash.cli import (
     EXIT_INPUT,
     EXIT_OK,
     _json_default,
+    _pretty,
     main,
 )
 from splitnash.kernel import Interval, SearchBudget
@@ -353,20 +359,20 @@ class TestReports:
     def test_only_a_json_report_is_encoded_as_one(
         self, capsys, monkeypatch, tmp_path, flags, documents
     ):
-        indents = []
-        dumps = json.dumps
+        written = []
+        pretty = splitnash.cli._pretty
 
-        def counted(*args, **kwargs):
-            indents.append(kwargs.get("indent"))
-            return dumps(*args, **kwargs)
+        def counted(doc):
+            written.append(doc)
+            return pretty(doc)
 
-        monkeypatch.setattr(json, "dumps", counted)
+        monkeypatch.setattr(splitnash.cli, "_pretty", counted)
         out = (str(tmp_path / "report.json"),) if flags == ("--out",) else ()
         code, _ = run(
             capsys, "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.05", *flags, *out
         )
         assert code == EXIT_OK
-        assert indents.count(2) == documents
+        assert len(written) == documents
 
     def test_a_text_report_rejects_a_non_finite_value_before_printing(self, capsys, monkeypatch):
         def settle(rep, ok, results):
@@ -377,6 +383,23 @@ class TestReports:
         assert main(["bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.5"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == "" and "Out of range float values" in captured.err
+
+    @pytest.mark.parametrize("flags", [("--format", "json"), ("--out",), ()])
+    def test_a_non_finite_value_in_a_price_row_is_an_input_error(
+        self, capsys, monkeypatch, tmp_path, flags
+    ):
+        def settle(rep, ok, results):
+            rep.verdict, rep.results = ok, {"equilibria": [(1.0, 2.0), (3.0, float("nan"))]}
+            return EXIT_OK
+
+        monkeypatch.setattr(splitnash.cli.Report, "settle", settle)
+        out = tmp_path / "report.json"
+        argv = [*flags, str(out)] if flags == ("--out",) else list(flags)
+        assert main(["bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.5", *argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        # json's C encoder, which writes text lines, leaves out the value before 3.13
+        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
 
     def test_deterministic_flag_gives_byte_identical_output(self, capsys):
         _, a = run(
@@ -402,6 +425,101 @@ class TestReports:
         )
         assert code == EXIT_OK
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+def json_dumps_indented(doc) -> str:
+    """What the report writer must write, byte for byte: json's own encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 1.7976931348623157e308, 0.1)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+FLOATS = st.one_of(FINITE, st.sampled_from((math.nan, math.inf, -math.inf)))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    FLOATS,
+    st.text(),  # non-ASCII and control characters included
+    FLOATS.map(np.float64),  # a float subclass, written by json, not by the hook
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+def float_rows(values):
+    """Equal-length lists or tuples of floats: the writer's one-call path."""
+    return st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.one_of(
+            st.tuples(*[values] * width),
+            st.lists(values, min_size=width, max_size=width),
+        ),
+        max_size=6,
+    ))
+
+
+ROWS = st.one_of(
+    float_rows(FINITE),
+    float_rows(FLOATS),
+    float_rows(FINITE).map(lambda rows: np.array(rows) if rows else np.zeros((0, 2))),
+    st.lists(FLOATS, max_size=5).map(np.array),
+    # ragged, or mixing ints, bools and floats: the general path
+    st.lists(st.lists(st.one_of(FINITE, st.integers(), st.booleans()), max_size=3), max_size=5),
+)
+KEYS = st.one_of(st.text(), st.integers(), FLOATS, st.booleans(), st.none())
+DOCS = st.recursive(
+    st.one_of(SCALARS, ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.builds(Pair, children, children),
+        # keys of one type sort; mixed types raise json's TypeError
+        *(st.dictionaries(keys, children, max_size=4) for keys in (st.text(), st.integers(), FINITE)),
+        st.dictionaries(KEYS, children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """cli._pretty writes what json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False, default=_json_default) writes, and raises what it raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(DOCS)
+    def test_writes_json_dumps_bytes_and_errors(self, doc):
+        try:
+            expected = json_dumps_indented(doc)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                _pretty(doc)
+            assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+        else:
+            assert _pretty(doc) == expected
+
+    @pytest.mark.parametrize("doc, shown", [
+        ({"rows": [(1.0, 2.0), (math.inf, math.nan)]}, "inf"),
+        ({"rows": [[1.0, -math.inf], [math.nan, 2.0]]}, "-inf"),
+        ([0.5, [math.nan]], "nan"),
+        ({math.nan: 1.0}, "nan"),
+        (np.array([[1.0, 2.0], [3.0, np.inf]]), "inf"),
+        ([np.float64(np.nan)], repr(np.float64(np.nan))),
+    ])
+    def test_a_non_finite_value_raises_json_s_error_at_the_first_one(self, doc, shown):
+        message = f"Out of range float values are not JSON compliant: {shown}"
+        for write in (_pretty, json_dumps_indented):
+            with pytest.raises(ValueError) as caught:
+                write(doc)
+            assert str(caught.value) == message
+
+    def test_float_rows_keep_json_s_layout(self):
+        doc = {"equilibria": [(0.0, -0.0), (5e-324, 1e16)], "empty": [[], ()], "one": [(1e-7,)]}
+        assert _pretty(doc) == json_dumps_indented(doc)
 
 
 class TestFileInputs:
@@ -535,6 +653,16 @@ class TestHalfLineBestResponses:
             " in the best response of player 'x'\n"
         )
         assert captured.out == "" and not out.exists()
+
+    def test_a_payoff_overflowing_to_inf_is_unbounded_not_non_finite(self, capsys, spec):
+        # x^2 is inf at 2.6e154 while the cap doubles, well short of the largest float
+        assert main(["verify-nash", spec("x^2"), "--profile", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: value still increasing as the cap overflows: unbounded above on [0.0, inf)"
+            " in the best response of player 'x'\n"
+        )
+        assert captured.out == ""
 
 
 class TestImageOneRoundingErrorOutsideTheTargetBox:

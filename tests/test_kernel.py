@@ -123,6 +123,20 @@ class TestMaximize1d:
             f"value still increasing as the cap overflows: unbounded above on [{shown}, inf)"
         )
 
+    def test_a_value_overflowing_to_inf_while_the_cap_grows_is_unbounded_above(self):
+        # t*t is inf from about 1.3e154 on, long before the cap overflows
+        with pytest.raises(EvalError) as caught, np.errstate(over="ignore"):
+            maximize_1d(lambda t: t * t, Interval(0.0), SearchBudget())
+        assert str(caught.value) == (
+            "value still increasing as the cap overflows: unbounded above on [0.0, inf)"
+        )
+
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (-np.inf, "-inf")])
+    def test_nan_or_minus_inf_while_the_cap_grows_stays_non_finite(self, bad, shown):
+        f = lambda t: np.where(t > 1e10, bad, t)
+        with pytest.raises(EvalError, match=rf"^non-finite value {shown} at "):
+            maximize_1d(f, Interval(0.0), SearchBudget())
+
     @pytest.mark.parametrize("cap", [1e-300, 1e-3, 1.0])
     def test_no_cap_stops_the_expansion_short_of_the_peak(self, cap):
         # 1e-300 doubles more than 1,000 times before it passes the peak
