@@ -156,14 +156,11 @@ def _price_grid(hi: float, step: float) -> np.ndarray:
 _ROW_BLOCK = 32
 
 
-def enumerate_grid_equilibria(
-    model: BertrandModel,
-    grid_step: float,
-    price_range: float | None = None,
-    tolerance: float = 1e-6,
-) -> list[tuple[float, float]]:
-    """All grid points where no tie-augmented grid deviation improves either
-    firm's profit by more than tolerance.
+def _grid_equilibrium_cells(
+    model: BertrandModel, grid_step: float, price_range: float | None, tolerance: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The price grid and the row and column indices of its equilibrium cells,
+    in row-major order.
 
     Profits are evaluated once, in blocks of rows (firm 1's price) against
     every column (firm 2's price). A block gives its rows' exact best profits
@@ -171,15 +168,15 @@ def enumerate_grid_equilibria(
     keeps the cells within tolerance of both; a running best never exceeds
     the final one, so no equilibrium is dropped. The kept cells are then
     filtered against firm 1's final best profits. Memory is O(G) in the G
-    grid prices plus the kept cells; the result lists the equilibria in
-    row-major order.
+    grid prices plus the kept cells.
     """
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
     # firm 1 tie candidate per opponent price, firm 2 tie candidate per own row
     best1 = _shares_and_profits(model, tie_price(model, 1, g), g)[3]  # per column (opponent p2)
     tie2 = _shares_and_profits(model, g, tie_price(model, 2, g))[4]  # per row (opponent p1)
-    kept_i, kept_j, kept_u1 = [], [], []
+    # an empty array each, so that no kept cell still concatenates
+    kept_i, kept_j, kept_u1 = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
     for r in range(0, len(g), _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
         # [3:] rather than star-unpacking, so demand and shares are freed here
@@ -193,11 +190,40 @@ def enumerate_grid_equilibria(
             kept_i.append(ii + r)
             kept_j.append(jj)
             kept_u1.append(u1[ii, jj])
-    if not kept_i:
-        return []
     ii, jj = np.concatenate(kept_i), np.concatenate(kept_j)
     keep = np.concatenate(kept_u1) >= (best1 - tolerance)[jj]
-    return list(zip(g[ii[keep]].tolist(), g[jj[keep]].tolist()))
+    return g, ii[keep], jj[keep]
+
+
+def enumerate_grid_equilibria(
+    model: BertrandModel,
+    grid_step: float,
+    price_range: float | None = None,
+    tolerance: float = 1e-6,
+) -> list[tuple[float, float]]:
+    """All grid points (p1, p2) where no tie-augmented grid deviation improves
+    either firm's profit by more than tolerance, in row-major order."""
+    g, ii, jj = _grid_equilibrium_cells(model, grid_step, price_range, tolerance)
+    return list(zip(g[ii].tolist(), g[jj].tolist()))
+
+
+def grid_equilibrium_runs(
+    model: BertrandModel,
+    grid_step: float,
+    price_range: float | None = None,
+    tolerance: float = 1e-6,
+) -> tuple[list[list[float]], int]:
+    """The equilibria of enumerate_grid_equilibria as maximal runs, in row-major
+    order, and their count. A run [p1, p2_first, p2_last] stands for every grid
+    price p2 from p2_first to p2_last against p1; no tuple is built per pair."""
+    g, ii, jj = _grid_equilibrium_cells(model, grid_step, price_range, tolerance)
+    # rows of G + 1 slots leave a gap between rows, so a run breaks wherever
+    # the slot does not rise by one; the -2 pads break before and after
+    slots = ii * (len(g) + 1) + jj
+    breaks = np.diff(slots, prepend=-2, append=-2) != 1
+    first, last = np.flatnonzero(breaks[:-1]), np.flatnonzero(breaks[1:])
+    runs = np.stack([g[ii[first]], g[jj[first]], g[jj[last]]], axis=1)
+    return runs.tolist(), len(slots)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,6 @@ import math
 import os
 import sys
 import time
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +184,7 @@ _LAYOUT = {
 
 
 def _json_default(value):
-    """The hook for what json and _json cannot write: numpy values and results."""
+    """json's hook for what it cannot write: numpy values and results."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
@@ -204,85 +202,11 @@ def _json_default(value):
 
 
 def _dumps(value) -> str:
-    """One line of strict JSON, keys sorted: a NaN or an infinity raises ValueError."""
-    return json.dumps(value, sort_keys=True, allow_nan=False, default=_json_default)
-
-
-def _key_json(key) -> str:
-    """A dict key as json converts it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # a bool is an int
-        return _json(key, 0)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _float_rows(rows, level: int) -> str | None:
-    """rows written in one %-format call, when they are equal-length lists or
-    tuples of finite floats (the enumerated price pairs, a 2-D array); else None."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    widths = set(map(len, rows))
-    width = widths.pop() if len(widths) == 1 else 0
-    flat = tuple(chain.from_iterable(rows))
-    if not width or set(map(type, flat)) != {float}:
-        return None
-    # a price grid repeats its prices: float.__repr__ runs once per distinct
-    # value, told apart by its bits, so that -0.0 is not 0.0
-    bits, where = np.unique(np.array(flat).view(np.int64), return_inverse=True)
-    values = bits.view(float).tolist()
-    if not all(map(math.isfinite, values)):
-        return None
-    texts = np.array(list(map(float.__repr__, values)), dtype=object)[where]
-    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    row = "[" + inner + ("," + inner).join(("%s",) * width) + outer + "]"
-    return ("[" + outer + ("," + outer).join((row,) * len(rows)) + outer[:-2] + "]") % tuple(texts)
-
-
-def _json(value, level: int) -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False,
-    default=_json_default) writes it at this nesting level, byte for byte and
-    with the same errors, without json's pure-Python indent encoder. The
-    checks run in json's order, so a bool is not an int and a NamedTuple is a list."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        text = _float_rows(value, level)
-        if text is not None:
-            return text
-        items = (_json(item, level + 1) for item in value)
-        brackets = "[]"
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{_quote(_key_json(key))}: {_json(item, level + 1)}"
-            for key, item in sorted(value.items())
-        )
-        brackets = "{}"
-    else:
-        return _json(_json_default(value), level)
-    newline = "\n" + "  " * (level + 1)
-    return brackets[0] + newline + ("," + newline).join(items) + newline[:-2] + brackets[1]
-
-
-def _pretty(doc) -> str:
-    """The JSON document of a report: strict, keys sorted, indented by 2."""
-    return _json(doc, 0)
+    """One line of strict JSON, keys sorted: a NaN or an infinity raises ValueError.
+    The pure-Python encoder, which json.dumps uses with an indent, so that its
+    message names the value as a JSON report's does (json's C one does from 3.13)."""
+    encoder = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_json_default)
+    return "".join(encoder.iterencode(value))
 
 
 class Report:
@@ -316,7 +240,7 @@ class Report:
 
     def to_dict(self) -> dict:
         d = {
-            "schema_version": 1,
+            "schema_version": 2,
             "command": self.args.verb,
             "instance": self.args.target,
             "budget": {
@@ -336,7 +260,9 @@ class Report:
     def emit(self) -> None:
         """Write the report: JSON text only where --out or --format json asks for it."""
         doc = self.to_dict()
-        text = _pretty(doc) if self.args.out or self.args.format == "json" else None
+        text = None
+        if self.args.out or self.args.format == "json":
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
         if self.args.out:
             try:
                 Path(self.args.out).write_text(text + "\n")
@@ -377,8 +303,8 @@ def _cdp(problem: SplitProblem, args, rep: Report) -> CdpReport:
 def _enumerate(model: bt.BertrandModel, default_range: float, args, rep: Report) -> dict:
     hi = args.range if args.range is not None else default_range
     step = rep.budget.grid_step
-    eqs = bt.enumerate_grid_equilibria(model, step, hi, tolerance=rep.budget.tolerance)
-    return {"grid_step": step, "price_range": hi, "equilibria": eqs}
+    runs, count = bt.grid_equilibrium_runs(model, step, hi, tolerance=rep.budget.tolerance)
+    return {"grid_step": step, "price_range": hi, "equilibrium_runs": runs, "equilibrium_count": count}
 
 
 # --- verbs -------------------------------------------------------------------
@@ -425,7 +351,7 @@ def cmd_bertrand_enumerate(args, rep: Report) -> int:
     if inst is None or inst.kind != "bertrand":
         raise InputError(f"{args.target!r} is not a builtin duopoly instance")
     results = _enumerate(inst.problem, inst.problem.default_price_range(), args, rep)
-    return rep.settle(bool(results["equilibria"]), results)
+    return rep.settle(results["equilibrium_count"] > 0, results)
 
 
 # --- audits ------------------------------------------------------------------
@@ -467,13 +393,17 @@ def _audit_example_4_1(args, rep: Report) -> int:
 def _audit_bertrand(args, rep: Report) -> int:
     model = get_instance("bertrand-1-2").problem
     results = _enumerate(model, 5.0, args, rep)
-    eqs = results["equilibria"]
+    runs = results["equilibrium_runs"]
+    # a grid that holds c1 = 1 holds c2 = 2, so a run whose span holds c2 lists it
     contains_cost_point = any(
-        abs(p1 - model.c1) < 1e-9 and abs(p2 - model.c2) < 1e-9 for p1, p2 in eqs
+        abs(p1 - model.c1) < 1e-9 and first - 1e-9 < model.c2 < last + 1e-9
+        for p1, first, last in runs
     )
     band = 3.0 * rep.budget.grid_step
+    # a run's farthest price from c2 is one of its ends
     within = all(
-        max(abs(p1 - model.c1), abs(p2 - model.c2)) <= band + 1e-12 for p1, p2 in eqs
+        max(abs(p1 - model.c1), abs(first - model.c2), abs(last - model.c2)) <= band + 1e-12
+        for p1, first, last in runs
     )
     at_costs = bt.profits(model, model.c1, model.c2)
     results.update(

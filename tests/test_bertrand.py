@@ -16,6 +16,7 @@ from splitnash.bertrand import (
     audit_theorem_6_2,
     enumerate_grid_equilibria,
     grid_best_response,
+    grid_equilibrium_runs,
     is_grid_equilibrium,
     linear_demand,
     markov_price_transform,
@@ -364,6 +365,39 @@ class TestEnumeration:
             tracemalloc.stop()
         assert verdicts.shape == (1000,)
         assert peak < 32e6
+
+
+class TestEquilibriumRuns:
+    """grid_equilibrium_runs is the enumeration as maximal runs of one row."""
+
+    @pytest.mark.parametrize("ident", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("step, hi, tol", [(0.01, None, 1e-6), (0.05, 5.0, 2.0), (0.6, 10.0, 1e-6)])
+    def test_runs_expand_to_the_pairs(self, ident, step, hi, tol):
+        m = KERNEL_MODELS[ident]
+        g = bertrand._price_grid(hi if hi is not None else m.default_price_range(), step)
+        runs, count = grid_equilibrium_runs(m, step, hi, tolerance=tol)
+        pairs = np.array(enumerate_grid_equilibria(m, step, hi, tolerance=tol))
+        assert count == len(pairs) > 0
+        p1, first, last = np.array(runs).T
+        first, last = np.searchsorted(g, first), np.searchsorted(g, last)
+        expanded = np.column_stack([
+            np.repeat(p1, last - first + 1),
+            np.concatenate([g[a : b + 1] for a, b in zip(first, last)]),
+        ])
+        assert np.array_equal(expanded, pairs)
+        # maximal: a run starts at each pair that does not follow the one before in its row
+        i, j = np.searchsorted(g, pairs.T)
+        assert len(runs) == np.sum((np.diff(i, prepend=-1) != 0) | (np.diff(j, prepend=-2) != 1))
+
+    def test_a_row_ending_at_the_last_price_and_the_next_starting_at_zero_are_two_runs(self):
+        # (9.99, 10.0) and (10.0, 0.0) are adjacent in row-major order
+        runs, count = grid_equilibrium_runs(get_instance("bertrand-1-2").problem, 0.01)
+        assert runs[-3:] == [[9.99, 8.99, 10.0], [10.0, 0.0, 2.0], [10.0, 8.99, 10.0]]
+        assert (len(runs), count) == (507, 46_060)
+
+    def test_no_equilibrium_is_no_run(self, model):
+        assert enumerate_grid_equilibria(model, 0.5, 0.5, tolerance=-1.0) == []
+        assert grid_equilibrium_runs(model, 0.5, 0.5, tolerance=-1.0) == ([], 0)
 
 
 def reference_enumerate_grid_equilibria(model, grid_step, price_range=None, tolerance=1e-6):

@@ -2,20 +2,16 @@
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
 import warnings
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import splitnash
 from splitnash.cli import (
@@ -24,7 +20,6 @@ from splitnash.cli import (
     EXIT_INPUT,
     EXIT_OK,
     _json_default,
-    _pretty,
     main,
 )
 from splitnash.kernel import Interval, SearchBudget
@@ -280,9 +275,12 @@ class TestVerbs:
             capsys, "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.01", "--range", "5"
         )
         assert code == EXIT_OK
-        eqs = doc["results"]["equilibria"]
-        assert [1.0, 2.0] in eqs
-        assert all(max(abs(p1 - 1.0), abs(p2 - 2.0)) <= 0.03 for p1, p2 in eqs)
+        runs = doc["results"]["equilibrium_runs"]
+        assert [1.0, 2.0, 2.0] in runs
+        assert all(
+            max(abs(p1 - 1.0), abs(first - 2.0), abs(last - 2.0)) <= 0.03
+            for p1, first, last in runs
+        )
 
     def test_bertrand_enumeration_lists_no_price_past_the_range(self, capsys):
         # 0.6 does not divide 10: the grid ends at 9.6, not at 10.2
@@ -290,7 +288,7 @@ class TestVerbs:
             capsys, "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.6", "--range", "10"
         )
         assert code == EXIT_OK
-        assert max(max(e) for e in doc["results"]["equilibria"]) == 9.6
+        assert max(max(run) for run in doc["results"]["equilibrium_runs"]) == 9.6
 
     def test_cost_audit(self, capsys):
         code, _ = run(capsys, "audit", "bertrand")
@@ -310,6 +308,67 @@ class TestVerbs:
         code, doc = run_json(capsys, "cdp-check", "quadratic-sanity", "--samples", "200")
         assert code == EXIT_OK
         assert doc["results"]["cdp"]["min_dominance_failures"] == []
+
+
+def _grid_index(g: np.ndarray, price: float) -> int:
+    i = int(np.searchsorted(g, price))
+    assert g[i] == price  # a report's prices are grid prices, bit for bit
+    return i
+
+
+class TestEquilibriumRuns:
+    """A run [p1, p2_first, p2_last] of a bertrand-enumerate report stands for
+    every grid price p2 from p2_first to p2_last against p1."""
+
+    @pytest.mark.parametrize("ident", ["bertrand-1-2", "bertrand-1-1"])
+    @pytest.mark.parametrize("flags", [
+        ("--grid-step", "0.01", "--range", "10"),
+        ("--grid-step", "0.6", "--range", "10"),  # a step that does not divide the range
+        ("--grid-step", "0.002", "--range", "5"),
+        ("--tol", "2"),
+    ])
+    def test_runs_expand_to_the_enumerated_equilibria(self, capsys, ident, flags):
+        code, doc = run_json(capsys, "bertrand-enumerate", ident, *flags)
+        res = doc["results"]
+        step, hi = res["grid_step"], res["price_range"]
+        expected = splitnash.enumerate_grid_equilibria(
+            splitnash.get_instance(ident).problem, step, hi, tolerance=doc["tolerance"]
+        )
+        assert code == (EXIT_OK if expected else EXIT_FAIL)
+        assert res["equilibrium_count"] == len(expected)
+        g = splitnash.bertrand._price_grid(hi, step)
+        cells = [
+            (_grid_index(g, p1), _grid_index(g, first), _grid_index(g, last))
+            for p1, first, last in res["equilibrium_runs"]
+        ]
+        assert all(first <= last for _, first, last in cells)
+        expanded = [(g[i], g[j]) for i, first, last in cells for j in range(first, last + 1)]
+        assert expanded == expected  # row-major, as the list of pairs
+        # maximal: the next run of a row starts past a gap of at least one price
+        assert all(b[0] > a[0] or b[1] > a[2] + 1 for a, b in zip(cells, cells[1:]))
+
+    @pytest.mark.parametrize("flags", [(), ("--grid-step", "0.03"), ("--grid-step", "0.25", "--tol", "1")])
+    def test_the_cost_audit_checks_the_runs_as_it_checked_the_pairs(self, capsys, flags):
+        # the cost point off the grid at step 0.03, equilibria outside the band at 0.25
+        code, doc = run_json(capsys, "audit", "bertrand", *flags)
+        res = doc["results"]
+        pairs = splitnash.enumerate_grid_equilibria(
+            splitnash.get_instance("bertrand-1-2").problem, res["grid_step"], 5.0,
+            tolerance=doc["tolerance"],
+        )
+        cost = any(abs(p1 - 1.0) < 1e-9 and abs(p2 - 2.0) < 1e-9 for p1, p2 in pairs)
+        within = all(max(abs(p1 - 1.0), abs(p2 - 2.0)) <= res["band"] + 1e-12 for p1, p2 in pairs)
+        assert (res["contains_cost_point"], res["all_within_band"]) == (cost, within)
+        assert code == (EXIT_OK if cost and within else EXIT_FAIL)
+
+    def test_the_default_report_is_small(self, capsys):
+        # 46,060 pairs, almost all in the zero-demand region, were a 2 MB report
+        code, out = run(
+            capsys, "bertrand-enumerate", "bertrand-1-2", "--format", "json", "--deterministic"
+        )
+        doc = json.loads(out)["results"]
+        assert code == EXIT_OK and len(out.encode()) < 64 * 1024
+        assert (len(doc["equilibrium_runs"]), doc["equilibrium_count"]) == (507, 46_060)
 
 
 class TestReports:
@@ -359,20 +418,20 @@ class TestReports:
     def test_only_a_json_report_is_encoded_as_one(
         self, capsys, monkeypatch, tmp_path, flags, documents
     ):
-        written = []
-        pretty = splitnash.cli._pretty
+        indents = []
+        dumps = json.dumps
 
-        def counted(doc):
-            written.append(doc)
-            return pretty(doc)
+        def counted(*args, **kwargs):
+            indents.append(kwargs.get("indent"))
+            return dumps(*args, **kwargs)
 
-        monkeypatch.setattr(splitnash.cli, "_pretty", counted)
+        monkeypatch.setattr(json, "dumps", counted)
         out = (str(tmp_path / "report.json"),) if flags == ("--out",) else ()
         code, _ = run(
             capsys, "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.05", *flags, *out
         )
         assert code == EXIT_OK
-        assert len(written) == documents
+        assert indents.count(2) == documents
 
     def test_a_text_report_rejects_a_non_finite_value_before_printing(self, capsys, monkeypatch):
         def settle(rep, ok, results):
@@ -389,7 +448,8 @@ class TestReports:
         self, capsys, monkeypatch, tmp_path, flags
     ):
         def settle(rep, ok, results):
-            rep.verdict, rep.results = ok, {"equilibria": [(1.0, 2.0), (3.0, float("nan"))]}
+            runs = [[1.0, 2.0, 2.0], [3.0, float("nan"), 4.0]]
+            rep.verdict, rep.results = ok, {"equilibrium_runs": runs}
             return EXIT_OK
 
         monkeypatch.setattr(splitnash.cli.Report, "settle", settle)
@@ -398,8 +458,8 @@ class TestReports:
         assert main(["bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.5", *argv]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        # json's C encoder, which writes text lines, leaves out the value before 3.13
-        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+        # one encoder writes text lines and JSON reports, so one message names the value
+        assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
 
     def test_deterministic_flag_gives_byte_identical_output(self, capsys):
         _, a = run(
@@ -425,101 +485,6 @@ class TestReports:
         )
         assert code == EXIT_OK
         jsonschema.validate(json.loads(out.read_text()), schema)
-
-
-def json_dumps_indented(doc) -> str:
-    """What the report writer must write, byte for byte: json's own encoder."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
-
-
-class Pair(NamedTuple):
-    first: object
-    second: object
-
-
-EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 1.7976931348623157e308, 0.1)
-FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-FLOATS = st.one_of(FINITE, st.sampled_from((math.nan, math.inf, -math.inf)))
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    FLOATS,
-    st.text(),  # non-ASCII and control characters included
-    FLOATS.map(np.float64),  # a float subclass, written by json, not by the hook
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-)
-
-
-def float_rows(values):
-    """Equal-length lists or tuples of floats: the writer's one-call path."""
-    return st.integers(1, 3).flatmap(lambda width: st.lists(
-        st.one_of(
-            st.tuples(*[values] * width),
-            st.lists(values, min_size=width, max_size=width),
-        ),
-        max_size=6,
-    ))
-
-
-ROWS = st.one_of(
-    float_rows(FINITE),
-    float_rows(FLOATS),
-    float_rows(FINITE).map(lambda rows: np.array(rows) if rows else np.zeros((0, 2))),
-    st.lists(FLOATS, max_size=5).map(np.array),
-    # ragged, or mixing ints, bools and floats: the general path
-    st.lists(st.lists(st.one_of(FINITE, st.integers(), st.booleans()), max_size=3), max_size=5),
-)
-KEYS = st.one_of(st.text(), st.integers(), FLOATS, st.booleans(), st.none())
-DOCS = st.recursive(
-    st.one_of(SCALARS, ROWS),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.builds(Pair, children, children),
-        # keys of one type sort; mixed types raise json's TypeError
-        *(st.dictionaries(keys, children, max_size=4) for keys in (st.text(), st.integers(), FINITE)),
-        st.dictionaries(KEYS, children, max_size=3),
-    ),
-    max_leaves=24,
-)
-
-
-class TestReportWriter:
-    """cli._pretty writes what json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False, default=_json_default) writes, and raises what it raises."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(DOCS)
-    def test_writes_json_dumps_bytes_and_errors(self, doc):
-        try:
-            expected = json_dumps_indented(doc)
-        except (TypeError, ValueError) as exc:
-            with pytest.raises(type(exc)) as caught:
-                _pretty(doc)
-            assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
-        else:
-            assert _pretty(doc) == expected
-
-    @pytest.mark.parametrize("doc, shown", [
-        ({"rows": [(1.0, 2.0), (math.inf, math.nan)]}, "inf"),
-        ({"rows": [[1.0, -math.inf], [math.nan, 2.0]]}, "-inf"),
-        ([0.5, [math.nan]], "nan"),
-        ({math.nan: 1.0}, "nan"),
-        (np.array([[1.0, 2.0], [3.0, np.inf]]), "inf"),
-        ([np.float64(np.nan)], repr(np.float64(np.nan))),
-    ])
-    def test_a_non_finite_value_raises_json_s_error_at_the_first_one(self, doc, shown):
-        message = f"Out of range float values are not JSON compliant: {shown}"
-        for write in (_pretty, json_dumps_indented):
-            with pytest.raises(ValueError) as caught:
-                write(doc)
-            assert str(caught.value) == message
-
-    def test_float_rows_keep_json_s_layout(self):
-        doc = {"equilibria": [(0.0, -0.0), (5e-324, 1e16)], "empty": [[], ()], "one": [(1e-7,)]}
-        assert _pretty(doc) == json_dumps_indented(doc)
 
 
 class TestFileInputs:
@@ -701,46 +666,46 @@ class TestImageOneRoundingErrorOutsideTheTargetBox:
 # `verb target` followed by any flags written after the target; the report is
 # JSON unless those flags name a `--format`. A change to any of these reports
 # must be deliberate: update the digest and say why. Digests rather than files:
-# the bertrand-enumerate report is 2 MB.
+# the reports are long, the largest here about 77 KB.
 PINNED_REPORTS = {
-    ("audit", "bertrand", 0): (0, "7efdd5acd6045ff7033eeb73b75dd04f327cf880a53c0a183eabc07e7697d0fd"),
-    ("audit", "cdp", 0): (0, "c56b2c5b3479d5163c1ff0a4b50281688a28477b430668b53803f6547e28299b"),
-    ("audit", "thm-6.2", 0): (3, "b4b5ae6bf9ef711055a4ed7f10091768c70f469a8e332a3167d1f7fce780a28e"),
+    ("audit", "bertrand", 0): (0, "fcf96e671d1285c3eea0d3e4e785651df4576028b7dd4486a16ca3be70e24eed"),
+    ("audit", "cdp", 0): (0, "37a217b0ed23c5da66c9899a6f9c6888cbecb6c9edf618299586d9cc18c707cb"),
+    ("audit", "thm-6.2", 0): (3, "fe5b82c2a94013ebfb10bbd4d0c411b3c08a8bad6b363722ae343f28fff94f1d"),
     ("bertrand-enumerate", "bertrand-1-2", 0): (
-        0, "b9b9df929d059e688c78671b4499cc5d25d64f1cec82d5d7ae31a667b6f8ddea"
+        0, "3ded0e664669b16ad426c0f27a0c34d2f1c95effeccb68617a88c96bb4299e26"
     ),
-    ("cdp-check", "example-4.1", 0): (0, "5e79bd42ccc2a305818bccdd7444d3ca573c30a29cb2736ea64ac899ac0f44e5"),
-    ("audit", "bertrand", 7): (0, "e0be9baabb477a948eb49e8a5e13c21f401d5a8e842720cc79171e28b41991d0"),
-    ("audit", "cdp", 7): (0, "9ef91f996f01ced36ae2da6e691693f3946fb44e81e0482c1c7e3ddcbddd8f47"),
-    ("audit", "thm-6.2", 7): (3, "e194c1fff93038a51967d7072b02d1a493bf5e3d226fc4106816bc80d16b336a"),
+    ("cdp-check", "example-4.1", 0): (0, "8495123f0c59718bb6359f0945a88f79aae44dee209199d6a8e09d66b298beb9"),
+    ("audit", "bertrand", 7): (0, "9908facac3f3e8db01c6d89e5cc88dbc04ca1929c69502f43875b52ba8db2280"),
+    ("audit", "cdp", 7): (0, "2739aef2554087c9818b33b2b435c0463955bc2166b88b663af02d26a68d8325"),
+    ("audit", "thm-6.2", 7): (3, "54e4a24fe483161040a33c55cd6ae76a7267e016f859120e3152a5593e0babba"),
     ("bertrand-enumerate", "bertrand-1-2", 7): (
-        0, "7517508980fcbcadf2dbd890b099db1c7319ec2b03f9cb4c17c22805c70b71dc"
+        0, "2aab996e6c80ca7fa16b99f73a7b85b213abfdb17258743fa91d8c6aa12f464e"
     ),
-    ("cdp-check", "example-4.1", 7): (0, "2e9d005c8609e61d2442806e4dc729fc9c9f8947ccce54c328dfbd9435302658"),
+    ("cdp-check", "example-4.1", 7): (0, "dd7545fc0ff166a149d7809b9951b71665cb2313b7b48f292981a86392e8fd2d"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
-        0, "8c923d8970f144d162636e7fc436f59eba8abcb650d4f7df2c5c1c657b7328a7"
+        0, "d61106456b8c5752a2d2418fc5d5cf4f03e6afe846b7b32b9fa63679805f9c31"
     ),
-    ("solve-nash", "example-4.1:E2", 0): (0, "9fab1dd6838ab13b366b31cd0fa24405318e2c31df2f7b6449fe21a77bbb4077"),
+    ("solve-nash", "example-4.1:E2", 0): (0, "e7dbca433f022252f4ed40bef4394c2b72b13e343d1298d091ba3544be43a0f7"),
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
-        1, "5be60a021fbf335b67c1745714f113805100b7bee1179b46d070dee8448a3199"
+        1, "81ed98c965c3969afcf05fa8d9ea5a24420fa9412e50cca99c58b3eedb4fc567"
     ),
-    ("solve-split", "quadratic-sanity", 0): (0, "81bc073bae41936fb7f4c2ed7a11c5da9cec35a08f56c3eefb08bab5a4d56907"),
-    ("solve-split", "example-4.1", 0): (1, "6693859cc9164843fca51dedec050f38bee24b93c8ee6838f41a79a12169d307"),
-    ("kkm-probe", "quadratic-sanity", 0): (0, "aabc55efb7ea727650ad3fe6802b1e210ff486d5c5b8e75e465976106134a93e"),
-    ("audit", "example-4.1", 0): (3, "b3d73c72f9bdd53aa5c38b7306ad10b2f76cec11dc1a22fe5b6630d4cb9c1600"),
-    ("audit", "kkm", 0): (0, "857fa552103b484be9916be466fde6ac5caa7805e9ad1738a4173b48e06ebe8a"),
+    ("solve-split", "quadratic-sanity", 0): (0, "39b8e42f3251ce41017b58463b5cc00bfdec0f45ea81ef367a235a25ca88180b"),
+    ("solve-split", "example-4.1", 0): (1, "68f535d62632ac1a5f6cb2baaba46f0004a040a835d65ac60a47b529e3062f43"),
+    ("kkm-probe", "quadratic-sanity", 0): (0, "0b5b6c3b2efac22468d326c89bfdd0b44f5b1ae2eaeb25ce9dd84f9618890947"),
+    ("audit", "example-4.1", 0): (3, "e9b77ff95fe09f1b808f56fe4e4eaeefe6818e35acdd3954536d67ecee278321"),
+    ("audit", "kkm", 0): (0, "30e07be3597e342073cddf3a8cd7a2fd91964397da3bbe3d5f8d8571feb960b7"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
-        0, "0fbafe497d3761c008f39a593f9c143911cda50ee44c3d1e3cbae9dd47132be5"
+        0, "61ef90854c6b61b958a6b5c7643b2ee86cc6f178d636304fca3bdb16f0634bb4"
     ),
-    ("solve-nash", "example-4.1:E2", 7): (0, "f4cc2428a77c66712b7994c7128576ec63ee5506c1506da898f013c61d1f0af3"),
+    ("solve-nash", "example-4.1:E2", 7): (0, "0733ac443c8840c6e653e663abbac8b925870ec3556500672445de7716ea0358"),
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
-        1, "3a8c954ae1315259db39ee859326959624f06bf9ca515a16fc7000490482cbf7"
+        1, "fbaae15eeac99aaeb2f1804f1b0c7ffe4de9c72cfbf5fcad08c9220a9cd89c63"
     ),
-    ("solve-split", "quadratic-sanity", 7): (0, "e2e8b0a882876941935fd568505a87530a6b03bef425964ebb9b1a38b7128863"),
-    ("solve-split", "example-4.1", 7): (1, "ae814bb121f80c2fe54cbde531eb172ec6692c0c4945e9b059c2bf78722ebcd9"),
-    ("kkm-probe", "quadratic-sanity", 7): (0, "2ead745c7ae2b94fea83978714c49d7ba779f682f3d6b397e9482a69d57eb1f2"),
-    ("audit", "example-4.1", 7): (3, "d036224daa99ff77dc0bebdd0f91484b588ec286beabc60bcb53470f7385c596"),
-    ("audit", "kkm", 7): (0, "d44a11342545368a4ab91e7c7987b512fa4196564b17ce79d2da01406ad407c5"),
+    ("solve-split", "quadratic-sanity", 7): (0, "628760433560e356ce3513c824932ba56bf0c9910292a190ff3fe8eef2fda147"),
+    ("solve-split", "example-4.1", 7): (1, "fb3e03c4564d2282e589b38b506f53c1d2c93deab9e16293967105dc6da5bf6e"),
+    ("kkm-probe", "quadratic-sanity", 7): (0, "0f67760867d1e5bb740b8c7f36fe2d9201e235d5a624ef2eb5583369505ed6b1"),
+    ("audit", "example-4.1", 7): (3, "5e31d5a959abdde6ef005e1eb66469cfd31fcb26cf0fd86469b1bc899a5dace6"),
+    ("audit", "kkm", 7): (0, "87299b16884b877d087e5aeef90e173b0d5e04f55ef01c40c97463c6e47a4891"),
     ("verify-split", "example-4.1 --profile 1,2,4 --format text", 0): (
         1, "064830fbe378d0e7b839d554b00cdda110e616951d4fdbbaff32a53e6815a9a7"
     ),
@@ -748,13 +713,13 @@ PINNED_REPORTS = {
         3, "72585f154cc2b56f4edd88bfd0678906d85bb7b0ca902e733fff2ddf804eaf58"
     ),
     ("bertrand-enumerate", "bertrand-1-1", 0): (
-        0, "8c4fe3ac04ec4767e2ca0c7181154a294229f74c4e059d29da33284e0dc8f3f7"
+        0, "b5b641ab816940f46a413aaab4d2b515189b96311a3e6295b67436d8da449cf7"
     ),
     ("bertrand-enumerate", "bertrand-1-2 --grid-step 0.002 --range 5", 0): (
-        0, "83983904ca14bbe3bf8bb851bc3ce808d4396382127f8084195c1af7e85e7de4"
+        0, "a74189a4322e5bdb25fd8e59774330329c9acfecf973de1008ecf0dd1a1c82d3"
     ),
     ("bertrand-enumerate", "bertrand-1-2 --tol 2", 0): (
-        0, "556e6dd0fa4ba3f10acd89f4cbcbf55dd804d055ae7ad5d5a93f81eaa87b4cac"
+        0, "adbe5740cc8eb8ac525246f36e41033ef4f1bc6d3b66123251473fdcfd0a2be4"
     ),
 }
 
@@ -803,9 +768,13 @@ def test_the_package_runs_without_scipy():
 
 
 def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
-    # the 2 MB report fills the pipe, so the child is still writing when it closes
+    # a report over twice the 64 KB of a Linux pipe fills it, so the child is
+    # still writing when it closes
     out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
-    argv = ("bertrand-enumerate", "bertrand-1-2", "--format", "json", "--out", str(out))
+    argv = (
+        "bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.005", "--tol", "2",
+        "--format", "json", "--out", str(out),
+    )
     with err.open("w") as stderr:
         child = subprocess.Popen(
             [sys.executable, "-m", "splitnash.cli", *argv],
@@ -817,3 +786,4 @@ def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
     assert (first, code, err.read_text()) == ("{\n", EXIT_OK, "")
     # --out is written before stdout, so it is complete
     assert json.loads(out.read_text())["command"] == "bertrand-enumerate"
+    assert out.stat().st_size > 2 * 64 * 1024
