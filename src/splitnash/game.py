@@ -21,9 +21,10 @@ from .kernel import EvalError, Interval, SearchBudget, maximize_1d
 # A utility maps a sequence of n coordinates, floats or arrays that broadcast
 # together, to player i's payoff, of their broadcast shape: an (n,) profile
 # gives a float, (n, S) columns give (S,), and best_response's (k, 1)
-# opponents with (k, P) candidates give (k, P). A deviation replaces one entry
-# of the sequence. Compiled expressions read coordinate j as v[j]; a value
-# that does not depend on the profile may come back as one scalar for all.
+# opponents with (1, P) or (k, P) candidates give what broadcasts to (k, P).
+# A deviation replaces one entry of the sequence. Compiled expressions read
+# coordinate j as v[j]; a value that does not depend on the profile may come
+# back as one scalar for all.
 UtilityFn = Callable[[Sequence[float | np.ndarray]], float | np.ndarray]
 
 
@@ -185,8 +186,10 @@ def best_response(
 
     x is an (n,) profile or (n, k) profile columns, column r being row r of
     one maximize_1d call (k = 1 for a profile). The utility sees the
-    opponents as (k, 1) columns and the candidates as (k, P). Returns the
-    (k,) maximizers and their (k,) values; an EvalError names the player.
+    opponents as (k, 1) columns and the candidates as one (1, P) row where
+    all rows share them (the scan grid and the cap probes) or as (k, P) (a
+    rescan), and returns what broadcasts to (k, P). Returns the (k,)
+    maximizers and their (k,) values; an EvalError names the player.
     """
     i = game.player_index(player)
     v = list(np.asarray(x, dtype=float).reshape(game.n_players, -1, 1))

@@ -79,21 +79,25 @@ _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 
 
 def _values(
-    f: Callable[[np.ndarray], np.ndarray], t: np.ndarray, overflow: str = ""
+    f: Callable[[np.ndarray], np.ndarray], t: np.ndarray, k: int, lo: float, hi: float,
+    overflow: str = "",
 ) -> np.ndarray:
-    """f at the (k, P) points t as a (k, P) array; it may be a view that f's
-    next call overwrites. EvalError names the first non-finite value, or
-    reads `overflow`, when given, if that value is +inf."""
+    """f at the points t, (k, P) or one (1, P) row shared by all k rows, as a
+    (k, P) array; it may be a view that f's next call overwrites. EvalError
+    names the first non-finite value, its point (row r of the result reads
+    row r of t, or t's one row) and the window [lo, hi], or reads
+    `overflow`, when given, if that value is +inf."""
     vs = np.asarray(f(t), dtype=float)
-    if vs.shape != t.shape:
-        vs = np.broadcast_to(vs, t.shape)
+    if vs.shape != (k, t.shape[1]):
+        vs = np.broadcast_to(vs, (k, t.shape[1]))
     finite = np.isfinite(vs)
     if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
         r, c = np.unravel_index(finite.argmin(), finite.shape)
         value = float(vs[r, c])
         if overflow and value == math.inf:
             raise EvalError(overflow)
-        raise EvalError(f"non-finite value {value!r} at {float(t[r, c])!r}")
+        x = t.item(r if len(t) > 1 else 0, c)
+        raise EvalError(f"non-finite value {value!r} at {x!r} on [{lo!r}, {hi!r}]")
     return vs
 
 
@@ -105,10 +109,10 @@ def _expand_cap(
     f overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
     unbounded = f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)"
     hi = min(lo + budget.truncation_cap, math.nextafter(math.inf, 0.0))  # the largest float
-    t = np.empty((k, 2))
+    t = np.empty((1, 2))  # the probes are shared by all rows
     while hi < math.inf:
         t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
-        vs = _values(f, t, unbounded)
+        vs = _values(f, t, k, lo, hi, unbounded)
         if (vs[:, 0] <= vs[:, 1]).all():
             return hi
         hi = max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf))
@@ -120,9 +124,11 @@ def maximize_1d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize k functions of one variable that share an interval.
 
-    f maps a (k, P) array of points, row r holding candidates for problem r,
-    to the (k, P) array of their values (or to one scalar, when it depends on
-    neither x nor the row). Returns the (k,) maximizers and their (k,) values.
+    f maps points to values that broadcast to (k, P), row r holding problem
+    r's (one scalar, when they depend on neither x nor the row). Points shared
+    by all rows, the scan grid and the cap probes, arrive as one (1, P) row;
+    a rescan's arrive as (k, P), row r holding candidates for problem r.
+    Returns the (k,) maximizers and their (k,) values.
 
     Every row scans one shared grid of at most _MAX_SCAN_CELLS cells in one
     call of f. Each row's ±1-cell bracket around its first maximum (ties go
@@ -131,8 +137,8 @@ def maximize_1d(
     and the last rescan narrowed it: a float width cannot shrink forever, so
     no count bounds the rescans. A row keeps its best point so far unless a
     rescan finds a strictly larger value. A non-finite value raises EvalError
-    at the first such point. On a bounded interval, row r's result is the
-    k = 1 result for row r alone, bit for bit.
+    naming the first such point and the searched window. On a bounded
+    interval, row r's result is the k = 1 result for row r alone, bit for bit.
 
     Unbounded intervals are searched over [lo, lo + cap] after bracket
     expansion: the cap, shared by all rows, doubles while f is still
@@ -150,8 +156,8 @@ def maximize_1d(
     xs *= (hi - lo) / cells
     xs += lo
     xs[-1] = hi
-    # one row needs no broadcast, whose call costs a few percent of a k = 1 call
-    pts = xs[None, :] if k == 1 else np.broadcast_to(xs, (k, xs.size))
+    # the scan's points are shared: f sees them once, as one row
+    pts = xs[None, :]
 
     # Pass 0 is the scan; pass p > 0 rescans row r at left[r] + i * step[r]
     # for i < _ZOOM_POINTS - 1, then right[r]: the points of
@@ -166,16 +172,17 @@ def maximize_1d(
     x, v, width = [lo] * k, [-math.inf] * k, [math.inf] * k
     active = range(k)
     while True:
-        vals = _values(f, pts)
+        vals = _values(f, pts, k, lo, hi)
         best = vals.argmax(axis=1).tolist()
         last = pts.shape[1] - 1
+        shared = len(pts) == 1
         still = []
         for r in active:
-            j = best[r]
+            j, q = best[r], 0 if shared else r
             top = vals.item(r, j)
             if top > v[r]:
-                x[r], v[r] = pts.item(r, j), top
-            a, b = pts.item(r, j - 1 if j else 0), pts.item(r, j + 1 if j < last else j)
+                x[r], v[r] = pts.item(q, j), top
+            a, b = pts.item(q, j - 1 if j else 0), pts.item(q, j + 1 if j < last else j)
             if goal < b - a < width[r]:
                 left[r], step[r], right[r], width[r] = a, (b - a) / (_ZOOM_POINTS - 1), b, b - a
                 still.append(r)

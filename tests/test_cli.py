@@ -123,7 +123,7 @@ class TestExitCodes:
         [
             (
                 ("solve-nash", "example-4.1:E2", "--cap", "1e308"),
-                "error: non-finite value nan at 5e+304 in the best response of player 'd'",
+                "error: non-finite value nan at 5e+304 on [0.0, 1e+308] in the best response of player 'd'",
             ),
             (
                 ("verify-nash", "example-4.1:E2", "--profile", "1e308,1"),

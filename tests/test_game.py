@@ -305,6 +305,13 @@ BEST_RESPONSE_CASES = {
         SearchBudget(),
         [Interval(0.0, 5.0)] * 3,
     ),
+    # E2's utilities on solve_nash's [0, 1000] windows: every row shares one
+    # 2,001-point scan, whose own-strategy terms are s^2 and t^4
+    "wide": (
+        lambda: replace(e2_game(), strategy_sets=(Interval(0.0, 1000.0),) * 2),
+        SearchBudget(),
+        [Interval(0.0, 1000.0)] * 2,
+    ),
     "narrow": (
         lambda: Game.from_expressions(
             ("x", "y"),
@@ -363,8 +370,8 @@ class TestBestResponseColumnsMatchProfileCalls:
 class TestUtilitiesTakeCoordinates:
     """A utility reads coordinate j as v[j] of a sequence whose entries
     broadcast together, and a deviation replaces one entry: best_response
-    passes (k, 1) opponents with (k, P) candidates, and diagonal_payoff
-    deviates a stack of profiles against shared columns."""
+    passes (k, 1) opponents with (1, P) or (k, P) candidates, and
+    diagonal_payoff deviates a stack of profiles against shared columns."""
 
     def test_an_opponent_only_utility_broadcasts_over_the_candidates(self, budget):
         # x's utility "y" gives one (k, 1) value per column for all candidates,
@@ -410,8 +417,14 @@ class TestUtilitiesTakeCoordinates:
             for whole, shapes in seen:
                 assert whole is None or len(whole) < 3, "no (n, k, P) profile array"
                 assert all(s == (4, 1) for j, s in enumerate(shapes) if j != i)
-                assert shapes[i][0] == 4
-            assert max(shapes[i][1] for _, shapes in seen) > 1
+            # the cap probes and the scan are shared by all rows, so each
+            # reaches the utility once, as one row; the rescans are per row
+            own = [shapes[i] for _, shapes in seen]
+            probes = own.count((1, 2))
+            assert probes and own[:probes] == [(1, 2)] * probes, "the half-line is probed"
+            (rows, points), *rescans = own[probes:]
+            assert rows == 1 and points > 2, "one scan call, as one (1, P) row"
+            assert rescans and rescans == [(4, kernel._ZOOM_POINTS)] * len(rescans)
 
 
 class TestMembershipAndConcavity:

@@ -133,9 +133,14 @@ class TestMaximize1d:
 
     @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (-np.inf, "-inf")])
     def test_nan_or_minus_inf_while_the_cap_grows_stays_non_finite(self, bad, shown):
+        # the cap doubles from 1e3 to 1000 * 2^24 before a probe passes 1e10;
+        # the window named is the one the cap has grown to
         f = lambda t: np.where(t > 1e10, bad, t)
-        with pytest.raises(EvalError, match=rf"^non-finite value {shown} at "):
+        with pytest.raises(EvalError) as caught:
             maximize_1d(f, Interval(0.0), SearchBudget())
+        assert str(caught.value) == (
+            f"non-finite value {shown} at 16777216000.0 on [0.0, 16777216000.0]"
+        )
 
     @pytest.mark.parametrize("cap", [1e-300, 1e-3, 1.0])
     def test_no_cap_stops_the_expansion_short_of_the_peak(self, cap):
@@ -165,7 +170,7 @@ class TestMaximize1d:
         # the scan grid (step 0.01) misses the pole; the first rescan of
         # [2.99, 3.01] (step 7.8e-5) hits it
         f = lambda t: np.where(np.abs(t - 3.003) < 1e-4, np.nan, -(t - 3.0) * (t - 3.0))
-        with pytest.raises(EvalError, match=r"^non-finite value nan at 3\.00296"):
+        with pytest.raises(EvalError, match=r"^non-finite value nan at 3\.00296\d* on \[0\.0, 10\.0\]$"):
             maximize_1d(f, Interval(0.0, 10.0), SearchBudget())
 
     @pytest.mark.parametrize("peak", [1e6, 5e6])
@@ -221,6 +226,37 @@ class TestMaximize1d:
         maximize_1d(recorder(np.array([[-1.0]]), alone), iv, budget)
         maximize_1d(recorder(np.array([[-1.0], [0.425 * hi]]), shared), iv, budget, k=2)
         assert shared <= alone
+
+    def test_the_scan_reaches_f_once_as_one_shared_row(self):
+        shapes = []
+        peaks = np.arange(1.0, 6.0)[:, None]
+
+        def f(t):
+            shapes.append(t.shape)
+            return -(t - peaks) * (t - peaks)
+
+        maximize_1d(f, Interval(0.0, 20.0), SearchBudget(), k=5)  # 2,000 cells
+        assert shapes[0] == (1, 2001)
+        assert shapes[1:] and set(shapes[1:]) == {(5, kernel._ZOOM_POINTS)}
+
+    def test_a_non_finite_value_in_one_row_of_the_shared_scan_names_its_point(self):
+        # the scan's points arrive as one row, its values as three: the error
+        # reads row 2's value at the column's one point
+        bad = np.array([[False], [False], [True]])
+        f = lambda t: np.where(bad & (t > 2.505), np.nan, -t)
+        with pytest.raises(EvalError) as caught:
+            maximize_1d(f, Interval(0.0, 10.0), SearchBudget(), k=3)
+        assert str(caught.value) == "non-finite value nan at 2.5100000000000002 on [0.0, 10.0]"
+
+    def test_a_row_free_objective_gives_every_row_the_one_row_result(self):
+        # the scan and the cap probes get one (1, P) row of values back for
+        # all four rows; the peak at 6.25e6 makes the cap double many times
+        f = lambda t: np.sqrt(t) - t / 5000.0
+        iv, budget = Interval(0.0), SearchBudget()
+        xs, vs = maximize_1d(f, iv, budget, k=4)
+        (x,), (v,) = maximize_1d(f, iv, budget)
+        assert xs.tobytes() == np.full(4, x).tobytes()
+        assert vs.tobytes() == np.full(4, v).tobytes()
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_no_rows(self, k):
