@@ -246,29 +246,28 @@ def _distinct(points: Sequence[np.ndarray], tolerance: float) -> list[np.ndarray
 def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     """Multistart damped simultaneous best-response iteration.
 
-    Runs from N_STARTS seeded random feasible starts in lockstep: each
-    iteration makes one best_response call per player, on the game truncated
-    to the windows the starts are drawn in, with one column per start still
-    moving; a start drops out once its change is below tolerance. Unbounded
-    strategy sets are thus searched only up to the truncation cap, which
-    keeps divergent dynamics bounded. Fixed points are deduplicated
-    relative to their scale (see _distinct), and only profiles that pass
-    verify_nash are returned. May return an empty list; emptiness is a
-    finding.
+    Runs from N_STARTS starts in lockstep: N_STARTS - 1 seeded random
+    feasible draws, then the lower corner of the windows they are drawn in,
+    where a fixed point that repels the damped map, as E2's (0, 0), is found.
+    Each iteration makes one best_response call per player, at the caller's
+    budget, on the game truncated to those windows, with one column per
+    start still moving; a start drops out once its change is below
+    tolerance. Unbounded strategy sets are thus searched only up to the
+    truncation cap, which keeps divergent dynamics bounded. Fixed points are
+    deduplicated relative to their scale (see _distinct), and only profiles
+    that pass verify_nash are returned. May return an empty list; emptiness
+    is a finding.
     """
     rng = np.random.default_rng(budget.seed)
-    # zoomed rescans keep best responses accurate, so the iteration phase
-    # can scan coarsely; verification uses the full budget
-    iter_budget = replace(budget, grid_step=budget.grid_step * 16)
     windows = tuple(iv.truncated(budget.truncation_cap) for iv in game.strategy_sets)
     truncated = replace(game, strategy_sets=windows)
-    x = uniform_samples(rng, N_STARTS, windows).T
+    x = np.concatenate([uniform_samples(rng, N_STARTS - 1, windows), [[w.lo for w in windows]]]).T
     moving = np.arange(N_STARTS)
     for _ in range(budget.max_iterations):
         cur = x[:, moving]
         br = np.empty_like(cur)
         for i, p in enumerate(game.players):
-            br[i], _ = best_response(truncated, p, cur, iter_budget)
+            br[i], _ = best_response(truncated, p, cur, budget)
         nxt = cur + DAMPING * (br - cur)
         change = np.max(np.abs(nxt - cur), axis=0)
         x[:, moving] = nxt

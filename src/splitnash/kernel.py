@@ -52,7 +52,9 @@ class Interval:
 @dataclass(frozen=True)
 class SearchBudget:
     """Search knobs, finite and positive but the seed. maximize_1d reads grid_step,
-    tolerance and truncation_cap; max_iterations caps solve_nash alone."""
+    tolerance and truncation_cap; max_iterations caps solve_nash alone. One
+    budget reaches every search of a call unchanged, but _MAX_SCAN_CELLS
+    coarsens grid_step on a window over 2000 steps wide."""
 
     grid_step: float = 1e-2
     max_iterations: int = 500

@@ -300,21 +300,19 @@ def kkm_t_membership(
     problem: SplitProblem, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
 ) -> bool | np.ndarray:
     """Is (z, Az) dominated by no deviation to the blocks of any column of x, in
-    either game? (n, R) x and (n, S) z give (S,) answers. x's columns are walked
-    in order over the columns of z that none before excluded; z's images and
-    payoffs are computed once, after the first x's deviations, as a call per x would."""
+    either game? (n, R) x and (n, S) z give (S,) answers. z's images and payoffs
+    are computed once; x's columns are then walked in order over the columns
+    of z that none before excluded."""
     x = np.asarray(x, dtype=float).reshape(problem.game_n.n_players, -1)
     cols = np.asarray(z, dtype=float).reshape(problem.game_n.n_players, -1)
     sides = ((problem.game_n, x, cols), (problem.game_m, problem.image(x), problem.image(cols)))
-    bounds: list[np.ndarray] = []
+    bounds = [game.payoff_vector(zs) + tolerance for game, _, zs in sides]
     member = np.ones(cols.shape[1], dtype=bool)
     for r in range(x.shape[1]):
         kept = True
-        for k, (game, xs, zs) in enumerate(sides):
+        for (game, xs, zs), bound in zip(sides, bounds):
             deviated = diagonal_payoff(game, xs[:, r], zs[:, member])
-            if k == len(bounds):  # the first x: after its deviation, as one call per x
-                bounds.append(game.payoff_vector(zs) + tolerance)
-            kept = kept & order_leq(deviated, bounds[k][:, member])
+            kept = kept & order_leq(deviated, bound[:, member])
         member[member] = kept
         if not member.any():
             break

@@ -266,6 +266,11 @@ class TestVerbs:
         (sol,) = doc["results"]["split_equilibria"]
         assert sol == pytest.approx([1.0, 2.0], abs=1e-4)
 
+    def test_solve_split_finds_the_origin_of_example_4_1(self, capsys):
+        code, out = run(capsys, "solve-split", "example-4.1", "--format", "json", "--deterministic")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["split_equilibria"] == [[0.0, 0.0, 0.0]]
+
     def test_verify_split_at_the_pair(self, capsys):
         code, doc = run_json(capsys, "verify-split", "quadratic-sanity", "--profile", "1,2")
         assert code == EXIT_OK and doc["verdict"] is True
@@ -685,24 +690,24 @@ PINNED_REPORTS = {
     ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
         0, "d61106456b8c5752a2d2418fc5d5cf4f03e6afe846b7b32b9fa63679805f9c31"
     ),
-    ("solve-nash", "example-4.1:E2", 0): (0, "e7dbca433f022252f4ed40bef4394c2b72b13e343d1298d091ba3544be43a0f7"),
+    ("solve-nash", "example-4.1:E2", 0): (0, "93af1cb973c15a472a18aef4e093650bbf0a5ef261adce43607bc7133a7cb56d"),
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
         1, "81ed98c965c3969afcf05fa8d9ea5a24420fa9412e50cca99c58b3eedb4fc567"
     ),
     ("solve-split", "quadratic-sanity", 0): (0, "39b8e42f3251ce41017b58463b5cc00bfdec0f45ea81ef367a235a25ca88180b"),
-    ("solve-split", "example-4.1", 0): (1, "68f535d62632ac1a5f6cb2baaba46f0004a040a835d65ac60a47b529e3062f43"),
+    ("solve-split", "example-4.1", 0): (0, "c0960d57bf07b028437416f52236811cdd6f96f591921af3ca1fef5301952398"),
     ("kkm-probe", "quadratic-sanity", 0): (0, "0b5b6c3b2efac22468d326c89bfdd0b44f5b1ae2eaeb25ce9dd84f9618890947"),
     ("audit", "example-4.1", 0): (3, "e9b77ff95fe09f1b808f56fe4e4eaeefe6818e35acdd3954536d67ecee278321"),
     ("audit", "kkm", 0): (0, "30e07be3597e342073cddf3a8cd7a2fd91964397da3bbe3d5f8d8571feb960b7"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
         0, "61ef90854c6b61b958a6b5c7643b2ee86cc6f178d636304fca3bdb16f0634bb4"
     ),
-    ("solve-nash", "example-4.1:E2", 7): (0, "0733ac443c8840c6e653e663abbac8b925870ec3556500672445de7716ea0358"),
+    ("solve-nash", "example-4.1:E2", 7): (0, "86fd51968ad08dddcaf08045f51e242ceee99b188037dbac9a33384091966136"),
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
         1, "fbaae15eeac99aaeb2f1804f1b0c7ffe4de9c72cfbf5fcad08c9220a9cd89c63"
     ),
     ("solve-split", "quadratic-sanity", 7): (0, "628760433560e356ce3513c824932ba56bf0c9910292a190ff3fe8eef2fda147"),
-    ("solve-split", "example-4.1", 7): (1, "fb3e03c4564d2282e589b38b506f53c1d2c93deab9e16293967105dc6da5bf6e"),
+    ("solve-split", "example-4.1", 7): (0, "ceb9f98306c835ad29acf11d5e6349f66a5908345238f8f0c031a85a4b762f3b"),
     ("kkm-probe", "quadratic-sanity", 7): (0, "0f67760867d1e5bb740b8c7f36fe2d9201e235d5a624ef2eb5583369505ed6b1"),
     ("audit", "example-4.1", 7): (3, "5e31d5a959abdde6ef005e1eb66469cfd31fcb26cf0fd86469b1bc899a5dace6"),
     ("audit", "kkm", 7): (0, "87299b16884b877d087e5aeef90e173b0d5e04f55ef01c40c97463c6e47a4891"),

@@ -250,9 +250,11 @@ class TestSolver:
         assert np.allclose(sols[0], [1.0, 2.0, 0.5], atol=1e-4)
 
     def test_target_game_equilibrium_found(self, budget):
+        # (0, 0) repels the damped map; only the lower-corner start lands on it
         sols = solve_nash(e2_game(), budget)
-        assert len(sols) == 1
+        assert len(sols) == 2
         assert np.allclose(sols[0], [9.0, 12.0], atol=1e-3)
+        assert sols[1].tolist() == [0.0, 0.0]
 
     def test_every_returned_profile_verifies(self, budget):
         for x in solve_nash(quadratic_game((0.25, 4.75), hi=5.0), budget):
@@ -281,6 +283,27 @@ class TestSolver:
         assert (arg.tolist(), val.tolist()) == ([2.0], [2.0])
         assert repr(solve_nash(view, budget)) == repr(solve_nash(fresh, budget))
         assert np.allclose(solve_nash(view, budget), [[1.0, 2.0]], atol=1e-5)
+
+    def test_source_game_origin_found_at_the_default_budget(self):
+        # the lower-corner start is E1's (0, 0, 0): every best response
+        # against zeros is zero
+        sols = solve_nash(e1_game(), SearchBudget())
+        assert [s.tolist() for s in sols] == [[0.0, 0.0, 0.0]]
+
+    def test_every_best_response_gets_the_callers_budget(self, monkeypatch):
+        seen = []
+        real = splitnash.game.best_response
+
+        def recording(game, player, x, budget):
+            seen.append((budget, np.shape(x)))
+            return real(game, player, x, budget)
+
+        monkeypatch.setattr(splitnash.game, "best_response", recording)
+        budget = SearchBudget(grid_step=0.05)
+        solve_nash(e2_game(), budget)
+        # the lockstep loop's (n, k) columns and verify_nash's (n,) profiles
+        assert (budget, (2, N_STARTS)) in seen and (budget, (2,)) in seen
+        assert all(b is budget for b, _ in seen)
 
     def test_source_game_origin_equilibrium(self):
         # with a tight cap the damped iteration settles at the origin, which
@@ -564,7 +587,6 @@ def reference_solve_nash(game, budget):
     """solve_nash one start at a time, each best response a one-row
     maximize_1d call: the reference the lockstep solver must reproduce exactly."""
     rng = np.random.default_rng(budget.seed)
-    iter_budget = replace(budget, grid_step=budget.grid_step * 16)
 
     def best(i, x):
         def f(t):
@@ -572,14 +594,13 @@ def reference_solve_nash(game, budget):
             grid[i] = t
             return game.utilities[i](grid)
 
-        (arg,), _ = maximize_1d(f, game.strategy_sets[i].truncated(budget.truncation_cap),
-                                iter_budget)
+        (arg,), _ = maximize_1d(f, game.strategy_sets[i].truncated(budget.truncation_cap), budget)
         return arg
 
     windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
     found = []
-    for _ in range(N_STARTS):
-        x = np.array([rng.uniform(w.lo, w.hi) for w in windows])
+    starts = [np.array([rng.uniform(w.lo, w.hi) for w in windows]) for _ in range(N_STARTS - 1)]
+    for x in starts + [np.array([w.lo for w in windows])]:
         for _ in range(budget.max_iterations):
             br = np.array([best(i, x) for i in range(game.n_players)])
             nxt = x + DAMPING * (br - x)
