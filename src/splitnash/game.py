@@ -232,15 +232,22 @@ N_STARTS = 32
 DAMPING = 0.5
 
 
-def _distinct(points: Sequence[np.ndarray], tolerance: float) -> list[np.ndarray]:
-    """points in order, less each x within 10 * tolerance * max(1, |x|_inf)
-    of a point kept before it, distances in the sup norm."""
-    kept: list[np.ndarray] = []
-    for x in points:
-        radius = 10 * tolerance * max(1.0, float(np.max(np.abs(x))))
-        if not any(np.max(np.abs(x - y)) <= radius for y in kept):
-            kept.append(x)
-    return kept
+def _distinct(x: np.ndarray, tolerance: float) -> list[int]:
+    """Indices of the (n, m) columns of x that merge into no column kept
+    before them: column j merges when within 10 * tolerance * max(1, |x_j|_inf)
+    of a kept column, distances in the sup norm. solve_nash retires the
+    columns left out after every damped update."""
+    radius = 10 * tolerance * np.maximum(1.0, np.abs(x).max(axis=0))
+    # one (n, m, m) test for every iteration: a numpy call per column costs
+    # more than the merge saves; then a pass over the (later, earlier) pairs
+    # in row order, where each earlier column's fate is already settled
+    near = np.abs(x[:, :, None] - x[:, None, :]).max(axis=0) <= radius[:, None]
+    later, earlier = np.nonzero(np.tril(near, -1))
+    kept = [True] * x.shape[1]
+    for j, i in zip(later.tolist(), earlier.tolist()):
+        if kept[i]:
+            kept[j] = False
+    return [j for j, k in enumerate(kept) if k]
 
 
 def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
@@ -251,28 +258,30 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     where a fixed point that repels the damped map, as E2's (0, 0), is found.
     Each iteration makes one best_response call per player, at the caller's
     budget, on the game truncated to those windows, with one column per
-    start still moving; a start drops out once its change is below
-    tolerance. Unbounded strategy sets are thus searched only up to the
-    truncation cap, which keeps divergent dynamics bounded. Fixed points are
-    deduplicated relative to their scale (see _distinct), and only profiles
-    that pass verify_nash are returned. May return an empty list; emptiness
-    is a finding.
+    start still moving; a start stops once its change is below tolerance.
+    Unbounded strategy sets are thus searched only up to the truncation cap,
+    which keeps divergent dynamics bounded. Starts merge as the loop goes:
+    after every damped update, a start, moving or stopped, within the
+    relative radius of an earlier start still alive is retired (see
+    _distinct), and no later call carries it. The loop ends when no alive
+    start moves, and only alive starts that pass verify_nash are returned.
+    May return an empty list; emptiness is a finding.
     """
     rng = np.random.default_rng(budget.seed)
     windows = tuple(iv.truncated(budget.truncation_cap) for iv in game.strategy_sets)
     truncated = replace(game, strategy_sets=windows)
     x = np.concatenate([uniform_samples(rng, N_STARTS - 1, windows), [[w.lo for w in windows]]]).T
-    moving = np.arange(N_STARTS)
+    moving = np.ones(N_STARTS, dtype=bool)  # over the alive columns of x
     for _ in range(budget.max_iterations):
         cur = x[:, moving]
         br = np.empty_like(cur)
         for i, p in enumerate(game.players):
             br[i], _ = best_response(truncated, p, cur, budget)
         nxt = cur + DAMPING * (br - cur)
-        change = np.max(np.abs(nxt - cur), axis=0)
         x[:, moving] = nxt
-        moving = moving[change >= budget.tolerance]
-        if not moving.size:
+        moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance
+        alive = _distinct(x, budget.tolerance)
+        x, moving = x[:, alive], moving[alive]
+        if not moving.any():
             break
-    found = _distinct([x[:, s].copy() for s in range(N_STARTS)], budget.tolerance)
-    return [p for p in found if verify_nash(game, p, budget).verdict]
+    return [p for p in x.T.copy() if verify_nash(game, p, budget).verdict]

@@ -305,6 +305,21 @@ class TestSolver:
         assert (budget, (2, N_STARTS)) in seen and (budget, (2,)) in seen
         assert all(b is budget for b, _ in seen)
 
+    def test_a_start_that_meets_an_earlier_one_is_retired(self, monkeypatch):
+        # 31 of E2's 32 starts run to (9, 12); merged as they meet, the
+        # lockstep calls carry 2,048 columns, against 3,210 merged at the end
+        ks = []
+        real = splitnash.game.best_response
+
+        def recording(game, player, x, budget):
+            if np.ndim(x) == 2:
+                ks.append(np.shape(x)[1])
+            return real(game, player, x, budget)
+
+        monkeypatch.setattr(splitnash.game, "best_response", recording)
+        solve_nash(e2_game(), SearchBudget())
+        assert ks[0] == N_STARTS and sum(ks) < 2500
+
     def test_source_game_origin_equilibrium(self):
         # with a tight cap the damped iteration settles at the origin, which
         # verifies on the unbounded strategy sets as a genuine equilibrium
@@ -572,15 +587,37 @@ class TestMembershipColumnsMatchScalarCalls:
         assert any(want) and not all(want)
 
 
+def columns(*points):
+    return np.column_stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
+
+
 class TestDistinctFixedPoints:
     def test_points_close_relative_to_their_scale_merge(self):
         x = np.array([800.0, 412.5])
-        assert len(_distinct([x, x + 1.2e-5], 1e-6)) == 1
+        assert len(_distinct(columns(x, x + 1.2e-5), 1e-6)) == 1
 
     def test_points_far_relative_to_their_scale_stay(self):
         x = np.array([0.5, 1.0])
-        kept = _distinct([x, x + 1e-3, x], 1e-6)
-        assert len(kept) == 2 and kept[0] is x
+        kept = _distinct(columns(x, x + 1e-3, x), 1e-6)
+        assert len(kept) == 2 and kept[0] == 0
+
+    def test_the_earliest_start_of_each_cluster_is_kept(self):
+        a, b = np.array([1.0, 2.0]), np.array([5.0, 5.0])
+        assert _distinct(columns(a, b, a + 5e-6, b - 5e-6, a), 1e-6) == [0, 1]
+        assert _distinct(columns(b - 5e-6, a, b, a + 5e-6), 1e-6) == [0, 1]
+
+    def test_the_radius_is_the_later_points(self):
+        # radii 10 * 0.01 * max(1, |x|): 0.1 at 1.0 and 0.1105 at 1.105,
+        # and the two are 0.105 apart
+        assert _distinct(columns(1.0, 1.105), 0.01) == [0]
+        assert _distinct(columns(1.105, 1.0), 0.01) == [0, 1]
+
+    def test_a_chain_merges_into_kept_points_only(self):
+        # radius 1e-5 for all three: a ~ b and b ~ c, but not a ~ c
+        a, b, c = 0.0, 8e-6, 1.6e-5
+        assert _distinct(columns(a, b, c), 1e-6) == [0, 2]  # b retired, so c survives
+        assert _distinct(columns(b, c), 1e-6) == [0]  # b kept, so c merges into it
+        assert _distinct(columns(a, c), 1e-6) == [0, 1]
 
 
 def reference_solve_nash(game, budget):
@@ -632,13 +669,25 @@ SOLVER_GAMES = {
             "z*(5 + 0.2*x + 0.1*y) - 1.2*z^2",
         ),
     ),
+    # (0, 0) and (1, 1) split the starts, so a wrong merge drops one of them
+    "stag-hunt": lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")),
+    # every diagonal point is an equilibrium: 32 points come back
+    "coordination-continuum": lambda: lq_game(10.0, ("-((x - y)^2)", "-((y - x)^2)")),
+}
+# Budgets other than SearchBudget() keep the per-start reference under about
+# 0.5 s. 18 of the stag hunt's starts fall into the damped map's 2-cycle
+# between (1/3, 2/3) and (2/3, 1/3) and run to the iteration cap: 2.2 s at
+# 500 iterations, whatever the grid step.
+SOLVER_BUDGETS = {
+    "stag-hunt": SearchBudget(grid_step=0.05, max_iterations=60),
+    "coordination-continuum": SearchBudget(grid_step=0.05),
 }
 
 
 class TestLockstepSolverMatchesPerStartLoop:
     @pytest.mark.parametrize("ident", sorted(SOLVER_GAMES))
     def test_same_profiles(self, ident):
-        g, budget = SOLVER_GAMES[ident](), SearchBudget()
+        g, budget = SOLVER_GAMES[ident](), SOLVER_BUDGETS.get(ident, SearchBudget())
         got = solve_nash(g, budget)
         assert got, "every game here has an equilibrium the solver finds"
         assert repr(got) == repr(reference_solve_nash(g, budget))
