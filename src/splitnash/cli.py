@@ -224,8 +224,6 @@ class Report:
         )
         if args.range is not None and not self.budget.grid_step <= args.range < math.inf:
             raise InputError(f"--range must be finite and at least --grid-step, got {args.range}")
-        if args.points_per_axis < 1:
-            raise InputError(f"--points-per-axis must be at least 1, got {args.points_per_axis}")
         self.args = args
         self.verdict: bool | None = None
         self.results: dict = {}
@@ -416,11 +414,8 @@ def _audit_bertrand(args, rep: Report) -> int:
 
 
 def _audit_thm_6_2(args, rep: Report) -> int:
-    if args.diagonal_only:
-        pairs = [(t, t) for t in np.linspace(0.0, 1.0, 5)]
-    else:
-        axis = np.linspace(0.0, 1.0, 5)
-        pairs = [(a, b) for a in axis for b in axis]
+    axis = np.linspace(0.0, 1.0, 5)
+    pairs = [(a, b) for a in axis for b in axis]
     out = {}
     all_oracle = True
     for ident in ("bertrand-1-1", "bertrand-1-2"):
@@ -480,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         "help": "comma-separated strategy values; write --profile=-1,2 when the first "
         "is negative, so that it is not read as an option",
     }
-    diagonal = ("--diagonal-only",), {"action": "store_true", "dest": "diagonal_only"}
     # verb, function, help, target help, options before the common ones
     verbs = (
         ("verify-nash", cmd_verify_nash, "check a profile for Nash equilibrium",
@@ -489,20 +483,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-split", cmd_verify_split, "check a profile and its operator image",
          "builtin split id or split spec JSON file", [profile]),
         ("solve-split", cmd_solve_split, "solve the split equilibrium problem", None, []),
-        ("audit", cmd_audit, "run a named source-claim audit", "|".join(sorted(AUDITS)),
-         [diagonal]),
+        ("audit", cmd_audit, "run a named source-claim audit", "|".join(sorted(AUDITS)), []),
         ("cdp-check", cmd_cdp_check, "sample the convexity-direction property", None, []),
         ("kkm-probe", cmd_kkm_probe, "finite-grid intersection probe", None, []),
         ("bertrand-enumerate", cmd_bertrand_enumerate, "grid equilibrium enumeration",
          "builtin duopoly id, e.g. bertrand-1-2", []),
     )
+    budget = SearchBudget()  # the budget options default to its fields
     common = (
-        ("--tol", {"type": float, "default": 1e-6}),
-        ("--grid-step", {"type": float, "default": 1e-2, "dest": "grid_step"}),
+        ("--tol", {"type": float, "default": budget.tolerance}),
+        ("--grid-step", {"type": float, "default": budget.grid_step, "dest": "grid_step"}),
         ("--samples", {"type": int, "default": 1000}),
-        ("--seed", {"type": int, "default": 0}),
-        ("--budget-iters", {"type": int, "default": 500, "dest": "budget_iters"}),
-        ("--cap", {"type": float, "default": 1e3}),
+        ("--seed", {"type": int, "default": budget.seed}),
+        ("--budget-iters", {"type": int, "default": budget.max_iterations, "dest": "budget_iters"}),
+        ("--cap", {"type": float, "default": budget.truncation_cap}),
         ("--range", {"type": float, "default": None}),
         ("--points-per-axis", {"type": int, "default": 8, "dest": "points_per_axis"}),
         ("--format", {"choices": ("text", "json"), "default": "text"}),

@@ -105,7 +105,7 @@ class Game:
 class Witness(NamedTuple):
     """A player's improving deviation: the best-response strategy and its payoff."""
 
-    strategy: tuple[float, ...]
+    strategy: float
     value: float
 
 
@@ -116,9 +116,7 @@ class VerificationReport:
     verdict: bool
     players: tuple[str, ...]
     regrets: tuple[float, ...]
-    tolerance: float
     witnesses: Mapping[str, Witness] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
 
 
 def _finite(game: Game, out: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -217,13 +215,12 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
         eps = max(float(val[0]) - current[i], 0.0)
         regrets.append(eps)
         if eps > budget.tolerance:
-            witnesses[p] = Witness((float(arg[0]),), float(val[0]))
+            witnesses[p] = Witness(float(arg[0]), float(val[0]))
     verdict = max(regrets) <= budget.tolerance
     return VerificationReport(
         verdict=verdict,
         players=game.players,
         regrets=tuple(regrets),
-        tolerance=budget.tolerance,
         witnesses=witnesses,
     )
 

@@ -177,7 +177,6 @@ class SplitVerificationReport:
     report_n: VerificationReport
     report_m: VerificationReport
     image_profile: tuple[float, ...]
-    notes: tuple[str, ...] = ()
 
 
 def _target_image(problem: SplitProblem, x: np.ndarray) -> np.ndarray:
@@ -355,7 +354,7 @@ def kkm_intersection_probe(
 
     def near(report: VerificationReport, profile: Sequence[float], step: np.ndarray) -> bool:
         return all(
-            p not in report.witnesses or abs(report.witnesses[p].strategy[0] - c) <= h
+            p not in report.witnesses or abs(report.witnesses[p].strategy - c) <= h
             for p, c, h in zip(report.players, profile, step)
         )
 

@@ -83,7 +83,7 @@ class TestExitCodes:
         [
             ("bertrand-enumerate", "bertrand-1-2", "--cap", "0"),
             ("cdp-check", "quadratic-sanity", "--budget-iters", "0"),
-            ("audit", "thm-6.2", "--diagonal-only", "--tol", "0"),
+            ("audit", "thm-6.2", "--tol", "0"),
             ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--seed", "-1"),
             ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--samples", "0"),
             ("verify-nash", "example-4.1", "--profile", "1,2,4"),
@@ -194,6 +194,8 @@ class TestExitCodes:
             ("verify-nash", "example-4.1:E2"),
             ("no-such-verb", "example-4.1"),
             ("bertrand-enumerate", "bertrand-1-2", "--tol", "two"),
+            # the full thm-6.2 audit reports the diagonal's rows with the others
+            ("audit", "thm-6.2", "--diagonal-only"),
         ],
     )
     def test_rejected_arguments_return_the_parser_exit_code(self, capsys, argv):
@@ -300,9 +302,39 @@ class TestVerbs:
         assert code == EXIT_OK
 
     def test_markov_audit_on_the_diagonal_matches_both_sources(self, capsys):
-        code, doc = run_json(capsys, "audit", "thm-6.2", "--diagonal-only")
-        assert code == EXIT_OK
+        code, doc = run_json(capsys, "audit", "thm-6.2")
+        assert code == EXIT_DISCREPANCY
         assert doc["results"]["all_match_oracle"] is True
+        diagonal = [
+            row
+            for audit in doc["results"]["audits"].values()
+            for row in audit["rows"]
+            if row["alpha"] == row["beta"]
+        ]
+        assert len(diagonal) == 10
+        assert all(row["agrees_with_oracle"] and row["agrees_with_claim"] for row in diagonal)
+
+    def test_verify_split_writes_each_verification_fact_once(self, capsys):
+        code, out = run(
+            capsys, "verify-split", "example-4.1", "--profile", "1,2,4", "--format", "json",
+            "--deterministic",
+        )
+        assert code == EXIT_FAIL
+        verification = json.loads(out)["results"]["verification"]
+        for side in ("game_n", "game_m"):
+            assert set(verification[side]) == {"regrets", "verdict", "witnesses"}
+        strategy = verification["game_n"]["witnesses"]["c"]["strategy"]
+        assert isinstance(strategy, float) and strategy == pytest.approx(2.0, abs=1e-3)
+
+    def test_the_probe_checks_its_resolution(self, capsys):
+        assert main(["kkm-probe", "quadratic-sanity", "--points-per-axis", "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: points_per_axis must be at least 1, got 0\n"
+        assert captured.out == ""
+
+    def test_a_verb_without_a_probe_ignores_its_resolution(self, capsys):
+        argv = ["verify-nash", "example-4.1:E2", "--profile", "9,12", "--points-per-axis", "0"]
+        assert main(argv) == EXIT_OK
 
     def test_kkm_probe(self, capsys):
         code, doc = run_json(capsys, "kkm-probe", "quadratic-sanity", "--range", "5")
@@ -688,11 +720,11 @@ PINNED_REPORTS = {
     ),
     ("cdp-check", "example-4.1", 7): (0, "dd7545fc0ff166a149d7809b9951b71665cb2313b7b48f292981a86392e8fd2d"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
-        0, "d61106456b8c5752a2d2418fc5d5cf4f03e6afe846b7b32b9fa63679805f9c31"
+        0, "905b7bce27bd2443e2e650e07e7848d07841b6f14acdfdcca0dc3a98b18c913c"
     ),
     ("solve-nash", "example-4.1:E2", 0): (0, "93af1cb973c15a472a18aef4e093650bbf0a5ef261adce43607bc7133a7cb56d"),
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
-        1, "81ed98c965c3969afcf05fa8d9ea5a24420fa9412e50cca99c58b3eedb4fc567"
+        1, "ce2a9a2600e5d5d62f7cc2fc768c7b9ad6f6d3083e0ad66b4e8e5ada940d8f73"
     ),
     ("solve-split", "quadratic-sanity", 0): (0, "39b8e42f3251ce41017b58463b5cc00bfdec0f45ea81ef367a235a25ca88180b"),
     ("solve-split", "example-4.1", 0): (0, "c0960d57bf07b028437416f52236811cdd6f96f591921af3ca1fef5301952398"),
@@ -700,11 +732,11 @@ PINNED_REPORTS = {
     ("audit", "example-4.1", 0): (3, "e9b77ff95fe09f1b808f56fe4e4eaeefe6818e35acdd3954536d67ecee278321"),
     ("audit", "kkm", 0): (0, "30e07be3597e342073cddf3a8cd7a2fd91964397da3bbe3d5f8d8571feb960b7"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
-        0, "61ef90854c6b61b958a6b5c7643b2ee86cc6f178d636304fca3bdb16f0634bb4"
+        0, "a763b5eeec7c3459e671cad1c42734b00a6d4f840f6f5841a980e00af8c78013"
     ),
     ("solve-nash", "example-4.1:E2", 7): (0, "86fd51968ad08dddcaf08045f51e242ceee99b188037dbac9a33384091966136"),
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
-        1, "fbaae15eeac99aaeb2f1804f1b0c7ffe4de9c72cfbf5fcad08c9220a9cd89c63"
+        1, "a53323433c340cab2ec420c267c2fd510824ecb2e6ae51475dea784d327f91d6"
     ),
     ("solve-split", "quadratic-sanity", 7): (0, "628760433560e356ce3513c824932ba56bf0c9910292a190ff3fe8eef2fda147"),
     ("solve-split", "example-4.1", 7): (0, "ceb9f98306c835ad29acf11d5e6349f66a5908345238f8f0c031a85a4b762f3b"),
@@ -712,7 +744,7 @@ PINNED_REPORTS = {
     ("audit", "example-4.1", 7): (3, "5e31d5a959abdde6ef005e1eb66469cfd31fcb26cf0fd86469b1bc899a5dace6"),
     ("audit", "kkm", 7): (0, "87299b16884b877d087e5aeef90e173b0d5e04f55ef01c40c97463c6e47a4891"),
     ("verify-split", "example-4.1 --profile 1,2,4 --format text", 0): (
-        1, "064830fbe378d0e7b839d554b00cdda110e616951d4fdbbaff32a53e6815a9a7"
+        1, "330e31f32eb8d1547e3e04786828b2908d12af3f935819046fa23104a94a3868"
     ),
     ("audit", "thm-6.2 --format text", 0): (
         3, "72585f154cc2b56f4edd88bfd0678906d85bb7b0ca902e733fff2ddf804eaf58"
@@ -745,7 +777,7 @@ PINNED_HELP = {
     "solve-nash": "50a9b6454b49062247bba419b2a1d1aa1f71bcd1bdf4678568d920a2879d3287",
     "verify-split": "437f8b5454dadffd8ff54201dd6ee960f864aec82c19e498ba894a9b7f070e6a",
     "solve-split": "37584e16a3b6145eb841422aa56def103e5d530a8c7228a4a05652497b9f0521",
-    "audit": "11ee59efbdb704b50dc4d1737e72f553e4edc2c5936625a6a415a2c0d7f15a88",
+    "audit": "ff8f924fcd7a02b3f048a1f2fd1eb00f634b04116ac2f9aa5852e2bde89a8d21",
     "cdp-check": "56cd4cbaa0613b0903dc3b6a183082b9a0624b7d25624643ef6ce0e1e69ff17c",
     "kkm-probe": "b8826b75ccb3ea4edef70d9212e9b761e2eba8621e9b480e46511d155c99890d",
     "bertrand-enumerate": "e31300ebda8b4f6e7e740ab0c824177d40648e9ce955eab671f23bb72b066470",

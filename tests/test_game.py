@@ -223,7 +223,7 @@ class TestRegretsAndVerification:
         assert not rep.verdict
         assert set(rep.witnesses) == {"c"}
         strategy, value = rep.witnesses["c"]
-        assert strategy[0] == pytest.approx(2.0, abs=1e-3)
+        assert isinstance(strategy, float) and strategy == pytest.approx(2.0, abs=1e-3)
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_regrets_are_never_negative(self, budget, rng):
