@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive):
 binds tighter than '^' (so "-x^2" squares the negated atom — write "-(x^2)"
 for the additive inverse of a square). Exponents are numeric literals.
 Fractional powers are defined only for nonnegative bases.
+
+compile_utility compiles an expression into the utility itself, and
+own_polynomial rewrites it, where it can, as a polynomial in a root of one
+player's own strategy, whose best response is then found exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -237,3 +241,124 @@ def compile_utility(
     namespace: dict = {"_fpow": _pow}
     exec(compile(src, "<utility>", "exec"), namespace)
     return namespace["_u"]
+
+
+class Polynomial(NamedTuple):
+    """Utility ``own``'s polynomial in w = t**(1/root) of its player's own
+    strategy t: the utility is sum_j c_j * w**j, each c_j a function of the
+    opponents. coefficients(v, k) gives the (k, d + 1) array of the c_j at
+    the opponents' (k,) rows v (v[own] is not read); magnitudes(v, k) gives,
+    in the same shape, the c_j with every constant and opponent made
+    nonnegative and every subtraction an addition: a bound on the terms
+    summed into each c_j. Either raises EvalError where the utility would."""
+
+    own: int
+    root: int
+    coefficients: Callable[[Sequence[np.ndarray], int], np.ndarray]
+    magnitudes: Callable[[Sequence[np.ndarray], int], np.ndarray]
+
+
+# A reduction is kept only for w = t^(1/root) with root <= _MAX_ROOT and a
+# degree in w of at most _MAX_DEGREE: the roots of its derivative are the
+# eigenvalues of companion matrices of at most _MAX_DEGREE - 1 rows.
+_MAX_ROOT = 8
+_MAX_DEGREE = 32
+
+
+def own_polynomial(expr: UtilityExpr, var_order: Sequence[str], own: int) -> Polynomial | None:
+    """Rewrite expr as a polynomial in a root of variable var_order[own].
+
+    A Const or another variable is power 0 of t and var_order[own] is power
+    1; sums merge powers and products add them. A power of a base with one
+    power of t scales that power, and a whole power of a base with several
+    is multiplied out. None where the rewrite does not apply: a negative
+    power of t, a fractional or negative power of a base with several powers
+    of t, such as (x + 1)^0.5, or a root or degree too large to use. A
+    fractional power of a base holding t counts in the root although the
+    powers it leaves may be whole: (x^2)^0.5 is |x|, a polynomial in
+    x^(1/2) for x >= 0 only. The coefficients compile to one function each,
+    in one exec, as compile_utility compiles the utility.
+    """
+    index = {name: j for j, name in enumerate(var_order)}
+    me = var_order[own]
+    roots = [1]  # the denominators of the fractional powers taken of t
+
+    def terms(magnitude: bool):
+        """({power of t: coefficient code}, the lines defining its temporaries)."""
+        lines: list[str] = []
+
+        def temp(code: str) -> str:
+            lines.append(f"    c{len(lines)} = {code}")
+            return f"c{len(lines) - 1}"
+
+        def mul(a: dict, b: dict) -> dict | None:
+            out: dict = {}
+            for p, x in a.items():
+                for r, y in b.items():
+                    out.setdefault(p + r, []).append(y if x == "1.0" else x if y == "1.0" else f"{x} * {y}")
+            if max(out) > _MAX_DEGREE:
+                return None
+            return {p: t[0] if len(t) == 1 and " " not in t[0] else temp(" + ".join(t)) for p, t in out.items()}
+
+        def leaf(e):
+            if isinstance(e, Const):
+                return {0.0: repr(abs(e.value) if magnitude else e.value)}
+            if e.name == me:
+                return {1.0: "1.0"}
+            return {0.0: f"abs(v[{index[e.name]}])" if magnitude else f"v[{index[e.name]}]"}
+
+        def node(e, *kids):
+            if None in kids:
+                return None
+            if isinstance(e, Neg):
+                return kids[0] if magnitude else {p: temp(f"-{c}") for p, c in kids[0].items()}
+            if isinstance(e, Mul):
+                return mul(*kids)
+            if isinstance(e, (Add, Sub)):
+                sign = "-" if isinstance(e, Sub) and not magnitude else "+"
+                out = dict(kids[0])
+                for p, c in kids[1].items():
+                    out[p] = temp(f"{out[p]} {sign} {c}") if p in out else c if sign == "+" else temp(f"-{c}")
+                return out
+            base, n = kids[0], e.exponent
+            whole = n == int(n)
+            if len(base) > 1:  # a whole power of a sum in t is multiplied out
+                if not (whole and 0 <= max(base) * n <= _MAX_DEGREE):
+                    return None
+                out = {0.0: "1.0"}
+                for _ in range(int(n)):
+                    out = mul(out, base)
+                return out
+            ((p, c),) = base.items()
+            if p > 0 and (n < 0 or n.as_integer_ratio()[1] > _MAX_ROOT or p * n > _MAX_DEGREE):
+                return None
+            if p > 0 and not whole:
+                roots.append(n.as_integer_ratio()[1])
+            if c == "1.0":
+                return {p * n: c}
+            # as compile_utility does: an opponent's coefficient is an array,
+            # whose ** does not raise, and a constant one a float, whose does
+            if whole and variables(e.base) - {me}:
+                return {p * n: temp(f"({c})**{int(n)}")}
+            return {p * n: temp(f"_fpow({c}, {n!r})")}
+
+        return _fold(expr, leaf, node), lines
+
+    coefficients, lines = terms(False)
+    if coefficients is None:
+        return None
+    magnitudes, magnitude_lines = terms(True)
+    # every power is a float k / 2^m, so the least common denominator is the largest
+    root = max(roots + [p.as_integer_ratio()[1] for p in coefficients])
+    degree = int(max(coefficients) * root)
+    if root > _MAX_ROOT or degree > _MAX_DEGREE:
+        return None
+
+    def function(name: str, body: list[str], codes: dict) -> list[str]:
+        fill = [f"    C[:, {int(p * root)}] = {c}" for p, c in codes.items()]
+        return [f"def {name}(v, k):", *body, f"    C = _zeros((k, {degree + 1}))", *fill, "    return C"]
+
+    src = "\n".join(function("_c", lines, coefficients) + function("_a", magnitude_lines, magnitudes)) + "\n"
+    namespace: dict = {"_fpow": _pow, "_zeros": np.zeros}
+    exec(compile(src, "<polynomial>", "exec"), namespace)
+    return Polynomial(own, root, namespace["_c"], namespace["_a"])

@@ -15,8 +15,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expr import UtilityExpr, compile_utility, parse_utility
-from .kernel import EvalError, Interval, SearchBudget, maximize_1d
+from .expr import UtilityExpr, compile_utility, own_polynomial, parse_utility
+from .kernel import EvalError, Interval, SearchBudget, maximize_1d, maximize_polynomial
 
 # A utility maps a sequence of n coordinates, floats or arrays that broadcast
 # together, to player i's payoff, of their broadcast shape: an (n,) profile
@@ -73,11 +73,14 @@ class Game:
         fns = []
         for i, e in enumerate(exprs):
             try:
-                fns.append(compile_utility(e, var_names))
+                fn = compile_utility(e, var_names)
             except EvalError as exc:  # undeclared variables, its one compile-time error
                 # a utility past the last player is named by its index; Game rejects it
                 who = players[i] if i < len(players) else i
                 raise ValueError(f"utility of player {who!r} uses {exc}") from None
+            # best_response finds it here, or through a wrapper's __wrapped__
+            fn.polynomial = own_polynomial(e, var_names, i) if i < len(var_names) else None
+            fns.append(fn)
         return Game(tuple(players), tuple(intervals), tuple(fns))
 
     @property
@@ -154,7 +157,8 @@ def diagonal_payoff(game: Game, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     v = list(x)
-    out = np.empty((len(v),) + np.broadcast(z[0], v[0]).shape)
+    # a profile or columns deviating to their own shape skip np.broadcast's cost
+    out = np.empty(x.shape if z.shape == x.shape else (len(v),) + np.broadcast(z[0], v[0]).shape)
     for i, u in enumerate(game.utilities):
         v[i] = z[i]
         out[i] = u(v)
@@ -177,27 +181,61 @@ def uniform_samples(
     return rng.uniform(lo, hi, size=(samples, len(windows)))
 
 
+def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
+    """(coefficients, root, magnitudes or None) of player i's utility u at the
+    opponents' (n, k) columns, for maximize_polynomial, or None. The
+    reduction, if any, is on u or on what u wraps (its __wrapped__ chain, as
+    a counting wrapper sets it). A root above 1 needs a nonnegative window,
+    and coefficients that raise EvalError or are not finite leave the
+    profile to the scan, which reports where the utility itself fails."""
+    poly = getattr(u, "polynomial", None)
+    while poly is None and hasattr(u, "__wrapped__"):
+        u = u.__wrapped__
+        poly = getattr(u, "polynomial", None)
+    if poly is None or poly.own != i or (poly.root > 1 and window.lo < 0):
+        return None
+    opponents, k = list(cols), cols.shape[1]
+    try:
+        c = poly.coefficients(opponents, k)
+        a = None if window.bounded else poly.magnitudes(opponents, k)
+    except EvalError:
+        return None
+    if not np.isfinite(c).all() or (a is not None and not np.isfinite(a).all()):
+        return None
+    return c, poly.root, a
+
+
 def best_response(
     game: Game, player: str, x: np.ndarray, budget: SearchBudget
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize player's own payoff against the opponents' strategies in x.
 
     x is an (n,) profile or (n, k) profile columns, column r being row r of
-    one maximize_1d call (k = 1 for a profile). The utility sees the
-    opponents as (k, 1) columns and the candidates as one (1, P) row where
-    all rows share them (the scan grid and the cap probes) or as (k, P) (a
-    rescan), and returns what broadcasts to (k, P). Returns the (k,)
+    one k-row maximization (k = 1 for a profile). A utility from
+    Game.from_expressions that is a polynomial in a root of the player's own
+    strategy (see expr.own_polynomial) is maximized exactly by
+    maximize_polynomial: at its window's ends and its derivative's roots,
+    reading no budget. Any other utility, a Python callable among them, is
+    scanned by maximize_1d. The utility sees the opponents as (k, 1) columns
+    and the candidates as one (1, P) row where all rows share them (the scan
+    grid and the cap probes) or as (k, P) (a rescan, or the exact path's
+    candidates), and returns what broadcasts to (k, P). Returns the (k,)
     maximizers and their (k,) values; an EvalError names the player.
     """
     i = game.player_index(player)
-    v = list(np.asarray(x, dtype=float).reshape(game.n_players, -1, 1))
+    cols = np.asarray(x, dtype=float).reshape(game.n_players, -1)
+    v = list(cols[:, :, None])
+    u, window = game.utilities[i], game.strategy_sets[i]
 
     def f(t: np.ndarray):
         v[i] = t
-        return game.utilities[i](v)
+        return u(v)
 
     try:
-        return maximize_1d(f, game.strategy_sets[i], budget, len(v[0]))
+        exact = _polynomial(u, i, cols, window)
+        if exact is not None:
+            return maximize_polynomial(f, window, *exact)
+        return maximize_1d(f, window, budget, cols.shape[1])
     except EvalError as exc:
         raise EvalError(f"{exc} in the best response of player {player!r}") from None
 

@@ -52,9 +52,11 @@ class Interval:
 @dataclass(frozen=True)
 class SearchBudget:
     """Search knobs, finite and positive but the seed. maximize_1d reads grid_step,
-    tolerance and truncation_cap; max_iterations caps solve_nash alone. One
-    budget reaches every search of a call unchanged, but _MAX_SCAN_CELLS
-    coarsens grid_step on a window over 2000 steps wide."""
+    tolerance and truncation_cap; max_iterations caps solve_nash alone, and
+    solve_nash's windows on half-lines end at truncation_cap. One budget
+    reaches every search of a call unchanged, but _MAX_SCAN_CELLS coarsens
+    grid_step on a window over 2000 steps wide. maximize_polynomial, the
+    exact best response of a polynomial utility, reads no budget."""
 
     grid_step: float = 1e-2
     max_iterations: int = 500
@@ -195,3 +197,100 @@ def maximize_1d(
         pts += left_col
         pts[:, -1] = right
     return np.array(x), np.array(v)
+
+
+# A coefficient within this fraction of what it is weighed against reads as
+# zero (see maximize_polynomial).
+_NEGLIGIBLE = 2.0**-40
+
+
+def maximize_polynomial(
+    f: Callable[[np.ndarray], np.ndarray],
+    interval: Interval,
+    c: np.ndarray,
+    root: int,
+    magnitudes: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize k functions of one variable t that are polynomials in t**(1/root).
+
+    Row r of the (k, d + 1) array c holds problem r's coefficients: f at t
+    is sum_j c[r, j] * w**j with w = t**(1/root), and root > 1 needs lo >= 0.
+    f is called as maximize_1d calls it, with (k, P) points, and gives every
+    value returned; c only says where to look. A polynomial is largest at
+    an end of its window or at a real root of its derivative, so each row's
+    candidates are the ends and the real parts of all the derivative's
+    roots, clipped to the window: in closed form for a linear derivative,
+    else as the eigenvalues of (k, d - 1, d - 1) companion matrices in one
+    np.linalg.eigvals call. A complex root's real part is one more
+    candidate, scored like the rest, so no threshold decides which roots
+    are real. Each row returns its candidate of largest value, ties going
+    to the smaller t; a non-finite value raises EvalError naming the first
+    such point and the window. Row r's result is the k = 1 result for row r
+    alone, bit for bit.
+
+    Zero up to rounding: a coefficient at most 2**-40 times what it is
+    weighed against reads as zero. On [lo, inf) it is weighed against
+    magnitudes, c's sums with every term made nonnegative, so that a
+    leading term cancelled to rounding decides nothing; a positive highest
+    nonzero coefficient above degree 0 then raises EvalError, f being
+    unbounded above, and otherwise the candidates are lo and the roots. On
+    a bounded window the derivative's top coefficient is weighed against
+    its other terms where |w| is largest. A top coefficient that reads as
+    zero, or whose quotients overflow, is dropped and the row's derivative
+    multiplied by w, adding a root at 0: the root dropped lies past the
+    window or near the largest float.
+    """
+    k, n = c.shape
+    lo, hi = interval.lo, interval.hi
+    if not interval.bounded:
+        c = np.where(np.abs(c) <= _NEGLIGIBLE * magnitudes, 0.0, c)
+        if n > 1:
+            # the last nonzero coefficient of each row; a row of zeros reads c[:, -1] = 0
+            top = n - 1 - (c[:, :0:-1] != 0).argmax(axis=1)
+            lead = c[np.arange(k), top]
+            if np.count_nonzero(up := lead > 0):
+                r = int(up.argmax())
+                raise EvalError(
+                    f"leading term {float(lead[r])!r}*t^{float(top[r] / root)!r} grows without bound:"
+                    f" unbounded above on [{lo!r}, inf)"
+                )
+    m = n - 2  # the derivative's degree
+    # the candidates: lo, hi (lo again on a half-line) and the derivative's m roots
+    t = np.empty((k, 2 + max(m, 0)))
+    t[:, 0] = lo
+    t[:, 1] = hi if interval.bounded else lo
+    if m >= 1:
+        wlo, whi = (lo, hi) if root == 1 else (lo ** (1.0 / root), hi ** (1.0 / root))
+        # |w|^(j - m) for j < m where |w| is largest: the weight of the
+        # derivative's term j against its top one (none on a half-line)
+        weight = max(1.0, abs(wlo), abs(whi)) ** np.arange(-m, 0.0) if interval.bounded else np.zeros(m)
+        with np.errstate(all="ignore"):  # a non-finite quotient or power is handled below
+            d = c[:, 1:] * np.arange(1.0, n)
+            while True:
+                # the companion matrix's first row: the lower coefficients over the top one
+                first = -d[:, -2::-1] / d[:, -1:]
+                bad = ~np.isfinite(first).all(axis=1)
+                bad |= np.abs(d[:, -1]) <= _NEGLIGIBLE * np.abs(d[:, :-1] * weight).max(axis=1)
+                if not bad.any():
+                    break
+                d[bad, 1:] = d[bad, :-1]
+                d[bad, 0] = 0.0
+                d[bad & ~d.any(axis=1), -1] = 1.0  # a row of zeros: w^m, whose roots are 0
+            if m == 1:
+                w = first
+            else:
+                companion = np.zeros((k, m, m))
+                companion[:, 0] = first
+                companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+                w = np.linalg.eigvals(companion).real
+            if root > 1:  # w = t^(1/root) on [wlo, whi], lo >= 0
+                w = np.minimum(np.maximum(w, wlo), whi) ** root
+        t[:, 2:] = w
+    # the roots into the window, also where a power of w rounds out of it
+    np.minimum(t, hi, out=t)
+    np.maximum(t, lo, out=t)
+    t.sort(axis=1)  # argmax then takes the smallest of tied candidates
+    vals = _values(f, t, k, lo, hi)
+    best = vals.argmax(axis=1)
+    rows = np.arange(k)
+    return t[rows, best], vals[rows, best]

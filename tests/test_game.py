@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitnash
 from splitnash import (
@@ -18,7 +20,7 @@ from splitnash import (
 )
 from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
 from splitnash import kernel
-from splitnash.kernel import EvalError, maximize_1d
+from splitnash.kernel import EvalError
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
 import _kkm_reference
@@ -330,11 +332,33 @@ class TestSolver:
             assert verify_nash(e1_game(), s, bud).verdict
 
 
-# (game, budget, windows the profile columns are drawn in). The rows of one
-# call share the expanded cap, so a column matches its profile call only
-# where both expand the cap alike. From a cap of 1, every row of these E1
-# columns keeps it at 1 for player a and expands it to 4 and 8 for players
-# b and c, and every row of these E2 columns expands it to 16.
+def scanned(game: Game) -> Game:
+    """game with every utility behind a plain callable, which carries no
+    polynomial reduction and no __wrapped__: best_response scans it."""
+    return replace(game, utilities=tuple(lambda v, u=u: u(v) for u in game.utilities))
+
+
+def counting_paths(monkeypatch) -> list[str]:
+    """The kernel search, "scan" or "exact", of every best_response call from now on."""
+    import splitnash.game as game_module
+
+    paths = []
+    for name, path in (("maximize_1d", "scan"), ("maximize_polynomial", "exact")):
+        def wrapper(*args, fn=getattr(game_module, name), path=path):
+            paths.append(path)
+            return fn(*args)
+
+        monkeypatch.setattr(game_module, name, wrapper)
+    return paths
+
+
+# (game, budget, windows the profile columns are drawn in). On the scan path
+# the rows of one call share the expanded cap, so a column matches its
+# profile call only where both expand the cap alike. From a cap of 1, every
+# row of these E1 columns keeps it at 1 for player a and expands it to 4 and
+# 8 for players b and c, and every row of these E2 columns expands it to 16.
+# The exact path expands no cap: on E1's and E2's half-lines the sign of the
+# leading coefficient bounds each row.
 BEST_RESPONSE_CASES = {
     "E1": (e1_game, SearchBudget(truncation_cap=1.0), [Interval(2.0, 2.5)] * 3),
     "E2": (e2_game, SearchBudget(truncation_cap=1.0), [Interval(9.0, 15.0), Interval(12.0, 20.0)]),
@@ -363,8 +387,9 @@ BEST_RESPONSE_CASES = {
 
 
 class TestBestResponseColumnsMatchProfileCalls:
+    @pytest.mark.parametrize("path", ["scan", "exact"])
     @pytest.mark.parametrize("ident", sorted(BEST_RESPONSE_CASES))
-    def test_same_bits(self, ident, monkeypatch):
+    def test_same_bits(self, ident, path, monkeypatch):
         caps, expand_cap = [], kernel._expand_cap
 
         def recording(*args):
@@ -372,8 +397,9 @@ class TestBestResponseColumnsMatchProfileCalls:
             return caps[-1]
 
         monkeypatch.setattr(kernel, "_expand_cap", recording)
+        paths = counting_paths(monkeypatch)
         make, budget, windows = BEST_RESPONSE_CASES[ident]
-        g = make()
+        g = make() if path == "exact" else scanned(make())
         cols = uniform_samples(np.random.default_rng(11), 6, windows).T
         for p in g.players:
             args, vals = best_response(g, p, cols, budget)
@@ -384,25 +410,160 @@ class TestBestResponseColumnsMatchProfileCalls:
                 assert arg.tobytes() == args[s:s + 1].tobytes()
                 assert val.tobytes() == vals[s:s + 1].tobytes()
             assert len(set(caps[-7:])) <= 1, "each row expands the cap like the shared call"
-        assert (max(caps, default=0.0) > budget.truncation_cap) == (ident in ("E1", "E2"))
+        assert set(paths) == {path}
+        if path == "scan":
+            assert (max(caps, default=0.0) > budget.truncation_cap) == (ident in ("E1", "E2"))
+        else:
+            assert caps == []
 
-    def test_solver_best_responses_are_seen_by_a_wrapper(self, monkeypatch):
+    @pytest.mark.parametrize("path", ["scan", "exact"])
+    def test_solver_best_responses_are_seen_by_a_wrapper(self, path, monkeypatch):
         # bench/tracer.py counts a layer by replacing its module attribute
         import splitnash.game as game_module
 
-        calls = {"best_response": 0, "maximize_1d": 0}
+        calls = []
+        brs = game_module.best_response
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counting(game, player, *rest):
+            calls.append(player)
+            return brs(game, player, *rest)
 
+        paths = counting_paths(monkeypatch)
+        monkeypatch.setattr(game_module, "best_response", counting)
+        solve_nash(e2_game() if path == "exact" else scanned(e2_game()), SearchBudget())
+        assert calls and paths == [path] * len(calls)
+
+
+# a narrow peak of height 0.5002 at 500.2, between the points of a scan of
+# [0, 1000] that _MAX_SCAN_CELLS coarsens to a step of 0.5
+SPIKE = "0.001*x - (x-10)^2*(x-500.2)^2*((x-10)^2+1)^2*1e-8"
+
+
+def polynomial_game(coefficients, q: int, lo: float, hi: float) -> Game:
+    """Player x's utility sum_j (a_j + b_j*y) * x^(j/q) on [lo, hi]; y's is y on [0, 1]."""
+    terms = " + ".join(f"({a!r} + {b!r}*y)*x^{j / q!r}" for j, (a, b) in enumerate(coefficients))
+    return Game.from_expressions(("x", "y"), (Interval(lo, hi), Interval(0.0, 1.0)), (terms, "y"))
+
+
+class TestExactBestResponses:
+    """A utility that is a polynomial in a root of the player's own strategy
+    is maximized at its window's ends and its derivative's roots."""
+
+    def test_a_narrow_peak_between_scan_points_is_found(self):
+        g = Game.from_expressions(("x",), (Interval(0.0, 1000.0),), (SPIKE,))
+        report = verify_nash(g, np.array([10.183]), SearchBudget())
+        assert not report.verdict
+        assert report.regrets[0] == pytest.approx(0.4901, abs=1e-4)
+        assert report.witnesses["x"].strategy == pytest.approx(500.2, abs=1e-9)
+
+    @given(
+        coefficients=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1, max_size=5),
+        q=st.sampled_from([1, 2]),
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 20.0),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_never_below_the_scan_and_inside_the_window(self, coefficients, q, lo, width, k, seed):
+        lo = lo if q == 1 else abs(lo)  # a root of t needs t >= 0
+        hi = lo + width
+        g = polynomial_game(coefficients, q, lo, hi)
+        cols = np.stack([np.zeros(k), np.random.default_rng(seed).uniform(0.0, 1.0, k)])
+        budget = SearchBudget()
+        args, vals = best_response(g, "x", cols, budget)
+        _, scan = best_response(scanned(g), "x", cols, budget)
+        # rounding at the value's scale: every term at its largest on the window
+        reach = max(1.0, abs(lo), abs(hi))
+        scale = sum(np.abs(a + b * cols[1]) * reach ** (j / q) for j, (a, b) in enumerate(coefficients))
+        assert (vals >= scan - 1e-12 * scale).all()
+        assert ((lo <= args) & (args <= hi)).all()
+        for s in range(k):
+            arg, val = best_response(g, "x", cols[:, s], budget)
+            assert arg.tobytes() == args[s:s + 1].tobytes()
+            assert val.tobytes() == vals[s:s + 1].tobytes()
+
+    def test_only_a_reduction_for_the_players_own_strategy_is_used(self, monkeypatch):
+        paths = counting_paths(monkeypatch)
+        g = replace(e2_game(), strategy_sets=(Interval(0.0, 20.0),) * 2)
+
+        def wrapped(u):
+            def wrapper(v):
+                return u(v)
+
+            wrapper.__wrapped__ = u
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(game_module, name, counting(name, getattr(game_module, name)))
-        solve_nash(e2_game(), SearchBudget())
-        assert calls["best_response"] == calls["maximize_1d"]
+        cases = [
+            (g, "exact"),
+            # a counting wrapper, as bench/tracer.py's, leads to the reduction
+            (replace(g, utilities=tuple(map(wrapped, g.utilities))), "exact"),
+            # a callable without __wrapped__ is scanned
+            (scanned(g), "scan"),
+            # player d's slot holding e's utility, whose reduction is in e's strategy
+            (replace(g, utilities=g.utilities[::-1]), "scan"),
+        ]
+        for game, path in cases:
+            paths.clear()
+            best_response(game, "d", np.array([9.0, 12.0]), SearchBudget())
+            assert paths == [path]
+
+    def test_a_root_of_the_strategy_is_exact_on_a_nonnegative_window_only(self, monkeypatch):
+        paths = counting_paths(monkeypatch)
+        # x^0.5 - x peaks at x = 1/4 with value 1/4
+        g = Game.from_expressions(("x",), (Interval(0.0, 1.0),), ("x^0.5 - x",))
+        assert best_response(g, "x", np.array([0.5]), SearchBudget()) == ([0.25], [0.25])
+        with pytest.raises(EvalError, match="fractional power of negative base"):
+            best_response(replace(g, strategy_sets=(Interval(-1.0, 1.0),)), "x", np.array([0.5]), SearchBudget())
+        assert paths == ["exact", "scan"]
+
+    def test_a_leading_term_that_cancels_to_rounding_is_no_growth(self):
+        # 0.1 + 0.2 - 0.3 is 5.6e-17, far below 2^-40 of the 0.6 summed into it
+        g = Game.from_expressions(("x",), (Interval(0.0),), ("0.1*x^2 + 0.2*x^2 - 0.3*x^2 - x",))
+        assert best_response(g, "x", np.array([1.0]), SearchBudget()) == ([0.0], [0.0])
+
+    @pytest.mark.parametrize("utility, grows", [("x", "1.0*t^1.0"), ("x^2*y - x", "0.5*t^2.0")])
+    def test_a_positive_leading_term_is_unbounded_above(self, utility, grows):
+        g = Game.from_expressions(("x", "y"), (Interval(0.0), Interval(0.0, 1.0)), (utility, "y"))
+        with pytest.raises(EvalError) as caught:
+            best_response(g, "x", np.array([[1.0, 1.0], [0.0, 0.5]]), SearchBudget())
+        assert str(caught.value) == (
+            f"leading term {grows} grows without bound: unbounded above on [0.0, inf)"
+            " in the best response of player 'x'"
+        )
+
+
+class TestScannedHalfLines:
+    """A callable's best response on [0, inf) is followed as far as it goes:
+    no budget cuts it short, and one that never turns down is unbounded."""
+
+    @staticmethod
+    def _game(utility: str) -> Game:
+        return scanned(Game.from_expressions(("x",), (Interval(0.0),), (utility,)))
+
+    @pytest.mark.parametrize(
+        "budget", [SearchBudget(), SearchBudget(max_iterations=1), SearchBudget(truncation_cap=1e-300)]
+    )
+    def test_no_budget_cuts_a_best_response_short(self, budget):
+        report = verify_nash(self._game("-((x - 5000)^2)"), np.array([2000.0]), budget)
+        assert not report.verdict and report.regrets == (9000000.0,)
+
+    @pytest.mark.parametrize("utility", ["x", "x^2"])
+    def test_a_value_increasing_until_the_cap_overflows_is_unbounded(self, utility):
+        # x^2 reaches +inf at 2.6e154 while the cap doubles: unbounded, not non-finite
+        with pytest.raises(EvalError) as caught, np.errstate(over="ignore"):
+            verify_nash(self._game(utility), np.array([2.0]), SearchBudget())
+        assert str(caught.value) == (
+            "value still increasing as the cap overflows: unbounded above on [0.0, inf)"
+            " in the best response of player 'x'"
+        )
+
+    def test_an_overflowing_scan_names_its_first_non_finite_point(self):
+        with pytest.raises(EvalError) as caught, np.errstate(over="ignore", invalid="ignore"):
+            solve_nash(scanned(e2_game()), SearchBudget(truncation_cap=1e308))
+        assert str(caught.value) == (
+            "non-finite value nan at 5e+304 on [0.0, 1e+308] in the best response of player 'd'"
+        )
 
 
 class TestUtilitiesTakeCoordinates:
@@ -621,20 +782,16 @@ class TestDistinctFixedPoints:
 
 
 def reference_solve_nash(game, budget):
-    """solve_nash one start at a time, each best response a one-row
-    maximize_1d call: the reference the lockstep solver must reproduce exactly."""
+    """solve_nash one start at a time, each best response a one-profile
+    best_response call: the reference the lockstep solver must reproduce exactly."""
     rng = np.random.default_rng(budget.seed)
+    windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
+    truncated = replace(game, strategy_sets=tuple(windows))
 
     def best(i, x):
-        def f(t):
-            grid = np.repeat(x[:, None, None], t.shape[1], axis=2)
-            grid[i] = t
-            return game.utilities[i](grid)
-
-        (arg,), _ = maximize_1d(f, game.strategy_sets[i].truncated(budget.truncation_cap), budget)
+        (arg,), _ = best_response(truncated, game.players[i], x, budget)
         return arg
 
-    windows = [iv.truncated(budget.truncation_cap) for iv in game.strategy_sets]
     found = []
     starts = [np.array([rng.uniform(w.lo, w.hi) for w in windows]) for _ in range(N_STARTS - 1)]
     for x in starts + [np.array([w.lo for w in windows])]:
@@ -673,15 +830,14 @@ SOLVER_GAMES = {
     "stag-hunt": lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")),
     # every diagonal point is an equilibrium: 32 points come back
     "coordination-continuum": lambda: lq_game(10.0, ("-((x - y)^2)", "-((y - x)^2)")),
+    # E2 behind plain callables: the lockstep scan, maximize_1d on k rows
+    "example-4.1:E2-scanned": lambda: scanned(e2_game()),
 }
-# Budgets other than SearchBudget() keep the per-start reference under about
-# 0.5 s. 18 of the stag hunt's starts fall into the damped map's 2-cycle
-# between (1/3, 2/3) and (2/3, 1/3) and run to the iteration cap: 2.2 s at
-# 500 iterations, whatever the grid step.
-SOLVER_BUDGETS = {
-    "stag-hunt": SearchBudget(grid_step=0.05, max_iterations=60),
-    "coordination-continuum": SearchBudget(grid_step=0.05),
-}
+# A budget other than SearchBudget() keeps the per-start reference under
+# about 0.5 s. 18 of the stag hunt's starts fall into the damped map's
+# 2-cycle between (1/3, 2/3) and (2/3, 1/3) and run to the iteration cap:
+# 0.7 s at 500 iterations. Its polynomial utilities read no grid step.
+SOLVER_BUDGETS = {"stag-hunt": SearchBudget(max_iterations=60)}
 
 
 class TestLockstepSolverMatchesPerStartLoop:

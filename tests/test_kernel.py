@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitnash import kernel
-from splitnash.kernel import EvalError, Interval, SearchBudget, maximize_1d
+from splitnash.kernel import EvalError, Interval, SearchBudget, maximize_1d, maximize_polynomial
 
 
 class TestInterval:
@@ -420,3 +420,75 @@ class TestRowsMatchOneRowCalls:
         for r, row in enumerate(rows):
             (x,), (v,) = maximize_1d(self.bumps(*zip(row)), iv, budget)
             assert (xs[r], vs[r]) == (x, v)
+
+
+def polynomial(c: np.ndarray, root: int = 1):
+    """The function maximize_polynomial scores: row r of c at (k, P) points t."""
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+
+    def f(t):
+        w = t ** (1.0 / root)
+        return sum(c[:, j:j + 1] * w**j for j in range(c.shape[1]))
+
+    return c, f
+
+
+class TestMaximizePolynomial:
+    def test_an_interior_root_of_the_derivative(self):
+        c, f = polynomial([[-9.0, 6.0, -1.0]])  # -(t - 3)^2
+        assert maximize_polynomial(f, Interval(0.0, 10.0), c, 1) == ([3.0], [0.0])
+
+    def test_a_square_root(self):
+        # sqrt(t) - t/2 peaks at t = 1 with value 1/2
+        c, f = polynomial([[0.0, 1.0, -0.5]], root=2)
+        assert maximize_polynomial(f, Interval(0.0, 4.0), c, 2) == ([1.0], [0.5])
+
+    def test_ties_go_to_the_smaller_point(self):
+        c, f = polynomial([[-1.0, 0.0, 2.0, 0.0, -1.0], [5.0, 0.0, 0.0, 0.0, 0.0]])  # -(t^2 - 1)^2, 5
+        x, v = maximize_polynomial(f, Interval(-2.0, 2.0), c, 1)
+        assert (x.tolist(), v.tolist()) == ([-1.0, -2.0], [0.0, 5.0])
+
+    def test_a_negligible_top_coefficient_adds_no_far_root(self):
+        # t^2 - t^3 peaks at 2/3 on [0, 1]; a top term that weighs 1e-196 there
+        # would put a root near 1e196 in a companion matrix it spoils
+        for top in (6.55e-197, 5e-324, 0.0):
+            c, f = polynomial([[0.0, 0.0, 1.0, -1.0, top]])
+            (x,), (v,) = maximize_polynomial(f, Interval(0.0, 1.0), c, 1)
+            assert x == pytest.approx(2.0 / 3.0, rel=1e-12) and v == pytest.approx(4.0 / 27.0, rel=1e-15)
+
+    def test_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(5)
+        c = rng.uniform(-3.0, 3.0, (8, 5))
+        c[2, 4] = c[5, 3:] = c[6] = 0.0  # lower degrees, and a constant zero
+        c, f = polynomial(c)
+        x, v = maximize_polynomial(f, Interval(-2.0, 3.0), c, 1)
+        for r in range(8):
+            cr, fr = polynomial(c[r:r + 1])
+            xr, vr = maximize_polynomial(fr, Interval(-2.0, 3.0), cr, 1)
+            assert (xr.tobytes(), vr.tobytes()) == (x[r:r + 1].tobytes(), v[r:r + 1].tobytes())
+        _, scan = maximize_1d(f, Interval(-2.0, 3.0), SearchBudget(), k=8)
+        assert (v >= scan - 1e-12 * np.abs(c).sum(axis=1) * 3.0**4).all()
+
+    def test_a_non_finite_value_names_its_point_and_window(self):
+        c, f = polynomial([[0.0, 4.0, -1.0]])  # peaks at t = 2
+        with pytest.raises(EvalError, match=r"^non-finite value nan at 2\.0 on \[0\.0, 5\.0\]$"):
+            maximize_polynomial(lambda t: np.where(t == 2.0, np.nan, f(t)), Interval(0.0, 5.0), c, 1)
+
+    def test_a_half_line_reads_its_leading_coefficient(self):
+        c, f = polynomial([[0.0, 4.0, -1.0], [1.0, 0.0, 0.0]])
+        x, v = maximize_polynomial(f, Interval(0.0), c, 1, np.abs(c))
+        assert (x.tolist(), v.tolist()) == ([2.0, 0.0], [4.0, 1.0])
+        # a tiny leading coefficient is growth all the same, on any row
+        c, f = polynomial([[0.0, 4.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1e-300]])
+        with pytest.raises(EvalError) as caught:
+            maximize_polynomial(f, Interval(-1.0), c, 1, np.abs(c))
+        assert str(caught.value) == "leading term 1e-300*t^3.0 grows without bound: unbounded above on [-1.0, inf)"
+
+    def test_on_a_half_line_a_coefficient_within_rounding_of_its_terms_is_zero(self):
+        # 0.1 + 0.2 - 0.3 is 5.6e-17, from terms of magnitude 0.6
+        top = 0.1 + 0.2 - 0.3
+        c = np.array([[0.0, -1.0, top]])
+        f = lambda t: top * t * t - t
+        assert maximize_polynomial(f, Interval(0.0), c, 1, np.array([[0.0, 1.0, 0.6]])) == ([0.0], [0.0])
+        with pytest.raises(EvalError, match="unbounded above"):
+            maximize_polynomial(f, Interval(0.0), c, 1, np.array([[0.0, 1.0, 1e-6]]))
