@@ -270,19 +270,13 @@ DAMPING = 0.5
 def _distinct(x: np.ndarray, tolerance: float) -> list[int]:
     """Indices of the (n, m) columns of x that merge into no column kept
     before them: column j merges when within 10 * tolerance * max(1, |x_j|_inf)
-    of a kept column, distances in the sup norm. solve_nash retires the
-    columns left out after every damped update."""
-    radius = 10 * tolerance * np.maximum(1.0, np.abs(x).max(axis=0))
-    # one (n, m, m) test for every iteration: a numpy call per column costs
-    # more than the merge saves; then a pass over the (later, earlier) pairs
-    # in row order, where each earlier column's fate is already settled
-    near = np.abs(x[:, :, None] - x[:, None, :]).max(axis=0) <= radius[:, None]
-    later, earlier = np.nonzero(np.tril(near, -1))
-    kept = [True] * x.shape[1]
-    for j, i in zip(later.tolist(), earlier.tolist()):
-        if kept[i]:
-            kept[j] = False
-    return [j for j, k in enumerate(kept) if k]
+    of a kept column, distances in the sup norm."""
+    kept: list[int] = []
+    for j, p in enumerate(x.T):
+        radius = 10 * tolerance * max(1.0, float(np.abs(p).max()))
+        if not any(np.abs(p - x[:, i]).max() <= radius for i in kept):
+            kept.append(j)
+    return kept
 
 
 def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
@@ -295,18 +289,19 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     budget, on the game truncated to those windows, with one column per
     start still moving; a start stops once its change is below tolerance.
     Unbounded strategy sets are thus searched only up to the truncation cap,
-    which keeps divergent dynamics bounded. Starts merge as the loop goes:
-    after every damped update, a start, moving or stopped, within the
-    relative radius of an earlier start still alive is retired (see
-    _distinct), and no later call carries it. The loop ends when no alive
-    start moves, and only alive starts that pass verify_nash are returned.
-    May return an empty list; emptiness is a finding.
+    which keeps divergent dynamics bounded. The loop ends when no start moves
+    or after max_iterations. The final points then merge once, in start
+    order (see _distinct), and only those that pass verify_nash are returned.
+    May return an empty list. That is not proof that the game has no
+    equilibrium: a start that never settles, as one caught in a 2-cycle of
+    the damped map, runs to max_iterations and ends at a point that fails
+    verification.
     """
     rng = np.random.default_rng(budget.seed)
     windows = tuple(iv.truncated(budget.truncation_cap) for iv in game.strategy_sets)
     truncated = replace(game, strategy_sets=windows)
     x = np.concatenate([uniform_samples(rng, N_STARTS - 1, windows), [[w.lo for w in windows]]]).T
-    moving = np.ones(N_STARTS, dtype=bool)  # over the alive columns of x
+    moving = np.ones(N_STARTS, dtype=bool)
     for _ in range(budget.max_iterations):
         cur = x[:, moving]
         br = np.empty_like(cur)
@@ -315,8 +310,6 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
         nxt = cur + DAMPING * (br - cur)
         x[:, moving] = nxt
         moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance
-        alive = _distinct(x, budget.tolerance)
-        x, moving = x[:, alive], moving[alive]
         if not moving.any():
             break
-    return [p for p in x.T.copy() if verify_nash(game, p, budget).verdict]
+    return [p for p in x.T[_distinct(x, budget.tolerance)] if verify_nash(game, p, budget).verdict]

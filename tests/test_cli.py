@@ -242,6 +242,15 @@ class TestExitCodes:
         assert captured.err == f"error: cannot read {spec}: {reason}\n"
         assert captured.out == "" and not out.exists()
 
+    def test_an_unknown_audit_is_an_input_error(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["audit", "nope", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: unknown audit 'nope'; known: ['bertrand', 'cdp', 'example-4.1', 'kkm', 'thm-6.2']\n"
+        )
+        assert captured.out == "" and not out.exists()
+
     def test_a_leading_minus_needs_the_equals_form(self, capsys):
         # "--profile -1,2" reads "-1,2" as an option; "--profile=-1,2" is a profile
         assert main(["verify-nash", "example-4.1:E2", "--profile", "-1,2"]) == EXIT_INPUT
@@ -527,6 +536,10 @@ class TestReports:
         jsonschema.validate(json.loads(out.read_text()), schema)
 
 
+# a one-player game spec on [0, 1]
+GAME = {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]}
+
+
 class TestFileInputs:
     def test_game_spec_file(self, capsys, tmp_path):
         spec = {
@@ -595,6 +608,25 @@ class TestFileInputs:
         path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": {"a": 1}}))
         code, _ = run(capsys, "verify-split", str(path), "--profile", "0.5")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"game_n": [1, 2], "game_m": GAME, "matrix": [[1]]}, "game spec must be a JSON object"),
+            (
+                {"game_n": {**GAME, "strategy_sets": {"lo": 0, "hi": 1}}, "game_m": GAME, "matrix": [[1]]},
+                "game spec field 'strategy_sets' must be a list",
+            ),
+            ({"game_n": GAME, "game_m": GAME}, "split spec missing field 'matrix'"),
+        ],
+    )
+    def test_a_malformed_split_spec_is_an_input_error(self, capsys, tmp_path, spec, message):
+        path, out = tmp_path / "split.json", tmp_path / "report.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify-split", str(path), "--profile", "0.5", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_a_nan_upper_bound_is_an_input_error(self, capsys, tmp_path):
         # Python's json reads and writes NaN, which strict JSON does not have

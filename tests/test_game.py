@@ -20,6 +20,7 @@ from splitnash import (
 )
 from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
 from splitnash import kernel
+from splitnash.expr import own_polynomial, parse_utility
 from splitnash.kernel import EvalError
 from splitnash.models import default_quadratic_sanity, e1_game, e2_game, quadratic_game
 
@@ -71,6 +72,21 @@ class TestConstruction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Game.from_expressions(players=("a", "b"), intervals=(Interval(0, 1),), sources=("a",))
+
+    @pytest.mark.parametrize(
+        "players, message", [((), "game needs at least one player"), (("a", "a"), "duplicate player identifiers")]
+    )
+    def test_players_are_named_once(self, players, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Game(players, (Interval(0, 1),) * len(players), (lambda v: v[0],) * len(players))
+
+    def test_variable_names_must_align_with_players(self):
+        with pytest.raises(ValueError, match="^variable_names must align with players$"):
+            Game.from_expressions(("a", "b"), (Interval(0, 1),) * 2, ("x", "x"), variable_names=("x",))
+
+    def test_an_unknown_player_is_a_key_error(self):
+        with pytest.raises(KeyError, match="unknown player 'z'"):
+            quadratic_game((1.0,), hi=1.0).player_index("z")
 
     def test_feasibility_and_player_count(self):
         g = quadratic_game((1.0, 2.0), hi=5.0)
@@ -307,20 +323,28 @@ class TestSolver:
         assert (budget, (2, N_STARTS)) in seen and (budget, (2,)) in seen
         assert all(b is budget for b, _ in seen)
 
-    def test_a_start_that_meets_an_earlier_one_is_retired(self, monkeypatch):
-        # 31 of E2's 32 starts run to (9, 12); merged as they meet, the
-        # lockstep calls carry 2,048 columns, against 3,210 merged at the end
-        ks = []
-        real = splitnash.game.best_response
+    def test_starts_merge_once_after_the_loop(self, monkeypatch):
+        # every lockstep call carries exactly the starts still moving: the
+        # calls for E2's 32 starts carry 3,210 columns in all, and the starts
+        # merge in one _distinct call
+        ks, merges = [], []
+        real, distinct = splitnash.game.best_response, splitnash.game._distinct
 
         def recording(game, player, x, budget):
             if np.ndim(x) == 2:
                 ks.append(np.shape(x)[1])
             return real(game, player, x, budget)
 
+        def counting(x, tolerance):
+            merges.append(x.shape)
+            return distinct(x, tolerance)
+
         monkeypatch.setattr(splitnash.game, "best_response", recording)
+        monkeypatch.setattr(splitnash.game, "_distinct", counting)
         solve_nash(e2_game(), SearchBudget())
-        assert ks[0] == N_STARTS and sum(ks) < 2500
+        assert merges == [(2, N_STARTS)]
+        assert ks[0] == N_STARTS and sum(ks) == 3210
+        assert ks == sorted(ks, reverse=True), "a stopped start never moves again"
 
     def test_source_game_origin_equilibrium(self):
         # with a tight cap the damped iteration settles at the origin, which
@@ -516,6 +540,34 @@ class TestExactBestResponses:
         with pytest.raises(EvalError, match="fractional power of negative base"):
             best_response(replace(g, strategy_sets=(Interval(-1.0, 1.0),)), "x", np.array([0.5]), SearchBudget())
         assert paths == ["exact", "scan"]
+
+    @pytest.mark.parametrize(
+        "utility",
+        [
+            "x^20*x^20",  # a product past degree 32
+            "(x + 1)^0.5",  # a fractional power of a sum in x
+            "(((x^0.5)^0.5)^0.5)^0.5",  # root 16, above 8
+            "x^8 + x^0.125",  # degree 8 * root 8 = 64 in x^(1/8)
+        ],
+    )
+    def test_a_utility_past_the_reduction_is_scanned(self, utility, monkeypatch):
+        paths = counting_paths(monkeypatch)
+        assert own_polynomial(parse_utility(utility), ("x",), 0) is None
+        g = Game.from_expressions(("x",), (Interval(0.0, 1.0),), (utility,))
+        arg, _ = best_response(g, "x", np.array([0.5]), SearchBudget())
+        assert arg.tolist() == [1.0] and paths == ["scan"]
+
+    def test_a_non_finite_coefficient_leaves_the_profile_to_the_scan(self, monkeypatch):
+        # x's coefficient y^2 overflows to inf at y = 1e200; the scan then
+        # names the utility's own nan, 0 * inf, at x = 0
+        paths = counting_paths(monkeypatch)
+        g = Game.from_expressions(("x", "y"), (Interval(0.0, 1.0), Interval(0.0, 1e300)), ("x*y^2 - x^2", "y"))
+        with pytest.raises(EvalError) as caught, np.errstate(over="ignore", invalid="ignore"):
+            best_response(g, "x", np.array([0.5, 1e200]), SearchBudget())
+        assert str(caught.value) == (
+            "non-finite value nan at 0.0 on [0.0, 1.0] in the best response of player 'x'"
+        )
+        assert paths == ["scan"]
 
     def test_a_leading_term_that_cancels_to_rounding_is_no_growth(self):
         # 0.1 + 0.2 - 0.3 is 5.6e-17, far below 2^-40 of the 0.6 summed into it
@@ -847,3 +899,29 @@ class TestLockstepSolverMatchesPerStartLoop:
         got = solve_nash(g, budget)
         assert got, "every game here has an equilibrium the solver finds"
         assert repr(got) == repr(reference_solve_nash(g, budget))
+
+
+# ROADMAP item 1's reproduced misses of damped best-response iteration: a
+# point that verifies and that solve_nash does not return. When a solver
+# finds it, the strict xfail fails, and its marker comes off.
+SOLVER_MISSES = {
+    "E1-interior": (e1_game, (4 ** (1 / 3), 2 * SQRT2, 4 ** (1 / 3) * 2 * SQRT2)),
+    # 18 of the 32 starts cycle between (1/3, 2/3) and (2/3, 1/3)
+    "stag-hunt": (lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")), (0.5, 0.5)),
+    # solve_nash returns []
+    "matching-pennies": (lambda: lq_game(1.0, ("x*(2*y - 1)", "-y*(2*x - 1)")), (0.5, 0.5)),
+}
+
+
+class TestSolverMisses:
+    @pytest.mark.parametrize("ident", sorted(SOLVER_MISSES))
+    def test_the_missed_point_verifies(self, ident, budget):
+        make, point = SOLVER_MISSES[ident]
+        assert verify_nash(make(), np.array(point), budget).verdict
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="damped best responses miss it (ROADMAP item 1)")
+    @pytest.mark.parametrize("ident", sorted(SOLVER_MISSES))
+    def test_the_solver_finds_the_point(self, ident, budget):
+        make, point = SOLVER_MISSES[ident]
+        found = solve_nash(make(), budget)
+        assert any(np.allclose(x, point, rtol=1e-4, atol=1e-4) for x in found), found

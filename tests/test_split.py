@@ -66,6 +66,17 @@ class TestOperator:
         with pytest.raises(ValueError):
             apply_operator(op, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([1.0, 2.0], "operator matrix must be two-dimensional"),
+            ([[1.0, float("nan")]], "operator matrix entries must be finite"),
+        ],
+    )
+    def test_a_malformed_matrix_is_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LinearOperator(np.array(matrix))
+
 
 class TestOperatorProducts:
     """apply_operator of a profile must keep the bits of op.matrix @ x, and the
@@ -188,6 +199,23 @@ class TestVerifyAndSolve:
         assert solve_split(problem, budget) == []
         with pytest.raises(ValueError, match="infeasible in the target game"):
             verify_split_equilibrium(problem, np.array([1e5, 1e5]), budget)
+
+    @staticmethod
+    def _constant_source_problem() -> SplitProblem:
+        # every source profile is an equilibrium of the constant game, and
+        # the identity maps (1, 2) to the target's equilibrium; every best
+        # response in the source is its lower bound, so all starts run to (0, 0)
+        source = Game.from_expressions(("x", "y"), [Interval(0.0, 5.0)] * 2, ("1", "1"))
+        return SplitProblem(source, quadratic_game((1.0, 2.0), hi=10.0), LinearOperator(np.eye(2)))
+
+    def test_the_constant_source_split_point_verifies(self, budget):
+        rep = verify_split_equilibrium(self._constant_source_problem(), np.array([1.0, 2.0]), budget)
+        assert rep.verdict
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="damped best responses miss it (ROADMAP item 1)")
+    def test_the_constant_source_split_point_is_found(self, budget):
+        found = solve_split(self._constant_source_problem(), budget)
+        assert any(np.allclose(x, [1.0, 2.0], atol=1e-4) for x in found), found
 
     def test_two_economy_candidate_fails_split_verification(self, budget):
         rep = verify_split_equilibrium(example_4_1().problem, np.array([1.0, 2.0, 4.0]), budget)
