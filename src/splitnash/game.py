@@ -205,18 +205,16 @@ def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
     return c, poly.root, a
 
 
-def best_response(
-    game: Game, player: str, x: np.ndarray, budget: SearchBudget
-) -> tuple[np.ndarray, np.ndarray]:
+def best_response(game: Game, player: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize player's own payoff against the opponents' strategies in x.
 
     x is an (n,) profile or (n, k) profile columns, column r being row r of
     one k-row maximization (k = 1 for a profile). A utility from
     Game.from_expressions that is a polynomial in a root of the player's own
     strategy (see expr.own_polynomial) is maximized exactly by
-    maximize_polynomial: at its window's ends and its derivative's roots,
-    reading no budget. Any other utility, a Python callable among them, is
-    scanned by maximize_1d. The utility sees the opponents as (k, 1) columns
+    maximize_polynomial: at its window's ends and its derivative's roots. Any
+    other utility, a Python callable among them, is scanned by maximize_1d;
+    neither reads a budget. The utility sees the opponents as (k, 1) columns
     and the candidates as one (1, P) row where all rows share them (the scan
     grid and the cap probes) or as (k, P) (a rescan, or the exact path's
     candidates), and returns what broadcasts to (k, P). Returns the (k,)
@@ -235,7 +233,7 @@ def best_response(
         exact = _polynomial(u, i, cols, window)
         if exact is not None:
             return maximize_polynomial(f, window, *exact)
-        return maximize_1d(f, window, budget, cols.shape[1])
+        return maximize_1d(f, window, cols.shape[1])
     except EvalError as exc:
         raise EvalError(f"{exc} in the best response of player {player!r}") from None
 
@@ -249,7 +247,7 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
     regrets = []
     witnesses: dict[str, Witness] = {}
     for i, p in enumerate(game.players):
-        arg, val = best_response(game, p, x, budget)
+        arg, val = best_response(game, p, x)
         eps = max(float(val[0]) - current[i], 0.0)
         regrets.append(eps)
         if eps > budget.tolerance:
@@ -285,9 +283,9 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     Runs from N_STARTS starts in lockstep: N_STARTS - 1 seeded random
     feasible draws, then the lower corner of the windows they are drawn in,
     where a fixed point that repels the damped map, as E2's (0, 0), is found.
-    Each iteration makes one best_response call per player, at the caller's
-    budget, on the game truncated to those windows, with one column per
-    start still moving; a start stops once its change is below tolerance.
+    Each iteration makes one best_response call per player on the game
+    truncated to those windows, with one column per start still moving; a
+    start stops once its change is below tolerance.
     Unbounded strategy sets are thus searched only up to the truncation cap,
     which keeps divergent dynamics bounded. The loop ends when no start moves
     or after max_iterations. The final points then merge once, in start
@@ -306,7 +304,7 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
         cur = x[:, moving]
         br = np.empty_like(cur)
         for i, p in enumerate(game.players):
-            br[i], _ = best_response(truncated, p, cur, budget)
+            br[i], _ = best_response(truncated, p, cur)
         nxt = cur + DAMPING * (br - cur)
         x[:, moving] = nxt
         moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance

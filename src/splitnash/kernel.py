@@ -8,6 +8,7 @@ hidden randomness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,12 +52,11 @@ class Interval:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Search knobs, finite and positive but the seed. maximize_1d reads grid_step,
-    tolerance and truncation_cap; max_iterations caps solve_nash alone, and
-    solve_nash's windows on half-lines end at truncation_cap. One budget
-    reaches every search of a call unchanged, but _MAX_SCAN_CELLS coarsens
-    grid_step on a window over 2000 steps wide. maximize_polynomial, the
-    exact best response of a polynomial utility, reads no budget."""
+    """Search knobs, finite and positive but the seed. tolerance decides every
+    verdict and solve_nash's stopping and merging; max_iterations caps
+    solve_nash; seed draws its starts and the CLI's CDP samples; truncation_cap
+    ends its windows on half-lines, and the probe's and sampled checks';
+    grid_step is the CLI's duopoly grid. No best response reads a budget."""
 
     grid_step: float = 1e-2
     max_iterations: int = 500
@@ -68,18 +68,21 @@ class SearchBudget:
         # written so that NaN fails too
         if not all(0 < v < math.inf for v in (self.grid_step, self.truncation_cap, self.tolerance)):
             raise ValueError("budget fields must be finite and strictly positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, value, least in (("max_iterations", self.max_iterations, 1), ("seed", self.seed, 0)):
+            try:
+                if operator.index(value) < least:  # an int or a numpy integer, not 2.5
+                    raise ValueError(f"{name} must be at least {least}, got {value!r}")
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-# Coarse-scan cell count is capped so that wide truncated ranges stay cheap;
-# zoomed rescans of the best bracket restore full accuracy on unimodal objectives.
+# maximize_1d's resolution, which no budget reaches; the cell cap keeps a wide window cheap
+_SCAN_STEP = 1e-2
 _MAX_SCAN_CELLS = 2000
-# Points per zoomed rescan: each rescan narrows a bracket to 2/256 of its width.
-_ZOOM_POINTS = 257
+_ZOOM_GOAL = 1e-10
+_ZOOM_POINTS = 257  # a rescan narrows a bracket to 2/256 of its width
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+_FIRST_CAP = 1e3
 
 
 def _values(
@@ -105,14 +108,12 @@ def _values(
     return vs
 
 
-def _expand_cap(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, k: int, budget: SearchBudget
-) -> float:
-    """Double the truncation cap while f is still increasing there in any row;
-    hi grows by at least one float a pass, so it ends there or overflows.
+def _expand_cap(f: Callable[[np.ndarray], np.ndarray], lo: float, k: int) -> float:
+    """Double the cap from _FIRST_CAP while f is still increasing there in any
+    row; hi grows by at least one float a pass, so it ends there or overflows.
     f overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
     unbounded = f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)"
-    hi = min(lo + budget.truncation_cap, math.nextafter(math.inf, 0.0))  # the largest float
+    hi = lo + _FIRST_CAP  # rounds to at most the largest float
     t = np.empty((1, 2))  # the probes are shared by all rows
     while hi < math.inf:
         t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
@@ -124,7 +125,7 @@ def _expand_cap(
 
 
 def maximize_1d(
-    f: Callable[[np.ndarray], np.ndarray], interval: Interval, budget: SearchBudget, k: int = 1
+    f: Callable[[np.ndarray], np.ndarray], interval: Interval, k: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize k functions of one variable that share an interval.
 
@@ -134,27 +135,28 @@ def maximize_1d(
     a rescan's arrive as (k, P), row r holding candidates for problem r.
     Returns the (k,) maximizers and their (k,) values.
 
-    Every row scans one shared grid of at most _MAX_SCAN_CELLS cells in one
-    call of f. Each row's ±1-cell bracket around its first maximum (ties go
-    to the smaller x) is then refined by zoomed rescans of _ZOOM_POINTS points
-    for all rows at once, while it is wider than max(1e-12, tolerance * 1e-4)
-    and the last rescan narrowed it: a float width cannot shrink forever, so
-    no count bounds the rescans. A row keeps its best point so far unless a
-    rescan finds a strictly larger value. A non-finite value raises EvalError
-    naming the first such point and the searched window. On a bounded
-    interval, row r's result is the k = 1 result for row r alone, bit for bit.
+    Every row scans one shared grid in one call of f: cells _SCAN_STEP wide, or
+    _MAX_SCAN_CELLS wider ones on a wide window. Each row's ±1-cell bracket
+    around its first maximum (ties go to the smaller x) is then refined by
+    zoomed rescans of _ZOOM_POINTS points for all rows at once, while it is
+    wider than _ZOOM_GOAL and the last rescan narrowed it: a float width cannot
+    shrink forever, so no count bounds the rescans. A row keeps its best point
+    so far unless a rescan finds a strictly larger value. A non-finite value
+    raises EvalError naming the first such point and the searched window. On a
+    bounded interval, row r's result is bit for bit the k = 1 result for row r
+    alone.
 
     Unbounded intervals are searched over [lo, lo + cap] after bracket
-    expansion: the cap, shared by all rows, doubles while f is still
-    increasing at it in any row, and EvalError reports f unbounded above where
-    it would overflow. Deterministic for a fixed budget.
+    expansion: the cap, shared by all rows, doubles from _FIRST_CAP while f is
+    still increasing at it in any row, and EvalError reports f unbounded above
+    where it would overflow.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     lo = interval.lo
-    hi = interval.hi if interval.bounded else _expand_cap(f, lo, k, budget)
+    hi = interval.hi if interval.bounded else _expand_cap(f, lo, k)
     # a degenerate interval scans one cell [lo, lo], whose bracket has width 0
-    cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / budget.grid_step)))
+    cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / _SCAN_STEP)))
     # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
     xs = np.arange(cells + 1.0)
     xs *= (hi - lo) / cells
@@ -170,7 +172,6 @@ def maximize_1d(
     # rescan: f sees no new point of a finished row, and nothing of it is
     # read. The bookkeeping is per row in Python: k is small, and a numpy call
     # on k values costs as much as a Python loop over them.
-    goal = max(1e-12, budget.tolerance * 1e-4)
     left, step, right = np.full(k, lo), np.zeros(k), np.full(k, lo)
     step_col, left_col = step[:, None], left[:, None]
     x, v, width = [lo] * k, [-math.inf] * k, [math.inf] * k
@@ -187,7 +188,7 @@ def maximize_1d(
             if top > v[r]:
                 x[r], v[r] = pts.item(q, j), top
             a, b = pts.item(q, j - 1 if j else 0), pts.item(q, j + 1 if j < last else j)
-            if goal < b - a < width[r]:
+            if _ZOOM_GOAL < b - a < width[r]:
                 left[r], step[r], right[r], width[r] = a, (b - a) / (_ZOOM_POINTS - 1), b, b - a
                 still.append(r)
         active = still

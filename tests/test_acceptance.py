@@ -85,8 +85,8 @@ def test_criterion_1_target_game_equilibrium():
     game = e2_game()
     rep = verify_nash(game, np.array([9.0, 12.0]), BUDGET)
     regrets_ok = rep.verdict and all(r <= 1e-6 for r in rep.regrets)
-    s, _ = best_response(game, "d", np.array([0.0, 12.0]), BUDGET)
-    t, _ = best_response(game, "e", np.array([9.0, 0.0]), BUDGET)
+    s, _ = best_response(game, "d", np.array([0.0, 12.0]))
+    t, _ = best_response(game, "e", np.array([9.0, 0.0]))
     brs_ok = abs(s[0] - 9.0) <= 1e-4 and abs(t[0] - 12.0) <= 1e-4
     elapsed = time.perf_counter() - t0
     _line(

@@ -1,5 +1,6 @@
 """Game construction, payoffs, order relation, regrets, and the Nash solver."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -206,23 +207,23 @@ class TestRecordedValues:
         assert got[0] == pytest.approx(27.0, abs=1e-9)
         assert got[1] == pytest.approx(1296.0, abs=1e-9)
 
-    def test_best_response_of_first_target_player(self, budget):
-        s, val = best_response(e2_game(), "d", np.array([0.0, 12.0]), budget)
+    def test_best_response_of_first_target_player(self):
+        s, val = best_response(e2_game(), "d", np.array([0.0, 12.0]))
         assert s[0] == pytest.approx(9.0, abs=1e-4)
         assert val == pytest.approx(27.0, abs=1e-6)
 
-    def test_best_response_of_second_target_player(self, budget):
-        t, _ = best_response(e2_game(), "e", np.array([9.0, 0.0]), budget)
+    def test_best_response_of_second_target_player(self):
+        t, _ = best_response(e2_game(), "e", np.array([9.0, 0.0]))
         assert t[0] == pytest.approx(12.0, abs=1e-4)
 
-    def test_best_response_of_first_source_player(self, budget):
-        x, val = best_response(e1_game(), "a", np.array([0.0, 2.0, 4.0]), budget)
+    def test_best_response_of_first_source_player(self):
+        x, val = best_response(e1_game(), "a", np.array([0.0, 2.0, 4.0]))
         assert x[0] == pytest.approx(1.0, abs=1e-4)
         assert val == pytest.approx(4.0, abs=1e-6)
 
-    def test_best_response_of_third_source_player_is_product(self, budget):
+    def test_best_response_of_third_source_player_is_product(self):
         # analytic argmax of sqrt(x*y*z) - z/2 over z is z* = x*y = 2, not 4
-        z, val = best_response(e1_game(), "c", np.array([1.0, 2.0, 0.0]), budget)
+        z, val = best_response(e1_game(), "c", np.array([1.0, 2.0, 0.0]))
         assert z[0] == pytest.approx(2.0, abs=1e-4)
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -282,7 +283,7 @@ class TestSolver:
         # x's compiled utility returns one float for a whole scan grid; every
         # grid point ties, and the tie goes to the lower bound
         g = Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
-        arg, val = best_response(g, "x", np.array([1.0, 1.0]), budget)
+        arg, val = best_response(g, "x", np.array([1.0, 1.0]))
         assert (arg.tolist(), val.tolist()) == ([0.0], [3.0])
         sols = solve_nash(g, budget)
         assert [s.tolist() for s in sols] == [[6.074540017332595e-07, 1.9999993036143433]]
@@ -297,7 +298,7 @@ class TestSolver:
             )
 
         view, fresh = game("y"), game("y + 0")
-        arg, val = best_response(view, "y", np.array([0.5, 0.5]), budget)
+        arg, val = best_response(view, "y", np.array([0.5, 0.5]))
         assert (arg.tolist(), val.tolist()) == ([2.0], [2.0])
         assert repr(solve_nash(view, budget)) == repr(solve_nash(fresh, budget))
         assert np.allclose(solve_nash(view, budget), [[1.0, 2.0]], atol=1e-5)
@@ -308,20 +309,20 @@ class TestSolver:
         sols = solve_nash(e1_game(), SearchBudget())
         assert [s.tolist() for s in sols] == [[0.0, 0.0, 0.0]]
 
-    def test_every_best_response_gets_the_callers_budget(self, monkeypatch):
+    def test_every_best_response_gets_a_game_a_player_and_a_profile(self, monkeypatch):
+        # no budget reaches a best response: each call gets exactly (game, player, x)
         seen = []
         real = splitnash.game.best_response
 
-        def recording(game, player, x, budget):
-            seen.append((budget, np.shape(x)))
-            return real(game, player, x, budget)
+        def recording(*args, **kwargs):
+            seen.append((tuple(type(a) for a in args), kwargs, np.shape(args[-1])))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(splitnash.game, "best_response", recording)
-        budget = SearchBudget(grid_step=0.05)
-        solve_nash(e2_game(), budget)
+        solve_nash(e2_game(), SearchBudget(grid_step=0.05, truncation_cap=8.0))
         # the lockstep loop's (n, k) columns and verify_nash's (n,) profiles
-        assert (budget, (2, N_STARTS)) in seen and (budget, (2,)) in seen
-        assert all(b is budget for b, _ in seen)
+        assert {shape for _, _, shape in seen} >= {(2, N_STARTS), (2,)}
+        assert all(types == (Game, str, np.ndarray) and not kw for types, kw, _ in seen)
 
     def test_starts_merge_once_after_the_loop(self, monkeypatch):
         # every lockstep call carries exactly the starts still moving: the
@@ -330,10 +331,10 @@ class TestSolver:
         ks, merges = [], []
         real, distinct = splitnash.game.best_response, splitnash.game._distinct
 
-        def recording(game, player, x, budget):
+        def recording(game, player, x):
             if np.ndim(x) == 2:
                 ks.append(np.shape(x)[1])
-            return real(game, player, x, budget)
+            return real(game, player, x)
 
         def counting(x, tolerance):
             merges.append(x.shape)
@@ -376,26 +377,22 @@ def counting_paths(monkeypatch) -> list[str]:
     return paths
 
 
-# (game, budget, windows the profile columns are drawn in). On the scan path
-# the rows of one call share the expanded cap, so a column matches its
-# profile call only where both expand the cap alike. From a cap of 1, every
-# row of these E1 columns keeps it at 1 for player a and expands it to 4 and
-# 8 for players b and c, and every row of these E2 columns expands it to 16.
-# The exact path expands no cap: on E1's and E2's half-lines the sign of the
-# leading coefficient bounds each row.
+# (game, windows the profile columns are drawn in). On the scan path the
+# rows of one call share the expanded cap, so a column matches its profile
+# call only where both expand the cap alike. From the first cap of 1e3,
+# every row of these E1 columns expands it to 2e3 for player a (x = y*z/8),
+# keeps it for player b and expands it to 1.6e4 for player c (z = x*y), and
+# every row of these E2 columns expands it to 2e3 for player d (s = 0.75*t)
+# and keeps it for player e. The exact path expands no cap: on E1's and
+# E2's half-lines the sign of the leading coefficient bounds each row.
 BEST_RESPONSE_CASES = {
-    "E1": (e1_game, SearchBudget(truncation_cap=1.0), [Interval(2.0, 2.5)] * 3),
-    "E2": (e2_game, SearchBudget(truncation_cap=1.0), [Interval(9.0, 15.0), Interval(12.0, 20.0)]),
-    "quadratic": (
-        lambda: quadratic_game((-1.5, 0.0, 1.0 / 3.0), hi=5.0),
-        SearchBudget(),
-        [Interval(0.0, 5.0)] * 3,
-    ),
+    "E1": (e1_game, [Interval(90.0, 100.0)] * 3),
+    "E2": (e2_game, [Interval(9.0, 15.0), Interval(1400.0, 2000.0)]),
+    "quadratic": (lambda: quadratic_game((-1.5, 0.0, 1.0 / 3.0), hi=5.0), [Interval(0.0, 5.0)] * 3),
     # E2's utilities on solve_nash's [0, 1000] windows: every row shares one
     # 2,001-point scan, whose own-strategy terms are s^2 and t^4
     "wide": (
         lambda: replace(e2_game(), strategy_sets=(Interval(0.0, 1000.0),) * 2),
-        SearchBudget(),
         [Interval(0.0, 1000.0)] * 2,
     ),
     "narrow": (
@@ -404,7 +401,6 @@ BEST_RESPONSE_CASES = {
             (Interval(0.0, 0.05), Interval(0.01, 0.02)),
             ("x*(0.5 + y) - 10*x^2", "y*(0.3 - x) - 10*y^2"),
         ),
-        SearchBudget(),
         [Interval(0.0, 0.05), Interval(0.01, 0.02)],
     ),
 }
@@ -422,21 +418,21 @@ class TestBestResponseColumnsMatchProfileCalls:
 
         monkeypatch.setattr(kernel, "_expand_cap", recording)
         paths = counting_paths(monkeypatch)
-        make, budget, windows = BEST_RESPONSE_CASES[ident]
+        make, windows = BEST_RESPONSE_CASES[ident]
         g = make() if path == "exact" else scanned(make())
         cols = uniform_samples(np.random.default_rng(11), 6, windows).T
         for p in g.players:
-            args, vals = best_response(g, p, cols, budget)
+            args, vals = best_response(g, p, cols)
             assert args.shape == vals.shape == (6,)
             for s in range(6):
-                arg, val = best_response(g, p, cols[:, s], budget)
+                arg, val = best_response(g, p, cols[:, s])
                 assert arg.shape == val.shape == (1,)
                 assert arg.tobytes() == args[s:s + 1].tobytes()
                 assert val.tobytes() == vals[s:s + 1].tobytes()
             assert len(set(caps[-7:])) <= 1, "each row expands the cap like the shared call"
         assert set(paths) == {path}
         if path == "scan":
-            assert (max(caps, default=0.0) > budget.truncation_cap) == (ident in ("E1", "E2"))
+            assert (max(caps, default=0.0) > kernel._FIRST_CAP) == (ident in ("E1", "E2"))
         else:
             assert caps == []
 
@@ -494,16 +490,15 @@ class TestExactBestResponses:
         hi = lo + width
         g = polynomial_game(coefficients, q, lo, hi)
         cols = np.stack([np.zeros(k), np.random.default_rng(seed).uniform(0.0, 1.0, k)])
-        budget = SearchBudget()
-        args, vals = best_response(g, "x", cols, budget)
-        _, scan = best_response(scanned(g), "x", cols, budget)
+        args, vals = best_response(g, "x", cols)
+        _, scan = best_response(scanned(g), "x", cols)
         # rounding at the value's scale: every term at its largest on the window
         reach = max(1.0, abs(lo), abs(hi))
         scale = sum(np.abs(a + b * cols[1]) * reach ** (j / q) for j, (a, b) in enumerate(coefficients))
         assert (vals >= scan - 1e-12 * scale).all()
         assert ((lo <= args) & (args <= hi)).all()
         for s in range(k):
-            arg, val = best_response(g, "x", cols[:, s], budget)
+            arg, val = best_response(g, "x", cols[:, s])
             assert arg.tobytes() == args[s:s + 1].tobytes()
             assert val.tobytes() == vals[s:s + 1].tobytes()
 
@@ -529,16 +524,16 @@ class TestExactBestResponses:
         ]
         for game, path in cases:
             paths.clear()
-            best_response(game, "d", np.array([9.0, 12.0]), SearchBudget())
+            best_response(game, "d", np.array([9.0, 12.0]))
             assert paths == [path]
 
     def test_a_root_of_the_strategy_is_exact_on_a_nonnegative_window_only(self, monkeypatch):
         paths = counting_paths(monkeypatch)
         # x^0.5 - x peaks at x = 1/4 with value 1/4
         g = Game.from_expressions(("x",), (Interval(0.0, 1.0),), ("x^0.5 - x",))
-        assert best_response(g, "x", np.array([0.5]), SearchBudget()) == ([0.25], [0.25])
+        assert best_response(g, "x", np.array([0.5])) == ([0.25], [0.25])
         with pytest.raises(EvalError, match="fractional power of negative base"):
-            best_response(replace(g, strategy_sets=(Interval(-1.0, 1.0),)), "x", np.array([0.5]), SearchBudget())
+            best_response(replace(g, strategy_sets=(Interval(-1.0, 1.0),)), "x", np.array([0.5]))
         assert paths == ["exact", "scan"]
 
     @pytest.mark.parametrize(
@@ -554,7 +549,7 @@ class TestExactBestResponses:
         paths = counting_paths(monkeypatch)
         assert own_polynomial(parse_utility(utility), ("x",), 0) is None
         g = Game.from_expressions(("x",), (Interval(0.0, 1.0),), (utility,))
-        arg, _ = best_response(g, "x", np.array([0.5]), SearchBudget())
+        arg, _ = best_response(g, "x", np.array([0.5]))
         assert arg.tolist() == [1.0] and paths == ["scan"]
 
     def test_a_non_finite_coefficient_leaves_the_profile_to_the_scan(self, monkeypatch):
@@ -563,7 +558,7 @@ class TestExactBestResponses:
         paths = counting_paths(monkeypatch)
         g = Game.from_expressions(("x", "y"), (Interval(0.0, 1.0), Interval(0.0, 1e300)), ("x*y^2 - x^2", "y"))
         with pytest.raises(EvalError) as caught, np.errstate(over="ignore", invalid="ignore"):
-            best_response(g, "x", np.array([0.5, 1e200]), SearchBudget())
+            best_response(g, "x", np.array([0.5, 1e200]))
         assert str(caught.value) == (
             "non-finite value nan at 0.0 on [0.0, 1.0] in the best response of player 'x'"
         )
@@ -572,13 +567,13 @@ class TestExactBestResponses:
     def test_a_leading_term_that_cancels_to_rounding_is_no_growth(self):
         # 0.1 + 0.2 - 0.3 is 5.6e-17, far below 2^-40 of the 0.6 summed into it
         g = Game.from_expressions(("x",), (Interval(0.0),), ("0.1*x^2 + 0.2*x^2 - 0.3*x^2 - x",))
-        assert best_response(g, "x", np.array([1.0]), SearchBudget()) == ([0.0], [0.0])
+        assert best_response(g, "x", np.array([1.0])) == ([0.0], [0.0])
 
     @pytest.mark.parametrize("utility, grows", [("x", "1.0*t^1.0"), ("x^2*y - x", "0.5*t^2.0")])
     def test_a_positive_leading_term_is_unbounded_above(self, utility, grows):
         g = Game.from_expressions(("x", "y"), (Interval(0.0), Interval(0.0, 1.0)), (utility, "y"))
         with pytest.raises(EvalError) as caught:
-            best_response(g, "x", np.array([[1.0, 1.0], [0.0, 0.5]]), SearchBudget())
+            best_response(g, "x", np.array([[1.0, 1.0], [0.0, 0.5]]))
         assert str(caught.value) == (
             f"leading term {grows} grows without bound: unbounded above on [0.0, inf)"
             " in the best response of player 'x'"
@@ -618,20 +613,53 @@ class TestScannedHalfLines:
         )
 
 
+# x^0.3 is a power of x^(1/10), a root above 8: no reduction, so the scan
+NON_REDUCIBLE = ("x^0.3*(1+y)^0.5 - 0.5*x", "y^0.3*(1+x)^0.5 - 0.5*y")
+
+
+class TestVerificationReadsNoSearchKnob:
+    """A budget reaches a verification through its tolerance alone: the scan's
+    cell width, bracket goal and first cap are the kernel's."""
+
+    @staticmethod
+    def _case(ident):
+        if ident == "E2-scanned":
+            # d's best response 1125 takes the first cap of 1e3 past itself
+            return scanned(e2_game()), np.array([3.0, 1500.0])
+        g = Game.from_expressions(("x", "y"), (Interval(0.0, 10.0),) * 2, NON_REDUCIBLE)
+        return g, uniform_samples(np.random.default_rng(4), 1, g.strategy_sets)[0]
+
+    @pytest.mark.parametrize("ident", ["E2-scanned", "non-reducible"])
+    def test_same_report_at_a_coarse_grid_step_and_a_small_cap(self, ident, monkeypatch):
+        g, x = self._case(ident)
+        paths = counting_paths(monkeypatch)
+        default = verify_nash(g, x, SearchBudget())
+        coarse = verify_nash(g, x, SearchBudget(grid_step=0.5, truncation_cap=1.0))
+        assert set(paths) == {"scan"}
+        assert np.array(coarse.regrets).tobytes() == np.array(default.regrets).tobytes()
+        assert coarse.witnesses == default.witnesses
+
+    @pytest.mark.parametrize("search", [best_response, kernel.maximize_1d, kernel._expand_cap])
+    def test_no_search_takes_a_budget(self, search):
+        params = inspect.signature(search).parameters
+        assert "budget" not in params
+        assert all("SearchBudget" not in str(p.annotation) for p in params.values())
+
+
 class TestUtilitiesTakeCoordinates:
     """A utility reads coordinate j as v[j] of a sequence whose entries
     broadcast together, and a deviation replaces one entry: best_response
     passes (k, 1) opponents with (1, P) or (k, P) candidates, and
     diagonal_payoff deviates a stack of profiles against shared columns."""
 
-    def test_an_opponent_only_utility_broadcasts_over_the_candidates(self, budget):
+    def test_an_opponent_only_utility_broadcasts_over_the_candidates(self):
         # x's utility "y" gives one (k, 1) value per column for all candidates,
         # which all tie, so x's best response is its lower bound
         g = Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("y", "x*y"))
         cols = uniform_samples(np.random.default_rng(3), 3, g.strategy_sets).T
-        args, vals = best_response(g, "x", cols, budget)
+        args, vals = best_response(g, "x", cols)
         for s in range(3):
-            arg, val = best_response(g, "x", cols[:, s], budget)
+            arg, val = best_response(g, "x", cols[:, s])
             assert arg.tobytes() == args[s : s + 1].tobytes()
             assert val.tobytes() == vals[s : s + 1].tobytes()
         assert args.tolist() == [0.0] * 3 and vals.tolist() == cols[1].tolist()
@@ -663,7 +691,7 @@ class TestUtilitiesTakeCoordinates:
         cols = uniform_samples(np.random.default_rng(2), 4, [Interval(1.0, 3.0)] * 3).T
         for i, p in enumerate(g.players):
             seen.clear()
-            best_response(g, p, cols, SearchBudget(truncation_cap=8.0))
+            best_response(g, p, cols)
             assert len(seen) > 2
             for whole, shapes in seen:
                 assert whole is None or len(whole) < 3, "no (n, k, P) profile array"
@@ -841,7 +869,7 @@ def reference_solve_nash(game, budget):
     truncated = replace(game, strategy_sets=tuple(windows))
 
     def best(i, x):
-        (arg,), _ = best_response(truncated, game.players[i], x, budget)
+        (arg,), _ = best_response(truncated, game.players[i], x)
         return arg
 
     found = []
