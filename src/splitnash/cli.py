@@ -11,11 +11,12 @@ flags, and seed produce byte-identical JSON when --deterministic is set.
 
 Exit codes: 0 success / verdict true / nonempty result; 1 verdict false,
 empty result, or unexpected oracle mismatch; 2 input error, including an
-invalid budget, seed, sample count, price range or probe resolution and a
-malformed spec file, and then no report is written; 3 a documented
-source-claim discrepancy was confirmed (distinct from failure). `main`
-returns these codes and never raises `SystemExit`: arguments that argparse
-rejects return its code 2, and --help returns 0.
+invalid budget, seed, sample count, price range or probe resolution, a
+malformed spec file and an option the verb does not take, and then no
+report is written; 3 a documented source-claim discrepancy was confirmed
+(distinct from failure). `main` returns these codes and never raises
+`SystemExit`: arguments that argparse rejects return its code 2, and --help
+returns 0.
 """
 
 from __future__ import annotations
@@ -216,11 +217,8 @@ class Report:
         if args.samples < 1:
             raise InputError(f"--samples must be at least 1, got {args.samples}")
         self.budget = SearchBudget(
-            grid_step=args.grid_step,
-            max_iterations=args.budget_iters,
-            truncation_cap=args.cap,
-            tolerance=args.tol,
-            seed=args.seed,
+            grid_step=args.grid_step, max_iterations=args.budget_iters, truncation_cap=args.cap,
+            tolerance=args.tol, seed=args.seed,
         )
         if args.range is not None and not self.budget.grid_step <= args.range < math.inf:
             raise InputError(f"--range must be finite and at least --grid-step, got {args.range}")
@@ -470,52 +468,54 @@ def cmd_audit(args, rep: Report) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    profile = ("--profile",), {
-        "required": True,
-        "help": "comma-separated strategy values; write --profile=-1,2 when the first "
-        "is negative, so that it is not read as an option",
-    }
-    # verb, function, help, target help, options before the common ones
+    # verb, function, help, target help, the options it takes besides the five every verb takes
     verbs = (
         ("verify-nash", cmd_verify_nash, "check a profile for Nash equilibrium",
-         "builtin game id or game spec JSON file", [profile]),
-        ("solve-nash", cmd_solve_nash, "multistart best-response search", None, []),
+         "builtin game id or game spec JSON file", "--profile"),
+        ("solve-nash", cmd_solve_nash, "multistart best-response search", None,
+         "--budget-iters --cap"),
         ("verify-split", cmd_verify_split, "check a profile and its operator image",
-         "builtin split id or split spec JSON file", [profile]),
-        ("solve-split", cmd_solve_split, "solve the split equilibrium problem", None, []),
-        ("audit", cmd_audit, "run a named source-claim audit", "|".join(sorted(AUDITS)), []),
-        ("cdp-check", cmd_cdp_check, "sample the convexity-direction property", None, []),
-        ("kkm-probe", cmd_kkm_probe, "finite-grid intersection probe", None, []),
+         "builtin split id or split spec JSON file", "--profile"),
+        ("solve-split", cmd_solve_split, "solve the split equilibrium problem", None,
+         "--budget-iters --cap"),
+        ("audit", cmd_audit, "run a named source-claim audit", "|".join(sorted(AUDITS)),
+         "--grid-step --samples --cap --range --points-per-axis"),
+        ("cdp-check", cmd_cdp_check, "sample the convexity-direction property", None,
+         "--samples --cap"),
+        ("kkm-probe", cmd_kkm_probe, "finite-grid intersection probe", None,
+         "--cap --points-per-axis"),
         ("bertrand-enumerate", cmd_bertrand_enumerate, "grid equilibrium enumeration",
-         "builtin duopoly id, e.g. bertrand-1-2", []),
+         "builtin duopoly id, e.g. bertrand-1-2", "--grid-step --range"),
     )
     budget = SearchBudget()  # the budget options default to its fields
-    common = (
-        ("--tol", {"type": float, "default": budget.tolerance}),
-        ("--grid-step", {"type": float, "default": budget.grid_step, "dest": "grid_step"}),
-        ("--samples", {"type": int, "default": 1000}),
-        ("--seed", {"type": int, "default": budget.seed}),
-        ("--budget-iters", {"type": int, "default": budget.max_iterations, "dest": "budget_iters"}),
-        ("--cap", {"type": float, "default": budget.truncation_cap}),
-        ("--range", {"type": float, "default": None}),
-        ("--points-per-axis", {"type": int, "default": 8, "dest": "points_per_axis"}),
-        ("--format", {"choices": ("text", "json"), "default": "text"}),
-        ("--out", {"type": str, "default": None}),
-        ("--deterministic", {"action": "store_true"}),
+    # every option, in help order: flag, default, argparse keywords
+    options = (
+        ("--profile", None, {"required": True, "help": "comma-separated strategy values; write "
+         "--profile=-1,2 when the first is negative, so that it is not read as an option"}),
+        ("--tol", budget.tolerance, {"type": float}),
+        ("--grid-step", budget.grid_step, {"type": float}),
+        ("--samples", 1000, {"type": int}),
+        ("--seed", budget.seed, {"type": int}),
+        ("--budget-iters", budget.max_iterations, {"type": int}),
+        ("--cap", budget.truncation_cap, {"type": float}),
+        ("--range", None, {"type": float}),
+        ("--points-per-axis", 8, {"type": int}),
+        ("--format", "text", {"choices": ("text", "json")}),
+        ("--out", None, {}),
+        ("--deterministic", False, {"action": "store_true"}),
     )
     parser = argparse.ArgumentParser(
-        prog="splitnash",
-        description="Verify, solve, and audit split Nash equilibrium problems.",
+        prog="splitnash", description="Verify, solve, and audit split Nash equilibrium problems."
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, func, verb_help, target_help, options in verbs:
+    for verb, func, verb_help, target_help, own in verbs:
         p = sub.add_parser(verb, help=verb_help)
+        # an option the verb does not take keeps its default, so Report reads every one
+        p.set_defaults(func=func, **{flag[2:].replace("-", "_"): value for flag, value, _ in options})
         p.add_argument("target", help=target_help)
-        for flags, kwargs in options:
-            p.add_argument(*flags, **kwargs)
-        for flag, kwargs in common:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+        for flag, value, kwargs in options:
+            if flag in f"{own} --tol --seed --format --out --deterministic".split():
+                p.add_argument(flag, default=value, **kwargs)
     return parser
 
 

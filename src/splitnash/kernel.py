@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,18 +111,20 @@ def _values(
 
 def _expand_cap(f: Callable[[np.ndarray], np.ndarray], lo: float, k: int) -> float:
     """Double the cap from _FIRST_CAP while f is still increasing there in any
-    row; hi grows by at least one float a pass, so it ends there or overflows.
+    row; hi grows by at least one float a pass, and a doubling past the
+    largest float probes that float, so it ends there or at the largest float.
     f overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
     unbounded = f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)"
     hi = lo + _FIRST_CAP  # rounds to at most the largest float
     t = np.empty((1, 2))  # the probes are shared by all rows
-    while hi < math.inf:
+    while True:
         t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
         vs = _values(f, t, k, lo, hi, unbounded)
         if (vs[:, 0] <= vs[:, 1]).all():
             return hi
-        hi = max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf))
-    raise EvalError(unbounded)
+        if hi == sys.float_info.max:
+            raise EvalError(unbounded)
+        hi = min(max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf)), sys.float_info.max)
 
 
 def maximize_1d(
@@ -149,7 +152,7 @@ def maximize_1d(
     Unbounded intervals are searched over [lo, lo + cap] after bracket
     expansion: the cap, shared by all rows, doubles from _FIRST_CAP while f is
     still increasing at it in any row, and EvalError reports f unbounded above
-    where it would overflow.
+    where it is still increasing at the largest float.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON reports, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from splitnash.cli import (
     EXIT_INPUT,
     EXIT_OK,
     _json_default,
+    build_parser,
     main,
 )
 from splitnash.kernel import Interval, SearchBudget
@@ -90,6 +92,12 @@ class TestExitCodes:
             ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--tol", "nan"),
             ("cdp-check", "quadratic-sanity", "--cap", "inf"),
             ("verify-nash", "example-4.1:E2", "--profile", "9,12", "--grid-step", "inf"),
+            # argparse rejects --cap, --budget-iters, --samples and --grid-step on
+            # the verbs above, which do not take them; each value check is reached here
+            ("solve-nash", "example-4.1:E2", "--cap", "0"),
+            ("solve-split", "quadratic-sanity", "--budget-iters", "0"),
+            ("cdp-check", "quadratic-sanity", "--samples", "0"),
+            ("bertrand-enumerate", "bertrand-1-2", "--grid-step", "inf"),
             ("bertrand-enumerate", "bertrand-1-2", "--range", "inf"),
             ("bertrand-enumerate", "bertrand-1-2", "--range", "-1"),
             ("bertrand-enumerate", "bertrand-1-2", "--range", "0"),
@@ -344,12 +352,15 @@ class TestVerbs:
         assert captured.err == "error: points_per_axis must be at least 1, got 0\n"
         assert captured.out == ""
 
-    def test_a_verb_without_a_probe_ignores_its_resolution(self, capsys):
-        argv = ["verify-nash", "example-4.1:E2", "--profile", "9,12", "--points-per-axis", "0"]
-        assert main(argv) == EXIT_OK
+    def test_a_verb_without_a_probe_rejects_its_resolution(self, capsys):
+        argv = ["verify-nash", "example-4.1:E2", "--profile", "9,12", "--points-per-axis", "8"]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments: --points-per-axis 8" in captured.err
+        assert captured.out == ""
 
     def test_kkm_probe(self, capsys):
-        code, doc = run_json(capsys, "kkm-probe", "quadratic-sanity", "--range", "5")
+        code, doc = run_json(capsys, "kkm-probe", "quadratic-sanity")
         assert code == EXIT_OK
         assert doc["results"]["probe"]["members"]
 
@@ -676,11 +687,21 @@ class TestHalfLineBestResponses:
 
         return write
 
-    @pytest.mark.parametrize("budget", [(), ("--budget-iters", "1"), ("--cap", "1e-300")])
-    def test_no_budget_cuts_a_best_response_short(self, capsys, spec, budget):
-        code, out = run(capsys, "verify-nash", spec("-((x - 5000)^2)"), "--profile", "2000", *budget)
+    def test_no_budget_cuts_a_best_response_short(self, capsys, spec):
+        code, out = run(capsys, "verify-nash", spec("-((x - 5000)^2)"), "--profile", "2000")
         assert code == EXIT_FAIL
         assert "verdict:  False" in out and '"regrets": {"x": 9000000.0}' in out
+
+    @pytest.mark.parametrize("budget", [("--budget-iters", "1"), ("--cap", "1e-300")])
+    def test_verify_nash_takes_no_search_budget(self, capsys, tmp_path, spec, budget):
+        # tests/test_game.py's TestVerificationReadsNoSearchKnob holds the same
+        # regrets at any budget in the library
+        out = tmp_path / "report.json"
+        argv = ["verify-nash", spec("-((x - 5000)^2)"), "--profile", "2000", *budget, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(budget)}" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("utility, grows", [("x", "1.0*t^1.0"), ("x^2", "1.0*t^2.0")])
     @pytest.mark.parametrize("argv", [("verify-nash", "--profile", "2"), ("solve-nash",)])
@@ -799,17 +820,42 @@ def test_deterministic_report_matches_its_pinned_digest(capsys, verb, target, se
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPORTS[verb, target, seed]
 
 
+# the options each verb takes besides the common ones, which every verb takes
+VERB_OPTIONS = {
+    "verify-nash": {"--profile"},
+    "verify-split": {"--profile"},
+    "solve-nash": {"--budget-iters", "--cap"},
+    "solve-split": {"--budget-iters", "--cap"},
+    "cdp-check": {"--samples", "--cap"},
+    "kkm-probe": {"--cap", "--points-per-axis"},
+    "bertrand-enumerate": {"--grid-step", "--range"},
+    "audit": {"--grid-step", "--range", "--samples", "--cap", "--points-per-axis"},
+}
+COMMON_OPTIONS = {"--tol", "--seed", "--format", "--out", "--deterministic"}
+
+
+def test_each_verb_takes_the_common_options_and_its_own_alone():
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        verb: {flag for action in parser._actions for flag in action.option_strings}
+        for verb, parser in verbs.choices.items()
+    }
+    assert taken == {verb: {"-h", "--help", *COMMON_OPTIONS, *own} for verb, own in VERB_OPTIONS.items()}
+    # 57 verb-option pairs, where every verb took all 11 options and its --profile
+    assert sum(len(own | COMMON_OPTIONS) for own in VERB_OPTIONS.values()) == 57
+
+
 # SHA-256 of the --help text of the parser ("") and of each verb, at 80 columns
 PINNED_HELP = {
     "": "b1c85b4aeb2cf0d004a5137d3afee6550395e1409d0ecc19060062092a6dce57",
-    "verify-nash": "18501ae171a3eab8ca696c7f07df9b3b0712564ef66d3044ab0a197cbb339c7e",
-    "solve-nash": "50a9b6454b49062247bba419b2a1d1aa1f71bcd1bdf4678568d920a2879d3287",
-    "verify-split": "437f8b5454dadffd8ff54201dd6ee960f864aec82c19e498ba894a9b7f070e6a",
-    "solve-split": "37584e16a3b6145eb841422aa56def103e5d530a8c7228a4a05652497b9f0521",
-    "audit": "ff8f924fcd7a02b3f048a1f2fd1eb00f634b04116ac2f9aa5852e2bde89a8d21",
-    "cdp-check": "56cd4cbaa0613b0903dc3b6a183082b9a0624b7d25624643ef6ce0e1e69ff17c",
-    "kkm-probe": "b8826b75ccb3ea4edef70d9212e9b761e2eba8621e9b480e46511d155c99890d",
-    "bertrand-enumerate": "e31300ebda8b4f6e7e740ab0c824177d40648e9ce955eab671f23bb72b066470",
+    "verify-nash": "f65b38497d5ce7a0f152b219b9afa541e28ac88c9bb9b7fca0bc5ead1080a213",
+    "solve-nash": "b9351f1adc34b20f4e0f76797271f60d86b2596766f19e75461430f71481fa4e",
+    "verify-split": "32c9023f0182e953616bad495557596bfd392ac2b5266043e6fbd608ab5977cd",
+    "solve-split": "421e80ec5026e443297ba0f061169da77cdfebb1a2149d20ab099b76eaa00848",
+    "audit": "d57680342deefe692f90e6c2d2d540619b5ec5d34fbb805010a053d0e9c6fad0",
+    "cdp-check": "65b50bddfdc47a439246d62e60472a3d14005d8465e02b919200bd2f230690e7",
+    "kkm-probe": "2d6b7ffefd3eb2803c33d09c0ba7becff566969c68e53dade4bfa85ac2799ff1",
+    "bertrand-enumerate": "ae41eda6dcdba2fef6546d30ac6c00bbd15e63dfef413046fe65dab826cd2e4c",
 }
 
 

@@ -168,6 +168,13 @@ class TestMaximize1d:
         (x,), (v,) = maximize_1d(lambda t: -t, Interval(big))
         assert (x, v) == (big, -big)
 
+    def test_a_peak_past_the_last_finite_doubling_is_found_below_the_largest_float(self):
+        # the cap's next doubling from 1e308 overflows short of the peak, so the
+        # window ends at the largest float, which is probed once
+        big = np.finfo(float).max
+        (x,), _ = maximize_1d(lambda t: -abs(t - 1.5e308), Interval(1e308))
+        assert abs(x - 1.5e308) <= (big - 1e308) / kernel._MAX_SCAN_CELLS
+
     def test_a_cap_below_the_spacing_of_floats_at_lo_still_grows(self):
         # 1e20 + 1e3 is 1e20, so doubling the cap alone would never move it
         peak = 1.00000000001e20
