@@ -2,12 +2,12 @@
 
 Verbs: verify-nash, solve-nash, verify-split, solve-split, audit, cdp-check,
 kkm-probe, bertrand-enumerate. Every verb and every audit runs on one path:
-`main` parses the arguments and builds one `Report`, which validates the
-search budget once; the verb (for `audit`, the named audit) takes
-``(args, rep)``, fills in the verdict, results and discrepancies from
-``rep.budget``, and returns the exit code; `main` then emits the report to
-stdout as text or JSON and optionally to a file as JSON. Identical command,
-flags, and seed produce byte-identical JSON when --deterministic is set.
+`main` parses the options the verb takes and builds one `Report`, which
+validates the search budget once and states the budget options taken; the
+verb (for `audit`, the named audit) takes ``(args, rep)``, fills in the
+verdict, results and discrepancies from ``rep.budget``, and returns the exit
+code; `main` then emits the report to stdout as text or JSON and optionally
+to a file as JSON. With --deterministic, one command line gives identical JSON.
 
 Exit codes: 0 success / verdict true / nonempty result; 1 verdict false,
 empty result, or unexpected oracle mismatch; 2 input error, including an
@@ -214,13 +214,13 @@ class Report:
     """The one report of a run, holding the budget it was computed with."""
 
     def __init__(self, args):
-        if args.samples < 1:
+        # the budget options the verb took, which the report states; other fields keep their defaults
+        fields = [f.name for f in dataclasses.fields(SearchBudget)]
+        self.block = {key: getattr(args, key) for key in (*fields, "samples", "range") if key in args}
+        if self.block.get("samples", 1) < 1:
             raise InputError(f"--samples must be at least 1, got {args.samples}")
-        self.budget = SearchBudget(
-            grid_step=args.grid_step, max_iterations=args.budget_iters, truncation_cap=args.cap,
-            tolerance=args.tol, seed=args.seed,
-        )
-        if args.range is not None and not self.budget.grid_step <= args.range < math.inf:
+        self.budget = SearchBudget(**{key: self.block[key] for key in fields if key in self.block})
+        if self.block.get("range") is not None and not self.budget.grid_step <= args.range < math.inf:
             raise InputError(f"--range must be finite and at least --grid-step, got {args.range}")
         self.args = args
         self.verdict: bool | None = None
@@ -236,16 +236,11 @@ class Report:
 
     def to_dict(self) -> dict:
         d = {
-            "schema_version": 2,
+            "schema_version": 3,
             "command": self.args.verb,
             "instance": self.args.target,
-            "budget": {
-                **dataclasses.asdict(self.budget),
-                "samples": self.args.samples,
-                "range": self.args.range,
-            },
+            "budget": self.block,
             "verdict": self.verdict,
-            "tolerance": self.budget.tolerance,
             "results": self.results,
             "discrepancies": self.discrepancies,
         }
@@ -274,7 +269,7 @@ class Report:
         lines = [
             f"command:  {doc['command']}",
             f"instance: {doc['instance']}",
-            f"verdict:  {doc['verdict']} (tolerance {doc['tolerance']:g})",
+            f"verdict:  {doc['verdict']} (tolerance {doc['budget']['tolerance']:g})",
             *(f"{key}: {_dumps(value)}" for key, value in doc["results"].items()),
             *(f"discrepancy: {note}" for note in doc["discrepancies"]),
         ]
@@ -298,9 +293,9 @@ def _cdp(problem: SplitProblem, args, rep: Report) -> CdpReport:
 
 def _enumerate(model: bt.BertrandModel, default_range: float, args, rep: Report) -> dict:
     hi = args.range if args.range is not None else default_range
-    step = rep.budget.grid_step
-    runs, count = bt.grid_equilibrium_runs(model, step, hi, tolerance=rep.budget.tolerance)
-    return {"grid_step": step, "price_range": hi, "equilibrium_runs": runs, "equilibrium_count": count}
+    b = rep.budget
+    runs, count = bt.grid_equilibrium_runs(model, b.grid_step, hi, tolerance=b.tolerance)
+    return {"price_range": hi, "equilibrium_runs": runs, "equilibrium_count": count}
 
 
 # --- verbs -------------------------------------------------------------------
@@ -488,16 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
          "builtin duopoly id, e.g. bertrand-1-2", "--grid-step --range"),
     )
     budget = SearchBudget()  # the budget options default to its fields
-    # every option, in help order: flag, default, argparse keywords
+    # every option, in help order: flag, default, argparse keywords; a budget
+    # option's dest is its key in a report's budget block
     options = (
         ("--profile", None, {"required": True, "help": "comma-separated strategy values; write "
          "--profile=-1,2 when the first is negative, so that it is not read as an option"}),
-        ("--tol", budget.tolerance, {"type": float}),
+        ("--tol", budget.tolerance, {"type": float, "dest": "tolerance", "metavar": "TOL"}),
         ("--grid-step", budget.grid_step, {"type": float}),
         ("--samples", 1000, {"type": int}),
         ("--seed", budget.seed, {"type": int}),
-        ("--budget-iters", budget.max_iterations, {"type": int}),
-        ("--cap", budget.truncation_cap, {"type": float}),
+        ("--budget-iters", budget.max_iterations,
+         {"type": int, "dest": "max_iterations", "metavar": "BUDGET_ITERS"}),
+        ("--cap", budget.truncation_cap, {"type": float, "dest": "truncation_cap", "metavar": "CAP"}),
         ("--range", None, {"type": float}),
         ("--points-per-axis", 8, {"type": int}),
         ("--format", "text", {"choices": ("text", "json")}),
@@ -510,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, func, verb_help, target_help, own in verbs:
         p = sub.add_parser(verb, help=verb_help)
-        # an option the verb does not take keeps its default, so Report reads every one
-        p.set_defaults(func=func, **{flag[2:].replace("-", "_"): value for flag, value, _ in options})
+        p.set_defaults(func=func)
         p.add_argument("target", help=target_help)
         for flag, value, kwargs in options:
             if flag in f"{own} --tol --seed --format --out --deterministic".split():
@@ -520,8 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # rejected with the usage of the verb, which names the options it takes
+            (verbs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            verbs.choices[args.verb].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 on rejected arguments, 0 after --help
         return exc.code
     try:

@@ -162,8 +162,13 @@ def maximize_1d(
     cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / _SCAN_STEP)))
     # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
     xs = np.arange(cells + 1.0)
-    xs *= (hi - lo) / cells
-    xs += lo
+    if hi - lo < math.inf:
+        xs *= (hi - lo) / cells
+        xs += lo
+    else:  # a window wider than the largest float: its grid at half scale, doubled back
+        xs *= (hi / 2 - lo / 2) / cells
+        xs += lo / 2
+        xs[:-1] *= 2.0  # the last point, which may round past hi / 2, is hi
     xs[-1] = hi
     # the scan's points are shared: f sees them once, as one row
     pts = xs[None, :]

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, JSON reports, determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -214,6 +215,17 @@ class TestExitCodes:
         assert main(list(argv)) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_an_option_the_verb_does_not_take_is_rejected_with_the_verbs_usage(self, capsys, tmp_path):
+        # the usage names the options this verb takes, not the list of verbs
+        out = tmp_path / "report.json"
+        assert main(["bertrand-enumerate", "bertrand-1-2", "--cap", "0", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: splitnash bertrand-enumerate [-h] [--tol TOL]")
+        assert captured.err.endswith(
+            "splitnash bertrand-enumerate: error: unrecognized arguments: --cap 0\n"
+        )
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("target", ["foo", "x.json", "example-4.1"])
     def test_bertrand_enumerate_needs_a_builtin_duopoly(self, capsys, target):
         assert main(["bertrand-enumerate", target]) == EXIT_INPUT
@@ -389,10 +401,10 @@ class TestEquilibriumRuns:
     ])
     def test_runs_expand_to_the_enumerated_equilibria(self, capsys, ident, flags):
         code, doc = run_json(capsys, "bertrand-enumerate", ident, *flags)
-        res = doc["results"]
-        step, hi = res["grid_step"], res["price_range"]
+        res, budget = doc["results"], doc["budget"]
+        step, hi = budget["grid_step"], res["price_range"]
         expected = splitnash.enumerate_grid_equilibria(
-            splitnash.get_instance(ident).problem, step, hi, tolerance=doc["tolerance"]
+            splitnash.get_instance(ident).problem, step, hi, tolerance=budget["tolerance"]
         )
         assert code == (EXIT_OK if expected else EXIT_FAIL)
         assert res["equilibrium_count"] == len(expected)
@@ -411,10 +423,10 @@ class TestEquilibriumRuns:
     def test_the_cost_audit_checks_the_runs_as_it_checked_the_pairs(self, capsys, flags):
         # the cost point off the grid at step 0.03, equilibria outside the band at 0.25
         code, doc = run_json(capsys, "audit", "bertrand", *flags)
-        res = doc["results"]
+        res, budget = doc["results"], doc["budget"]
         pairs = splitnash.enumerate_grid_equilibria(
-            splitnash.get_instance("bertrand-1-2").problem, res["grid_step"], 5.0,
-            tolerance=doc["tolerance"],
+            splitnash.get_instance("bertrand-1-2").problem, budget["grid_step"], 5.0,
+            tolerance=budget["tolerance"],
         )
         cost = any(abs(p1 - 1.0) < 1e-9 and abs(p2 - 2.0) < 1e-9 for p1, p2 in pairs)
         within = all(max(abs(p1 - 1.0), abs(p2 - 2.0)) <= res["band"] + 1e-12 for p1, p2 in pairs)
@@ -452,6 +464,7 @@ class TestReports:
         ):
             _, doc = run_json(capsys, *argv)
             jsonschema.validate(doc, schema)
+            assert doc["schema_version"] == 3 and sorted(doc["budget"]) == BUDGET_KEYS[argv[0]]
 
     @pytest.mark.parametrize(
         "argv",
@@ -470,6 +483,7 @@ class TestReports:
         _, out = run(capsys, *argv, "--format", "json", "--deterministic")
         doc = json.loads(out, parse_constant=reject)
         jsonschema.validate(doc, schema)
+        assert sorted(doc["budget"]) == BUDGET_KEYS[argv[0]] and "tolerance" not in doc
         assert doc["results"]["relatedness"]["image_intervals"] == [[0.0, None], [0.0, None]]
 
     @pytest.mark.parametrize(
@@ -544,7 +558,9 @@ class TestReports:
             capsys, "verify-nash", "example-4.1:E2", "--profile", "9,12", "--out", str(out)
         )
         assert code == EXIT_OK
-        jsonschema.validate(json.loads(out.read_text()), schema)
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, schema)
+        assert doc["budget"] == {"seed": 0, "tolerance": 1e-6} and "tolerance" not in doc
 
 
 # a one-player game spec on [0, 1]
@@ -755,44 +771,44 @@ class TestImageOneRoundingErrorOutsideTheTargetBox:
 # must be deliberate: update the digest and say why. Digests rather than files:
 # the reports are long, the largest here about 77 KB.
 PINNED_REPORTS = {
-    ("audit", "bertrand", 0): (0, "fcf96e671d1285c3eea0d3e4e785651df4576028b7dd4486a16ca3be70e24eed"),
-    ("audit", "cdp", 0): (0, "37a217b0ed23c5da66c9899a6f9c6888cbecb6c9edf618299586d9cc18c707cb"),
-    ("audit", "thm-6.2", 0): (3, "fe5b82c2a94013ebfb10bbd4d0c411b3c08a8bad6b363722ae343f28fff94f1d"),
+    ("audit", "bertrand", 0): (0, "4284141fb244a3b9fa11be2981613efa2d5b7a739a8c35189b5c0d86c71fba39"),
+    ("audit", "cdp", 0): (0, "42ad1b3a16be5723caa5d91c054f3495e19a5ab0b260263ed00df1143b6b1a9b"),
+    ("audit", "thm-6.2", 0): (3, "3c59465fd10cdeaa3482ac2301bc433f3b93d53949584bf0596e0d1411013ba8"),
     ("bertrand-enumerate", "bertrand-1-2", 0): (
-        0, "3ded0e664669b16ad426c0f27a0c34d2f1c95effeccb68617a88c96bb4299e26"
+        0, "09ee900585015ee217c381af3adc41f982cbaf7321426b154f9e6e7a6a4043da"
     ),
-    ("cdp-check", "example-4.1", 0): (0, "8495123f0c59718bb6359f0945a88f79aae44dee209199d6a8e09d66b298beb9"),
-    ("audit", "bertrand", 7): (0, "9908facac3f3e8db01c6d89e5cc88dbc04ca1929c69502f43875b52ba8db2280"),
-    ("audit", "cdp", 7): (0, "2739aef2554087c9818b33b2b435c0463955bc2166b88b663af02d26a68d8325"),
-    ("audit", "thm-6.2", 7): (3, "54e4a24fe483161040a33c55cd6ae76a7267e016f859120e3152a5593e0babba"),
+    ("cdp-check", "example-4.1", 0): (0, "a4108dafab4e90ef26a75be62f890c3a0f01901460bbc4e1f150bfb8b3e11888"),
+    ("audit", "bertrand", 7): (0, "87a88b8a2c4c619233db5a4955286ad51efd82859b25ed6c971b4b0bba5884cd"),
+    ("audit", "cdp", 7): (0, "44930247121df051c7df25e4e17021d8b9f60e6ec1f425492b7a0cca4ab1bdbc"),
+    ("audit", "thm-6.2", 7): (3, "f744efdcd2c7112c7d2baebe75a56bd5c862a3a32f038ef7bd342a9d5dea2472"),
     ("bertrand-enumerate", "bertrand-1-2", 7): (
-        0, "2aab996e6c80ca7fa16b99f73a7b85b213abfdb17258743fa91d8c6aa12f464e"
+        0, "d4ed0629ec1e13a4d65e9bb8a4021e9515628e5522da08ce56f74232e6ef91b3"
     ),
-    ("cdp-check", "example-4.1", 7): (0, "dd7545fc0ff166a149d7809b9951b71665cb2313b7b48f292981a86392e8fd2d"),
+    ("cdp-check", "example-4.1", 7): (0, "f1ec1ec505220c7bef4c633428ba385bbd0ebeaec261a86096775f90cf3d87e9"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
-        0, "905b7bce27bd2443e2e650e07e7848d07841b6f14acdfdcca0dc3a98b18c913c"
+        0, "e096d252f60314f2d99e60f55ba684a814ea45b92be5d98cad8cdab37423dd45"
     ),
-    ("solve-nash", "example-4.1:E2", 0): (0, "d61604ad1e332ebb00570aab0481c49041fb3e11acc9413bb942acd106e98799"),
+    ("solve-nash", "example-4.1:E2", 0): (0, "4cdc6d6ef9b36b42a16d8500b08ac7d6d39ac848ba4c788e55b1bd526d6d0367"),
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
-        1, "d51d2a8147baddd965cb3ed7a387720f292560e7798c7af3fecdb4348b198e7d"
+        1, "62a5373c18f39283429ea100c4c0080ad22598246a24fe4804eecf030a167930"
     ),
-    ("solve-split", "quadratic-sanity", 0): (0, "39b8e42f3251ce41017b58463b5cc00bfdec0f45ea81ef367a235a25ca88180b"),
-    ("solve-split", "example-4.1", 0): (0, "c0960d57bf07b028437416f52236811cdd6f96f591921af3ca1fef5301952398"),
-    ("kkm-probe", "quadratic-sanity", 0): (0, "0b5b6c3b2efac22468d326c89bfdd0b44f5b1ae2eaeb25ce9dd84f9618890947"),
-    ("audit", "example-4.1", 0): (3, "1fec2434c48fcae188b1f238c160c0f50a148e436a954ad57f25445cfefcd41b"),
-    ("audit", "kkm", 0): (0, "30e07be3597e342073cddf3a8cd7a2fd91964397da3bbe3d5f8d8571feb960b7"),
+    ("solve-split", "quadratic-sanity", 0): (0, "aca877f4589bdc003132eedf84d6696a167410bd901eb5ae220402fcc5f871f3"),
+    ("solve-split", "example-4.1", 0): (0, "82b40a0597680238e9d9cb07a0ae2e1b2edbb2b30862ce53565b4baa7296cbae"),
+    ("kkm-probe", "quadratic-sanity", 0): (0, "f115d594fec5a038de5f45acd11015c892820d8898ca9e1c5b96c47daed6f426"),
+    ("audit", "example-4.1", 0): (3, "d6e8588acc3376bfa32886edf8dc97311f8891a238490627195886448607ea56"),
+    ("audit", "kkm", 0): (0, "aea7ab234383b2b6f00a5d5b06ad4554c04006989a836f905b55e386033a2000"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
-        0, "a763b5eeec7c3459e671cad1c42734b00a6d4f840f6f5841a980e00af8c78013"
+        0, "0ed91bdb9da525c8cae99f46d5eafc487b0e04109956913d81fddb2e379f2937"
     ),
-    ("solve-nash", "example-4.1:E2", 7): (0, "c60b4dd8785eb2f570de3dfff82f08de626275f526ff9d7c61d3c99941784e71"),
+    ("solve-nash", "example-4.1:E2", 7): (0, "7f0bc54a468047ee9dc4b15603ff2e2220559bf719b215e4621e7eeb144cca88"),
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
-        1, "84b211252d8b8bcbf4513ac30e5ed67065992cf2163768b6b1c29d9611c1e49f"
+        1, "e1f7c62f3e810126ed92e72616cbc5706893e471e6a0d869074b40fc030fc6bc"
     ),
-    ("solve-split", "quadratic-sanity", 7): (0, "628760433560e356ce3513c824932ba56bf0c9910292a190ff3fe8eef2fda147"),
-    ("solve-split", "example-4.1", 7): (0, "ceb9f98306c835ad29acf11d5e6349f66a5908345238f8f0c031a85a4b762f3b"),
-    ("kkm-probe", "quadratic-sanity", 7): (0, "0f67760867d1e5bb740b8c7f36fe2d9201e235d5a624ef2eb5583369505ed6b1"),
-    ("audit", "example-4.1", 7): (3, "1ccf7998b41c8c7d5bf90fea3cc09a381e8491d996d13703a3819e39b3ae2473"),
-    ("audit", "kkm", 7): (0, "87299b16884b877d087e5aeef90e173b0d5e04f55ef01c40c97463c6e47a4891"),
+    ("solve-split", "quadratic-sanity", 7): (0, "dea573ca3f73b0ec1802b7ef9fc06bf01c2f844a85d24bee9529663b912659c6"),
+    ("solve-split", "example-4.1", 7): (0, "cb7fd9fdddb354db89a3bb4cb3a1caf00cb958899985efa3fd503d9f50fee85e"),
+    ("kkm-probe", "quadratic-sanity", 7): (0, "18caf113026257a1a64f830e8115d7e03e223ac8a6f9efc2e8a44bc9ac3eb9ce"),
+    ("audit", "example-4.1", 7): (3, "b0c6fc3e1b4843003617baa9bdfdc733ac335bede42cc91b80b526bcad7b560d"),
+    ("audit", "kkm", 7): (0, "c4c7e0154c31a6427f8340ebb0b2ff886ad8b2264712a015b527bd51c0713c66"),
     ("verify-split", "example-4.1 --profile 1,2,4 --format text", 0): (
         1, "d9d6f4569197962851e8f1fb93ffec2ca87bb0158d3515f58287e6c6f48abfc9"
     ),
@@ -800,13 +816,13 @@ PINNED_REPORTS = {
         3, "72585f154cc2b56f4edd88bfd0678906d85bb7b0ca902e733fff2ddf804eaf58"
     ),
     ("bertrand-enumerate", "bertrand-1-1", 0): (
-        0, "b5b641ab816940f46a413aaab4d2b515189b96311a3e6295b67436d8da449cf7"
+        0, "68a17bd9618d3216a6254768781f3a2bfc1a862f703c769799c819b63007f49e"
     ),
     ("bertrand-enumerate", "bertrand-1-2 --grid-step 0.002 --range 5", 0): (
-        0, "a74189a4322e5bdb25fd8e59774330329c9acfecf973de1008ecf0dd1a1c82d3"
+        0, "53a098cbc695a4d9e6e41ed31b0f4cb7e0083ead3224bfa755539b475ca9dd02"
     ),
     ("bertrand-enumerate", "bertrand-1-2 --tol 2", 0): (
-        0, "adbe5740cc8eb8ac525246f36e41033ef4f1bc6d3b66123251473fdcfd0a2be4"
+        0, "a62f7da5894a3f3df77921a452d1b9a0c7a0b4f46d1a547447ccbaaa58ff5d0d"
     ),
 }
 
@@ -843,6 +859,44 @@ def test_each_verb_takes_the_common_options_and_its_own_alone():
     assert taken == {verb: {"-h", "--help", *COMMON_OPTIONS, *own} for verb, own in VERB_OPTIONS.items()}
     # 57 verb-option pairs, where every verb took all 11 options and its --profile
     assert sum(len(own | COMMON_OPTIONS) for own in VERB_OPTIONS.values()) == 57
+
+
+# the keys of each verb's budget block: the budget options it takes, at the
+# values it ran with, and no other
+BUDGET_KEYS = {
+    "verify-nash": ["seed", "tolerance"],
+    "verify-split": ["seed", "tolerance"],
+    "solve-nash": ["max_iterations", "seed", "tolerance", "truncation_cap"],
+    "solve-split": ["max_iterations", "seed", "tolerance", "truncation_cap"],
+    "cdp-check": ["samples", "seed", "tolerance", "truncation_cap"],
+    "kkm-probe": ["seed", "tolerance", "truncation_cap"],
+    "bertrand-enumerate": ["grid_step", "range", "seed", "tolerance"],
+    "audit": ["grid_step", "range", "samples", "seed", "tolerance", "truncation_cap"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-nash", "example-4.1:E2", "--profile", "9,12"),
+    ("verify-split", "quadratic-sanity", "--profile", "1,2"),
+    ("solve-nash", "example-4.1:E2", "--cap", "50"),
+    ("solve-split", "quadratic-sanity"),
+    ("cdp-check", "quadratic-sanity", "--samples", "20"),
+    ("kkm-probe", "quadratic-sanity", "--points-per-axis", "3"),
+    ("bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.25"),
+    *(("audit", name, "--grid-step", "0.25", "--samples", "20") for name in ("bertrand", "cdp", "kkm")),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_report_states_the_budget_options_its_verb_took(capsys, argv):
+    code, doc = run_json(capsys, *argv, "--seed", "3")
+    assert code in (EXIT_OK, EXIT_FAIL)
+    budget = doc["budget"]
+    assert sorted(budget) == BUDGET_KEYS[argv[0]] and "tolerance" not in doc
+    # each value is the one the run used: the flag's where it was given, else the default
+    given = {"--cap": "truncation_cap", "--samples": "samples", "--grid-step": "grid_step"}
+    flags = {given[flag]: float(value) for flag, value in zip(argv, argv[1:]) if flag in given}
+    defaults = {**dataclasses.asdict(SearchBudget()), "samples": 1000, "range": None}
+    assert budget == {key: flags.get(key, defaults[key]) for key in budget} | {"seed": 3}
+    # 29 verb-key entries, where every verb wrote all 7 keys and a top-level tolerance
+    assert sum(map(len, BUDGET_KEYS.values())) == 29
 
 
 # SHA-256 of the --help text of the parser ("") and of each verb, at 80 columns

@@ -175,6 +175,13 @@ class TestMaximize1d:
         (x,), _ = maximize_1d(lambda t: -abs(t - 1.5e308), Interval(1e308))
         assert abs(x - 1.5e308) <= (big - 1e308) / kernel._MAX_SCAN_CELLS
 
+    @pytest.mark.parametrize("hi", [1.7e308, math.inf])
+    def test_a_window_wider_than_the_largest_float_is_scanned(self, hi):
+        # hi - lo overflows to inf, which once put nan on the scan grid; the
+        # half-line's cap grows to the largest float
+        (x,), (v,) = maximize_1d(lambda t: -abs(t / 4 - 4e307), Interval(-1e308, hi))
+        assert (x, v) == (1.6e308, 0.0)
+
     def test_a_cap_below_the_spacing_of_floats_at_lo_still_grows(self):
         # 1e20 + 1e3 is 1e20, so doubling the cap alone would never move it
         peak = 1.00000000001e20
