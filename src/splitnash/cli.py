@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Verbs: verify-nash, solve-nash, verify-split, solve-split, audit, cdp-check,
-kkm-probe, bertrand-enumerate. Every verb and every audit runs on one path:
-`main` parses the options the verb takes and builds one `Report`, which
-validates the search budget once and states the budget options taken; the
-verb (for `audit`, the named audit) takes ``(args, rep)``, fills in the
-verdict, results and discrepancies from ``rep.budget``, and returns the exit
-code; `main` then emits the report to stdout as text or JSON and optionally
-to a file as JSON. With --deterministic, one command line gives identical JSON.
+kkm-probe, bertrand-enumerate; `audit` has a subcommand per audit (`AUDITS`).
+Each takes only the options it reads. `main` parses them and builds one
+`Report`, which validates the search budget once and states the budget
+options taken; the verb or audit takes ``(args, rep)``, fills in the verdict,
+results and discrepancies from ``rep.budget`` and returns the exit code;
+`main` emits the report to stdout as text or JSON and optionally to a file
+as JSON. With --deterministic, one command line gives identical JSON.
 
 Exit codes: 0 success / verdict true / nonempty result; 1 verdict false,
 empty result, or unexpected oracle mismatch; 2 input error, including an
 invalid budget, seed, sample count, price range or probe resolution, a
-malformed spec file and an option the verb does not take, and then no
-report is written; 3 a documented source-claim discrepancy was confirmed
-(distinct from failure). `main` returns these codes and never raises
-`SystemExit`: arguments that argparse rejects return its code 2, and --help
-returns 0.
+malformed spec file, an unknown audit, an option the verb or audit does not
+take and an allocation that cannot be met, and then no report is written; 3 a
+documented source-claim discrepancy was confirmed (distinct from failure).
+`main` returns these codes and never raises `SystemExit`: arguments that
+argparse rejects return its code 2, and --help returns 0.
 """
 
 from __future__ import annotations
@@ -444,19 +444,14 @@ def _audit_kkm(args, rep: Report) -> int:
     return _kkm(get_instance("quadratic-sanity").problem, args, rep)
 
 
+# each audit, its function and the options it takes besides the five every verb takes
 AUDITS = {
-    "example-4.1": _audit_example_4_1,
-    "bertrand": _audit_bertrand,
-    "thm-6.2": _audit_thm_6_2,
-    "cdp": _audit_cdp,
-    "kkm": _audit_kkm,
+    "example-4.1": (_audit_example_4_1, ""),
+    "bertrand": (_audit_bertrand, "--grid-step --range"),
+    "thm-6.2": (_audit_thm_6_2, "--grid-step --range"),
+    "cdp": (_audit_cdp, "--samples --cap"),
+    "kkm": (_audit_kkm, "--cap --points-per-axis"),
 }
-
-
-def cmd_audit(args, rep: Report) -> int:
-    if args.target not in AUDITS:
-        raise InputError(f"unknown audit {args.target!r}; known: {sorted(AUDITS)}")
-    return AUDITS[args.target](args, rep)
 
 
 # --- parser ------------------------------------------------------------------
@@ -473,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
          "builtin split id or split spec JSON file", "--profile"),
         ("solve-split", cmd_solve_split, "solve the split equilibrium problem", None,
          "--budget-iters --cap"),
-        ("audit", cmd_audit, "run a named source-claim audit", "|".join(sorted(AUDITS)),
-         "--grid-step --samples --cap --range --points-per-axis"),
+        ("audit", None, "run a named source-claim audit", None, None),  # one row per audit in AUDITS
         ("cdp-check", cmd_cdp_check, "sample the convexity-direction property", None,
          "--samples --cap"),
         ("kkm-probe", cmd_kkm_probe, "finite-grid intersection probe", None,
@@ -505,10 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="splitnash", description="Verify, solve, and audit split Nash equilibrium problems."
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    leaves = []  # each parser that runs a function, with the options it takes
     for verb, func, verb_help, target_help, own in verbs:
         p = sub.add_parser(verb, help=verb_help)
-        p.set_defaults(func=func)
-        p.add_argument("target", help=target_help)
+        if func is None:  # the audit's name is its target, and each audit takes its own options
+            audits = p.add_subparsers(dest="target", required=True)
+            leaves += [(audits.add_parser(name), *row) for name, row in AUDITS.items()]
+        else:
+            p.add_argument("target", help=target_help)
+            leaves.append((p, func, own))
+    for p, func, own in leaves:
+        p.set_defaults(func=func, parser=p)  # its own parser, which rejects what it does not take
         for flag, value, kwargs in options:
             if flag in f"{own} --tol --seed --format --out --deterministic".split():
                 p.add_argument(flag, default=value, **kwargs)
@@ -519,9 +520,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
-        if extra:  # rejected with the usage of the verb, which names the options it takes
-            (verbs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            verbs.choices[args.verb].error(f"unrecognized arguments: {' '.join(extra)}")
+        if extra:  # rejected with the usage of the verb or audit, which names the options it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 on rejected arguments, 0 after --help
         return exc.code
     try:
@@ -536,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
                 # as Python's docs advise: the flush at exit then writes nowhere
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

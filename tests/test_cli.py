@@ -38,6 +38,11 @@ def run_json(capsys, *argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
+def _command(argv) -> str:
+    """The command of an argv: its verb, or for audit the verb and the audit's name."""
+    return " ".join(argv[:2]) if argv[0] == "audit" else argv[0]
+
+
 def _child_env() -> dict:
     """The environment of a child Python that imports the splitnash this test imported."""
     src = str(Path(splitnash.__file__).resolve().parent.parent)
@@ -215,15 +220,26 @@ class TestExitCodes:
         assert main(list(argv)) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    def test_an_option_the_verb_does_not_take_is_rejected_with_the_verbs_usage(self, capsys, tmp_path):
-        # the usage names the options this verb takes, not the list of verbs
+    @pytest.mark.parametrize(
+        "argv, usage, error",
+        [
+            (("bertrand-enumerate", "bertrand-1-2", "--cap", "0"), "bertrand-enumerate [-h] [--tol TOL]",
+             "bertrand-enumerate: error: unrecognized arguments: --cap 0"),
+            (("audit", "example-4.1", "--samples", "5"), "audit example-4.1 [-h] [--tol TOL] [--seed SEED]",
+             "audit example-4.1: error: unrecognized arguments: --samples 5"),
+            (("audit", "kkm", "--grid-step", "0.5"), "audit kkm [-h] [--tol TOL] [--seed SEED] [--cap CAP]",
+             "audit kkm: error: unrecognized arguments: --grid-step 0.5"),
+        ],
+    )
+    def test_an_option_the_verb_does_not_take_is_rejected_with_the_verbs_usage(
+        self, capsys, tmp_path, argv, usage, error
+    ):
+        # the usage names the options this verb or audit takes, not the list of verbs
         out = tmp_path / "report.json"
-        assert main(["bertrand-enumerate", "bertrand-1-2", "--cap", "0", "--out", str(out)]) == EXIT_INPUT
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage: splitnash bertrand-enumerate [-h] [--tol TOL]")
-        assert captured.err.endswith(
-            "splitnash bertrand-enumerate: error: unrecognized arguments: --cap 0\n"
-        )
+        assert captured.err.startswith(f"usage: splitnash {usage}")
+        assert captured.err.endswith(f"splitnash {error}\n")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("target", ["foo", "x.json", "example-4.1"])
@@ -262,14 +278,46 @@ class TestExitCodes:
         assert captured.err == f"error: cannot read {spec}: {reason}\n"
         assert captured.out == "" and not out.exists()
 
-    def test_an_unknown_audit_is_an_input_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("audit", "nope"), "nope"),
+            # an option goes after the audit's name: before it, audit reads "2" as the name
+            (("audit", "--tol", "2", "bertrand"), "2"),
+        ],
+    )
+    def test_an_unknown_audit_is_an_input_error(self, capsys, tmp_path, argv, name):
+        # argparse rejects it, with the usage of audit and the five audits it knows
         out = tmp_path / "report.json"
-        assert main(["audit", "nope", "--out", str(out)]) == EXIT_INPUT
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.err == (
-            "error: unknown audit 'nope'; known: ['bertrand', 'cdp', 'example-4.1', 'kkm', 'thm-6.2']\n"
-        )
+        assert captured.err.startswith("usage: splitnash audit [-h] {example-4.1,bertrand,thm-6.2,cdp,kkm}")
+        assert f"splitnash audit: error: argument target: invalid choice: '{name}'" in captured.err
+        known = captured.err.split("(choose from ")[1]
+        assert all(audit in known for audit in ("example-4.1", "bertrand", "thm-6.2", "cdp", "kkm"))
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cdp-check", "quadratic-sanity", "--samples", "1000000000000"),
+            ("kkm-probe", "quadratic-sanity", "--points-per-axis", "10000000"),
+            ("bertrand-enumerate", "bertrand-1-2", "--grid-step", "1e-12"),
+        ],
+    )
+    def test_an_allocation_that_cannot_be_met_is_an_input_error(self, tmp_path, argv):
+        # arrays of 36.4, 728 and 72.8 TiB: under a 3 GiB address-space limit
+        # numpy's allocation fails at once, whatever the host's memory
+        out = tmp_path / "report.json"
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from splitnash.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        child = _python("-c", probe, *argv, "--out", str(out))
+        assert (child.returncode, child.stdout, child.stderr.count("\n")) == (EXIT_INPUT, "", 1)
+        assert child.stderr.startswith("error: Unable to allocate ") and not out.exists()
 
     def test_a_leading_minus_needs_the_equals_form(self, capsys):
         # "--profile -1,2" reads "-1,2" as an option; "--profile=-1,2" is a profile
@@ -464,7 +512,7 @@ class TestReports:
         ):
             _, doc = run_json(capsys, *argv)
             jsonschema.validate(doc, schema)
-            assert doc["schema_version"] == 3 and sorted(doc["budget"]) == BUDGET_KEYS[argv[0]]
+            assert doc["schema_version"] == 3 and sorted(doc["budget"]) == BUDGET_KEYS[_command(argv)]
 
     @pytest.mark.parametrize(
         "argv",
@@ -483,7 +531,7 @@ class TestReports:
         _, out = run(capsys, *argv, "--format", "json", "--deterministic")
         doc = json.loads(out, parse_constant=reject)
         jsonschema.validate(doc, schema)
-        assert sorted(doc["budget"]) == BUDGET_KEYS[argv[0]] and "tolerance" not in doc
+        assert sorted(doc["budget"]) == BUDGET_KEYS[_command(argv)] and "tolerance" not in doc
         assert doc["results"]["relatedness"]["image_intervals"] == [[0.0, None], [0.0, None]]
 
     @pytest.mark.parametrize(
@@ -771,16 +819,16 @@ class TestImageOneRoundingErrorOutsideTheTargetBox:
 # must be deliberate: update the digest and say why. Digests rather than files:
 # the reports are long, the largest here about 77 KB.
 PINNED_REPORTS = {
-    ("audit", "bertrand", 0): (0, "4284141fb244a3b9fa11be2981613efa2d5b7a739a8c35189b5c0d86c71fba39"),
-    ("audit", "cdp", 0): (0, "42ad1b3a16be5723caa5d91c054f3495e19a5ab0b260263ed00df1143b6b1a9b"),
-    ("audit", "thm-6.2", 0): (3, "3c59465fd10cdeaa3482ac2301bc433f3b93d53949584bf0596e0d1411013ba8"),
+    ("audit", "bertrand", 0): (0, "5d8001424cd9208d9079ed36fa4b749f28614f5a11fcbd5d5ed9c51a477a3bcd"),
+    ("audit", "cdp", 0): (0, "c412ea4d0a36c60d01667006eabfc3db3eaa60e2ff48f959b2f8cc9b941a5570"),
+    ("audit", "thm-6.2", 0): (3, "15e0169e03d47202847b1163f0e8e299052d7911c91138846f35ee9c22e7653d"),
     ("bertrand-enumerate", "bertrand-1-2", 0): (
         0, "09ee900585015ee217c381af3adc41f982cbaf7321426b154f9e6e7a6a4043da"
     ),
     ("cdp-check", "example-4.1", 0): (0, "a4108dafab4e90ef26a75be62f890c3a0f01901460bbc4e1f150bfb8b3e11888"),
-    ("audit", "bertrand", 7): (0, "87a88b8a2c4c619233db5a4955286ad51efd82859b25ed6c971b4b0bba5884cd"),
-    ("audit", "cdp", 7): (0, "44930247121df051c7df25e4e17021d8b9f60e6ec1f425492b7a0cca4ab1bdbc"),
-    ("audit", "thm-6.2", 7): (3, "f744efdcd2c7112c7d2baebe75a56bd5c862a3a32f038ef7bd342a9d5dea2472"),
+    ("audit", "bertrand", 7): (0, "0fc6324f1d0865486402ed02f8634847dfbf35cfeda35f473184a378618ceb80"),
+    ("audit", "cdp", 7): (0, "b32027b095bdf4ae133c979245745442c0b9d33ae16a89c44cc686abe5a44bd9"),
+    ("audit", "thm-6.2", 7): (3, "4abe7986368ec550d1f09ad5276d8c71d6c86c6fba45c6cd5a27502209abae0b"),
     ("bertrand-enumerate", "bertrand-1-2", 7): (
         0, "d4ed0629ec1e13a4d65e9bb8a4021e9515628e5522da08ce56f74232e6ef91b3"
     ),
@@ -795,8 +843,8 @@ PINNED_REPORTS = {
     ("solve-split", "quadratic-sanity", 0): (0, "aca877f4589bdc003132eedf84d6696a167410bd901eb5ae220402fcc5f871f3"),
     ("solve-split", "example-4.1", 0): (0, "82b40a0597680238e9d9cb07a0ae2e1b2edbb2b30862ce53565b4baa7296cbae"),
     ("kkm-probe", "quadratic-sanity", 0): (0, "f115d594fec5a038de5f45acd11015c892820d8898ca9e1c5b96c47daed6f426"),
-    ("audit", "example-4.1", 0): (3, "d6e8588acc3376bfa32886edf8dc97311f8891a238490627195886448607ea56"),
-    ("audit", "kkm", 0): (0, "aea7ab234383b2b6f00a5d5b06ad4554c04006989a836f905b55e386033a2000"),
+    ("audit", "example-4.1", 0): (3, "07a9126a073f30c2d1066991ac684771c50c5835b904d4d7d970d059c38b9679"),
+    ("audit", "kkm", 0): (0, "365933af4b7467052d0caec2350c2610e36a6936cffdbab020c132504f5b6d6f"),
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
         0, "0ed91bdb9da525c8cae99f46d5eafc487b0e04109956913d81fddb2e379f2937"
     ),
@@ -807,8 +855,8 @@ PINNED_REPORTS = {
     ("solve-split", "quadratic-sanity", 7): (0, "dea573ca3f73b0ec1802b7ef9fc06bf01c2f844a85d24bee9529663b912659c6"),
     ("solve-split", "example-4.1", 7): (0, "cb7fd9fdddb354db89a3bb4cb3a1caf00cb958899985efa3fd503d9f50fee85e"),
     ("kkm-probe", "quadratic-sanity", 7): (0, "18caf113026257a1a64f830e8115d7e03e223ac8a6f9efc2e8a44bc9ac3eb9ce"),
-    ("audit", "example-4.1", 7): (3, "b0c6fc3e1b4843003617baa9bdfdc733ac335bede42cc91b80b526bcad7b560d"),
-    ("audit", "kkm", 7): (0, "c4c7e0154c31a6427f8340ebb0b2ff886ad8b2264712a015b527bd51c0713c66"),
+    ("audit", "example-4.1", 7): (3, "9f073214a8fa88ca632c948ade7a63ddd6a719c74f89c09cdd4d6504ebb10a28"),
+    ("audit", "kkm", 7): (0, "0bde32cac5da1fb1f4c1284529aee1434f34c80d3d7c921d1ea48412d3e602d1"),
     ("verify-split", "example-4.1 --profile 1,2,4 --format text", 0): (
         1, "d9d6f4569197962851e8f1fb93ffec2ca87bb0158d3515f58287e6c6f48abfc9"
     ),
@@ -836,7 +884,7 @@ def test_deterministic_report_matches_its_pinned_digest(capsys, verb, target, se
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPORTS[verb, target, seed]
 
 
-# the options each verb takes besides the common ones, which every verb takes
+# the options each command (a verb, or an audit) takes besides the common ones, which all take
 VERB_OPTIONS = {
     "verify-nash": {"--profile"},
     "verify-split": {"--profile"},
@@ -845,23 +893,40 @@ VERB_OPTIONS = {
     "cdp-check": {"--samples", "--cap"},
     "kkm-probe": {"--cap", "--points-per-axis"},
     "bertrand-enumerate": {"--grid-step", "--range"},
-    "audit": {"--grid-step", "--range", "--samples", "--cap", "--points-per-axis"},
+    "audit example-4.1": set(),
+    "audit bertrand": {"--grid-step", "--range"},
+    "audit thm-6.2": {"--grid-step", "--range"},
+    "audit cdp": {"--samples", "--cap"},
+    "audit kkm": {"--cap", "--points-per-axis"},
 }
 COMMON_OPTIONS = {"--tol", "--seed", "--format", "--out", "--deterministic"}
 
 
+def _leaf_parsers(parser, command=""):
+    """Each command and the parser that runs it, the one with no subcommands."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield command, parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, f"{command} {name}".strip())
+
+
 def test_each_verb_takes_the_common_options_and_its_own_alone():
-    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    leaves = dict(_leaf_parsers(build_parser()))
     taken = {
-        verb: {flag for action in parser._actions for flag in action.option_strings}
-        for verb, parser in verbs.choices.items()
+        command: {flag for action in parser._actions for flag in action.option_strings}
+        for command, parser in leaves.items()
     }
-    assert taken == {verb: {"-h", "--help", *COMMON_OPTIONS, *own} for verb, own in VERB_OPTIONS.items()}
-    # 57 verb-option pairs, where every verb took all 11 options and its --profile
-    assert sum(len(own | COMMON_OPTIONS) for own in VERB_OPTIONS.values()) == 57
+    assert taken == {command: {"-h", "--help", *COMMON_OPTIONS, *own} for command, own in VERB_OPTIONS.items()}
+    # each rejects an argument it does not take with its own usage: it is its own default
+    assert all(parser.get_default("parser") is parser for parser in leaves.values())
+    # 80 command-option pairs; the 33 of the audits, where each took all 10 audit options (50)
+    pairs = {command: len(own | COMMON_OPTIONS) for command, own in VERB_OPTIONS.items()}
+    assert (sum(pairs.values()), sum(n for c, n in pairs.items() if c.startswith("audit "))) == (80, 33)
 
 
-# the keys of each verb's budget block: the budget options it takes, at the
+# the keys of each command's budget block: the budget options it takes, at the
 # values it ran with, and no other
 BUDGET_KEYS = {
     "verify-nash": ["seed", "tolerance"],
@@ -871,7 +936,11 @@ BUDGET_KEYS = {
     "cdp-check": ["samples", "seed", "tolerance", "truncation_cap"],
     "kkm-probe": ["seed", "tolerance", "truncation_cap"],
     "bertrand-enumerate": ["grid_step", "range", "seed", "tolerance"],
-    "audit": ["grid_step", "range", "samples", "seed", "tolerance", "truncation_cap"],
+    "audit example-4.1": ["seed", "tolerance"],
+    "audit bertrand": ["grid_step", "range", "seed", "tolerance"],
+    "audit thm-6.2": ["grid_step", "range", "seed", "tolerance"],
+    "audit cdp": ["samples", "seed", "tolerance", "truncation_cap"],
+    "audit kkm": ["seed", "tolerance", "truncation_cap"],
 }
 
 
@@ -883,30 +952,41 @@ BUDGET_KEYS = {
     ("cdp-check", "quadratic-sanity", "--samples", "20"),
     ("kkm-probe", "quadratic-sanity", "--points-per-axis", "3"),
     ("bertrand-enumerate", "bertrand-1-2", "--grid-step", "0.25"),
-    *(("audit", name, "--grid-step", "0.25", "--samples", "20") for name in ("bertrand", "cdp", "kkm")),
+    ("audit", "example-4.1"),
+    ("audit", "bertrand", "--grid-step", "0.25"),
+    ("audit", "thm-6.2", "--grid-step", "0.25"),
+    ("audit", "cdp", "--samples", "20"),
+    ("audit", "kkm", "--cap", "50", "--points-per-axis", "3"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_a_report_states_the_budget_options_its_verb_took(capsys, argv):
     code, doc = run_json(capsys, *argv, "--seed", "3")
-    assert code in (EXIT_OK, EXIT_FAIL)
+    # only an audit confirms a documented discrepancy
+    assert code in ((EXIT_OK, EXIT_FAIL, EXIT_DISCREPANCY) if argv[0] == "audit" else (EXIT_OK, EXIT_FAIL))
     budget = doc["budget"]
-    assert sorted(budget) == BUDGET_KEYS[argv[0]] and "tolerance" not in doc
+    assert sorted(budget) == BUDGET_KEYS[_command(argv)] and "tolerance" not in doc
     # each value is the one the run used: the flag's where it was given, else the default
     given = {"--cap": "truncation_cap", "--samples": "samples", "--grid-step": "grid_step"}
     flags = {given[flag]: float(value) for flag, value in zip(argv, argv[1:]) if flag in given}
     defaults = {**dataclasses.asdict(SearchBudget()), "samples": 1000, "range": None}
     assert budget == {key: flags.get(key, defaults[key]) for key in budget} | {"seed": 3}
-    # 29 verb-key entries, where every verb wrote all 7 keys and a top-level tolerance
-    assert sum(map(len, BUDGET_KEYS.values())) == 29
+    # 40 command-key entries; the 17 of the audits, where each wrote 6 (30)
+    keys = {command: len(block) for command, block in BUDGET_KEYS.items()}
+    assert (sum(keys.values()), sum(n for c, n in keys.items() if c.startswith("audit "))) == (40, 17)
 
 
-# SHA-256 of the --help text of the parser ("") and of each verb, at 80 columns
+# SHA-256 of the --help text of the parser ("") and of each verb and audit, at 80 columns
 PINNED_HELP = {
     "": "b1c85b4aeb2cf0d004a5137d3afee6550395e1409d0ecc19060062092a6dce57",
     "verify-nash": "f65b38497d5ce7a0f152b219b9afa541e28ac88c9bb9b7fca0bc5ead1080a213",
     "solve-nash": "b9351f1adc34b20f4e0f76797271f60d86b2596766f19e75461430f71481fa4e",
     "verify-split": "32c9023f0182e953616bad495557596bfd392ac2b5266043e6fbd608ab5977cd",
     "solve-split": "421e80ec5026e443297ba0f061169da77cdfebb1a2149d20ab099b76eaa00848",
-    "audit": "d57680342deefe692f90e6c2d2d540619b5ec5d34fbb805010a053d0e9c6fad0",
+    "audit": "67d3de1dd7a3d215d43ddb21a3f75679f33f6ab46802a7756d9c14d7b22b128e",
+    "audit example-4.1": "0f6ee6bc5b15ea4fbcb3b75812275af80b89bd2f14f6875863f25b23bc872250",
+    "audit bertrand": "47ffd81634b68bccada079a8211319c0624cbc2213ec62689755489f8d34810b",
+    "audit thm-6.2": "a833879c70c11d571857555c25e29cd129a0555ec5e27b46c1765845f3411769",
+    "audit cdp": "06ee711002ba11fc610899ba516f6525c20a54cd07c20e8ff0e67b64101a8270",
+    "audit kkm": "9ae5a4c1b9d8dee6eb5eda03d307d3723d654aee55589296629a50c24c58a8ea",
     "cdp-check": "65b50bddfdc47a439246d62e60472a3d14005d8465e02b919200bd2f230690e7",
     "kkm-probe": "2d6b7ffefd3eb2803c33d09c0ba7becff566969c68e53dade4bfa85ac2799ff1",
     "bertrand-enumerate": "ae41eda6dcdba2fef6546d30ac6c00bbd15e63dfef413046fe65dab826cd2e4c",
