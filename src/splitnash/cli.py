@@ -444,13 +444,13 @@ def _audit_kkm(args, rep: Report) -> int:
     return _kkm(get_instance("quadratic-sanity").problem, args, rep)
 
 
-# each audit, its function and the options it takes besides the five every verb takes
+# each audit, its function, its help and the options it takes besides the five every verb takes
 AUDITS = {
-    "example-4.1": (_audit_example_4_1, ""),
-    "bertrand": (_audit_bertrand, "--grid-step --range"),
-    "thm-6.2": (_audit_thm_6_2, "--grid-step --range"),
-    "cdp": (_audit_cdp, "--samples --cap"),
-    "kkm": (_audit_kkm, "--cap --points-per-axis"),
+    "example-4.1": (_audit_example_4_1, "check Example 4.1's claimed split equilibrium (1,2,4)", ""),
+    "bertrand": (_audit_bertrand, "grid equilibria of bertrand-1-2 near its cost pair", "--grid-step --range"),
+    "thm-6.2": (_audit_thm_6_2, "Theorem 6.2's Markov price transforms, both duopolies", "--grid-step --range"),
+    "cdp": (_audit_cdp, "sample the convexity-direction property", "--samples --cap"),
+    "kkm": (_audit_kkm, "probe the KKM intersection of quadratic-sanity", "--cap --points-per-axis"),
 }
 
 
@@ -503,8 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, func, verb_help, target_help, own in verbs:
         p = sub.add_parser(verb, help=verb_help)
         if func is None:  # the audit's name is its target, and each audit takes its own options
-            audits = p.add_subparsers(dest="target", required=True)
-            leaves += [(audits.add_parser(name), *row) for name, row in AUDITS.items()]
+            audits = p.add_subparsers(dest="audit", required=True)  # errors name the argument `audit`
+            for name, (audit, audit_help, audit_own) in AUDITS.items():
+                leaf = audits.add_parser(name, help=audit_help)
+                leaf.set_defaults(target=name)
+                leaves.append((leaf, audit, audit_own))
         else:
             p.add_argument("target", help=target_help)
             leaves.append((p, func, own))

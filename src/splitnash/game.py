@@ -200,8 +200,9 @@ def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
         a = None if window.bounded else poly.magnitudes(opponents, k)
     except EvalError:
         return None
-    if not np.isfinite(c).all() or (a is not None and not np.isfinite(a).all()):
-        return None
+    for x in (c,) if a is None else (c, a):
+        if np.count_nonzero(np.isfinite(x)) < x.size:  # cheaper than a .all() call
+            return None
     return c, poly.root, a
 
 

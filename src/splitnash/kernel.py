@@ -213,6 +213,57 @@ def maximize_1d(
 _NEGLIGIBLE = 2.0**-40
 
 
+def _real_parts(first: list[float]) -> list[float]:
+    """The real parts of the roots of w^m = first[0] * w^(m-1) + ... + first[m-1],
+    m = 2 or 3, which are the eigenvalues of the companion matrix with first
+    row `first`, in closed form on Python floats. A quadratic takes the
+    cancellation-free formula, and a complex pair its real part twice. A
+    cubic takes one real root, Cardano's where it has one and the largest of
+    the trigonometric form's where it has three, polished by one Newton step
+    kept where it lowers the residual; dividing it out, from the end where
+    that is stable, leaves a quadratic. Coefficients of 2^100 or more are
+    first scaled by a power of 2, so that no square or cube overflows."""
+    s = 1.0
+    if max(map(abs, first)) >= 2.0**100:
+        e = min(max(-(-math.frexp(f)[1] // (i + 1)) for i, f in enumerate(first)), 1023)
+        first, s = [math.ldexp(f, -e * (i + 1)) for i, f in enumerate(first)], 2.0**e
+    out = []
+    if len(first) == 2:  # z^2 = a z + b
+        a, b = first
+    else:  # z^3 = a z^2 + b z + c, which is y^3 + p y + q at z = y + a/3
+        a, b, c = first
+        shift = a / 3.0
+        p = -b - a * shift
+        q = -c - shift * (b + 2.0 * shift * shift)
+        disc = 0.25 * q * q + p * p * p / 27.0
+        if disc > 0.0:  # u^3, the resolvent's root of larger magnitude, is not 0
+            v = -0.5 * q - math.copysign(math.sqrt(disc), q)
+            u = math.copysign(abs(v) ** (1.0 / 3.0), v)
+            y = u - p / (3.0 * u)
+        else:  # the largest is r cos(phi), cos(3 phi) = 4|q| / r^3, of the sign opposite to q's
+            r = 2.0 * math.sqrt(max(-p / 3.0, 0.0))  # p <= 0 but for rounding
+            phi = math.acos(min(1.0, 4.0 * abs(q) / r / r / r)) / 3.0 if r else 0.0
+            y = -math.copysign(r * math.cos(phi), q)
+        z = y + shift
+        residual = ((z - a) * z - b) * z - c
+        slope = (3.0 * z - 2.0 * a) * z - b
+        if slope:
+            n = z - residual / slope
+            if abs(((n - a) * n - b) * n - c) < abs(residual):
+                z = n
+        out.append(z * s)
+        # the other two roots solve z'^2 = a z' + b: z divided out from the
+        # top, or from the constant term where z is the larger root
+        a, b = a - z, b + z * (a - z)
+        if z * z > max(a * a, abs(b)):
+            a, b = (-c / z - first[1]) / z, -c / z
+    disc = a * a + 4.0 * b
+    if disc < 0.0:  # a complex pair
+        return out + [0.5 * a * s] * 2
+    h = 0.5 * (a + math.copysign(math.sqrt(disc), a))
+    return out + [h * s, -b / h * s if h else 0.0]
+
+
 def maximize_polynomial(
     f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
@@ -227,15 +278,15 @@ def maximize_polynomial(
     f is called as maximize_1d calls it, with (k, P) points, and gives every
     value returned; c only says where to look. A polynomial is largest at
     an end of its window or at a real root of its derivative, so each row's
-    candidates are the ends and the real parts of all the derivative's
-    roots, clipped to the window: in closed form for a linear derivative,
-    else as the eigenvalues of (k, d - 1, d - 1) companion matrices in one
-    np.linalg.eigvals call. A complex root's real part is one more
-    candidate, scored like the rest, so no threshold decides which roots
-    are real. Each row returns its candidate of largest value, ties going
-    to the smaller t; a non-finite value raises EvalError naming the first
-    such point and the window. Row r's result is the k = 1 result for row r
-    alone, bit for bit.
+    candidates are the ends and the real parts of all the derivative's m =
+    d - 1 roots, clipped to the window. For m <= 3 they are found in closed
+    form, row by row on Python floats (see _real_parts); above that, as the
+    eigenvalues of (k, m, m) companion matrices in one np.linalg.eigvals
+    call. A complex root's real part is one more candidate, scored like the
+    rest, so no threshold decides which roots are real. Each row returns its
+    candidate of largest value, ties going to the smaller t; a non-finite
+    value raises EvalError naming the first such point and the window. Row
+    r's result is the k = 1 result for row r alone, bit for bit.
 
     Zero up to rounding: a coefficient at most 2**-40 times what it is
     weighed against reads as zero. On [lo, inf) it is weighed against
@@ -250,13 +301,14 @@ def maximize_polynomial(
     window or near the largest float.
     """
     k, n = c.shape
-    lo, hi = interval.lo, interval.hi
-    if not interval.bounded:
+    lo, hi, bounded = interval.lo, interval.hi, interval.bounded
+    rows = np.arange(k)
+    if not bounded:
         c = np.where(np.abs(c) <= _NEGLIGIBLE * magnitudes, 0.0, c)
         if n > 1:
             # the last nonzero coefficient of each row; a row of zeros reads c[:, -1] = 0
             top = n - 1 - (c[:, :0:-1] != 0).argmax(axis=1)
-            lead = c[np.arange(k), top]
+            lead = c[rows, top]
             if np.count_nonzero(up := lead > 0):
                 r = int(up.argmax())
                 raise EvalError(
@@ -267,26 +319,33 @@ def maximize_polynomial(
     # the candidates: lo, hi (lo again on a half-line) and the derivative's m roots
     t = np.empty((k, 2 + max(m, 0)))
     t[:, 0] = lo
-    t[:, 1] = hi if interval.bounded else lo
+    t[:, 1] = hi if bounded else lo
     if m >= 1:
         wlo, whi = (lo, hi) if root == 1 else (lo ** (1.0 / root), hi ** (1.0 / root))
-        # |w|^(j - m) for j < m where |w| is largest: the weight of the
-        # derivative's term j against its top one (none on a half-line)
-        weight = max(1.0, abs(wlo), abs(whi)) ** np.arange(-m, 0.0) if interval.bounded else np.zeros(m)
+        # the top coefficient reads as zero where some |d[j] / d[m]| * |w|^(j - m),
+        # |w| where it is largest, is at least 1 / _NEGLIGIBLE: where the companion
+        # row's entry i reaches |w|^(i + 1) / _NEGLIGIBLE (any finite value on a half-line)
+        degrees = np.arange(1.0, n)
         with np.errstate(all="ignore"):  # a non-finite quotient or power is handled below
-            d = c[:, 1:] * np.arange(1.0, n)
+            limit = max(1.0, abs(wlo), abs(whi)) ** degrees[:m] / _NEGLIGIBLE if bounded else math.inf
+            d = c[:, 1:] * degrees
             while True:
                 # the companion matrix's first row: the lower coefficients over the top one
                 first = -d[:, -2::-1] / d[:, -1:]
-                bad = ~np.isfinite(first).all(axis=1)
-                bad |= np.abs(d[:, -1]) <= _NEGLIGIBLE * np.abs(d[:, :-1] * weight).max(axis=1)
-                if not bad.any():
+                small = np.abs(first) < limit  # false where NaN
+                if np.count_nonzero(small) == small.size:
                     break
+                bad = ~small.all(axis=1)
                 d[bad, 1:] = d[bad, :-1]
                 d[bad, 0] = 0.0
                 d[bad & ~d.any(axis=1), -1] = 1.0  # a row of zeros: w^m, whose roots are 0
             if m == 1:
                 w = first
+            elif m <= 3:  # per row: a numpy call on a few values costs as much as a loop over them
+                roots: list[float] = []
+                for row in first.tolist():
+                    roots += _real_parts(row)
+                w = np.array(roots).reshape(k, m)
             else:
                 companion = np.zeros((k, m, m))
                 companion[:, 0] = first
@@ -301,5 +360,4 @@ def maximize_polynomial(
     t.sort(axis=1)  # argmax then takes the smallest of tied candidates
     vals = _values(f, t, k, lo, hi)
     best = vals.argmax(axis=1)
-    rows = np.arange(k)
     return t[rows, best], vals[rows, best]

@@ -292,10 +292,15 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: splitnash audit [-h] {example-4.1,bertrand,thm-6.2,cdp,kkm}")
-        assert f"splitnash audit: error: argument target: invalid choice: '{name}'" in captured.err
+        assert f"splitnash audit: error: argument audit: invalid choice: '{name}'" in captured.err
         known = captured.err.split("(choose from ")[1]
         assert all(audit in known for audit in ("example-4.1", "bertrand", "thm-6.2", "cdp", "kkm"))
         assert captured.out == "" and not out.exists()
+
+    def test_a_missing_audit_is_an_input_error(self, capsys):
+        assert main(["audit"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "splitnash audit: error: the following arguments are required: audit"
 
     @pytest.mark.parametrize(
         "argv",
@@ -836,7 +841,7 @@ PINNED_REPORTS = {
     ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
         0, "e096d252f60314f2d99e60f55ba684a814ea45b92be5d98cad8cdab37423dd45"
     ),
-    ("solve-nash", "example-4.1:E2", 0): (0, "4cdc6d6ef9b36b42a16d8500b08ac7d6d39ac848ba4c788e55b1bd526d6d0367"),
+    ("solve-nash", "example-4.1:E2", 0): (0, "f7bf32fe44e8b6f9566be4b55c8eae7b560125724d0c880a308638b2bd761ed9"),
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
         1, "62a5373c18f39283429ea100c4c0080ad22598246a24fe4804eecf030a167930"
     ),
@@ -848,7 +853,7 @@ PINNED_REPORTS = {
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
         0, "0ed91bdb9da525c8cae99f46d5eafc487b0e04109956913d81fddb2e379f2937"
     ),
-    ("solve-nash", "example-4.1:E2", 7): (0, "7f0bc54a468047ee9dc4b15603ff2e2220559bf719b215e4621e7eeb144cca88"),
+    ("solve-nash", "example-4.1:E2", 7): (0, "565df2893f08f1fe4a148acff96ab0c285b99ae257f5f6eb0bc2aefa14e9c7fa"),
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
         1, "e1f7c62f3e810126ed92e72616cbc5706893e471e6a0d869074b40fc030fc6bc"
     ),
@@ -981,7 +986,7 @@ PINNED_HELP = {
     "solve-nash": "b9351f1adc34b20f4e0f76797271f60d86b2596766f19e75461430f71481fa4e",
     "verify-split": "32c9023f0182e953616bad495557596bfd392ac2b5266043e6fbd608ab5977cd",
     "solve-split": "421e80ec5026e443297ba0f061169da77cdfebb1a2149d20ab099b76eaa00848",
-    "audit": "67d3de1dd7a3d215d43ddb21a3f75679f33f6ab46802a7756d9c14d7b22b128e",
+    "audit": "f300b0c56b41e35d5fdfc7ef4c7e4e7bd392c30fc91241fabad16226e15a615d",
     "audit example-4.1": "0f6ee6bc5b15ea4fbcb3b75812275af80b89bd2f14f6875863f25b23bc872250",
     "audit bertrand": "47ffd81634b68bccada079a8211319c0624cbc2213ec62689755489f8d34810b",
     "audit thm-6.2": "a833879c70c11d571857555c25e29cd129a0555ec5e27b46c1765845f3411769",

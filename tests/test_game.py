@@ -476,6 +476,12 @@ class TestExactBestResponses:
         assert report.regrets[0] == pytest.approx(0.4901, abs=1e-4)
         assert report.witnesses["x"].strategy == pytest.approx(500.2, abs=1e-9)
 
+    def test_three_real_roots_tie_to_the_smaller_point(self):
+        # -(x^4) + 2x^2 has stationary points -1, 0 and 1, and equal peaks at +-1
+        g = Game.from_expressions(("x",), (Interval(-2.0, 2.0),), ("-(x^4) + 2*x^2",))
+        args, vals = best_response(g, "x", np.array([0.0]))
+        assert (args.tolist(), vals.tolist()) == ([-1.0], [1.0])
+
     @given(
         coefficients=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1, max_size=5),
         q=st.sampled_from([1, 2]),

@@ -1,5 +1,6 @@
 """Intervals, budgets, and the one-dimensional maximizer."""
 
+import itertools
 import math
 import re
 
@@ -492,3 +493,122 @@ class TestMaximizePolynomial:
         assert maximize_polynomial(f, Interval(0.0), c, 1, np.array([[0.0, 1.0, 0.6]])) == ([0.0], [0.0])
         with pytest.raises(EvalError, match="unbounded above"):
             maximize_polynomial(f, Interval(0.0), c, 1, np.array([[0.0, 1.0, 1e-6]]))
+
+
+def eigvals_real_parts(first) -> np.ndarray:
+    """The path the closed form replaces: the sorted real parts of the
+    eigenvalues of the companion matrix with first row `first`."""
+    companion = np.eye(len(first), k=-1)
+    companion[0] = first
+    return np.sort(np.linalg.eigvals(companion).real)
+
+
+def first_row(roots) -> list[float]:
+    """The companion matrix's first row for the monic polynomial with these roots."""
+    return (-np.poly(roots)[1:].real).tolist()
+
+
+def relative_gap(got, reference) -> float:
+    got, reference = np.sort(got), np.asarray(reference)
+    return float(np.max(np.abs(got - reference) / np.maximum(1.0, np.abs(reference))))
+
+
+class TestClosedFormRoots:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_seeded_roots_match_eigvals(self, m):
+        # roots at scales 1e-3 to 1e3, real or a complex pair, at least a
+        # tenth of the scale apart, where eigvals itself is accurate
+        rng = np.random.default_rng(20 + m)
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            real = scale * (np.cumsum(rng.uniform(0.1, 1.0, m)) - rng.uniform(0.0, m))
+            if rng.random() < 0.5:
+                pair = scale * complex(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0))
+                roots = [*real[:m - 2], pair, pair.conjugate()]
+            else:
+                roots = list(real)
+            first = first_row(roots)
+            assert relative_gap(kernel._real_parts(first), eigvals_real_parts(first)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_pure_powers(self, m):
+        # w^m = c, the shape of E1's b and E2's e for m = 3: the real root
+        # c^(1/3) and a complex pair whose real part is half its negative
+        rng = np.random.default_rng(7)
+        for c in np.concatenate([10.0 ** rng.uniform(-9.0, 9.0, 200), [576.0 * 12.0]]):
+            for value in (c, -c):
+                first = [0.0] * (m - 1) + [value]
+                got = kernel._real_parts(first)
+                assert relative_gap(got, eigvals_real_parts(first)) <= 1e-12
+                if m == 3:
+                    root = math.copysign(abs(value) ** (1.0 / 3.0), value)
+                    assert relative_gap(got, sorted([root, -root / 2, -root / 2])) <= 1e-15
+
+    def test_multiple_roots(self):
+        # double and triple roots of exactly representable coefficients, at
+        # scales 2^-10 to 2^10: a double root is fixed only to about sqrt of
+        # the float epsilon, and eigvals misses a triple one by about 1e-5
+        for k in range(-10, 11, 5):
+            for roots in ([1, 1], [-3, -3], [0, 0], [1, 1, 1], [-2, -2, -2], [0, 0, 0],
+                          [1, 1, 2], [-4, -1, -1], [-1, -1, -3], [0, 0, 3], [2, 2, -4]):
+                exact = np.sort(np.array(roots, dtype=float) * 2.0**k)
+                first = first_row(exact)
+                got = relative_gap(kernel._real_parts(first), exact)
+                assert got <= max(relative_gap(eigvals_real_parts(first), exact) + 1e-12, 1e-7)
+
+    def test_near_triple_roots(self):
+        # three roots within 1e-7 of each other, fixed by their rounded
+        # coefficients only to about the cube root of the float epsilon: a
+        # Newton step where the slope is rounding noise must not be taken
+        for r in (1e-3, 0.1, 1.0 / 3.0, 1.1, 3.3, 123.456):
+            for roots in itertools.permutations([r * (1.0 - 1e-7), r, r * (1.0 + 1e-7)]):
+                assert relative_gap(kernel._real_parts(first_row(roots)), sorted(roots)) <= 1e-4
+
+    def test_three_real_roots_of_a_quartic(self):
+        # -(x^4) + 2x^2: its derivative -4x^3 + 4x vanishes at -1, 0 and 1
+        assert sorted(kernel._real_parts([0.0, 1.0, 0.0])) == [-1.0, 0.0, 1.0]
+
+    def test_coefficients_whose_cubes_overflow_are_scaled(self):
+        for first in ([1e300, 0.0, 0.0], [0.0, 0.0, -1e300], [0.0, -1e300, 0.0], [1e200, -1e300]):
+            got = kernel._real_parts(first)
+            assert all(map(math.isfinite, got))
+            assert relative_gap(got, eigvals_real_parts(first)) <= 1e-12
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_maximize_polynomial_scores_no_worse_than_the_eigvals_path(self, monkeypatch, bounded):
+        # the same maximization with the closed form swapped for eigvals:
+        # quadratic and cubic derivatives at scales 1e-3 to 1e3, with rows
+        # whose top coefficient is negligible, or zero, and so is dropped
+        rng = np.random.default_rng(3 + bounded)
+        for n in (4, 5):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, (40, 1))  # of the roots
+            c = rng.uniform(-1.0, 1.0, (40, n)) * scale ** -np.arange(n)
+            c[:10, -1] *= 1e-15
+            c[10:13, -1] = 0.0
+            if not bounded:  # bounded above on a half-line
+                c[:, -1] = -np.abs(c[:, -1])
+                c[10:13, -2] = -np.abs(c[10:13, -2])
+            c, f = polynomial(c)
+            window = Interval(-2.0, 3.0) if bounded else Interval(0.5)
+            args = (f, window, c, 1) + (() if bounded else (np.abs(c),))
+            x, v = maximize_polynomial(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "_real_parts", lambda first: eigvals_real_parts(first).tolist())
+                xe, ve = maximize_polynomial(*args)
+            # rounding in f where either maximizer lies
+            far = np.maximum.reduce([np.abs(x), np.abs(xe), np.full(40, 3.0)])
+            assert (v >= ve - 1e-13 * (np.abs(c) * far[:, None] ** np.arange(n)).sum(axis=1)).all()
+
+    def test_only_a_derivative_above_degree_3_reaches_eigvals(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        rng = np.random.default_rng(9)
+        for degree in range(1, 5):  # in w = t^(1/root), root 1 and 2
+            for root in (1, 2):
+                c, f = polynomial(rng.uniform(-1.0, 1.0, (3, degree + 1)), root)
+                maximize_polynomial(f, Interval(0.0, 4.0), c, root)
+        c, f = polynomial(rng.uniform(-1.0, 1.0, (3, 6)))
+        with pytest.raises(AssertionError, match="eigvals called"):
+            maximize_polynomial(f, Interval(0.0, 4.0), c, 1)
