@@ -63,6 +63,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _holds_numbers(value) -> bool:
+    """Is value a JSON number, or a list whose entries hold numbers?"""
+    return _is_number(value) or isinstance(value, list) and all(map(_holds_numbers, value))
+
+
 def load_game_spec(data: dict) -> Game:
     if not isinstance(data, dict):
         raise InputError("game spec must be a JSON object")
@@ -96,11 +101,10 @@ def load_split_spec(data: dict) -> SplitProblem:
         entries = data["matrix"]
     except KeyError as exc:
         raise InputError(f"split spec missing field {exc}") from None
-    try:
-        matrix = np.asarray(entries, dtype=float)
-    except TypeError:
-        raise InputError("split spec field 'matrix' must hold numbers") from None
-    # main reports a ValueError (bad shape or entries) as an input error
+    if not _holds_numbers(entries):
+        raise InputError("split spec field 'matrix' must hold numbers")
+    # main reports a ValueError (ragged rows, bad shape or entries) as an input error
+    matrix = np.asarray(entries, dtype=float)
     return SplitProblem(game_n=game_n, game_m=game_m, operator=LinearOperator(matrix))
 
 

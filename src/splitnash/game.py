@@ -21,7 +21,8 @@ from .kernel import EvalError, Interval, SearchBudget, maximize_1d, maximize_pol
 # A utility maps a sequence of n coordinates, floats or arrays that broadcast
 # together, to player i's payoff, of their broadcast shape: an (n,) profile
 # gives a float, (n, S) columns give (S,), and best_response's (k, 1)
-# opponents with (1, P) or (k, P) candidates give what broadcasts to (k, P).
+# opponents with (k, P) candidates give what broadcasts to (k, P): k = 1, with
+# one (1, P) row of candidates, where a column is scanned.
 # A deviation replaces one entry of the sequence. Compiled expressions read
 # coordinate j as v[j]; a value that does not depend on the profile may come
 # back as one scalar for all.
@@ -209,17 +210,17 @@ def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
 def best_response(game: Game, player: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize player's own payoff against the opponents' strategies in x.
 
-    x is an (n,) profile or (n, k) profile columns, column r being row r of
-    one k-row maximization (k = 1 for a profile). A utility from
-    Game.from_expressions that is a polynomial in a root of the player's own
-    strategy (see expr.own_polynomial) is maximized exactly by
-    maximize_polynomial: at its window's ends and its derivative's roots. Any
-    other utility, a Python callable among them, is scanned by maximize_1d;
-    neither reads a budget. The utility sees the opponents as (k, 1) columns
-    and the candidates as one (1, P) row where all rows share them (the scan
-    grid and the cap probes) or as (k, P) (a rescan, or the exact path's
-    candidates), and returns what broadcasts to (k, P). Returns the (k,)
-    maximizers and their (k,) values; an EvalError names the player.
+    x is an (n,) profile or (n, k) profile columns (k = 1 for a profile). A
+    utility from Game.from_expressions that is a polynomial in a root of the
+    player's own strategy (see expr.own_polynomial) is maximized exactly by
+    one maximize_polynomial call for all k columns: at its window's ends and
+    its derivative's roots. The utility then sees the opponents as (k, 1)
+    columns and the candidates as (k, P). Any other utility, a Python
+    callable among them, is scanned by one maximize_1d call per column, on
+    that column's (1, 1) opponents and (1, P) candidates, so that a column's
+    result does not depend on the other columns. Neither search reads a
+    budget. Returns the (k,) maximizers and their (k,) values; an EvalError
+    names the player.
     """
     i = game.player_index(player)
     cols = np.asarray(x, dtype=float).reshape(game.n_players, -1)
@@ -234,7 +235,11 @@ def best_response(game: Game, player: str, x: np.ndarray) -> tuple[np.ndarray, n
         exact = _polynomial(u, i, cols, window)
         if exact is not None:
             return maximize_polynomial(f, window, *exact)
-        return maximize_1d(f, window, cols.shape[1])
+        out = np.empty((2, cols.shape[1]))
+        for r in range(cols.shape[1]):
+            v[:] = cols[:, r:r + 1, None]
+            out[:, r] = maximize_1d(f, window)
+        return out[0], out[1]
     except EvalError as exc:
         raise EvalError(f"{exc} in the best response of player {player!r}") from None
 

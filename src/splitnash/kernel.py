@@ -66,11 +66,14 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails too
-        if not all(0 < v < math.inf for v in (self.grid_step, self.truncation_cap, self.tolerance)):
+        # written so that NaN fails too; a bool, which compares as 0 or 1, is no number here
+        reals = (self.grid_step, self.truncation_cap, self.tolerance)
+        if not all(0 < v < math.inf and not isinstance(v, (bool, np.bool_)) for v in reals):
             raise ValueError("budget fields must be finite and strictly positive")
         for name, value, least in (("max_iterations", self.max_iterations, 1), ("seed", self.seed, 0)):
             try:
+                if isinstance(value, bool):  # operator.index takes it as 0 or 1
+                    raise TypeError
                 if operator.index(value) < least:  # an int or a numpy integer, not 2.5
                     raise ValueError(f"{name} must be at least {least}, got {value!r}")
             except TypeError:
@@ -82,130 +85,98 @@ _SCAN_STEP = 1e-2
 _MAX_SCAN_CELLS = 2000
 _ZOOM_GOAL = 1e-10
 _ZOOM_POINTS = 257  # a rescan narrows a bracket to 2/256 of its width
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)[None, :]
 _FIRST_CAP = 1e3
 
 
 def _values(
-    f: Callable[[np.ndarray], np.ndarray], t: np.ndarray, k: int, lo: float, hi: float,
-    overflow: str = "",
+    f: Callable[[np.ndarray], np.ndarray], t: np.ndarray, lo: float, hi: float, overflow: str = ""
 ) -> np.ndarray:
-    """f at the points t, (k, P) or one (1, P) row shared by all k rows, as a
-    (k, P) array; it may be a view that f's next call overwrites. EvalError
-    names the first non-finite value, its point (row r of the result reads
-    row r of t, or t's one row) and the window [lo, hi], or reads
-    `overflow`, when given, if that value is +inf."""
+    """f at the (k, P) points t, as a (k, P) array that f's next call may
+    overwrite. EvalError names the first non-finite value, its point and the
+    window [lo, hi], or reads `overflow`, when given, if that value is +inf."""
     vs = np.asarray(f(t), dtype=float)
-    if vs.shape != (k, t.shape[1]):
-        vs = np.broadcast_to(vs, (k, t.shape[1]))
+    if vs.shape != t.shape:
+        vs = np.broadcast_to(vs, t.shape)
     finite = np.isfinite(vs)
     if np.count_nonzero(finite) < finite.size:  # cheaper than a .all() call
         r, c = np.unravel_index(finite.argmin(), finite.shape)
         value = float(vs[r, c])
         if overflow and value == math.inf:
             raise EvalError(overflow)
-        x = t.item(r if len(t) > 1 else 0, c)
-        raise EvalError(f"non-finite value {value!r} at {x!r} on [{lo!r}, {hi!r}]")
+        raise EvalError(f"non-finite value {value!r} at {t.item(r, c)!r} on [{lo!r}, {hi!r}]")
     return vs
 
 
-def _expand_cap(f: Callable[[np.ndarray], np.ndarray], lo: float, k: int) -> float:
-    """Double the cap from _FIRST_CAP while f is still increasing there in any
-    row; hi grows by at least one float a pass, and a doubling past the
-    largest float probes that float, so it ends there or at the largest float.
-    f overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
+def _expand_cap(f: Callable[[np.ndarray], np.ndarray], lo: float) -> float:
+    """Double the cap from _FIRST_CAP while f is still increasing there; hi
+    grows by at least one float a pass, and a doubling past the largest float
+    probes that float, so it ends there or at the largest float. f
+    overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
     unbounded = f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)"
     hi = lo + _FIRST_CAP  # rounds to at most the largest float
-    t = np.empty((1, 2))  # the probes are shared by all rows
+    t = np.empty((1, 2))
     while True:
         t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
-        vs = _values(f, t, k, lo, hi, unbounded)
-        if (vs[:, 0] <= vs[:, 1]).all():
+        vs = _values(f, t, lo, hi, unbounded)
+        if vs.item(0) <= vs.item(1):
             return hi
         if hi == sys.float_info.max:
             raise EvalError(unbounded)
         hi = min(max(lo + 2.0 * (hi - lo), math.nextafter(hi, math.inf)), sys.float_info.max)
 
 
-def maximize_1d(
-    f: Callable[[np.ndarray], np.ndarray], interval: Interval, k: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize k functions of one variable that share an interval.
+def maximize_1d(f: Callable[[np.ndarray], np.ndarray], interval: Interval) -> tuple[float, float]:
+    """Maximize a function of one variable on an interval.
 
-    f maps points to values that broadcast to (k, P), row r holding problem
-    r's (one scalar, when they depend on neither x nor the row). Points shared
-    by all rows, the scan grid and the cap probes, arrive as one (1, P) row;
-    a rescan's arrive as (k, P), row r holding candidates for problem r.
-    Returns the (k,) maximizers and their (k,) values.
+    f maps one (1, P) row of points to values that broadcast to (1, P) (one
+    scalar, when they do not depend on the point). Returns the maximizer and
+    its value, as floats.
 
-    Every row scans one shared grid in one call of f: cells _SCAN_STEP wide, or
-    _MAX_SCAN_CELLS wider ones on a wide window. Each row's ±1-cell bracket
-    around its first maximum (ties go to the smaller x) is then refined by
-    zoomed rescans of _ZOOM_POINTS points for all rows at once, while it is
-    wider than _ZOOM_GOAL and the last rescan narrowed it: a float width cannot
-    shrink forever, so no count bounds the rescans. A row keeps its best point
-    so far unless a rescan finds a strictly larger value. A non-finite value
-    raises EvalError naming the first such point and the searched window. On a
-    bounded interval, row r's result is bit for bit the k = 1 result for row r
-    alone.
+    The scan reaches f in one call: a grid of cells _SCAN_STEP wide, or
+    _MAX_SCAN_CELLS wider ones on a wide window. The ±1-cell bracket around
+    its first maximum (ties go to the smaller x) is then refined by zoomed
+    rescans of _ZOOM_POINTS points, while it is wider than _ZOOM_GOAL and the
+    last rescan narrowed it: a float width cannot shrink forever, so no count
+    bounds the rescans. The best point so far is kept unless a rescan finds a
+    strictly larger value. A non-finite value raises EvalError naming the
+    first such point and the searched window.
 
     Unbounded intervals are searched over [lo, lo + cap] after bracket
-    expansion: the cap, shared by all rows, doubles from _FIRST_CAP while f is
-    still increasing at it in any row, and EvalError reports f unbounded above
-    where it is still increasing at the largest float.
+    expansion: the cap doubles from _FIRST_CAP while f is still increasing at
+    it, and EvalError reports f unbounded above where it is still increasing
+    at the largest float.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     lo = interval.lo
-    hi = interval.hi if interval.bounded else _expand_cap(f, lo, k)
+    hi = interval.hi if interval.bounded else _expand_cap(f, lo)
     # a degenerate interval scans one cell [lo, lo], whose bracket has width 0
     cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / _SCAN_STEP)))
     # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
-    xs = np.arange(cells + 1.0)
+    pts = np.arange(cells + 1.0)[None, :]
     if hi - lo < math.inf:
-        xs *= (hi - lo) / cells
-        xs += lo
+        pts *= (hi - lo) / cells
+        pts += lo
     else:  # a window wider than the largest float: its grid at half scale, doubled back
-        xs *= (hi / 2 - lo / 2) / cells
-        xs += lo / 2
-        xs[:-1] *= 2.0  # the last point, which may round past hi / 2, is hi
-    xs[-1] = hi
-    # the scan's points are shared: f sees them once, as one row
-    pts = xs[None, :]
+        pts *= (hi / 2 - lo / 2) / cells
+        pts += lo / 2
+        pts[0, :-1] *= 2.0  # the last point, which may round past hi / 2, is hi
+    pts[0, -1] = hi
 
-    # Pass 0 is the scan; pass p > 0 rescans row r at left[r] + i * step[r]
-    # for i < _ZOOM_POINTS - 1, then right[r]: the points of
-    # np.linspace(left[r], right[r], _ZOOM_POINTS). A row finished by the scan
-    # rescans lo alone (step 0), and a row finished by a rescan repeats that
-    # rescan: f sees no new point of a finished row, and nothing of it is
-    # read. The bookkeeping is per row in Python: k is small, and a numpy call
-    # on k values costs as much as a Python loop over them.
-    left, step, right = np.full(k, lo), np.zeros(k), np.full(k, lo)
-    step_col, left_col = step[:, None], left[:, None]
-    x, v, width = [lo] * k, [-math.inf] * k, [math.inf] * k
-    active = range(k)
+    # Pass 0 is the scan; pass p > 0 rescans the points of
+    # np.linspace(a, b, _ZOOM_POINTS) for the last pass's bracket [a, b]
+    x, v, width = lo, -math.inf, math.inf
     while True:
-        vals = _values(f, pts, k, lo, hi)
-        best = vals.argmax(axis=1).tolist()
-        last = pts.shape[1] - 1
-        shared = len(pts) == 1
-        still = []
-        for r in active:
-            j, q = best[r], 0 if shared else r
-            top = vals.item(r, j)
-            if top > v[r]:
-                x[r], v[r] = pts.item(q, j), top
-            a, b = pts.item(q, j - 1 if j else 0), pts.item(q, j + 1 if j < last else j)
-            if _ZOOM_GOAL < b - a < width[r]:
-                left[r], step[r], right[r], width[r] = a, (b - a) / (_ZOOM_POINTS - 1), b, b - a
-                still.append(r)
-        active = still
-        if not active:
-            break
-        pts = _ZOOM_STEPS * step_col
-        pts += left_col
-        pts[:, -1] = right
-    return np.array(x), np.array(v)
+        vals = _values(f, pts, lo, hi)
+        j = int(vals.argmax())
+        if vals.item(j) > v:
+            x, v = pts.item(j), vals.item(j)
+        a, b = pts.item(j - 1 if j else 0), pts.item(j + 1 if j < pts.shape[1] - 1 else j)
+        if not _ZOOM_GOAL < b - a < width:
+            return x, v
+        width = b - a
+        pts = _ZOOM_STEPS * (width / (_ZOOM_POINTS - 1))
+        pts += a
+        pts[0, -1] = b
 
 
 # A coefficient within this fraction of what it is weighed against reads as
@@ -275,8 +246,8 @@ def maximize_polynomial(
 
     Row r of the (k, d + 1) array c holds problem r's coefficients: f at t
     is sum_j c[r, j] * w**j with w = t**(1/root), and root > 1 needs lo >= 0.
-    f is called as maximize_1d calls it, with (k, P) points, and gives every
-    value returned; c only says where to look. A polynomial is largest at
+    f is called once, with (k, P) points, row r holding problem r's, and
+    gives every value returned; c only says where to look. A polynomial is largest at
     an end of its window or at a real root of its derivative, so each row's
     candidates are the ends and the real parts of all the derivative's m =
     d - 1 roots, clipped to the window. For m <= 3 they are found in closed
@@ -358,6 +329,6 @@ def maximize_polynomial(
     np.minimum(t, hi, out=t)
     np.maximum(t, lo, out=t)
     t.sort(axis=1)  # argmax then takes the smallest of tied candidates
-    vals = _values(f, t, k, lo, hi)
+    vals = _values(f, t, lo, hi)
     best = vals.argmax(axis=1)
     return t[rows, best], vals[rows, best]

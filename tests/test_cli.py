@@ -683,11 +683,17 @@ class TestFileInputs:
         assert not out.exists()
 
     def test_non_numeric_matrix_is_an_input_error(self, capsys, tmp_path):
-        game = {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]}
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": {"a": 1}}))
-        code, _ = run(capsys, "verify-split", str(path), "--profile", "0.5")
-        assert code == EXIT_INPUT
+        # a string and a bool are no JSON numbers, though numpy reads "0" and
+        # true as 0.0 and 1.0: this one was read as the swap matrix
+        game = {"players": ["p", "q"], "strategy_sets": [{"lo": 0, "hi": 2}] * 2, "utilities": ["p", "q"]}
+        path, out = tmp_path / "split.json", tmp_path / "report.json"
+        for matrix in ({"a": 1}, [["0", 1], [1, 0]], [[0, True], [1, False]], [["0", True], ["1", False]]):
+            path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": matrix}))
+            code = main(["verify-split", str(path), "--profile", "1,2", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == EXIT_INPUT, matrix
+            assert captured.err == "error: split spec field 'matrix' must hold numbers\n"
+            assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -377,20 +377,20 @@ def counting_paths(monkeypatch) -> list[str]:
     return paths
 
 
-# (game, windows the profile columns are drawn in). On the scan path the
-# rows of one call share the expanded cap, so a column matches its profile
-# call only where both expand the cap alike. From the first cap of 1e3,
-# every row of these E1 columns expands it to 2e3 for player a (x = y*z/8),
-# keeps it for player b and expands it to 1.6e4 for player c (z = x*y), and
-# every row of these E2 columns expands it to 2e3 for player d (s = 0.75*t)
-# and keeps it for player e. The exact path expands no cap: on E1's and
-# E2's half-lines the sign of the leading coefficient bounds each row.
+# (game, windows the profile columns are drawn in). On the scan path each
+# column is its own maximize_1d call, which expands its own cap on a
+# half-line: from the first cap of 1e3, these E1 columns expand it to 2e3 for
+# player a (x = y*z/8), keep it for player b and expand it to 1.6e4 for
+# player c (z = x*y), and these E2 columns expand it to 2e3 for player d
+# (s = 0.75*t) and keep it for player e. The exact path expands no cap: on
+# E1's and E2's half-lines the sign of the leading coefficient bounds each
+# column.
 BEST_RESPONSE_CASES = {
     "E1": (e1_game, [Interval(90.0, 100.0)] * 3),
     "E2": (e2_game, [Interval(9.0, 15.0), Interval(1400.0, 2000.0)]),
     "quadratic": (lambda: quadratic_game((-1.5, 0.0, 1.0 / 3.0), hi=5.0), [Interval(0.0, 5.0)] * 3),
-    # E2's utilities on solve_nash's [0, 1000] windows: every row shares one
-    # 2,001-point scan, whose own-strategy terms are s^2 and t^4
+    # E2's utilities on solve_nash's [0, 1000] windows: every column scans
+    # 2,001 points, whose own-strategy terms are s^2 and t^4
     "wide": (
         lambda: replace(e2_game(), strategy_sets=(Interval(0.0, 1000.0),) * 2),
         [Interval(0.0, 1000.0)] * 2,
@@ -422,6 +422,7 @@ class TestBestResponseColumnsMatchProfileCalls:
         g = make() if path == "exact" else scanned(make())
         cols = uniform_samples(np.random.default_rng(11), 6, windows).T
         for p in g.players:
+            before = len(caps)
             args, vals = best_response(g, p, cols)
             assert args.shape == vals.shape == (6,)
             for s in range(6):
@@ -429,7 +430,8 @@ class TestBestResponseColumnsMatchProfileCalls:
                 assert arg.shape == val.shape == (1,)
                 assert arg.tobytes() == args[s:s + 1].tobytes()
                 assert val.tobytes() == vals[s:s + 1].tobytes()
-            assert len(set(caps[-7:])) <= 1, "each row expands the cap like the shared call"
+            columns, profiles = caps[before:before + 6], caps[before + 6:]
+            assert columns == profiles, "each column expands the cap its profile call does"
         assert set(paths) == {path}
         if path == "scan":
             assert (max(caps, default=0.0) > kernel._FIRST_CAP) == (ident in ("E1", "E2"))
@@ -441,17 +443,103 @@ class TestBestResponseColumnsMatchProfileCalls:
         # bench/tracer.py counts a layer by replacing its module attribute
         import splitnash.game as game_module
 
-        calls = []
+        columns = []
         brs = game_module.best_response
 
-        def counting(game, player, *rest):
-            calls.append(player)
-            return brs(game, player, *rest)
+        def counting(game, player, x):
+            columns.append(np.size(x) // game.n_players)
+            return brs(game, player, x)
 
         paths = counting_paths(monkeypatch)
         monkeypatch.setattr(game_module, "best_response", counting)
         solve_nash(e2_game() if path == "exact" else scanned(e2_game()), SearchBudget())
-        assert calls and paths == [path] * len(calls)
+        # one exact search for all of a call's columns, one scan per column
+        searches = len(columns) if path == "exact" else sum(columns)
+        assert columns and paths == [path] * searches
+
+
+def bumps_game(window: Interval) -> Game:
+    """Player x's utility m*x - c*(x - p)*(x - p) on window, behind a plain
+    callable, so that it is scanned; p, c and m are the other players'
+    strategies, which column r of best_response's x sets."""
+    def u(v):
+        return v[3] * v[0] - v[2] * (v[0] - v[1]) * (v[0] - v[1])
+
+    return Game(("x", "p", "c", "m"), (window,) + (Interval(-1e4, 1e4),) * 3, (u,) + (lambda v: 0.0,) * 3)
+
+
+class TestScannedColumns:
+    """A utility with no reduction is scanned by one maximize_1d call per
+    column, so a column's best response does not depend on the other columns."""
+
+    @pytest.mark.parametrize("near", [0, 1])
+    def test_half_line_columns_match_one_column_calls(self, near):
+        # y = 0 gives a 0.3-wide peak of 2 at 10 and a broad one of 1 at 500;
+        # y = 1 peaks at 5e6, past a cap of 4.096e6. A cap shared by both
+        # columns grew to 8.192e6, whose grid, 4,096 apart, missed the narrow
+        # peak: it returned 500, value 1, where its own call returns 10
+        def u(v):
+            t = v[0]
+            peaks = np.maximum(2.0 - ((t - 10.0) / 0.3) ** 2, 1.0 - ((t - 500.0) / 1000.0) ** 2)
+            return np.where(v[1] == 0.0, peaks, -((t - 5e6) / 1e6) ** 2)
+
+        g = Game(("x", "y"), (Interval(0.0), Interval(0.0, 1.0)), (u, lambda v: v[1]))
+        cols = np.array([[0.0, 0.0], [1.0, 1.0]])
+        cols[1, near] = 0.0
+        args, vals = best_response(g, "x", cols)
+        for r in range(2):
+            arg, val = best_response(g, "x", cols[:, r])
+            assert (args[r], vals[r]) == (arg[0], val[0])
+        assert (args[near], vals[near]) == (10.0, 2.0)
+        assert args[1 - near] == pytest.approx(5e6, rel=1e-12)
+
+    def test_columns_keep_their_own_maximizers(self):
+        # the column peaked below the window ends at its boundary
+        cols = np.array([[0.0] * 4, [-1.0, 1.0, 4.25, 9.5], [1.0] * 4, [0.0] * 4])
+        args, vals = best_response(bumps_game(Interval(0.0, 10.0)), "x", cols)
+        assert args == pytest.approx([0.0, 1.0, 4.25, 9.5], abs=1e-9)
+        assert vals == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-18)
+
+    def test_a_non_finite_value_in_one_column_names_its_point_window_and_player(self):
+        u = lambda v: np.where((v[1] == 2.0) & (v[0] > 2.505), np.nan, -v[0])
+        g = Game(("x", "y"), (Interval(0.0, 10.0), Interval(0.0, 2.0)), (u, lambda v: v[1]))
+        with pytest.raises(EvalError) as caught:
+            best_response(g, "x", np.array([[0.0] * 3, [0.0, 1.0, 2.0]]))
+        assert str(caught.value) == (
+            "non-finite value nan at 2.5100000000000002 on [0.0, 10.0] in the best response of player 'x'"
+        )
+
+    def test_an_opponent_free_utility_gives_every_column_the_one_row_result(self):
+        # one (1, P) row of values whatever the opponents; the peak at 6.25e6
+        # makes each column's cap double many times
+        f = lambda t: np.sqrt(t) - t / 5000.0
+        g = Game(("x", "y"), (Interval(0.0), Interval(0.0, 1.0)), (lambda v: f(v[0]), lambda v: v[1]))
+        args, vals = best_response(g, "x", np.array([[0.0] * 4, [0.0, 0.25, 0.5, 1.0]]))
+        x, v = kernel.maximize_1d(f, Interval(0.0))
+        assert args.tobytes() == np.full(4, x).tobytes()
+        assert vals.tobytes() == np.full(4, v).tobytes()
+
+    # column r equals maximize_1d on column r's function alone, bit for bit;
+    # the bumps use + - * only, which round alike on arrays and floats.
+    # Windows of one cell (under 0.01 wide), of cells 0.01 wide (under 20
+    # wide) and of 2,000 cells coarsened past 0.01
+    @given(
+        lo=st.floats(-50.0, 50.0),
+        width=st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 20.0), st.floats(0.0, 3000.0)),
+        rows=st.lists(
+            st.tuples(st.floats(-100.0, 3000.0), st.floats(0.0, 10.0), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_one_row_calls(self, lo, width, rows):
+        iv = Interval(lo, lo + width)
+        cols = np.array([[lo] * len(rows), *zip(*rows)])
+        args, vals = best_response(bumps_game(iv), "x", cols)
+        for r, (peak, curvature, tilt) in enumerate(rows):
+            f = lambda t: tilt * t - curvature * (t - peak) * (t - peak)
+            assert (args[r], vals[r]) == kernel.maximize_1d(f, iv)
 
 
 # a narrow peak of height 0.5002 at 500.2, between the points of a scan of
@@ -655,7 +743,8 @@ class TestVerificationReadsNoSearchKnob:
 class TestUtilitiesTakeCoordinates:
     """A utility reads coordinate j as v[j] of a sequence whose entries
     broadcast together, and a deviation replaces one entry: best_response
-    passes (k, 1) opponents with (1, P) or (k, P) candidates, and
+    passes (k, 1) opponents with (k, P) candidates on the exact path and
+    (1, 1) ones with (1, P) candidates per scanned column, and
     diagonal_payoff deviates a stack of profiles against shared columns."""
 
     def test_an_opponent_only_utility_broadcasts_over_the_candidates(self):
@@ -682,14 +771,17 @@ class TestUtilitiesTakeCoordinates:
         for r in range(3):
             assert got[:, r].tobytes() == diagonal_payoff(g, z[:, r], x).tobytes()
 
-    def test_best_response_passes_opponent_columns_and_candidates(self):
+    @pytest.mark.parametrize("path", ["scan", "exact"])
+    def test_best_response_passes_opponent_columns_and_candidates(self, path):
         seen = []
 
         def recording(u):
             def wrapped(v):
-                seen.append((getattr(v, "shape", None), [np.shape(c) for c in v]))
+                seen.append((getattr(v, "shape", None), [np.shape(c) for c in v], [np.ravel(c) for c in v]))
                 return u(v)
 
+            if path == "exact":  # the reduction is found through __wrapped__
+                wrapped.__wrapped__ = u
             return wrapped
 
         g = e1_game()
@@ -698,18 +790,27 @@ class TestUtilitiesTakeCoordinates:
         for i, p in enumerate(g.players):
             seen.clear()
             best_response(g, p, cols)
-            assert len(seen) > 2
-            for whole, shapes in seen:
-                assert whole is None or len(whole) < 3, "no (n, k, P) profile array"
-                assert all(s == (4, 1) for j, s in enumerate(shapes) if j != i)
-            # the cap probes and the scan are shared by all rows, so each
-            # reaches the utility once, as one row; the rescans are per row
-            own = [shapes[i] for _, shapes in seen]
-            probes = own.count((1, 2))
-            assert probes and own[:probes] == [(1, 2)] * probes, "the half-line is probed"
-            (rows, points), *rescans = own[probes:]
-            assert rows == 1 and points > 2, "one scan call, as one (1, P) row"
-            assert rescans and rescans == [(4, kernel._ZOOM_POINTS)] * len(rescans)
+            assert all(whole is None or len(whole) < 3 for whole, _, _ in seen), "no (n, k, P) profile array"
+            if path == "exact":
+                # one call for all four columns: (4, 1) opponents, (4, P) candidates
+                [(_, shapes, _)] = seen
+                assert shapes[i][0] == 4 and all(s == (4, 1) for j, s in enumerate(shapes) if j != i)
+                continue
+            # one scan per column, in column order, on that column's (1, 1)
+            # opponents: the half-line's cap probes, one scan call as one
+            # (1, P) row, then the rescans
+            column = {tuple(np.delete(cols[:, r], i)): r for r in range(4)}
+            order = [column[tuple(float(c[0]) for j, c in enumerate(v) if j != i)] for _, _, v in seen]
+            assert order == sorted(order) and set(order) == set(range(4))
+            for r in range(4):
+                calls = [shapes for (_, shapes, _), q in zip(seen, order) if q == r]
+                assert all(s == (1, 1) for shapes in calls for j, s in enumerate(shapes) if j != i)
+                own = [shapes[i] for shapes in calls]
+                probes = own.count((1, 2))
+                assert probes and own[:probes] == [(1, 2)] * probes, "the half-line is probed"
+                (rows, points), *rescans = own[probes:]
+                assert rows == 1 and points > 2, "one scan call, as one (1, P) row"
+                assert rescans and rescans == [(1, kernel._ZOOM_POINTS)] * len(rescans)
 
 
 class TestMembershipAndConcavity:
@@ -916,7 +1017,7 @@ SOLVER_GAMES = {
     "stag-hunt": lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")),
     # every diagonal point is an equilibrium: 32 points come back
     "coordination-continuum": lambda: lq_game(10.0, ("-((x - y)^2)", "-((y - x)^2)")),
-    # E2 behind plain callables: the lockstep scan, maximize_1d on k rows
+    # E2 behind plain callables: the lockstep loop, one maximize_1d call per column
     "example-4.1:E2-scanned": lambda: scanned(e2_game()),
 }
 # A budget other than SearchBudget() keeps the per-start reference under

@@ -65,12 +65,24 @@ class TestSearchBudget:
         with pytest.raises(ValueError):
             SearchBudget(seed=-1)
         for field in ("grid_step", "truncation_cap", "tolerance"):
-            for bad in (math.nan, math.inf):
-                with pytest.raises(ValueError):
+            # a bool compares as 0 or 1, but it is no step, cap or tolerance
+            for bad in (math.nan, math.inf, True, np.True_):
+                with pytest.raises(ValueError, match="^budget fields must be finite and strictly positive$"):
                     SearchBudget(**{field: bad})
 
     @pytest.mark.parametrize(
-        "field, bad", [("max_iterations", 2.5), ("seed", 1.5), ("max_iterations", np.float64(3.0)), ("seed", None)]
+        "field, bad",
+        [
+            ("max_iterations", 2.5),
+            ("seed", 1.5),
+            ("max_iterations", np.float64(3.0)),
+            ("seed", None),
+            # operator.index takes a bool as 0 or 1
+            ("max_iterations", True),
+            ("seed", True),
+            ("seed", False),
+            pytest.param("seed", np.True_, id="seed-numpy-True"),
+        ],
     )
     def test_a_count_or_seed_that_is_no_integer_is_rejected_by_name(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
@@ -125,8 +137,7 @@ class TestMaximize1d:
             points.append(t.shape[1])
             return -t
 
-        x, v = maximize_1d(f, Interval(0.0, 1e308))
-        assert (x.tolist(), v.tolist()) == ([0.0], [-0.0])
+        assert maximize_1d(f, Interval(0.0, 1e308)) == (0.0, -0.0)
         assert kernel._MAX_SCAN_CELLS + 1 in points
 
     @pytest.mark.parametrize("lo, shown", [(0.0, "0.0"), (-3.5, "-3.5"), (1e300, "1e+300")])
@@ -160,33 +171,31 @@ class TestMaximize1d:
     def test_the_cap_doubles_until_it_passes_the_peak(self, peak):
         # the first cap of 1e3 doubles 3, 10 and 30 times
         f = lambda t: -(t - peak) * (t - peak)
-        (x,), _ = maximize_1d(f, Interval(0.0))
+        x, _ = maximize_1d(f, Interval(0.0))
         assert x == pytest.approx(peak, rel=1e-12)
 
     def test_a_window_from_the_largest_float_is_that_float(self):
         # the largest float plus the first cap rounds to the largest float
         big = np.finfo(float).max
-        (x,), (v,) = maximize_1d(lambda t: -t, Interval(big))
-        assert (x, v) == (big, -big)
+        assert maximize_1d(lambda t: -t, Interval(big)) == (big, -big)
 
     def test_a_peak_past_the_last_finite_doubling_is_found_below_the_largest_float(self):
         # the cap's next doubling from 1e308 overflows short of the peak, so the
         # window ends at the largest float, which is probed once
         big = np.finfo(float).max
-        (x,), _ = maximize_1d(lambda t: -abs(t - 1.5e308), Interval(1e308))
+        x, _ = maximize_1d(lambda t: -abs(t - 1.5e308), Interval(1e308))
         assert abs(x - 1.5e308) <= (big - 1e308) / kernel._MAX_SCAN_CELLS
 
     @pytest.mark.parametrize("hi", [1.7e308, math.inf])
     def test_a_window_wider_than_the_largest_float_is_scanned(self, hi):
         # hi - lo overflows to inf, which once put nan on the scan grid; the
         # half-line's cap grows to the largest float
-        (x,), (v,) = maximize_1d(lambda t: -abs(t / 4 - 4e307), Interval(-1e308, hi))
-        assert (x, v) == (1.6e308, 0.0)
+        assert maximize_1d(lambda t: -abs(t / 4 - 4e307), Interval(-1e308, hi)) == (1.6e308, 0.0)
 
     def test_a_cap_below_the_spacing_of_floats_at_lo_still_grows(self):
         # 1e20 + 1e3 is 1e20, so doubling the cap alone would never move it
         peak = 1.00000000001e20
-        (x,), _ = maximize_1d(lambda t: -(t - peak) * (t - peak), Interval(1e20))
+        x, _ = maximize_1d(lambda t: -(t - peak) * (t - peak), Interval(1e20))
         assert abs(x - peak) <= 4 * math.ulp(peak)
 
     def test_first_non_finite_grid_value_raises(self):
@@ -212,101 +221,40 @@ class TestMaximize1d:
             return -(t - peak) * (t - peak)
 
         iv = Interval(0.0, 3.0 * peak)
-        x, v = scalar_result(maximize_1d(f, iv))
+        x, v = maximize_1d(f, iv)
         assert len(calls) < 60
         assert (x, v) == reference_maximize_1d(f, iv)
         assert abs(x - peak) <= 2 * np.spacing(peak) and v == 0.0
 
-    def test_rows_keep_their_own_maximizers(self):
-        # the row peaked below the interval ends at its boundary, with a
-        # half-width bracket, before the interior rows
-        peaks = np.array([[-1.0], [1.0], [4.25], [9.5]])
-        xs, vs = maximize_1d(lambda t: -(t - peaks) * (t - peaks), Interval(0.0, 10.0), k=4)
-        assert xs.shape == vs.shape == (4,)
-        assert xs == pytest.approx([0.0, 1.0, 4.25, 9.5], abs=1e-9)
-        assert vs == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-18)
-
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [
-            # cells of 0.02: the boundary bracket [0, 0.02] gets under 1e-10
-            # after 4 rescans, the interior bracket of 0.04 after 5
-            (0.0, 40.0),
-            # cells of 0.512 where floats are 256 apart: the boundary bracket
-            # rounds to width 0 in the scan, the interior one needs a rescan
-            (2.0**60, 2.0**60 + 1024.0),
-        ],
-    )
-    def test_a_finished_row_is_evaluated_at_no_new_point(self, lo, hi):
-        # row 0 peaks below the interval and finishes first; it must see only
-        # points its own k = 1 call sees, so that an f that raises at some
-        # other point (a fractional power, say) cannot fail the shared call
-        def recorder(peaks, seen):
-            def f(t):
-                seen.update(t[0].tolist())
-                return -(t - peaks) * (t - peaks)
-
-            return f
-
-        iv, width = Interval(lo, hi), hi - lo
-        alone, shared = set(), set()
-        maximize_1d(recorder(np.array([[lo - width]]), alone), iv)
-        maximize_1d(recorder(np.array([[lo - width], [lo + 0.425 * width]]), shared), iv, k=2)
-        assert shared <= alone
-
-    def test_the_scan_reaches_f_once_as_one_shared_row(self):
+    def test_each_pass_reaches_f_once_as_one_row(self):
+        # the scan's 2,001 points, then each rescan's 257, in one call each
         shapes = []
-        peaks = np.arange(1.0, 6.0)[:, None]
 
         def f(t):
             shapes.append(t.shape)
-            return -(t - peaks) * (t - peaks)
+            return -(t - 3.3) * (t - 3.3)
 
-        maximize_1d(f, Interval(0.0, 20.0), k=5)  # 2,000 cells
+        maximize_1d(f, Interval(0.0, 20.0))  # 2,000 cells
         assert shapes[0] == (1, 2001)
-        assert shapes[1:] and set(shapes[1:]) == {(5, kernel._ZOOM_POINTS)}
+        assert shapes[1:] and set(shapes[1:]) == {(1, kernel._ZOOM_POINTS)}
 
-    def test_a_non_finite_value_in_one_row_of_the_shared_scan_names_its_point(self):
-        # the scan's points arrive as one row, its values as three: the error
-        # reads row 2's value at the column's one point
-        bad = np.array([[False], [False], [True]])
-        f = lambda t: np.where(bad & (t > 2.505), np.nan, -t)
-        with pytest.raises(EvalError) as caught:
-            maximize_1d(f, Interval(0.0, 10.0), k=3)
-        assert str(caught.value) == "non-finite value nan at 2.5100000000000002 on [0.0, 10.0]"
-
-    def test_a_row_free_objective_gives_every_row_the_one_row_result(self):
-        # the scan and the cap probes get one (1, P) row of values back for
-        # all four rows; the peak at 6.25e6 makes the cap double many times
-        f = lambda t: np.sqrt(t) - t / 5000.0
-        xs, vs = maximize_1d(f, Interval(0.0), k=4)
-        (x,), (v,) = maximize_1d(f, Interval(0.0))
-        assert xs.tobytes() == np.full(4, x).tobytes()
-        assert vs.tobytes() == np.full(4, v).tobytes()
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_rejects_no_rows(self, k):
-        with pytest.raises(ValueError, match="k must be"):
-            maximize_1d(lambda t: t, Interval(0.0, 1.0), k=k)
-
-    @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("a", [0.0, 2.5, -7.125, 1e20])
-    def test_a_degenerate_interval_is_evaluated_only_at_its_point(self, a, k):
+    def test_a_degenerate_interval_is_evaluated_only_at_its_point(self, a):
         seen = set()
-        slopes = np.arange(1.0, k + 1.0)[:, None]
 
         def f(t):
             seen.update(t.ravel().tolist())
-            return slopes * t - 1.0
+            return 3.0 * t - 1.0
 
-        xs, vs = maximize_1d(f, Interval(a, a), k=k)
+        assert maximize_1d(f, Interval(a, a)) == (a, 3.0 * a - 1.0)
         assert seen == {a}
-        assert xs.tolist() == [a] * k
-        assert vs.tolist() == (slopes[:, 0] * a - 1.0).tolist()
 
-    def test_a_scalar_value_fills_every_row(self):
-        xs, vs = maximize_1d(lambda t: 3.0, Interval(1.0, 2.0), k=4)
-        assert xs.tolist() == [1.0] * 4 and vs.tolist() == [3.0] * 4
+    def test_a_scalar_value_ties_every_point_at_the_lower_bound(self):
+        assert maximize_1d(lambda t: 3.0, Interval(1.0, 2.0)) == (1.0, 3.0)
+
+    def test_returns_floats(self):
+        x, v = maximize_1d(lambda t: -(t - 1.5) * (t - 1.5), Interval(0.0, 4.0))
+        assert type(x) is float and type(v) is float
 
 
 def reference_maximize_1d(f, interval):
@@ -358,11 +306,6 @@ def reference_maximize_1d(f, interval):
     return float(x), v
 
 
-def scalar_result(result):
-    (x,), (v,) = result
-    return float(x), float(v)
-
-
 # + - * only: they round the same in scalar and array code, where numpy's
 # array ** may differ from libm pow by one ulp
 def bump(peak, curvature, tilt):
@@ -387,40 +330,14 @@ class TestMaximize1dMatchesPointwiseScan:
     def test_bounded(self, lo, width, peak, curvature, tilt):
         f = bump(peak, curvature, tilt)
         iv = Interval(lo, lo + width)
-        assert scalar_result(maximize_1d(f, iv)) == reference_maximize_1d(f, iv)
+        assert maximize_1d(f, iv) == reference_maximize_1d(f, iv)
 
     # peaks up to 5000 keep the first cap of 1e3 or double it up to 3 times
     @given(lo=st.floats(-50.0, 50.0), peak=st.floats(-100.0, 5000.0), curvature=st.floats(1e-3, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_half_line(self, lo, peak, curvature):
         f = bump(peak, curvature, 0.0)
-        assert scalar_result(maximize_1d(f, Interval(lo))) == reference_maximize_1d(f, Interval(lo))
-
-
-class TestRowsMatchOneRowCalls:
-    # row r of a k-row call must equal the k = 1 call on row r's function, bit
-    # for bit; the bumps use + - * only, as above
-    @staticmethod
-    def bumps(peak, curvature, tilt):
-        p, c, m = (np.array(a, dtype=float)[:, None] for a in (peak, curvature, tilt))
-        return lambda t: m * t - c * (t - p) * (t - p)
-
-    @given(
-        lo=st.floats(-50.0, 50.0),
-        width=WIDTHS,
-        rows=st.lists(
-            st.tuples(st.floats(-100.0, 3000.0), st.floats(0.0, 10.0), st.floats(-1.0, 1.0)),
-            min_size=1,
-            max_size=40,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bounded(self, lo, width, rows):
-        iv = Interval(lo, lo + width)
-        xs, vs = maximize_1d(self.bumps(*zip(*rows)), iv, k=len(rows))
-        for r, row in enumerate(rows):
-            (x,), (v,) = maximize_1d(self.bumps(*zip(row)), iv)
-            assert (xs[r], vs[r]) == (x, v)
+        assert maximize_1d(f, Interval(lo)) == reference_maximize_1d(f, Interval(lo))
 
 
 def polynomial(c: np.ndarray, root: int = 1):
@@ -467,8 +384,8 @@ class TestMaximizePolynomial:
             cr, fr = polynomial(c[r:r + 1])
             xr, vr = maximize_polynomial(fr, Interval(-2.0, 3.0), cr, 1)
             assert (xr.tobytes(), vr.tobytes()) == (x[r:r + 1].tobytes(), v[r:r + 1].tobytes())
-        _, scan = maximize_1d(f, Interval(-2.0, 3.0), k=8)
-        assert (v >= scan - 1e-12 * np.abs(c).sum(axis=1) * 3.0**4).all()
+        scan = [maximize_1d(polynomial(c[r:r + 1])[1], Interval(-2.0, 3.0))[1] for r in range(8)]
+        assert (v >= np.array(scan) - 1e-12 * np.abs(c).sum(axis=1) * 3.0**4).all()
 
     def test_a_non_finite_value_names_its_point_and_window(self):
         c, f = polynomial([[0.0, 4.0, -1.0]])  # peaks at t = 2
