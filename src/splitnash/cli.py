@@ -60,7 +60,10 @@ class InputError(Exception):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Is value a JSON number no larger than the largest float? NaN is one; an
+    infinity, which json reads 1e400 as, is not, nor a 400-digit integer."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and not abs(value) > sys.float_info.max
 
 
 def _holds_numbers(value) -> bool:

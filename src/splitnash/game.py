@@ -10,6 +10,7 @@ best-response solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -173,13 +174,15 @@ def uniform_samples(
     """One (samples, k) uniform draw whose column j lies in the bounded windows[j].
 
     Row s holds the values that k scalar rng.uniform calls per sample, one per
-    window in order, would draw for sample s.
+    window in order, would draw for sample s. A window wider than the largest
+    float, which rng.uniform rejects, is drawn at half scale and doubled back.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    lo = [w.lo for w in windows]
-    hi = [w.hi for w in windows]
-    return rng.uniform(lo, hi, size=(samples, len(windows)))
+    s = np.array([1.0 if w.hi - w.lo < math.inf else 2.0 for w in windows])
+    lo = np.array([w.lo for w in windows]) / s
+    hi = np.array([w.hi for w in windows]) / s
+    return rng.uniform(lo, hi, size=(samples, len(windows))) * s
 
 
 def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
@@ -311,7 +314,7 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
         br = np.empty_like(cur)
         for i, p in enumerate(game.players):
             br[i], _ = best_response(truncated, p, cur)
-        nxt = cur + DAMPING * (br - cur)
+        nxt = cur + (DAMPING * br - DAMPING * cur)  # br - cur may overflow
         x[:, moving] = nxt
         moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance
         if not moving.any():

@@ -85,7 +85,6 @@ _SCAN_STEP = 1e-2
 _MAX_SCAN_CELLS = 2000
 _ZOOM_GOAL = 1e-10
 _ZOOM_POINTS = 257  # a rescan narrows a bracket to 2/256 of its width
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)[None, :]
 _FIRST_CAP = 1e3
 
 
@@ -115,9 +114,8 @@ def _expand_cap(f: Callable[[np.ndarray], np.ndarray], lo: float) -> float:
     overflowing to +inf on the way (x^2 near 1.3e154) is unbounded too."""
     unbounded = f"value still increasing as the cap overflows: unbounded above on [{lo!r}, inf)"
     hi = lo + _FIRST_CAP  # rounds to at most the largest float
-    t = np.empty((1, 2))
     while True:
-        t[:] = hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))
+        t = np.array([[hi, hi - max(1e-8, 1e-6 * max(1.0, abs(hi)))]])
         vs = _values(f, t, lo, hi, unbounded)
         if vs.item(0) <= vs.item(1):
             return hi
@@ -138,9 +136,10 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], interval: Interval) -> tu
     its first maximum (ties go to the smaller x) is then refined by zoomed
     rescans of _ZOOM_POINTS points, while it is wider than _ZOOM_GOAL and the
     last rescan narrowed it: a float width cannot shrink forever, so no count
-    bounds the rescans. The best point so far is kept unless a rescan finds a
-    strictly larger value. A non-finite value raises EvalError naming the
-    first such point and the searched window.
+    bounds the rescans. Each pass grids with np.linspace, at half scale and
+    doubled back where the width overflows. The best point so far is kept
+    unless a rescan finds a strictly larger value. A non-finite value raises
+    EvalError naming the first such point and the searched window.
 
     Unbounded intervals are searched over [lo, lo + cap] after bracket
     expansion: the cap doubles from _FIRST_CAP while f is still increasing at
@@ -151,21 +150,11 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], interval: Interval) -> tu
     hi = interval.hi if interval.bounded else _expand_cap(f, lo)
     # a degenerate interval scans one cell [lo, lo], whose bracket has width 0
     cells = max(1, math.ceil(min(_MAX_SCAN_CELLS, (hi - lo) / _SCAN_STEP)))
-    # np.linspace(lo, hi, cells + 1), bit for bit, without its call overhead
-    pts = np.arange(cells + 1.0)[None, :]
-    if hi - lo < math.inf:
-        pts *= (hi - lo) / cells
-        pts += lo
-    else:  # a window wider than the largest float: its grid at half scale, doubled back
-        pts *= (hi / 2 - lo / 2) / cells
-        pts += lo / 2
-        pts[0, :-1] *= 2.0  # the last point, which may round past hi / 2, is hi
-    pts[0, -1] = hi
-
-    # Pass 0 is the scan; pass p > 0 rescans the points of
-    # np.linspace(a, b, _ZOOM_POINTS) for the last pass's bracket [a, b]
     x, v, width = lo, -math.inf, math.inf
+    a, b, points = lo, hi, cells + 1  # pass 0 is the scan; a later pass rescans the last bracket
     while True:
+        s = 1.0 if b - a < math.inf else 2.0  # a window wider than the largest float, at half scale
+        pts = np.linspace(a / s, b / s, points)[None, :] * s
         vals = _values(f, pts, lo, hi)
         j = int(vals.argmax())
         if vals.item(j) > v:
@@ -173,10 +162,7 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], interval: Interval) -> tu
         a, b = pts.item(j - 1 if j else 0), pts.item(j + 1 if j < pts.shape[1] - 1 else j)
         if not _ZOOM_GOAL < b - a < width:
             return x, v
-        width = b - a
-        pts = _ZOOM_STEPS * (width / (_ZOOM_POINTS - 1))
-        pts += a
-        pts[0, -1] = b
+        width, points = b - a, _ZOOM_POINTS
 
 
 # A coefficient within this fraction of what it is weighed against reads as

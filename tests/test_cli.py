@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -672,6 +673,12 @@ class TestFileInputs:
             {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p - 1e999*0"]},
             {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p^1e999"]},
             {"players": ["p", "q"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": ["p"]},
+            # numbers no float holds: an integer too large, and an infinity,
+            # written as Infinity, which json reads as it reads 1e400; null is
+            # the one way to write a half-line, on which p - p^2 would verify
+            {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": 10**400}], "utilities": ["p"]},
+            {"players": ["p"], "strategy_sets": [{"lo": 0, "hi": math.inf}], "utilities": ["p - p^2"]},
+            {"players": ["p"], "strategy_sets": [{"lo": -math.inf, "hi": 1}], "utilities": ["p"]},
         ],
     )
     def test_malformed_spec_is_an_input_error(self, capsys, tmp_path, spec):
@@ -684,10 +691,14 @@ class TestFileInputs:
 
     def test_non_numeric_matrix_is_an_input_error(self, capsys, tmp_path):
         # a string and a bool are no JSON numbers, though numpy reads "0" and
-        # true as 0.0 and 1.0: this one was read as the swap matrix
+        # true as 0.0 and 1.0: the last of these was read as the swap matrix;
+        # nor is an integer too large for a float, or an infinity
         game = {"players": ["p", "q"], "strategy_sets": [{"lo": 0, "hi": 2}] * 2, "utilities": ["p", "q"]}
         path, out = tmp_path / "split.json", tmp_path / "report.json"
-        for matrix in ({"a": 1}, [["0", 1], [1, 0]], [[0, True], [1, False]], [["0", True], ["1", False]]):
+        for matrix in (
+            {"a": 1}, [["0", 1], [1, 0]], [[0, True], [1, False]], [[10**400, 0], [0, 1]],
+            [[math.inf, 0], [0, 1]], [["0", True], ["1", False]],
+        ):
             path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": matrix}))
             code = main(["verify-split", str(path), "--profile", "1,2", "--out", str(out)])
             captured = capsys.readouterr()
@@ -723,6 +734,32 @@ class TestFileInputs:
         captured = capsys.readouterr()
         assert captured.err == "error: empty interval [0.0, nan]\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "bounds",
+        ['"lo": 0, "hi": 1' + "0" * 400, '"lo": 0, "hi": 1e400', '"lo": -1e400, "hi": 1'],
+        ids=["400-digit-hi", "1e400-hi", "-1e400-lo"],
+    )
+    def test_a_bound_no_float_holds_is_an_input_error(self, capsys, tmp_path, bounds):
+        path, out = tmp_path / "big.json", tmp_path / "report.json"
+        path.write_text(f'{{"players": ["p"], "strategy_sets": [{{{bounds}}}], "utilities": ["p - p^2"]}}')
+        assert main(["verify-nash", str(path), "--profile", "0.5", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: strategy set {'lo': ")
+        assert captured.err.endswith("} needs a numeric 'lo' and a numeric or null 'hi'\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("verb", ["solve-nash", "solve-split", "cdp-check"])
+    def test_a_window_wider_than_the_largest_float_is_searched(self, capsys, tmp_path, verb):
+        # -x on [-1e308, 1.7e308], whose width overflows, alone and through [[1]]
+        game = {"players": ["p"], "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}], "utilities": ["-p"]}
+        spec = game if verb == "solve-nash" else {"game_n": game, "game_m": game, "matrix": [[1]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        code, doc = run_json(capsys, verb, str(path))
+        assert code == EXIT_OK
+        if verb != "cdp-check":
+            assert doc["results"]["equilibria" if verb == "solve-nash" else "split_equilibria"] == [[-1e308]]
 
     def test_an_internal_key_error_is_not_an_input_error(self, monkeypatch):
         # no input reaches main as a KeyError, so one is a fault to propagate

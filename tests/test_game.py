@@ -303,6 +303,12 @@ class TestSolver:
         assert repr(solve_nash(view, budget)) == repr(solve_nash(fresh, budget))
         assert np.allclose(solve_nash(view, budget), [[1.0, 2.0]], atol=1e-5)
 
+    def test_a_window_wider_than_the_largest_float(self, budget):
+        # the starts are drawn at half scale, and the damped step
+        # cur + (DAMPING * br - DAMPING * cur) does not overflow where br - cur does
+        g = Game.from_expressions(("x",), (Interval(-1e308, 1.7e308),), ("-x",))
+        assert [s.tolist() for s in solve_nash(g, budget)] == [[-1e308]]
+
     def test_source_game_origin_found_at_the_default_budget(self):
         # the lower-corner start is E1's (0, 0, 0): every best response
         # against zeros is zero
@@ -553,6 +559,12 @@ def polynomial_game(coefficients, q: int, lo: float, hi: float) -> Game:
     return Game.from_expressions(("x", "y"), (Interval(lo, hi), Interval(0.0, 1.0)), (terms, "y"))
 
 
+def underflow_game() -> Game:
+    """-((x*1e-200 - 1)^2) on [0, 2e200], which peaks at 1e200 with value 0: its
+    x^2 coefficient, 1e-400, underflows to -0.0, dropping the derivative's root."""
+    return Game.from_expressions(("x",), (Interval(0.0, 2e200),), ("-((x*1e-200 - 1)^2)",))
+
+
 class TestExactBestResponses:
     """A utility that is a polynomial in a root of the player's own strategy
     is maximized at its window's ends and its derivative's roots."""
@@ -595,6 +607,16 @@ class TestExactBestResponses:
             arg, val = best_response(g, "x", cols[:, s])
             assert arg.tobytes() == args[s:s + 1].tobytes()
             assert val.tobytes() == vals[s:s + 1].tobytes()
+
+    def test_the_underflow_game_pays_more_at_its_peak_than_at_0(self):
+        g = underflow_game()
+        assert g.payoff_vector(np.array([1e200])).tolist() == [0.0]
+        assert g.payoff_vector(np.array([0.0])).tolist() == [-1.0]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the x^2 coefficient underflows (ROADMAP item 2)")
+    def test_an_underflowing_coefficient_certifies_no_false_equilibrium(self):
+        report = verify_nash(underflow_game(), np.array([0.0]), SearchBudget())
+        assert not report.verdict, report
 
     def test_only_a_reduction_for_the_players_own_strategy_is_used(self, monkeypatch):
         paths = counting_paths(monkeypatch)
@@ -846,6 +868,14 @@ class TestUniformSamplesMatchScalarDraws:
         assert got.tolist() == want
         assert (got[:, 2] == 2.5).all()
 
+    def test_a_window_wider_than_the_largest_float_is_drawn_at_half_scale(self):
+        # rng.uniform rejects [-1e308, 1.7e308], whose width overflows
+        windows = [Interval(-1e308, 1.7e308), Interval(0.0, 1.0)]
+        got = uniform_samples(np.random.default_rng(3), 4, windows)
+        rng = np.random.default_rng(3)
+        want = [[2.0 * rng.uniform(-0.5e308, 0.85e308), rng.uniform(0.0, 1.0)] for _ in range(4)]
+        assert got.tolist() == want
+
     def test_truncated_windows_are_one_scalar_draw_per_player(self):
         # solve_nash draws its starts in the strategy sets truncated at the cap
         sets = (Interval(0, 2), Interval(1.5, 1.5), Interval(-1))
@@ -1045,6 +1075,11 @@ SOLVER_MISSES = {
     "stag-hunt": (lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")), (0.5, 0.5)),
     # solve_nash returns []
     "matching-pennies": (lambda: lq_game(1.0, ("x*(2*y - 1)", "-y*(2*x - 1)")), (0.5, 0.5)),
+    # corners where the own payoff's slope exceeds 1: the starts stop about 1e-6
+    # inside, where the regret is the slope times that distance; at the lower
+    # corner _distinct also keeps an earlier start in place of the corner start
+    "upper-corner-10x": (lambda: Game.from_expressions(("x",), (Interval(0.0, 10.0),), ("10*x",)), (10.0,)),
+    "lower-corner-minus-x2": (lambda: Game.from_expressions(("x",), (Interval(1.0, 10.0),), ("-(x^2)",)), (1.0,)),
 }
 
 

@@ -238,6 +238,38 @@ class TestMaximize1d:
         assert shapes[0] == (1, 2001)
         assert shapes[1:] and set(shapes[1:]) == {(1, kernel._ZOOM_POINTS)}
 
+    @pytest.mark.parametrize(
+        "f, interval, scale",
+        [
+            (lambda t: -(t - 7.3) * (t - 7.3), Interval(0.0, 20.0), 1.0),
+            (lambda t: t * np.sin(t), Interval(0.0, 50.0), 1.0),
+            # the cap doubles from 1e3 to 8e3 before the scan
+            (lambda t: -(t - 5000.0) * (t - 5000.0), Interval(0.0), 1.0),
+            # hi - lo overflows: the scan is built at half scale and doubled back
+            (lambda t: -abs(t / 4 - 4e307), Interval(-1e308, 1.7e308), 2.0),
+        ],
+        ids=["bounded", "t*sin(t)", "half-line", "wider-than-the-largest-float"],
+    )
+    def test_each_pass_is_np_linspace_of_the_last_bracket(self, f, interval, scale):
+        passes = []
+
+        def g(t):
+            passes.append(t[0].copy())
+            return f(t)
+
+        maximize_1d(g, interval)
+        # on a half-line the scan follows the cap's two-point probes, the last at hi
+        first = 0 if interval.bounded else next(i for i, p in enumerate(passes) if p.size != 2)
+        lo, hi = interval.lo, interval.hi if interval.bounded else passes[first - 1][0]
+        cells = max(1, math.ceil(min(kernel._MAX_SCAN_CELLS, (hi - lo) / kernel._SCAN_STEP)))
+        want = np.linspace(lo / scale, hi / scale, cells + 1) * scale
+        assert passes[first].tobytes() == want.tobytes()
+        assert len(passes) > first + 1
+        for last, pts in zip(passes[first:], passes[first + 1:]):
+            j = int(np.argmax(f(last[None, :])))
+            a, b = last[max(j - 1, 0)], last[min(j + 1, last.size - 1)]
+            assert pts.tobytes() == np.linspace(a, b, kernel._ZOOM_POINTS).tobytes()
+
     @pytest.mark.parametrize("a", [0.0, 2.5, -7.125, 1e20])
     def test_a_degenerate_interval_is_evaluated_only_at_its_point(self, a):
         seen = set()
