@@ -69,19 +69,19 @@ class Game:
         var_names = tuple(variable_names) if variable_names is not None else tuple(players)
         if len(var_names) != len(players):
             raise ValueError("variable_names must align with players")
-        exprs = tuple(
-            parse_utility(s) if isinstance(s, str) else s for s in sources
-        )
         fns = []
-        for i, e in enumerate(exprs):
+        for i, s in enumerate(sources):
             try:
-                fn = compile_utility(e, var_names)
-            except EvalError as exc:  # undeclared variables, its one compile-time error
+                e = parse_utility(s) if isinstance(s, str) else s
+                fn = compile_utility(e, var_names)  # undeclared variables raise EvalError
+                # best_response finds it here, or through a wrapper's __wrapped__
+                fn.polynomial = own_polynomial(e, var_names, i) if i < len(var_names) else None
+            except (EvalError, RecursionError, SyntaxError) as exc:  # a chain of n terms nests n deep
                 # a utility past the last player is named by its index; Game rejects it
                 who = players[i] if i < len(players) else i
-                raise ValueError(f"utility of player {who!r} uses {exc}") from None
-            # best_response finds it here, or through a wrapper's __wrapped__
-            fn.polynomial = own_polynomial(e, var_names, i) if i < len(var_names) else None
+                why = (f"uses {exc}" if isinstance(exc, EvalError)
+                       else "is too long or too deeply nested to compile")
+                raise ValueError(f"utility of player {who!r} {why}") from None
             fns.append(fn)
         return Game(tuple(players), tuple(intervals), tuple(fns))
 
@@ -100,11 +100,6 @@ class Game:
         if x.shape != (self.n_players,):
             return False
         return all(iv.contains(v, slack) for iv, v in zip(self.strategy_sets, x))
-
-    def payoff_vector(self, x: np.ndarray) -> np.ndarray:
-        """Every player's payoff, diagonal_payoff(self, x, x): (n,) profile ->
-        (n,), (n, S) columns -> (n, S); a non-finite payoff raises EvalError."""
-        return diagonal_payoff(self, x, x)
 
 
 class Witness(NamedTuple):
@@ -252,7 +247,7 @@ def verify_nash(game: Game, x: np.ndarray, budget: SearchBudget) -> Verification
     x = np.asarray(x, dtype=float)
     if not game.is_feasible(x, slack=1e-12):
         raise ValueError("profile is not feasible for this game")
-    current = game.payoff_vector(x).tolist()
+    current = diagonal_payoff(game, x, x).tolist()
     regrets = []
     witnesses: dict[str, Witness] = {}
     for i, p in enumerate(game.players):

@@ -124,9 +124,6 @@ class SplitProblem:
             self, "relatedness", check_relatedness(self.game_n, self.game_m, self.operator)
         )
 
-    def image(self, x: np.ndarray) -> np.ndarray:
-        return apply_operator(self.operator, x)
-
 
 @dataclass(frozen=True)
 class SurjectivityReport:
@@ -186,7 +183,7 @@ def _target_image(problem: SplitProblem, x: np.ndarray) -> np.ndarray:
     game's verification would reject; within the slack, its clipped point is
     verified instead.
     """
-    y = problem.image(x)
+    y = apply_operator(problem.operator, x)
     if not problem.game_m.is_feasible(y, slack=1e-9):
         raise ValueError(
             f"operator image {y.tolist()} is infeasible in the target game "
@@ -304,8 +301,9 @@ def kkm_t_membership(
     of z that none before excluded."""
     x = np.asarray(x, dtype=float).reshape(problem.game_n.n_players, -1)
     cols = np.asarray(z, dtype=float).reshape(problem.game_n.n_players, -1)
-    sides = ((problem.game_n, x, cols), (problem.game_m, problem.image(x), problem.image(cols)))
-    bounds = [game.payoff_vector(zs) + tolerance for game, _, zs in sides]
+    a = problem.operator
+    sides = ((problem.game_n, x, cols), (problem.game_m, apply_operator(a, x), apply_operator(a, cols)))
+    bounds = [diagonal_payoff(game, zs, zs) + tolerance for game, _, zs in sides]
     member = np.ones(cols.shape[1], dtype=bool)
     for r in range(x.shape[1]):
         kept = True
@@ -345,9 +343,13 @@ def kkm_intersection_probe(
     if points_per_axis < 1:
         raise ValueError(f"points_per_axis must be at least 1, got {points_per_axis}")
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
-    axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
+    # a window wider than the largest float is gridded at half scale, as maximize_1d grids it
+    scales = [1.0 if w.hi - w.lo < math.inf else 2.0 for w in windows]
+    axes = [np.linspace(w.lo / h, w.hi / h, points_per_axis) * h for w, h in zip(windows, scales)]
     steps = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
-    cell_diameter = float(math.sqrt(sum(s * s for s in steps)))
+    # scaled by the longest step's power of two, which is exact, no square overflows
+    e = math.frexp(max(steps))[1]
+    cell_diameter = math.ldexp(math.sqrt(sum(math.ldexp(s, -e) ** 2 for s in steps)), e)
     # (n, G) columns in itertools.product order: the last axis varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
     members = grid[:, kkm_t_membership(problem, grid, grid, budget.tolerance)].T

@@ -11,7 +11,7 @@ import numpy as np
 
 from splitnash.game import Game, diagonal_payoff
 from splitnash.kernel import SearchBudget
-from splitnash.split import SplitProblem
+from splitnash.split import SplitProblem, apply_operator
 
 
 def order_leq(u, v) -> bool:
@@ -27,13 +27,13 @@ def gamma_membership(game: Game, x, z, tolerance: float = 1e-6) -> bool:
     """True iff f_i(x_i, z_{-i}) <= f_i(z) + tolerance for every player i."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    return order_leq(diagonal_payoff(game, x, z), game.payoff_vector(z) + tolerance)
+    return order_leq(diagonal_payoff(game, x, z), diagonal_payoff(game, z, z) + tolerance)
 
 
 def kkm_t_membership(problem: SplitProblem, x, z, tolerance: float = 1e-6) -> bool:
     """Is (z, Az) dominated by no deviation to x's blocks, in both games?"""
     return gamma_membership(problem.game_n, x, z, tolerance) and gamma_membership(
-        problem.game_m, problem.image(x), problem.image(z), tolerance
+        problem.game_m, apply_operator(problem.operator, x), apply_operator(problem.operator, z), tolerance
     )
 
 

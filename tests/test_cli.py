@@ -749,7 +749,7 @@ class TestFileInputs:
         assert captured.err.endswith("} needs a numeric 'lo' and a numeric or null 'hi'\n")
         assert captured.out == "" and not out.exists()
 
-    @pytest.mark.parametrize("verb", ["solve-nash", "solve-split", "cdp-check"])
+    @pytest.mark.parametrize("verb", ["solve-nash", "solve-split", "cdp-check", "kkm-probe"])
     def test_a_window_wider_than_the_largest_float_is_searched(self, capsys, tmp_path, verb):
         # -x on [-1e308, 1.7e308], whose width overflows, alone and through [[1]]
         game = {"players": ["p"], "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}], "utilities": ["-p"]}
@@ -758,8 +758,32 @@ class TestFileInputs:
         path.write_text(json.dumps(spec))
         code, doc = run_json(capsys, verb, str(path))
         assert code == EXIT_OK
-        if verb != "cdp-check":
+        if verb == "kkm-probe":
+            probe = doc["results"]["probe"]
+            assert probe["members"] == [[-1e308]] and probe["verified"] == [True]
+        elif verb != "cdp-check":
             assert doc["results"]["equilibria" if verb == "solve-nash" else "split_equilibria"] == [[-1e308]]
+
+    @pytest.mark.parametrize(
+        "utility",
+        ["+".join(["x"] * 201), "+".join(["x"] * 990), "(" * 260 + "x" + ")" * 260, "-" * 3000 + "x"],
+        ids=["201-term-sum", "990-term-sum", "260-parentheses", "3000-minuses"],
+    )
+    def test_a_utility_too_long_to_compile_is_an_input_error(self, capsys, tmp_path, utility):
+        # a chain of n terms compiles to n nested parentheses
+        path, out = tmp_path / "long.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"players": ["x"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": [utility]}))
+        assert main(["verify-nash", str(path), "--profile", "1", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: utility of player 'x' is too long or too deeply nested to compile\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_a_199_term_sum_compiles(self, capsys, tmp_path):
+        path = tmp_path / "sum.json"
+        utility = "+".join(["x"] * 199)
+        path.write_text(json.dumps({"players": ["x"], "strategy_sets": [{"lo": 0, "hi": 1}], "utilities": [utility]}))
+        code, doc = run_json(capsys, "verify-nash", str(path), "--profile", "1")
+        assert code == EXIT_OK and doc["results"]["verification"]["regrets"] == {"x": 0.0}
 
     def test_an_internal_key_error_is_not_an_input_error(self, monkeypatch):
         # no input reaches main as a KeyError, so one is a fault to propagate

@@ -43,13 +43,15 @@ class TestConstruction:
             sources=("x*y", "y - x"),
             variable_names=("x", "y"),
         )
-        assert g.payoff_vector(np.array([2.0, 3.0])).tolist() == [6.0, 1.0]
+        x = np.array([2.0, 3.0])
+        assert diagonal_payoff(g, x, x).tolist() == [6.0, 1.0]
 
     def test_player_names_double_as_variables_by_default(self):
         g = Game.from_expressions(
             players=("x", "y"), intervals=(Interval(0, 1), Interval(0, 1)), sources=("x*y", "y")
         )
-        assert g.payoff_vector(np.array([0.5, 0.5]))[0] == 0.25
+        x = np.array([0.5, 0.5])
+        assert diagonal_payoff(g, x, x)[0] == 0.25
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -69,6 +71,24 @@ class TestConstruction:
         # a spec may list more utilities than players; Game would reject it
         with pytest.raises(ValueError, match=r"^utility of player 1 uses undeclared variables \['ghost'\]$"):
             Game.from_expressions(players=("a",), intervals=(Interval(0, 1),), sources=("a", "ghost"))
+
+    @pytest.mark.parametrize(
+        "source",
+        ["+".join(["x"] * 201), "+".join(["x"] * 990), "(" * 260 + "x" + ")" * 260, "-" * 3000 + "x"],
+        ids=["201-term-sum", "990-term-sum", "260-parentheses", "3000-minuses"],
+    )
+    def test_a_utility_too_long_to_compile_is_a_value_error(self, source):
+        # Python's parser nests 200 levels at most, and the recursion limit
+        # bounds the utility parser and the tree folds
+        with pytest.raises(ValueError) as caught:
+            Game.from_expressions(("y", "x"), (Interval(0, 1),) * 2, ("y", source))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "utility of player 'x' is too long or too deeply nested to compile"
+
+    def test_a_199_term_sum_compiles(self):
+        g = Game.from_expressions(("x",), (Interval(0, 1),), ("+".join(["x"] * 199),))
+        assert diagonal_payoff(g, np.array([1.0]), np.array([1.0])).tolist() == [199.0]
+        assert g.utilities[0].polynomial is not None
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +142,7 @@ class TestDiagonalPayoff:
         g = e1_game()
         for _ in range(50):
             x = random_profile(g, rng, cap=20.0)
-            assert np.array_equal(diagonal_payoff(g, x, x), g.payoff_vector(x))
+            assert np.array_equal(diagonal_payoff(g, x, x), [u(list(x)) for u in g.utilities])
 
     def test_deviation_changes_only_own_component_inputs(self):
         # player a's entry uses z_a with the others' x; player b's entry is
@@ -131,8 +151,8 @@ class TestDiagonalPayoff:
         x = np.array([1.0, 2.0, 4.0])
         z = np.array([2.0, 2.0, 4.0])
         d = diagonal_payoff(g, z, x)
-        assert d[0] == g.payoff_vector(np.array([2.0, 2.0, 4.0]))[0]
-        assert d[1] == g.payoff_vector(np.array([1.0, 2.0, 4.0]))[1]
+        assert d[0] == diagonal_payoff(g, z, z)[0]
+        assert d[1] == diagonal_payoff(g, x, x)[1]
 
 
     def test_profile_columns_give_one_column_per_profile(self, rng):
@@ -141,17 +161,17 @@ class TestDiagonalPayoff:
         for g in (quadratic_game((1.0, 2.0, 3.0), hi=5.0), constant_utility_game()):
             z = np.array([random_profile(g, rng, cap=5.0) for _ in range(7)]).T
             x = np.array([random_profile(g, rng, cap=5.0) for _ in range(7)]).T
-            d, f = diagonal_payoff(g, z, x), g.payoff_vector(x)
+            d, f = diagonal_payoff(g, z, x), diagonal_payoff(g, x, x)
             assert d.shape == f.shape == (g.n_players, 7)
             for s in range(7):
                 assert np.array_equal(d[:, s], diagonal_payoff(g, z[:, s], x[:, s]))
-                assert np.array_equal(f[:, s], g.payoff_vector(x[:, s]))
+                assert np.array_equal(f[:, s], diagonal_payoff(g, x[:, s], x[:, s]))
 
     def test_a_scalar_utility_fills_its_row(self):
         g = constant_utility_game()
         x = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.5]])
         assert diagonal_payoff(g, x + 1.0, x).tolist() == [[3.0] * 3, [3.0, 1.0, -0.5]]
-        assert g.payoff_vector(x).tolist() == [[3.0] * 3, [2.0, 0.0, -1.5]]
+        assert diagonal_payoff(g, x, x).tolist() == [[3.0] * 3, [2.0, 0.0, -1.5]]
 
 
 def constant_utility_game() -> Game:
@@ -175,7 +195,7 @@ class TestNonFinitePayoffsRaise:
     def test_payoff_vector_names_the_column(self):
         x = np.array([[0.0, 0.5, 3.0], [5.0, 7.0, 2.0]])
         with pytest.raises(EvalError, match=r"^non-finite payoff inf of player 'a' at \[3.0, 2.0\]$"):
-            self._game().payoff_vector(x)
+            diagonal_payoff(self._game(), x, x)
 
     def test_diagonal_payoff_names_the_deviation(self):
         x = np.array([[0.0, 0.5], [5.0, 6.0]])
@@ -185,7 +205,7 @@ class TestNonFinitePayoffsRaise:
 
     def test_finite_payoffs_pass(self):
         x = np.array([[0.0, 0.5], [5.0, 6.0]])
-        assert self._game().payoff_vector(x).tolist() == [[0.0, 0.5], [5.0, 6.0]]
+        assert diagonal_payoff(self._game(), x, x).tolist() == [[0.0, 0.5], [5.0, 6.0]]
 
 
 def test_one_evaluation_error_under_every_name():
@@ -197,13 +217,15 @@ def test_one_evaluation_error_under_every_name():
 
 class TestRecordedValues:
     def test_source_game_payoffs_at_candidate(self):
-        got = e1_game().payoff_vector(np.array([1.0, 2.0, 4.0]))
+        x = np.array([1.0, 2.0, 4.0])
+        got = diagonal_payoff(e1_game(), x, x)
         assert got[0] == pytest.approx(4.0, abs=1e-12)
         assert got[1] == pytest.approx(6.0, abs=1e-12)
         assert got[2] == pytest.approx(2.0 * SQRT2 - 2.0, abs=1e-12)
 
     def test_target_game_payoffs_at_image(self):
-        got = e2_game().payoff_vector(np.array([9.0, 12.0]))
+        x = np.array([9.0, 12.0])
+        got = diagonal_payoff(e2_game(), x, x)
         assert got[0] == pytest.approx(27.0, abs=1e-9)
         assert got[1] == pytest.approx(1296.0, abs=1e-9)
 
@@ -610,8 +632,9 @@ class TestExactBestResponses:
 
     def test_the_underflow_game_pays_more_at_its_peak_than_at_0(self):
         g = underflow_game()
-        assert g.payoff_vector(np.array([1e200])).tolist() == [0.0]
-        assert g.payoff_vector(np.array([0.0])).tolist() == [-1.0]
+        peak, zero = np.array([1e200]), np.array([0.0])
+        assert diagonal_payoff(g, peak, peak).tolist() == [0.0]
+        assert diagonal_payoff(g, zero, zero).tolist() == [-1.0]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the x^2 coefficient underflows (ROADMAP item 2)")
     def test_an_underflowing_coefficient_certifies_no_false_equilibrium(self):
@@ -914,8 +937,8 @@ def per_player_concavity_violations(game, samples, seed=0, tolerance=1e-6, cap=1
         for i, p in enumerate(game.players):
             a, b, mid = x.copy(), x.copy(), x.copy()
             a[i], b[i], mid[i] = u[i], v[i], lam * u[i] + (1 - lam) * v[i]
-            rhs = lam * game.payoff_vector(a)[i] + (1 - lam) * game.payoff_vector(b)[i]
-            if game.payoff_vector(mid)[i] < rhs - tolerance:
+            rhs = lam * diagonal_payoff(game, a, a)[i] + (1 - lam) * diagonal_payoff(game, b, b)[i]
+            if diagonal_payoff(game, mid, mid)[i] < rhs - tolerance:
                 violations.append((p, (u[i],), (v[i],), float(lam)))
     return tuple(violations)
 

@@ -69,7 +69,9 @@ def test_test_only_helpers_stay_out():
     )
     assert [n for n in removed if hasattr(splitnash, n)] == []
     assert not hasattr(splitnash.Game, "random_profile")
-    assert not hasattr(splitnash.Game, "payoff")  # row i of Game.payoff_vector
+    assert not hasattr(splitnash.Game, "payoff")  # row i of diagonal_payoff(game, x, x)
+    assert not hasattr(splitnash.Game, "payoff_vector")  # diagonal_payoff(game, x, x)
+    assert not hasattr(splitnash.SplitProblem, "image")  # apply_operator(problem.operator, x)
     assert not hasattr(splitnash.game, "gamma_membership")  # folded into kkm_t_membership
     assert not hasattr(splitnash.kernel, "EvaluatorError")  # merged into EvalError
     assert not hasattr(splitnash.VerificationReport, "max_regret")

@@ -2,6 +2,7 @@
 sampling, and the deviation-dominance intersection probe."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -188,7 +189,7 @@ class TestVerifyAndSolve:
 
     def test_image_a_rounding_error_outside_the_box_is_verified_clipped(self, budget):
         problem = self._corner_problem(95000.0)
-        assert problem.image(np.array([1e5, 1e5])).tolist() == [95000.00000000001]
+        assert apply_operator(problem.operator, np.array([1e5, 1e5])).tolist() == [95000.00000000001]
         sols = solve_split(problem, budget)
         assert [x.tolist() for x in sols] == [[1e5, 1e5]]
         rep = verify_split_equilibrium(problem, sols[0], budget)
@@ -242,11 +243,12 @@ class TestCdpSampling:
         for u, v, lam in rep.joint_cdp_failures[:5]:
             u, v = np.array(u), np.array(v)
             w = lam * u + (1 - lam) * v
-            fu = order_leq(diagonal_payoff(gn, u, w), gn.payoff_vector(w) + 1e-6)
-            fv = order_leq(diagonal_payoff(gn, v, w), gn.payoff_vector(w) + 1e-6)
-            aw = problem.image(w)
-            gu = order_leq(diagonal_payoff(gm, problem.image(u), aw), gm.payoff_vector(aw) + 1e-6)
-            gv = order_leq(diagonal_payoff(gm, problem.image(v), aw), gm.payoff_vector(aw) + 1e-6)
+            fu = order_leq(diagonal_payoff(gn, u, w), diagonal_payoff(gn, w, w) + 1e-6)
+            fv = order_leq(diagonal_payoff(gn, v, w), diagonal_payoff(gn, w, w) + 1e-6)
+            a = problem.operator
+            aw = apply_operator(a, w)
+            gu = order_leq(diagonal_payoff(gm, apply_operator(a, u), aw), diagonal_payoff(gm, aw, aw) + 1e-6)
+            gv = order_leq(diagonal_payoff(gm, apply_operator(a, v), aw), diagonal_payoff(gm, aw, aw) + 1e-6)
             assert not ((fu and gu) or (fv and gv))
 
     def test_report_serializes(self):
@@ -272,13 +274,13 @@ def reference_cdp_sample_check(problem, samples, seed=0, tolerance=1e-6, cap=1e3
         u, v = (np.array([rng.uniform(w.lo, w.hi) for w in windows]) for _ in range(2))
         lam = float(rng.uniform(0.0, 1.0))
         w = lam * u + (1 - lam) * v
-        au, av, aw = problem.image(u), problem.image(v), problem.image(w)
+        au, av, aw = (apply_operator(problem.operator, c) for c in (u, v, w))
         fu = diagonal_payoff(gn, u, w)
         fv = diagonal_payoff(gn, v, w)
-        fw = gn.payoff_vector(w)
+        fw = diagonal_payoff(gn, w, w)
         gu = diagonal_payoff(gm, au, aw)
         gv = diagonal_payoff(gm, av, aw)
-        gw = gm.payoff_vector(aw)
+        gw = diagonal_payoff(gm, aw, aw)
         n_u = order_leq(fu, fw + tolerance)
         n_v = order_leq(fv, fw + tolerance)
         m_u = order_leq(gu, gw + tolerance)
@@ -385,7 +387,7 @@ def reference_surjectivity(problem: SplitProblem, samples: int, seed: int) -> li
     out = []
     for y in uniform_samples(np.random.default_rng(seed), samples, windows):
         res = lsq_linear(problem.operator.matrix, y, bounds=bounds, tol=1e-12)
-        out.append((tuple(map(float, y)), float(np.linalg.norm(problem.image(res.x) - y))))
+        out.append((tuple(map(float, y)), float(np.linalg.norm(apply_operator(problem.operator, res.x) - y))))
     return out
 
 
@@ -515,6 +517,19 @@ class TestIntersectionProbe:
         for m in res.members:
             assert np.linalg.norm(np.array(m) - [1.0, 2.0]) <= 2.0 * res.cell_diameter
 
+    @pytest.mark.parametrize("points_per_axis", [1, 2, 5])
+    def test_the_cell_diameter_has_the_plain_bits(self, budget, points_per_axis):
+        # steps some 300 orders of magnitude apart: scaled by the longest step's
+        # power of two, the shortest one's square underflows, and no bit moves;
+        # a scale that is no power of two moves the last bit here
+        players, sources = ("a", "b", "c"), ("-a", "b", "-c")
+        windows = (Interval(0.0, 1e-150), Interval(-1e152, 3e152), Interval(1e150, 1e153))
+        game = Game.from_expressions(players, windows, sources)
+        res = kkm_intersection_probe(SplitProblem(game, game, LinearOperator(np.eye(3))), budget, points_per_axis)
+        steps = [np.linspace(w.lo, w.hi, points_per_axis)[1] - w.lo if points_per_axis > 1 else 0.0 for w in windows]
+        plain = float(math.sqrt(sum(s * s for s in steps)))
+        assert res.cell_diameter == plain and res.grid_points == points_per_axis**3
+
     def test_no_grid_point_is_an_error(self, budget):
         # an empty grid would read as the finding "empty intersection"
         with pytest.raises(ValueError, match="^points_per_axis must be at least 1, got 0$"):
@@ -556,9 +571,10 @@ class TestIntersectionProbe:
     def test_probe_matches_the_scalar_reference(
         self, monkeypatch, budget, ident, points_per_axis, pairs
     ):
-        """The same members in the same order, from the same (x, z) pairs: each
-        x deviates the same columns in game N, then in game M, and the columns
-        add up to the reference's calls."""
+        """The same members in the same order, from the same (x, z) pairs: after
+        the grid's payoffs in game N and in game M, each x deviates the same
+        columns in game N, then in game M, and the columns add up to the
+        reference's calls."""
         problems = {**CDP_PROBLEMS, "bounded-quadratic": self._bounded_quadratic_pair}
         problem = problems[ident]()
         tested = []
@@ -571,6 +587,8 @@ class TestIntersectionProbe:
         res = kkm_intersection_probe(problem, budget, points_per_axis=points_per_axis)
         members, calls = _kkm_reference.probe_members(problem, budget, points_per_axis)
         assert list(res.members) == members
+        assert tested[:2] == [res.grid_points] * 2
+        tested = tested[2:]
         assert tested[::2] == tested[1::2]
         assert sum(tested[::2]) == calls
         if pairs is not None:
@@ -593,14 +611,14 @@ class TestIntersectionProbe:
     def test_membership_evaluates_the_grid_once_per_game(self, monkeypatch, budget):
         problem = default_quadratic_sanity().problem
         evaluated = []
-        payoff_vector = Game.payoff_vector
+        evaluate = split_module.diagonal_payoff
 
-        def counted(game, x):
-            if np.ndim(x) == 2:
+        def counted(game, z, x):
+            if np.ndim(x) == 2 and np.shape(z) == np.shape(x):
                 evaluated.append((game, np.shape(x)))
-            return payoff_vector(game, x)
+            return evaluate(game, z, x)
 
-        monkeypatch.setattr(Game, "payoff_vector", counted)
+        monkeypatch.setattr(split_module, "diagonal_payoff", counted)
         res = kkm_intersection_probe(problem, budget, points_per_axis=8)
         assert res.members
         assert evaluated == [(problem.game_n, (2, 64)), (problem.game_m, (2, 64))]
