@@ -14,7 +14,9 @@ Fractional powers are defined only for nonnegative bases.
 
 compile_utility compiles an expression into the utility itself, and
 own_polynomial rewrites it, where it can, as a polynomial in a root of one
-player's own strategy, whose best response is then found exactly.
+player's own strategy, whose best response is then found exactly, and
+whose own derivative, where affine in the profile, is kept as a first-order
+row for solve_nash's pattern stage.
 """
 
 from __future__ import annotations
@@ -250,12 +252,16 @@ class Polynomial(NamedTuple):
     the opponents' (k,) rows v (v[own] is not read); magnitudes(v, k) gives,
     in the same shape, the c_j with every constant and opponent made
     nonnegative and every subtraction an addition: a bound on the terms
-    summed into each c_j. Either raises EvalError where the utility would."""
+    summed into each c_j. Either raises EvalError where the utility would.
+    first_order is the row (g, h) with d/dt of the utility = g . v + h at
+    every profile v, or None where that derivative is not affine (see
+    _first_order)."""
 
     own: int
     root: int
     coefficients: Callable[[Sequence[np.ndarray], int], np.ndarray]
     magnitudes: Callable[[Sequence[np.ndarray], int], np.ndarray]
+    first_order: tuple[tuple[float, ...], float] | None
 
 
 # A reduction is kept only for w = t^(1/root) with root <= _MAX_ROOT and a
@@ -263,6 +269,84 @@ class Polynomial(NamedTuple):
 # eigenvalues of companion matrices of at most _MAX_DEGREE - 1 rows.
 _MAX_ROOT = 8
 _MAX_DEGREE = 32
+# The first-order fold gives up on a subexpression of more monomials than this.
+_MAX_MONOMIALS = 64
+
+
+def _first_order(
+    expr: UtilityExpr, index: dict[str, int], own: int
+) -> tuple[tuple[float, ...], float] | None:
+    """(g, h) with d expr / d v[own] = g . v + h, or None.
+
+    expr folds into monomials, {exponents of v: coefficient}, on Python
+    floats: a whole power multiplies out. None for a fractional or negative
+    power, more than _MAX_MONOMIALS monomials in a subexpression, a
+    coefficient that overflows or is not finite, or a monomial of degree
+    above 1 in the derivative, which is then not affine.
+    """
+    zero = (0,) * len(index)
+
+    def add(a: dict, b: dict, sign: float = 1.0) -> dict | None:
+        out = dict(a)
+        for p, c in b.items():
+            out[p] = out.get(p, 0.0) + sign * c
+        return out if len(out) <= _MAX_MONOMIALS else None
+
+    def mul(a: dict, b: dict) -> dict | None:
+        out: dict = {}
+        for p, x in a.items():
+            out = add(out, {tuple(map(sum, zip(p, q))): x * y for q, y in b.items()})
+            if out is None:
+                return None
+        return out
+
+    def leaf(e):
+        if isinstance(e, Const):
+            return {zero: e.value}
+        return {tuple(int(j == index[e.name]) for j in range(len(zero))): 1.0}
+
+    def node(e, *kids):
+        if None in kids:
+            return None
+        if isinstance(e, Neg):
+            return {p: -c for p, c in kids[0].items()}
+        if isinstance(e, Mul):
+            return mul(*kids)
+        if isinstance(e, (Add, Sub)):
+            return add(*kids, -1.0 if isinstance(e, Sub) else 1.0)
+        n = e.exponent
+        if n < 0 or n != int(n):
+            return None
+        if len(kids[0]) == 1:  # a power of one monomial multiplies its exponents: no loop
+            ((p, c),) = kids[0].items()
+            try:
+                return {tuple(int(n) * k for k in p): c ** int(n)}
+            except OverflowError:
+                return None
+        out = {zero: 1.0}  # each factor of several monomials adds one: the cap ends the loop
+        for _ in range(int(n)):
+            if (out := mul(out, kids[0])) is None:
+                return None
+        return out
+
+    monomials = _fold(expr, leaf, node)
+    if monomials is None or not all(map(math.isfinite, monomials.values())):
+        return None
+    g, h = [0.0] * len(zero), 0.0
+    for p, c in monomials.items():
+        if p[own] == 0:
+            continue
+        rest = list(p)
+        rest[own] -= 1
+        if sum(rest) > 1:
+            return None
+        if sum(rest) == 0:
+            h += c * p[own]
+        else:
+            g[rest.index(1)] += c * p[own]
+    if not all(map(math.isfinite, g + [h])):
+        return None
+    return tuple(g), h
 
 
 def own_polynomial(expr: UtilityExpr, var_order: Sequence[str], own: int) -> Polynomial | None:
@@ -277,7 +361,8 @@ def own_polynomial(expr: UtilityExpr, var_order: Sequence[str], own: int) -> Pol
     fractional power of a base holding t counts in the root although the
     powers it leaves may be whole: (x^2)^0.5 is |x|, a polynomial in
     x^(1/2) for x >= 0 only. The coefficients compile to one function each,
-    in one exec, as compile_utility compiles the utility.
+    in one exec, as compile_utility compiles the utility. The reduction
+    carries the first-order row of expr (see _first_order).
     """
     index = {name: j for j, name in enumerate(var_order)}
     me = var_order[own]
@@ -361,4 +446,4 @@ def own_polynomial(expr: UtilityExpr, var_order: Sequence[str], own: int) -> Pol
     src = "\n".join(function("_c", lines, coefficients) + function("_a", magnitude_lines, magnitudes)) + "\n"
     namespace: dict = {"_fpow": _pow, "_zeros": np.zeros}
     exec(compile(src, "<polynomial>", "exec"), namespace)
-    return Polynomial(own, root, namespace["_c"], namespace["_a"])
+    return Polynomial(own, root, namespace["_c"], namespace["_a"], _first_order(expr, index, own))

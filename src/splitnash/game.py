@@ -4,19 +4,21 @@ A game holds an ordered player list, one interval strategy set per player,
 and one utility evaluator per player over the n coordinates of a profile,
 coordinate i being player i's strategy. The module provides the diagonal
 payoff map, the component-wise vector order, the one uniform sampler,
-regret-based Nash verification, best responses, and a multistart
-best-response solver.
+regret-based Nash verification, best responses, and a Nash solver: the
+first-order patterns of games whose own derivatives are affine, and
+multistart damped best responses for the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expr import UtilityExpr, compile_utility, own_polynomial, parse_utility
+from .expr import Polynomial, UtilityExpr, compile_utility, own_polynomial, parse_utility
 from .kernel import EvalError, Interval, SearchBudget, maximize_1d, maximize_polynomial
 
 # A utility maps a sequence of n coordinates, floats or arrays that broadcast
@@ -180,18 +182,24 @@ def uniform_samples(
     return rng.uniform(lo, hi, size=(samples, len(windows))) * s
 
 
-def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
-    """(coefficients, root, magnitudes or None) of player i's utility u at the
-    opponents' (n, k) columns, for maximize_polynomial, or None. The
-    reduction, if any, is on u or on what u wraps (its __wrapped__ chain, as
-    a counting wrapper sets it). A root above 1 needs a nonnegative window,
-    and coefficients that raise EvalError or are not finite leave the
-    profile to the scan, which reports where the utility itself fails."""
+def _reduction(u: UtilityFn, i: int) -> Polynomial | None:
+    """Player i's polynomial reduction of u, on u or on what u wraps (its
+    __wrapped__ chain, as a counting wrapper sets it), or None."""
     poly = getattr(u, "polynomial", None)
     while poly is None and hasattr(u, "__wrapped__"):
         u = u.__wrapped__
         poly = getattr(u, "polynomial", None)
-    if poly is None or poly.own != i or (poly.root > 1 and window.lo < 0):
+    return poly if poly is not None and poly.own == i else None
+
+
+def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
+    """(coefficients, root, magnitudes or None) of player i's utility u at the
+    opponents' (n, k) columns, for maximize_polynomial, or None where u has
+    no reduction (see _reduction). A root above 1 needs a nonnegative window,
+    and coefficients that raise EvalError or are not finite leave the
+    profile to the scan, which reports where the utility itself fails."""
+    poly = _reduction(u, i)
+    if poly is None or (poly.root > 1 and window.lo < 0):
         return None
     opponents, k = list(cols), cols.shape[1]
     try:
@@ -281,7 +289,99 @@ def _distinct(x: np.ndarray, tolerance: float) -> list[int]:
     return kept
 
 
+# The pattern stage enumerates up to 3^n first-order patterns; a game of more
+# players takes the damped loop.
+_MAX_PATTERN_PLAYERS = 8
+# A first-order condition holds within this fraction of the sum of its terms'
+# magnitudes, and a singular system is solvable within it.
+_SLACK = 1e-9
+
+
+def _first_order_points(game: Game) -> np.ndarray | None:
+    """The (n, m) first-order points of a game whose own derivatives are all
+    affine in the profile, or None, where the damped loop decides.
+
+    Player i's own derivative is g_i . x + h_i (Polynomial.first_order). A
+    pattern puts each player at lo, at hi (on a bounded window) or inside its
+    window; the inside players' square system then fixes their strategies.
+    A point is kept when its inside strategies lie in their windows, bounds
+    included, and each own derivative is <= 0 at lo and >= 0 at hi, within
+    _SLACK. A singular system without a solution gives no point; one with
+    solutions is a continuum, and gives None. So does a utility without a
+    row, more than _MAX_PATTERN_PLAYERS players, or an own derivative that
+    overflows at a point. Every Nash point has its pattern's signs, so each
+    isolated one is among the points.
+    """
+    reductions = [_reduction(u, i) for i, u in enumerate(game.utilities)]
+    if game.n_players > _MAX_PATTERN_PLAYERS or any(r is None or r.first_order is None for r in reductions):
+        return None
+    g = np.array([r.first_order[0] for r in reductions])
+    h = np.array([r.first_order[1] for r in reductions])
+    windows = game.strategy_sets
+    lo, hi = np.array([w.lo for w in windows]), np.array([w.hi for w in windows])
+    for p in game.players:  # the loop's deterministic start: its errors are raised as the loop raised them
+        best_response(game, p, lo)
+    # one row per pattern, in itertools.product order: 0 at lo, 1 at hi, 2 inside
+    states = np.array(list(itertools.product(*((0, 1, 2) if w.bounded else (0, 2) for w in windows))))
+    inside = states == 2
+    x = np.where(states == 1, hi, lo)
+    x[inside] = 0.0  # so that the fixed players alone make the right-hand sides
+    with np.errstate(all="ignore"):  # overflows are tested for below
+        for mask in map(np.array, itertools.product((False, True), repeat=game.n_players)):
+            if not mask.any():
+                continue
+            rows = (inside == mask).all(axis=1)
+            a = g[np.ix_(mask, mask)]
+            b = -(h[mask, None] + g[mask] @ x[rows].T)  # one column per pattern
+            y, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            if rank == len(a):
+                x[np.ix_(rows, mask)] = y.T
+                continue
+            scale = np.abs(a) @ np.abs(y) + np.abs(h[mask, None]) + np.abs(g[mask]) @ np.abs(x[rows].T)
+            if (np.abs(a @ y - b) <= _SLACK * scale).all(axis=0).any():
+                return None  # a continuum
+            x[rows] = math.nan  # no solution: no point
+        d = x @ g.T + h
+        slack = _SLACK * (np.abs(x) @ np.abs(g).T + np.abs(h))
+        found = np.isfinite(x).all(axis=1)
+        if not np.isfinite(d[found]).all():
+            return None
+        keep = found[:, None] & (lo <= x) & (x <= hi)
+        keep &= np.where(states == 0, d - slack <= 0, True) & np.where(states == 1, d + slack >= 0, True)
+    return x[keep.all(axis=1)].T
+
+
+def _equilibria(game: Game, x: np.ndarray, budget: SearchBudget) -> list[np.ndarray]:
+    """The (n, m) columns of x that merge into no earlier column (see
+    _distinct) and pass verify_nash."""
+    return [p for p in x.T[_distinct(x, budget.tolerance)] if verify_nash(game, p, budget).verdict]
+
+
 def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
+    """Nash points of game: its first-order points, or the damped loop's.
+
+    Where every utility's own derivative is affine in the profile (a
+    first-order row from Game.from_expressions) and there are at most
+    _MAX_PATTERN_PLAYERS players, the equilibria come from the first-order
+    patterns (see _first_order_points): each player at lo, at hi or inside
+    its window, the inside players' linear system solved, and the points
+    kept whose own derivatives have the signs a maximum has at a bound.
+    First, one best response per player at the windows' lower corner, the
+    loop's deterministic start, raises the EvalError the loop would there:
+    an unbounded-above best response, say. This stage reads no budget but
+    its tolerance. A singular system with solutions is a continuum of
+    candidates, and its game takes the damped loop, as do games of more
+    players, games whose own derivative overflows at a pattern's point and
+    games with a utility whose own derivative is not affine (a fractional
+    power, say, or a Python callable); see _damped_loop. The points then
+    merge, in pattern or start order (see _distinct), and only those that
+    pass verify_nash are returned.
+    """
+    x = _first_order_points(game)
+    return _damped_loop(game, budget) if x is None else _equilibria(game, x, budget)
+
+
+def _damped_loop(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     """Multistart damped simultaneous best-response iteration.
 
     Runs from N_STARTS starts in lockstep: N_STARTS - 1 seeded random
@@ -314,4 +414,4 @@ def solve_nash(game: Game, budget: SearchBudget) -> list[np.ndarray]:
         moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance
         if not moving.any():
             break
-    return [p for p in x.T[_distinct(x, budget.tolerance)] if verify_nash(game, p, budget).verdict]
+    return _equilibria(game, x, budget)

@@ -338,7 +338,9 @@ def kkm_intersection_probe(
     budget: a player passes with no witness or one within an axis step of its
     coordinate (in game M, the steps' image under |A|): strategy units, not a
     payoff slack. Emptiness is a finding, reported with the grid
-    resolution; a non-finite payoff is none, and raises EvalError.
+    resolution; a non-finite payoff is none, and raises EvalError. An axis
+    step or a cell diameter beyond the largest float, from too few points
+    on a window wider than it, raises ValueError.
     """
     if points_per_axis < 1:
         raise ValueError(f"points_per_axis must be at least 1, got {points_per_axis}")
@@ -347,9 +349,17 @@ def kkm_intersection_probe(
     scales = [1.0 if w.hi - w.lo < math.inf else 2.0 for w in windows]
     axes = [np.linspace(w.lo / h, w.hi / h, points_per_axis) * h for w, h in zip(windows, scales)]
     steps = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
+    for player, step in zip(problem.game_n.players, steps):
+        if step == math.inf:
+            raise ValueError(
+                f"the probe's axis step of player {player!r} overflows: take more points per axis"
+            )
     # scaled by the longest step's power of two, which is exact, no square overflows
     e = math.frexp(max(steps))[1]
-    cell_diameter = math.ldexp(math.sqrt(sum(math.ldexp(s, -e) ** 2 for s in steps)), e)
+    try:
+        cell_diameter = math.ldexp(math.sqrt(sum(math.ldexp(s, -e) ** 2 for s in steps)), e)
+    except OverflowError:
+        raise ValueError("the probe's cell diameter overflows: take more points per axis") from None
     # (n, G) columns in itertools.product order: the last axis varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
     members = grid[:, kkm_t_membership(problem, grid, grid, budget.tolerance)].T

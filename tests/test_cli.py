@@ -765,6 +765,38 @@ class TestFileInputs:
             assert doc["results"]["equilibria" if verb == "solve-nash" else "split_equilibria"] == [[-1e308]]
 
     @pytest.mark.parametrize(
+        "players, points, cause",
+        [
+            (["p"], "2", "axis step of player 'p' overflows"),
+            (["p", "q"], "3", "cell diameter overflows"),
+        ],
+    )
+    def test_a_probe_grid_step_no_float_holds_is_an_input_error(self, capsys, tmp_path, players, points, cause):
+        # a step of 2.7e308 over [-1e308, 1.7e308], and a diagonal of two steps of 1.35e308
+        game = {
+            "players": players,
+            "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}] * len(players),
+            "utilities": [f"-{p}" for p in players],
+        }
+        path, out = tmp_path / "wide.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": np.eye(len(players)).tolist()}))
+        argv = ["kkm-probe", str(path), "--points-per-axis", points, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the probe's {cause}: take more points per axis\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_three_points_on_a_window_wider_than_the_largest_float_probe_it(self, capsys, tmp_path):
+        game = {"players": ["p"], "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}], "utilities": ["-p"]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": [[1]]}))
+        code, doc = run_json(capsys, "kkm-probe", str(path), "--points-per-axis", "3")
+        assert code == EXIT_OK
+        assert doc["results"]["probe"] == {
+            "cell_diameter": 1.35e308, "grid_points": 3, "members": [[-1e308]], "points_per_axis": 3, "verified": [True],
+        }
+
+    @pytest.mark.parametrize(
         "utility",
         ["+".join(["x"] * 201), "+".join(["x"] * 990), "(" * 260 + "x" + ")" * 260, "-" * 3000 + "x"],
         ids=["201-term-sum", "990-term-sum", "260-parentheses", "3000-minuses"],
@@ -912,7 +944,7 @@ PINNED_REPORTS = {
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
         1, "62a5373c18f39283429ea100c4c0080ad22598246a24fe4804eecf030a167930"
     ),
-    ("solve-split", "quadratic-sanity", 0): (0, "aca877f4589bdc003132eedf84d6696a167410bd901eb5ae220402fcc5f871f3"),
+    ("solve-split", "quadratic-sanity", 0): (0, "b0a1220b455de03dc0e9743c6045a2f0d564a6b17feb56a2948b90e15c62203b"),
     ("solve-split", "example-4.1", 0): (0, "82b40a0597680238e9d9cb07a0ae2e1b2edbb2b30862ce53565b4baa7296cbae"),
     ("kkm-probe", "quadratic-sanity", 0): (0, "f115d594fec5a038de5f45acd11015c892820d8898ca9e1c5b96c47daed6f426"),
     ("audit", "example-4.1", 0): (3, "07a9126a073f30c2d1066991ac684771c50c5835b904d4d7d970d059c38b9679"),
@@ -924,7 +956,7 @@ PINNED_REPORTS = {
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
         1, "e1f7c62f3e810126ed92e72616cbc5706893e471e6a0d869074b40fc030fc6bc"
     ),
-    ("solve-split", "quadratic-sanity", 7): (0, "dea573ca3f73b0ec1802b7ef9fc06bf01c2f844a85d24bee9529663b912659c6"),
+    ("solve-split", "quadratic-sanity", 7): (0, "7526a7341762d90ef4b1538973e33a169837ad3dbd133b46c1e892133114739e"),
     ("solve-split", "example-4.1", 7): (0, "cb7fd9fdddb354db89a3bb4cb3a1caf00cb958899985efa3fd503d9f50fee85e"),
     ("kkm-probe", "quadratic-sanity", 7): (0, "18caf113026257a1a64f830e8115d7e03e223ac8a6f9efc2e8a44bc9ac3eb9ce"),
     ("audit", "example-4.1", 7): (3, "9f073214a8fa88ca632c948ade7a63ddd6a719c74f89c09cdd4d6504ebb10a28"),

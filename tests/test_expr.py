@@ -20,6 +20,7 @@ from splitnash.expr import (
     Sub,
     Var,
     compile_utility,
+    own_polynomial,
     parse_utility,
     variables,
 )
@@ -200,3 +201,34 @@ def test_negative_grid_entry_under_a_fractional_power_raises():
     grid[1, 37] = -1e-9
     with pytest.raises(EvalError, match="negative base"):
         f(grid)
+
+
+@pytest.mark.parametrize(
+    "source, row",
+    [
+        ("x*(2*y - 1) - 3*x^2", ((-6.0, 2.0), -1.0)),
+        ("-((x - y)^2)", ((-2.0, 2.0), 0.0)),
+        ("(2*x)^2*0.25 + x", ((2.0, 0.0), 1.0)),
+        ("y^40 + 5", ((0.0, 0.0), 0.0)),
+    ],
+)
+def test_an_affine_own_derivative_is_a_first_order_row(source, row):
+    # d/dx of the utility is g . (x, y) + h
+    assert own_polynomial(parse_utility(source), ("x", "y"), 0).first_order == row
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        parse_utility("x*1e300^2"),  # the power overflows
+        parse_utility("x*1e200*1e200"),  # the product is infinite
+        parse_utility("x^3"),
+        parse_utility("x*y*x"),
+        parse_utility("x*y^0.5"),
+        parse_utility("x*(y + 1)^70"),  # 71 monomials
+        Mul(Var("x"), Pow(Var("y"), -1.0)),  # the grammar writes no negative power
+    ],
+)
+def test_no_first_order_row_where_the_derivative_is_not_affine_and_finite(expr):
+    reduction = own_polynomial(expr, ("x", "y"), 0)
+    assert reduction is not None and reduction.first_order is None

@@ -19,7 +19,7 @@ from splitnash import (
     solve_nash,
     verify_nash,
 )
-from splitnash.game import DAMPING, N_STARTS, _distinct, uniform_samples
+from splitnash.game import DAMPING, N_STARTS, _damped_loop, _distinct, _first_order_points, uniform_samples
 from splitnash import kernel
 from splitnash.expr import own_polynomial, parse_utility
 from splitnash.kernel import EvalError
@@ -1081,28 +1081,40 @@ SOLVER_BUDGETS = {"stag-hunt": SearchBudget(max_iterations=60)}
 
 
 class TestLockstepSolverMatchesPerStartLoop:
+    """The damped loop itself, which solve_nash skips where every own
+    derivative is affine (lq2-wide, lq3-narrow, quadratic-sanity, stag-hunt)."""
+
     @pytest.mark.parametrize("ident", sorted(SOLVER_GAMES))
     def test_same_profiles(self, ident):
         g, budget = SOLVER_GAMES[ident](), SOLVER_BUDGETS.get(ident, SearchBudget())
-        got = solve_nash(g, budget)
+        got = _damped_loop(g, budget)
         assert got, "every game here has an equilibrium the solver finds"
         assert repr(got) == repr(reference_solve_nash(g, budget))
 
 
 # ROADMAP item 1's reproduced misses of damped best-response iteration: a
-# point that verifies and that solve_nash does not return. When a solver
-# finds it, the strict xfail fails, and its marker comes off.
+# point that verifies and that the loop does not return. When a solver
+# finds it, the strict xfail fails, and its marker comes off. The
+# first-order patterns find all but E1's, whose own derivatives are not
+# affine.
 SOLVER_MISSES = {
     "E1-interior": (e1_game, (4 ** (1 / 3), 2 * SQRT2, 4 ** (1 / 3) * 2 * SQRT2)),
     # 18 of the 32 starts cycle between (1/3, 2/3) and (2/3, 1/3)
     "stag-hunt": (lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")), (0.5, 0.5)),
-    # solve_nash returns []
+    # the loop returns []
     "matching-pennies": (lambda: lq_game(1.0, ("x*(2*y - 1)", "-y*(2*x - 1)")), (0.5, 0.5)),
     # corners where the own payoff's slope exceeds 1: the starts stop about 1e-6
     # inside, where the regret is the slope times that distance; at the lower
     # corner _distinct also keeps an earlier start in place of the corner start
     "upper-corner-10x": (lambda: Game.from_expressions(("x",), (Interval(0.0, 10.0),), ("10*x",)), (10.0,)),
     "lower-corner-minus-x2": (lambda: Game.from_expressions(("x",), (Interval(1.0, 10.0),), ("-(x^2)",)), (1.0,)),
+}
+# every point solve_nash returns for the misses it finds, in pattern order
+FOUND_MISSES = {
+    "stag-hunt": [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]],
+    "matching-pennies": [[0.5, 0.5]],
+    "upper-corner-10x": [[10.0]],
+    "lower-corner-minus-x2": [[1.0]],
 }
 
 
@@ -1113,8 +1125,79 @@ class TestSolverMisses:
         assert verify_nash(make(), np.array(point), budget).verdict
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="damped best responses miss it (ROADMAP item 1)")
-    @pytest.mark.parametrize("ident", sorted(SOLVER_MISSES))
+    @pytest.mark.parametrize("ident", sorted(set(SOLVER_MISSES) - set(FOUND_MISSES)))
     def test_the_solver_finds_the_point(self, ident, budget):
         make, point = SOLVER_MISSES[ident]
         found = solve_nash(make(), budget)
         assert any(np.allclose(x, point, rtol=1e-4, atol=1e-4) for x in found), found
+
+    @pytest.mark.parametrize("ident", sorted(FOUND_MISSES))
+    def test_the_solver_returns_exactly_the_equilibria(self, ident, budget):
+        assert [x.tolist() for x in solve_nash(SOLVER_MISSES[ident][0](), budget)] == FOUND_MISSES[ident]
+
+
+def lq_contraction_game(seed: int, n: int, hi: float) -> tuple[Game, np.ndarray]:
+    """A seeded n-player game u_i = x_i*(a_i + sum_j b_ij x_j) - c_i x_i^2 on
+    [0, hi], |b_ij| <= 0.3 c_i, as the benchmark's LQ games are drawn, and
+    the solution of (2C - B) x = a, its one equilibrium, inside the window."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.5, 2.0, n)
+    b = rng.uniform(-0.3, 0.3, (n, n)) * c[:, None]
+    np.fill_diagonal(b, 0.0)
+    a = (2.0 * np.diag(c) - b) @ (rng.uniform(0.2, 0.8, n) * min(hi, 1000.0))
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    names = [f"x{i}" for i in range(n)]
+    sources = [
+        f"{names[i]}*({a[i]!r}" + "".join(f" + {b[i][j]!r}*{names[j]}" for j in range(n) if j != i)
+        + f") - {c[i]!r}*{names[i]}^2"
+        for i in range(n)
+    ]
+    game = Game.from_expressions(names, [Interval(0.0, hi)] * n, sources)
+    return game, np.linalg.solve(2.0 * np.diag(c) - np.array(b), a)
+
+
+class TestFirstOrderPatterns:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([10.0, 1000.0, np.inf]))
+    def test_a_contraction_game_has_its_linear_solution_alone(self, seed, n, hi):
+        game, star = lq_contraction_game(seed, n, hi)
+        points = _first_order_points(game)
+        assert points.shape == (n, 1)
+        np.testing.assert_allclose(points[:, 0], star, rtol=1e-9, atol=0.0)
+        assert verify_nash(game, points[:, 0], SearchBudget()).verdict
+
+    @pytest.mark.parametrize("ident", ["lq2-wide", "lq3-narrow", "quadratic-sanity", "stag-hunt", "lq2-half-line"])
+    def test_no_search_knob_changes_the_result(self, ident):
+        make = {**SOLVER_GAMES, "lq2-half-line": lambda: lq_contraction_game(5, 2, np.inf)[0]}[ident]
+        g = make()
+        want = [x.tobytes() for x in solve_nash(g, SearchBudget())]
+        for budget in (SearchBudget(seed=7), SearchBudget(max_iterations=1), SearchBudget(truncation_cap=1e-3)):
+            assert [x.tobytes() for x in solve_nash(g, budget)] == want
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            constant_utility_game,
+            # the constant-source split's source game: every profile is a point
+            lambda: Game.from_expressions(("x", "y"), [Interval(0.0, 5.0)] * 2, ("1", "1")),
+            SOLVER_GAMES["coordination-continuum"],
+        ],
+        ids=["ignores-the-profile", "constant-source", "coordination-continuum"],
+    )
+    def test_a_continuum_takes_the_damped_loop(self, make, budget):
+        g = make()
+        assert _first_order_points(g) is None
+        assert repr(solve_nash(g, budget)) == repr(_damped_loop(g, budget))
+
+    def test_an_overflowing_derivative_takes_the_damped_loop(self):
+        # x's own derivative 1e10*y - 2*x overflows with y at hi
+        g = Game.from_expressions(
+            ("x", "y"), (Interval(0.0, 1e-10), Interval(-1e308, 1.7e308)), ("1e10*x*y - x^2", "-y")
+        )
+        with np.errstate(over="ignore"):  # the probe's exact coefficients overflow too
+            assert _first_order_points(g) is None
+
+    def test_more_than_eight_players_take_the_damped_loop(self):
+        g = quadratic_game(tuple(range(1, 10)), hi=10.0)
+        assert _first_order_points(g) is None
+        assert _first_order_points(quadratic_game(tuple(range(1, 9)), hi=10.0)).T.tolist() == [list(range(1, 9))]
