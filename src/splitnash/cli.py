@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = (
         ("verify-nash", cmd_verify_nash, "check a profile for Nash equilibrium",
          "builtin game id or game spec JSON file", "--profile"),
-        ("solve-nash", cmd_solve_nash, "multistart best-response search", None,
+        ("solve-nash", cmd_solve_nash, "first-order patterns, else damped best responses", None,
          "--budget-iters --cap"),
         ("verify-split", cmd_verify_split, "check a profile and its operator image",
          "builtin split id or split spec JSON file", "--profile"),

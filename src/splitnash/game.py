@@ -171,15 +171,14 @@ def uniform_samples(
     """One (samples, k) uniform draw whose column j lies in the bounded windows[j].
 
     Row s holds the values that k scalar rng.uniform calls per sample, one per
-    window in order, would draw for sample s. A window wider than the largest
-    float, which rng.uniform rejects, is drawn at half scale and doubled back.
+    window in order, would draw for sample s. Every window's width is a float
+    (see Interval), as rng.uniform needs.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    s = np.array([1.0 if w.hi - w.lo < math.inf else 2.0 for w in windows])
-    lo = np.array([w.lo for w in windows]) / s
-    hi = np.array([w.hi for w in windows]) / s
-    return rng.uniform(lo, hi, size=(samples, len(windows))) * s
+    lo = [w.lo for w in windows]
+    hi = [w.hi for w in windows]
+    return rng.uniform(lo, hi, size=(samples, len(windows)))
 
 
 def _reduction(u: UtilityFn, i: int) -> Polynomial | None:
@@ -203,8 +202,9 @@ def _polynomial(u: UtilityFn, i: int, cols: np.ndarray, window: Interval):
         return None
     opponents, k = list(cols), cols.shape[1]
     try:
-        c = poly.coefficients(opponents, k)
-        a = None if window.bounded else poly.magnitudes(opponents, k)
+        with np.errstate(all="ignore"):  # a non-finite coefficient is tested for below
+            c = poly.coefficients(opponents, k)
+            a = None if window.bounded else poly.magnitudes(opponents, k)
     except EvalError:
         return None
     for x in (c,) if a is None else (c, a):
@@ -409,7 +409,7 @@ def _damped_loop(game: Game, budget: SearchBudget) -> list[np.ndarray]:
         br = np.empty_like(cur)
         for i, p in enumerate(game.players):
             br[i], _ = best_response(truncated, p, cur)
-        nxt = cur + (DAMPING * br - DAMPING * cur)  # br - cur may overflow
+        nxt = cur + (DAMPING * br - DAMPING * cur)  # the pinned reports hold this form's bits
         x[:, moving] = nxt
         moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance
         if not moving.any():

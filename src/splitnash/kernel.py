@@ -23,7 +23,9 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed interval [lo, hi]; hi may be math.inf for an unbounded set."""
+    """A closed interval [lo, hi]; hi may be math.inf for an unbounded set.
+    Its width, min(hi, largest float) - lo, must be a finite float: a
+    half-line counts up to the largest float, where the scan's cap can grow."""
 
     lo: float
     hi: float = math.inf
@@ -35,6 +37,8 @@ class Interval:
             raise ValueError("interval lower bound must be finite")
         if not self.hi >= self.lo:  # a NaN hi fails too: [lo, nan] holds no point
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if min(self.hi, sys.float_info.max) - self.lo == math.inf:
+            raise ValueError(f"interval [{self.lo}, {self.hi}] is wider than the largest float")
 
     @property
     def bounded(self) -> bool:
@@ -45,10 +49,10 @@ class Interval:
         return math.isfinite(x) and self.lo - slack <= x <= self.hi + slack
 
     def truncated(self, cap: float) -> "Interval":
-        """Finite search window: [lo, hi] or [lo, lo + cap] when unbounded."""
+        """Finite search window: [lo, hi], or [lo, lo + cap] up to the largest float."""
         if self.bounded:
             return self
-        return Interval(self.lo, self.lo + cap)
+        return Interval(self.lo, min(self.lo + cap, sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ class SearchBudget:
     """Search knobs, finite and positive but the seed. tolerance decides every
     verdict and solve_nash's stopping and merging; max_iterations caps
     solve_nash; seed draws its starts and the CLI's CDP samples; truncation_cap
-    ends its windows on half-lines, and the probe's and sampled checks';
+    ends its windows on half-lines, and the probe's and sampled checks', at
+    the largest float at most (see Interval.truncated);
     grid_step is the CLI's duopoly grid. No best response reads a budget."""
 
     grid_step: float = 1e-2
@@ -136,8 +141,8 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], interval: Interval) -> tu
     its first maximum (ties go to the smaller x) is then refined by zoomed
     rescans of _ZOOM_POINTS points, while it is wider than _ZOOM_GOAL and the
     last rescan narrowed it: a float width cannot shrink forever, so no count
-    bounds the rescans. Each pass grids with np.linspace, at half scale and
-    doubled back where the width overflows. The best point so far is kept
+    bounds the rescans. Each pass grids with np.linspace, on a window whose
+    width is a float (see Interval). The best point so far is kept
     unless a rescan finds a strictly larger value. A non-finite value raises
     EvalError naming the first such point and the searched window.
 
@@ -153,8 +158,7 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], interval: Interval) -> tu
     x, v, width = lo, -math.inf, math.inf
     a, b, points = lo, hi, cells + 1  # pass 0 is the scan; a later pass rescans the last bracket
     while True:
-        s = 1.0 if b - a < math.inf else 2.0  # a window wider than the largest float, at half scale
-        pts = np.linspace(a / s, b / s, points)[None, :] * s
+        pts = np.linspace(a, b, points)[None, :]
         vals = _values(f, pts, lo, hi)
         j = int(vals.argmax())
         if vals.item(j) > v:

@@ -338,22 +338,16 @@ def kkm_intersection_probe(
     budget: a player passes with no witness or one within an axis step of its
     coordinate (in game M, the steps' image under |A|): strategy units, not a
     payoff slack. Emptiness is a finding, reported with the grid
-    resolution; a non-finite payoff is none, and raises EvalError. An axis
-    step or a cell diameter beyond the largest float, from too few points
-    on a window wider than it, raises ValueError.
+    resolution; a non-finite payoff is none, and raises EvalError. Each axis
+    step is a float, as each window's width is (see Interval), but a cell
+    diameter beyond the largest float, from too few points on several wide
+    windows, raises ValueError.
     """
     if points_per_axis < 1:
         raise ValueError(f"points_per_axis must be at least 1, got {points_per_axis}")
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
-    # a window wider than the largest float is gridded at half scale, as maximize_1d grids it
-    scales = [1.0 if w.hi - w.lo < math.inf else 2.0 for w in windows]
-    axes = [np.linspace(w.lo / h, w.hi / h, points_per_axis) * h for w, h in zip(windows, scales)]
+    axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
     steps = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
-    for player, step in zip(problem.game_n.players, steps):
-        if step == math.inf:
-            raise ValueError(
-                f"the probe's axis step of player {player!r} overflows: take more points per axis"
-            )
     # scaled by the longest step's power of two, which is exact, no square overflows
     e = math.frexp(max(steps))[1]
     try:

@@ -750,50 +750,54 @@ class TestFileInputs:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("verb", ["solve-nash", "solve-split", "cdp-check", "kkm-probe"])
-    def test_a_window_wider_than_the_largest_float_is_searched(self, capsys, tmp_path, verb):
-        # -x on [-1e308, 1.7e308], whose width overflows, alone and through [[1]]
+    def test_a_window_wider_than_the_largest_float_is_an_input_error(self, capsys, tmp_path, verb):
+        # [-1e308, 1.7e308], whose width overflows, alone and through [[1]]
         game = {"players": ["p"], "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}], "utilities": ["-p"]}
         spec = game if verb == "solve-nash" else {"game_n": game, "game_m": game, "matrix": [[1]]}
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(spec))
-        code, doc = run_json(capsys, verb, str(path))
-        assert code == EXIT_OK
-        if verb == "kkm-probe":
-            probe = doc["results"]["probe"]
-            assert probe["members"] == [[-1e308]] and probe["verified"] == [True]
-        elif verb != "cdp-check":
-            assert doc["results"]["equilibria" if verb == "solve-nash" else "split_equilibria"] == [[-1e308]]
-
-    @pytest.mark.parametrize(
-        "players, points, cause",
-        [
-            (["p"], "2", "axis step of player 'p' overflows"),
-            (["p", "q"], "3", "cell diameter overflows"),
-        ],
-    )
-    def test_a_probe_grid_step_no_float_holds_is_an_input_error(self, capsys, tmp_path, players, points, cause):
-        # a step of 2.7e308 over [-1e308, 1.7e308], and a diagonal of two steps of 1.35e308
-        game = {
-            "players": players,
-            "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}] * len(players),
-            "utilities": [f"-{p}" for p in players],
-        }
         path, out = tmp_path / "wide.json", tmp_path / "report.json"
-        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": np.eye(len(players)).tolist()}))
-        argv = ["kkm-probe", str(path), "--points-per-axis", points, "--out", str(out)]
-        assert main(argv) == EXIT_INPUT
+        path.write_text(json.dumps(spec))
+        assert main([verb, str(path), "--out", str(out)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.err == f"error: the probe's {cause}: take more points per axis\n"
+        assert captured.err == "error: interval [-1e+308, 1.7e+308] is wider than the largest float\n"
         assert captured.out == "" and not out.exists()
 
-    def test_three_points_on_a_window_wider_than_the_largest_float_probe_it(self, capsys, tmp_path):
-        game = {"players": ["p"], "strategy_sets": [{"lo": -1e308, "hi": 1.7e308}], "utilities": ["-p"]}
+    @pytest.mark.parametrize("verb", ["solve-nash", "solve-split", "cdp-check", "kkm-probe"])
+    def test_a_cap_past_the_largest_float_ends_the_window_there(self, capsys, tmp_path, verb):
+        # 1e308 + 1.7e308 overflows to inf: the window ends at the largest float
+        game = {"players": ["x"], "strategy_sets": [{"lo": 1e308, "hi": None}], "utilities": ["-(x^0.5)"]}
+        spec = game if verb == "solve-nash" else {"game_n": game, "game_m": game, "matrix": [[1]]}
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(spec))
+        code, doc = run_json(capsys, verb, str(path), "--cap", "1.7e308")
+        assert code == EXIT_OK
+        if verb == "kkm-probe":
+            assert doc["results"]["probe"]["members"] == [[1e308]]
+        elif verb != "cdp-check":
+            assert doc["results"]["equilibria" if verb == "solve-nash" else "split_equilibria"] == [[1e308]]
+
+    def test_a_probe_cell_diameter_no_float_holds_is_an_input_error(self, capsys, tmp_path):
+        # two axis steps of 1.6e308 over [-8e307, 8e307], whose diagonal is 2.26e308
+        game = {"players": ["p", "q"], "strategy_sets": [{"lo": -8e307, "hi": 8e307}] * 2, "utilities": ["-p", "-q"]}
+        path, out = tmp_path / "wide.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": np.eye(2).tolist()}))
+        assert main(["kkm-probe", str(path), "--points-per-axis", "2", "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: the probe's cell diameter overflows: take more points per axis\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_three_points_on_two_wide_axes_probe_them(self, capsys, tmp_path):
+        # two axis steps of 8e307, whose diagonal is 1.13e308
+        game = {"players": ["p", "q"], "strategy_sets": [{"lo": -8e307, "hi": 8e307}] * 2, "utilities": ["-p", "-q"]}
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": [[1]]}))
+        path.write_text(json.dumps({"game_n": game, "game_m": game, "matrix": np.eye(2).tolist()}))
         code, doc = run_json(capsys, "kkm-probe", str(path), "--points-per-axis", "3")
         assert code == EXIT_OK
         assert doc["results"]["probe"] == {
-            "cell_diameter": 1.35e308, "grid_points": 3, "members": [[-1e308]], "points_per_axis": 3, "verified": [True],
+            "cell_diameter": 1.131370849898476e308,
+            "grid_points": 9,
+            "members": [[-8e307, -8e307]],
+            "points_per_axis": 3,
+            "verified": [True],
         }
 
     @pytest.mark.parametrize(
@@ -1080,7 +1084,7 @@ def test_a_report_states_the_budget_options_its_verb_took(capsys, argv):
 
 # SHA-256 of the --help text of the parser ("") and of each verb and audit, at 80 columns
 PINNED_HELP = {
-    "": "b1c85b4aeb2cf0d004a5137d3afee6550395e1409d0ecc19060062092a6dce57",
+    "": "13deaca56bd546d9646bf3c02524fe75ffb805a5d8ce1cadc8c86f0d99198bab",
     "verify-nash": "f65b38497d5ce7a0f152b219b9afa541e28ac88c9bb9b7fca0bc5ead1080a213",
     "solve-nash": "b9351f1adc34b20f4e0f76797271f60d86b2596766f19e75461430f71481fa4e",
     "verify-split": "32c9023f0182e953616bad495557596bfd392ac2b5266043e6fbd608ab5977cd",

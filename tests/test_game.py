@@ -326,9 +326,10 @@ class TestSolver:
         assert np.allclose(solve_nash(view, budget), [[1.0, 2.0]], atol=1e-5)
 
     def test_a_window_wider_than_the_largest_float(self, budget):
-        # the starts are drawn at half scale, and the damped step
-        # cur + (DAMPING * br - DAMPING * cur) does not overflow where br - cur does
-        g = Game.from_expressions(("x",), (Interval(-1e308, 1.7e308),), ("-x",))
+        # [-1e308, 1.7e308] is rejected; a width of 1.79e308 is a float
+        with pytest.raises(ValueError, match="is wider than the largest float"):
+            Game.from_expressions(("x",), (Interval(-1e308, 1.7e308),), ("-x",))
+        g = Game.from_expressions(("x",), (Interval(-1e308, 7.9e307),), ("-x",))
         assert [s.tolist() for s in solve_nash(g, budget)] == [[-1e308]]
 
     def test_source_game_origin_found_at_the_default_budget(self):
@@ -891,14 +892,6 @@ class TestUniformSamplesMatchScalarDraws:
         assert got.tolist() == want
         assert (got[:, 2] == 2.5).all()
 
-    def test_a_window_wider_than_the_largest_float_is_drawn_at_half_scale(self):
-        # rng.uniform rejects [-1e308, 1.7e308], whose width overflows
-        windows = [Interval(-1e308, 1.7e308), Interval(0.0, 1.0)]
-        got = uniform_samples(np.random.default_rng(3), 4, windows)
-        rng = np.random.default_rng(3)
-        want = [[2.0 * rng.uniform(-0.5e308, 0.85e308), rng.uniform(0.0, 1.0)] for _ in range(4)]
-        assert got.tolist() == want
-
     def test_truncated_windows_are_one_scalar_draw_per_player(self):
         # solve_nash draws its starts in the strategy sets truncated at the cap
         sets = (Interval(0, 2), Interval(1.5, 1.5), Interval(-1))
@@ -1190,12 +1183,20 @@ class TestFirstOrderPatterns:
         assert repr(solve_nash(g, budget)) == repr(_damped_loop(g, budget))
 
     def test_an_overflowing_derivative_takes_the_damped_loop(self):
-        # x's own derivative 1e10*y - 2*x overflows with y at hi
+        # x's own derivative 1e10*y - 2*x overflows with y at lo
         g = Game.from_expressions(
-            ("x", "y"), (Interval(0.0, 1e-10), Interval(-1e308, 1.7e308)), ("1e10*x*y - x^2", "-y")
+            ("x", "y"), (Interval(0.0, 1e-10), Interval(-1e308, 1e307)), ("1e10*x*y - x^2", "-y")
         )
-        with np.errstate(over="ignore"):  # the probe's exact coefficients overflow too
-            assert _first_order_points(g) is None
+        assert _first_order_points(g) is None
+
+    def test_overflowing_coefficients_leave_the_best_response_to_the_scan_silently(self):
+        # x's coefficient 1e10*y overflows at y = -1e308: no RuntimeWarning, which
+        # the suite raises, and the scan finds x = 0
+        g = Game.from_expressions(
+            ("x", "y"), (Interval(0.0, 1e-10), Interval(-1e308, 1e307)), ("1e10*x*y - x^2", "-y")
+        )
+        arg, val = best_response(g, "x", np.array([0.0, -1e308]))
+        assert (arg.tolist(), val.tolist()) == ([0.0], [-0.0])
 
     def test_more_than_eight_players_take_the_damped_loop(self):
         g = quadratic_game(tuple(range(1, 10)), hi=10.0)

@@ -50,6 +50,28 @@ class TestInterval:
         assert Interval(0.0).truncated(8.0) == Interval(0.0, 8.0)
         assert Interval(0.0, 2.0).truncated(8.0) == Interval(0.0, 2.0)
 
+    def test_truncated_ends_at_the_largest_float(self):
+        # 1e308 + 1.7e308 overflows to inf: the window ends at the largest float
+        big = np.finfo(float).max
+        assert Interval(1e308).truncated(1.7e308) == Interval(1e308, big)
+        # the lowest half-line accepted, whose lo + cap is a float
+        assert Interval(-9.9e291).truncated(1.7e308) == Interval(-9.9e291, -9.9e291 + 1.7e308)
+
+    @pytest.mark.parametrize("hi", [1.7e308, math.inf])
+    def test_a_window_wider_than_the_largest_float_is_rejected(self, hi):
+        # hi - lo overflows; a half-line's width counts up to the largest float
+        message = f"interval [-1e+308, {hi}] is wider than the largest float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Interval(-1e308, hi)
+
+    def test_a_half_line_is_as_wide_as_the_largest_float_allows(self):
+        # the largest float minus lo rounds to inf from lo = -2^970 (about -9.98e291) down
+        assert not Interval(-9.9e291).bounded
+        with pytest.raises(ValueError, match="wider than the largest float"):
+            Interval(-1e292)
+        with pytest.raises(ValueError, match="wider than the largest float"):
+            Interval(-1.7e308)
+
 
 class TestSearchBudget:
     def test_defaults(self):
@@ -186,12 +208,6 @@ class TestMaximize1d:
         x, _ = maximize_1d(lambda t: -abs(t - 1.5e308), Interval(1e308))
         assert abs(x - 1.5e308) <= (big - 1e308) / kernel._MAX_SCAN_CELLS
 
-    @pytest.mark.parametrize("hi", [1.7e308, math.inf])
-    def test_a_window_wider_than_the_largest_float_is_scanned(self, hi):
-        # hi - lo overflows to inf, which once put nan on the scan grid; the
-        # half-line's cap grows to the largest float
-        assert maximize_1d(lambda t: -abs(t / 4 - 4e307), Interval(-1e308, hi)) == (1.6e308, 0.0)
-
     def test_a_cap_below_the_spacing_of_floats_at_lo_still_grows(self):
         # 1e20 + 1e3 is 1e20, so doubling the cap alone would never move it
         peak = 1.00000000001e20
@@ -239,18 +255,18 @@ class TestMaximize1d:
         assert shapes[1:] and set(shapes[1:]) == {(1, kernel._ZOOM_POINTS)}
 
     @pytest.mark.parametrize(
-        "f, interval, scale",
+        "f, interval",
         [
-            (lambda t: -(t - 7.3) * (t - 7.3), Interval(0.0, 20.0), 1.0),
-            (lambda t: t * np.sin(t), Interval(0.0, 50.0), 1.0),
+            (lambda t: -(t - 7.3) * (t - 7.3), Interval(0.0, 20.0)),
+            (lambda t: t * np.sin(t), Interval(0.0, 50.0)),
             # the cap doubles from 1e3 to 8e3 before the scan
-            (lambda t: -(t - 5000.0) * (t - 5000.0), Interval(0.0), 1.0),
-            # hi - lo overflows: the scan is built at half scale and doubled back
-            (lambda t: -abs(t / 4 - 4e307), Interval(-1e308, 1.7e308), 2.0),
+            (lambda t: -(t - 5000.0) * (t - 5000.0), Interval(0.0)),
+            # a width of 1.79e308, just below the largest float
+            (lambda t: -abs(t / 4 - 1e307), Interval(-1e308, 7.9e307)),
         ],
-        ids=["bounded", "t*sin(t)", "half-line", "wider-than-the-largest-float"],
+        ids=["bounded", "t*sin(t)", "half-line", "as-wide-as-a-float"],
     )
-    def test_each_pass_is_np_linspace_of_the_last_bracket(self, f, interval, scale):
+    def test_each_pass_is_np_linspace_of_the_last_bracket(self, f, interval):
         passes = []
 
         def g(t):
@@ -262,7 +278,7 @@ class TestMaximize1d:
         first = 0 if interval.bounded else next(i for i, p in enumerate(passes) if p.size != 2)
         lo, hi = interval.lo, interval.hi if interval.bounded else passes[first - 1][0]
         cells = max(1, math.ceil(min(kernel._MAX_SCAN_CELLS, (hi - lo) / kernel._SCAN_STEP)))
-        want = np.linspace(lo / scale, hi / scale, cells + 1) * scale
+        want = np.linspace(lo, hi, cells + 1)
         assert passes[first].tobytes() == want.tobytes()
         assert len(passes) > first + 1
         for last, pts in zip(passes[first:], passes[first + 1:]):
