@@ -5,7 +5,10 @@ firm whose price wins the threshold comparison p1 vs lambda*p2 with
 lambda = c1/c2, and splits in cost proportion on the tie line. Profit
 functions are discontinuous on the tie line, so all equilibrium machinery
 here is grid enumeration with the exact tie price injected into every
-best-response grid; gradient methods are invalid for this model.
+best-response grid; gradient methods are invalid for this model. Off a strip
+around the tie line one firm alone sells, so the enumeration computes shares
+only on that strip. A demand that is NaN or infinite at some price pair is an
+input error.
 """
 
 from __future__ import annotations
@@ -54,12 +57,23 @@ class BertrandModel:
         return min([*map(float, getattr(self.demand, "caps", ())), 5.0 * self.c2])
 
 
+def _demand(model: BertrandModel, p1, p2) -> np.ndarray:
+    """The model's demand at broadcast prices (p1, p2); a NaN or infinite
+    value is a ValueError naming the first price pair that gives it."""
+    d = np.asarray(model.demand(p1, p2), dtype=float)
+    if not np.isfinite(d).all():
+        p1, p2, d = np.broadcast_arrays(p1, p2, d)
+        k = np.flatnonzero(~np.isfinite(d))[0]
+        pair, value = (float(p1.flat[k]), float(p2.flat[k])), float(d.flat[k])
+        raise ValueError(f"demand at prices {pair} is {value}, not finite")
+    return d
+
+
 def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
     """Demand, both sales shares, and both profits at broadcast prices (p1, p2).
 
-    The one place that applies the tie tolerance, the cost-proportional tie
-    split, and the zero-demand mask: at zero demand both shares and both
-    profits are zero.
+    The one place that applies the tie tolerance and the cost-proportional tie
+    split. At zero or negative demand both shares and both profits are zero.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
@@ -67,9 +81,9 @@ def _shares_and_profits(model: BertrandModel, p1, p2) -> tuple[np.ndarray, ...]:
     if not all(np.all((p >= 0) & (p < math.inf)) for p in (p1, p2)):
         raise ValueError("prices must be finite and nonnegative")
     c1, c2 = model.c1, model.c2
-    d = np.asarray(model.demand(p1, p2), dtype=float)
+    d = _demand(model, p1, p2)
     pos = d > 0.0
-    # the mask passes are needed only where some demand is zero (or NaN)
+    # the mask passes are needed only where some demand is zero or negative
     masked = not pos.all()
     diff = p1 - model.lam * p2
     # np.array, not astype: scalar prices must still give assignable arrays
@@ -156,6 +170,34 @@ def _price_grid(hi: float, step: float) -> np.ndarray:
 _ROW_BLOCK = 32
 
 
+def _sole_seller_profit(
+    model: BertrandModel, p1: np.ndarray, p2: np.ndarray, margin: np.ndarray
+) -> np.ndarray:
+    """The profit margin * demand of the one firm that sells at firm 1's
+    prices p1 (a column) against firm 2's prices p2, given its margin p - c.
+
+    Where demand is positive this is _shares_and_profits' ((p - c) * 1.0) * d
+    bit for bit; elsewhere it is a zero of either sign.
+    """
+    # a demand constant in the prices may come back with fewer axes
+    u = np.maximum(np.broadcast_to(_demand(model, p1, p2), (len(p1), len(p2))), 0.0)
+    u *= margin
+    return u
+
+
+def _strip(lg: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
+    """The columns [a, b) around the tie line of a block of rows whose firm 1
+    prices run from lo to hi, given lambda*p2 per column, non-decreasing.
+
+    In every row of the block firm 2 alone sells in columns [0, a), where
+    lo - lambda*p2 > TIE_TOL, and firm 1 alone in [b, G), where
+    hi - lambda*p2 < -TIE_TOL; rounding is monotone, so both bounds hold for
+    every price between lo and hi.
+    """
+    a = int(np.count_nonzero(lo - lg > TIE_TOL))
+    return a, len(lg) - int(np.count_nonzero(hi - lg < -TIE_TOL))
+
+
 def _grid_equilibrium_cells(
     model: BertrandModel, grid_step: float, price_range: float | None, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,34 +205,72 @@ def _grid_equilibrium_cells(
     in row-major order.
 
     Profits are evaluated once, in blocks of rows (firm 1's price) against
-    every column (firm 2's price). A block gives its rows' exact best profits
-    for firm 2 and raises the running best profits of firm 1 per column. It
-    keeps the cells within tolerance of both; a running best never exceeds
-    the final one, so no equilibrium is dropped. The kept cells are then
-    filtered against firm 1's final best profits. Memory is O(G) in the G
-    grid prices plus the kept cells.
+    every column (firm 2's price). Which firm sells depends only on the sign
+    of p1 - lambda*p2, and both the grid and lambda times it are
+    non-decreasing, so the columns of a block fall into three regions that
+    hold in all of its rows:
+
+    - a prefix, where p1 - lambda*p2 > TIE_TOL: firm 2 alone sells;
+    - a suffix, where p1 - lambda*p2 < -TIE_TOL: firm 1 alone sells;
+    - the strip between them, about _ROW_BLOCK / lambda columns wide, the
+      only cells whose shares _shares_and_profits computes.
+
+    Outside the strip the seller's profit is its margin times the demand,
+    which is _shares_and_profits' ((p - c) * 1.0) * d bit for bit where demand
+    is positive, and every other profit there is a zero of either sign. Only
+    comparisons read profits, and they cannot tell -0.0 from 0.0, so the cells
+    are those of the whole profit matrices.
+
+    A block gives its rows' exact best profits for firm 2 and raises the
+    running best profits of firm 1 per column. It keeps the cells within
+    tolerance of both; a running best never exceeds the final one, so no
+    equilibrium is dropped. The kept cells are then filtered against firm 1's
+    final best profits. Memory is O(G) in the G grid prices plus the kept cells.
     """
     hi = price_range if price_range is not None else model.default_price_range()
     g = _price_grid(hi, grid_step)
+    n = len(g)
+    lg = model.lam * g  # lambda*p2 per column, as the threshold computes it
     # firm 1 tie candidate per opponent price, firm 2 tie candidate per own row
     best1 = _shares_and_profits(model, tie_price(model, 1, g), g)[3]  # per column (opponent p2)
     tie2 = _shares_and_profits(model, g, tie_price(model, 2, g))[4]  # per row (opponent p1)
     # an empty array each, so that no kept cell still concatenates
-    kept_i, kept_j, kept_u1 = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
-    for r in range(0, len(g), _ROW_BLOCK):
-        rows = slice(r, r + _ROW_BLOCK)
-        # [3:] rather than star-unpacking, so demand and shares are freed here
-        u1, u2 = _shares_and_profits(model, g[rows, None], g[None, :])[3:]
-        # max is exact, so the blocked maxima equal those of the whole matrices
-        np.maximum(best1, u1.max(axis=0), out=best1)
-        best2 = np.maximum(u2.max(axis=1), tie2[rows])
-        mask = (u1 >= best1 - tolerance) & (u2 >= (best2 - tolerance)[:, None])
-        if mask.any():
-            ii, jj = np.nonzero(mask)
-            kept_i.append(ii + r)
-            kept_j.append(jj)
-            kept_u1.append(u1[ii, jj])
-    ii, jj = np.concatenate(kept_i), np.concatenate(kept_j)
+    kept, kept_u1 = [np.empty(0, int)], [np.empty(0)]
+    for r in range(0, n, _ROW_BLOCK):
+        p1 = g[r : r + _ROW_BLOCK, None]
+        a, b = _strip(lg, p1[0, 0], p1[-1, 0])
+        u2_left = _sole_seller_profit(model, p1, g[:a], g[:a] - model.c2)
+        u1_strip, u2_strip = _shares_and_profits(model, p1, g[a:b])[3:]
+        u1_right = _sole_seller_profit(model, p1, g[b:], p1 - model.c1)
+        # max is exact, so the blocked maxima equal those of the whole matrices;
+        # firm 1's profit is zero left of the strip and firm 2's right of it
+        np.maximum(best1[:a], 0.0, out=best1[:a])
+        np.maximum(best1[a:b], u1_strip.max(axis=0), out=best1[a:b])
+        np.maximum(best1[b:], u1_right.max(axis=0), out=best1[b:])
+        # initial: a region may have no columns
+        best2 = np.maximum(tie2[r : r + _ROW_BLOCK], u2_left.max(axis=1, initial=-math.inf))
+        np.maximum(best2, u2_strip.max(axis=1, initial=-math.inf), out=best2)
+        if b < n:
+            np.maximum(best2, 0.0, out=best2)
+        t1, t2 = best1 - tolerance, (best2 - tolerance)[:, None]
+        keep = np.empty((len(p1), n), dtype=bool)
+        np.greater_equal(u2_left, t2, out=keep[:, :a])
+        keep[:, :a] &= t1[:a] <= 0.0
+        np.greater_equal(u1_strip, t1[a:b], out=keep[:, a:b])
+        keep[:, a:b] &= u2_strip >= t2
+        np.greater_equal(u1_right, t1[b:], out=keep[:, b:])
+        keep[:, b:] &= t2 <= 0.0
+        i, j = divmod(np.flatnonzero(keep), n)
+        if len(i):
+            # firm 1's profits at the kept cells: zero left of the strip
+            u1 = np.zeros(len(i))
+            on = (j >= a) & (j < b)
+            u1[on] = u1_strip[i[on], j[on] - a]
+            on = j >= b
+            u1[on] = u1_right[i[on], j[on] - b]
+            kept.append((i + r) * n + j)
+            kept_u1.append(u1)
+    ii, jj = divmod(np.concatenate(kept), n)
     keep = np.concatenate(kept_u1) >= (best1 - tolerance)[jj]
     return g, ii[keep], jj[keep]
 

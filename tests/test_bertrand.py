@@ -2,6 +2,7 @@
 the Markov price-modification audit."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,64 @@ class TestNonFinitePrices:
                     grid_best_response(m, firm, opponent, grid)
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 grid_best_response(m, firm, 2.0, [*grid, bad])
+
+
+def spiked_demand(value, p1_at, p2_at):
+    """Untruncated demand 10 - p1 - p2, except for value at one price pair."""
+
+    def demand(p1, p2):
+        p1, p2 = np.broadcast_arrays(np.asarray(p1, dtype=float), np.asarray(p2, dtype=float))
+        return np.where((p1 == p1_at) & (p2 == p2_at), value, 10.0 - p1 - p2)
+
+    return demand
+
+
+class TestNonFiniteDemand:
+    """A demand that is NaN or infinite at a price pair is an input error that
+    names the pair; it used to read as a value, so profits(m, 3.0, 1.0) was
+    (nan, -inf) at an infinite demand and (0.0, 0.0) at a NaN one."""
+
+    @pytest.fixture(params=[math.inf, -math.inf, math.nan])
+    def bad(self, request):
+        return request.param
+
+    def model(self, bad, p1_at=3.0, p2_at=1.0):
+        return BertrandModel(1.0, 2.0, spiked_demand(bad, p1_at, p2_at))
+
+    def raises(self, bad, p1_at=3.0, p2_at=1.0):
+        return pytest.raises(ValueError, match=re.escape(f"demand at prices {(p1_at, p2_at)} is {bad}, not finite"))
+
+    def test_profits(self, bad):
+        with self.raises(bad):
+            profits(self.model(bad), 3.0, 1.0)
+        assert profits(self.model(bad), 3.0, 1.5) == (0.0, (1.5 - 2.0) * 1.0 * 5.5)
+
+    def test_grid_best_response(self, bad):
+        grid = [0.5, 1.0, 3.0]
+        with self.raises(bad):
+            grid_best_response(self.model(bad), 1, 1.0, grid)
+        with self.raises(bad):
+            grid_best_response(self.model(bad), 2, np.array([0.5, 3.0]), grid)
+
+    def test_is_grid_equilibrium(self, bad):
+        with self.raises(bad):
+            is_grid_equilibrium(self.model(bad), 3.0, 1.0, grid_step=0.5, price_range=5.0)
+
+    @pytest.mark.parametrize(
+        "p1_at, p2_at, region",
+        [(3.0, 1.0, "firm 2 alone sells"), (2.0, 4.5, "strip"), (0.5, 3.5, "firm 1 alone sells")],
+    )
+    def test_enumeration_in_every_region(self, bad, p1_at, p2_at, region):
+        m = self.model(bad, p1_at, p2_at)
+        g = bertrand._price_grid(5.0, 0.05)
+        i, j = np.searchsorted(g, [p1_at, p2_at])
+        r = i - i % bertrand._ROW_BLOCK
+        a, b = bertrand._strip(m.lam * g, g[r], g[min(r + bertrand._ROW_BLOCK, len(g)) - 1])
+        assert region == ("firm 2 alone sells" if j < a else "strip" if j < b else "firm 1 alone sells")
+        with self.raises(bad, p1_at, p2_at):
+            enumerate_grid_equilibria(m, 0.05, 5.0)
+        with self.raises(bad, p1_at, p2_at):
+            grid_equilibrium_runs(m, 0.05, 5.0)
 
 
 def reference_shares_and_profits(model, p1, p2):
@@ -459,6 +518,37 @@ class TestBlockedEnumerationMatchesFullMatrix:
         assert got
         assert repr(got) == repr(reference_enumerate_grid_equilibria(m, 0.01))
 
+    @given(
+        c2=st.floats(0.1, 3.0),
+        lam=st.one_of(st.just(1.0), st.just(0.01), st.floats(0.01, 1.0)),
+        demand=st.sampled_from(["truncated", "falling", "constant"]),
+        slopes=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        level=st.floats(0.5, 20.0),
+        hi=st.one_of(st.none(), st.floats(0.5, 10.0)),
+        cells=st.integers(1, 160),
+        shortfall=st.sampled_from([0.0, 0.37]),
+        tolerance=st.sampled_from([0.0, 1e-6, 2.0, -1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_models_match_the_reference(
+        self, c2, lam, demand, slopes, level, hi, cells, shortfall, tolerance
+    ):
+        # c1 <= c2 down to a cost ratio of 0.01; demand positive at the costs
+        c1 = lam * c2
+        if demand == "truncated":
+            a, b = slopes
+            demand = linear_demand(a * c1 + b * c2 + level, a, b)
+        elif demand == "falling":
+            demand = lambda p1, p2, k=c1 + c2 + level: k - p1 - p2  # noqa: E731
+        else:
+            demand = lambda p1, p2: level  # noqa: E731
+        m = BertrandModel(c1, c2, demand)
+        # a step that divides the range, or falls 0.37 of a step short of it
+        step = (hi if hi is not None else m.default_price_range()) / (cells + shortfall)
+        got = enumerate_grid_equilibria(m, step, hi, tolerance)
+        assert repr(got) == repr(reference_enumerate_grid_equilibria(m, step, hi, tolerance))
+        assert grid_equilibrium_runs(m, step, hi, tolerance)[1] == len(got)
+
     def test_loose_tolerance_in_memory_linear_in_the_kept_cells(self, model):
         # about twice the equilibria pass firm 1's running best profits, so the
         # final filter matters; the whole (G, G) matrices peaked near 77 MB
@@ -471,6 +561,46 @@ class TestBlockedEnumerationMatchesFullMatrix:
         assert peak < 24e6
         assert len(got) == 49_099
         assert repr(got) == repr(reference_enumerate_grid_equilibria(model, 0.004, 5.0, 2.0))
+
+
+class TestStripEnumeration:
+    """Left of the strip around the tie line firm 2 alone sells in every row of
+    a block, right of it firm 1 alone; only the strip computes shares."""
+
+    def test_shares_are_computed_on_few_cells(self, monkeypatch):
+        cells = []
+
+        def counted(model, p1, p2, _f=bertrand._shares_and_profits):
+            out = _f(model, p1, p2)
+            cells.append(out[3].size)  # a profit has the broadcast shape
+            return out
+
+        monkeypatch.setattr(bertrand, "_shares_and_profits", counted)
+        m = get_instance("bertrand-1-2").problem
+        assert enumerate_grid_equilibria(m, 0.002, 5.0) == [(1.0, 2.0), (1.002, 2.004)]
+        n = len(bertrand._price_grid(5.0, 0.002))
+        # whole blocks of rows would be all n * n = 6,255,001 cells
+        assert n == 2501 and sum(cells) < 0.05 * n * n
+
+    @pytest.mark.parametrize("ident", sorted(KERNEL_MODELS))
+    def test_the_sole_seller_profits_are_the_kernels(self, ident):
+        m = KERNEL_MODELS[ident]
+        g = bertrand._price_grid(m.default_price_range(), 0.01)
+        seen = set()
+        for r in range(0, len(g), bertrand._ROW_BLOCK):
+            p1 = g[r : r + bertrand._ROW_BLOCK, None]
+            a, b = bertrand._strip(m.lam * g, p1[0, 0], p1[-1, 0])
+            for cols, seller, margin in ((slice(0, a), 2, g[:a] - m.c2), (slice(b, None), 1, p1 - m.c1)):
+                got = bertrand._sole_seller_profit(m, p1, g[cols], margin)
+                d, _, _, u1, u2 = bertrand._shares_and_profits(m, p1, g[cols])
+                want, other = (u1, u2) if seller == 1 else (u2, u1)
+                assert got.shape == want.shape and np.array_equal(got, want)
+                sells = d > 0.0
+                assert np.array_equal(np.signbit(got)[sells], np.signbit(want)[sells])
+                assert not other.any()  # a zero of either sign
+                seen.update((seller, bool(x)) for x in np.unique(np.signbit(got)[sells]))
+        # both firms sell alone somewhere, at a loss and at a gain
+        assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
 def reference_grid_best_response(model, firm, opponent_price, grid):
