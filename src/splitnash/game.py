@@ -67,10 +67,16 @@ class Game:
 
         variable_names maps expression variables onto players positionally;
         by default the player identifiers themselves are the variables.
+        Repeated players or variable names raise ValueError before any
+        utility compiles.
         """
+        if len(set(players)) != len(players):
+            raise ValueError("duplicate player identifiers")
         var_names = tuple(variable_names) if variable_names is not None else tuple(players)
         if len(var_names) != len(players):
             raise ValueError("variable_names must align with players")
+        if len(set(var_names)) != len(var_names):
+            raise ValueError("duplicate variable names")
         fns = []
         for i, s in enumerate(sources):
             try:
@@ -389,7 +395,10 @@ def _damped_loop(game: Game, budget: SearchBudget) -> list[np.ndarray]:
     where a fixed point that repels the damped map, as E2's (0, 0), is found.
     Each iteration makes one best_response call per player on the game
     truncated to those windows, with one column per start still moving; a
-    start stops once its change is below tolerance.
+    start stops once its change is below tolerance, and ends at its last best
+    response, not at the damped step: a corner maximum is reached exactly,
+    where the damped step stops about tolerance inside, whose regret, the
+    slope times that distance, can fail verification.
     Unbounded strategy sets are thus searched only up to the truncation cap,
     which keeps divergent dynamics bounded. The loop ends when no start moves
     or after max_iterations. The final points then merge once, in start
@@ -410,8 +419,9 @@ def _damped_loop(game: Game, budget: SearchBudget) -> list[np.ndarray]:
         for i, p in enumerate(game.players):
             br[i], _ = best_response(truncated, p, cur)
         nxt = cur + (DAMPING * br - DAMPING * cur)  # the pinned reports hold this form's bits
-        x[:, moving] = nxt
-        moving[moving] = np.max(np.abs(nxt - cur), axis=0) >= budget.tolerance
+        stopped = np.max(np.abs(nxt - cur), axis=0) < budget.tolerance
+        x[:, moving] = np.where(stopped, br, nxt)
+        moving[moving] = ~stopped
         if not moving.any():
             break
     return _equilibria(game, x, budget)

@@ -296,23 +296,23 @@ def kkm_t_membership(
     problem: SplitProblem, x: np.ndarray, z: np.ndarray, tolerance: float = 1e-6
 ) -> bool | np.ndarray:
     """Is (z, Az) dominated by no deviation to the blocks of any column of x, in
-    either game? (n, R) x and (n, S) z give (S,) answers. z's images and payoffs
-    are computed once; x's columns are then walked in order over the columns
-    of z that none before excluded."""
+    either game? (n, R) x and (n, S) z give (S,) answers. Player i's test reads
+    row i of x (of Ax in game M) alone, so each game computes z's payoffs once,
+    then at step d deviates every player to the d-th distinct value of its
+    row, in column order, or its last, over the columns of z still members."""
     x = np.asarray(x, dtype=float).reshape(problem.game_n.n_players, -1)
     cols = np.asarray(z, dtype=float).reshape(problem.game_n.n_players, -1)
     a = problem.operator
     sides = ((problem.game_n, x, cols), (problem.game_m, apply_operator(a, x), apply_operator(a, cols)))
-    bounds = [diagonal_payoff(game, zs, zs) + tolerance for game, _, zs in sides]
     member = np.ones(cols.shape[1], dtype=bool)
-    for r in range(x.shape[1]):
-        kept = True
-        for (game, xs, zs), bound in zip(sides, bounds):
-            deviated = diagonal_payoff(game, xs[:, r], zs[:, member])
-            kept = kept & order_leq(deviated, bound[:, member])
-        member[member] = kept
-        if not member.any():
-            break
+    for game, xs, zs in sides:
+        bound = diagonal_payoff(game, zs, zs) + tolerance
+        values = [list(dict.fromkeys(row.tolist())) for row in xs]
+        for d in range(max(map(len, values))):
+            if not member.any():
+                break
+            deviation = [v[min(d, len(v) - 1)] for v in values]
+            member[member] = order_leq(diagonal_payoff(game, deviation, zs[:, member]), bound[:, member])
     return member if np.ndim(z) > 1 else member[0]
 
 
@@ -333,15 +333,14 @@ def kkm_intersection_probe(
     """Finite-grid probe of the intersection of all deviation-dominance sets.
 
     Returns every grid point z that stays a member against every grid point
-    x, in grid order: each z meets the x of the grid up to the first that
-    excludes it. Each member is cross-checked with the split verifier at the
-    budget: a player passes with no witness or one within an axis step of its
-    coordinate (in game M, the steps' image under |A|): strategy units, not a
-    payoff slack. Emptiness is a finding, reported with the grid
-    resolution; a non-finite payoff is none, and raises EvalError. Each axis
-    step is a float, as each window's width is (see Interval), but a cell
-    diameter beyond the largest float, from too few points on several wide
-    windows, raises ValueError.
+    x, in grid order, from one kkm_t_membership call. Each member is
+    cross-checked with the split verifier at the budget: a player passes with
+    no witness or one within an axis step of its coordinate (in game M, the
+    steps' image under |A|): strategy units, not a payoff slack. Emptiness is
+    a finding, reported with the grid resolution; a non-finite payoff is
+    none, and raises EvalError. Each axis step is a float, as each window's
+    width is (see Interval), but a cell diameter beyond the largest float,
+    from too few points on several wide windows, raises ValueError.
     """
     if points_per_axis < 1:
         raise ValueError(f"points_per_axis must be at least 1, got {points_per_axis}")

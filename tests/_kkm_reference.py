@@ -39,20 +39,13 @@ def kkm_t_membership(problem: SplitProblem, x, z, tolerance: float = 1e-6) -> bo
 
 def probe_members(
     problem: SplitProblem, budget: SearchBudget, points_per_axis: int
-) -> tuple[list[tuple[float, ...]], int]:
-    """The grid points z that every grid point x keeps, in grid order, and the
-    number of kkm_t_membership calls made to find them."""
+) -> list[tuple[float, ...]]:
+    """The grid points z that every grid point x keeps, in grid order."""
     windows = [iv.truncated(budget.truncation_cap) for iv in problem.game_n.strategy_sets]
     axes = [np.linspace(w.lo, w.hi, points_per_axis) for w in windows]
     grid = [np.array(pt) for pt in itertools.product(*axes)]
-    calls = 0
-
-    def member(x, z) -> bool:
-        nonlocal calls
-        calls += 1
-        return kkm_t_membership(problem, x, z, budget.tolerance)
-
-    members = [
-        tuple(float(v) for v in z) for z in grid if all(member(x, z) for x in grid)
+    return [
+        tuple(float(v) for v in z)
+        for z in grid
+        if all(kkm_t_membership(problem, x, z, budget.tolerance) for x in grid)
     ]
-    return members, calls

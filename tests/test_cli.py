@@ -205,6 +205,20 @@ class TestExitCodes:
         assert captured.err == f"error: power overflow: 1e+300^2.0{where}\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv", [("solve-nash",), ("verify-nash", "--profile", "1,1")])
+    def test_duplicate_players_are_an_input_error(self, capsys, tmp_path, argv):
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps({
+            "players": ["x", "x"],
+            "strategy_sets": [{"lo": 0, "hi": 1}, {"lo": 0, "hi": 1}],
+            "utilities": ["x", "x"],
+        }))
+        out = tmp_path / "report.json"
+        assert main([argv[0], str(spec), *argv[1:], "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate player identifiers\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -944,7 +958,7 @@ PINNED_REPORTS = {
     ("verify-nash", "example-4.1:E2 --profile 9,12", 0): (
         0, "e096d252f60314f2d99e60f55ba684a814ea45b92be5d98cad8cdab37423dd45"
     ),
-    ("solve-nash", "example-4.1:E2", 0): (0, "f7bf32fe44e8b6f9566be4b55c8eae7b560125724d0c880a308638b2bd761ed9"),
+    ("solve-nash", "example-4.1:E2", 0): (0, "ccd9c3bb420bceacf5aa50bf706662b22c99ebaeb842faf2b2177e1fda68d57f"),
     ("verify-split", "example-4.1 --profile 1,2,4", 0): (
         1, "62a5373c18f39283429ea100c4c0080ad22598246a24fe4804eecf030a167930"
     ),
@@ -956,7 +970,7 @@ PINNED_REPORTS = {
     ("verify-nash", "example-4.1:E2 --profile 9,12", 7): (
         0, "0ed91bdb9da525c8cae99f46d5eafc487b0e04109956913d81fddb2e379f2937"
     ),
-    ("solve-nash", "example-4.1:E2", 7): (0, "565df2893f08f1fe4a148acff96ab0c285b99ae257f5f6eb0bc2aefa14e9c7fa"),
+    ("solve-nash", "example-4.1:E2", 7): (0, "28e5eea06a4b19f09aa670a8d75a0f076869cfb9b0aef68124c6dc04df0a3b0a"),
     ("verify-split", "example-4.1 --profile 1,2,4", 7): (
         1, "e1f7c62f3e810126ed92e72616cbc5706893e471e6a0d869074b40fc030fc6bc"
     ),

@@ -105,6 +105,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^variable_names must align with players$"):
             Game.from_expressions(("a", "b"), (Interval(0, 1),) * 2, ("x", "x"), variable_names=("x",))
 
+    @pytest.mark.parametrize(
+        "players, variable_names, message",
+        [
+            (("x", "x"), None, "duplicate player identifiers"),
+            (("x", "x"), ("x", "y"), "duplicate player identifiers"),
+            (("a", "b"), ("x", "x"), "duplicate variable names"),
+        ],
+    )
+    def test_repeated_names_are_rejected_before_any_utility_compiles(self, players, variable_names, message):
+        # compiled first, a repeated name left the own polynomial's variable
+        # index one short: IndexError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Game.from_expressions(players, (Interval(0, 1),) * 2, ("x", "x"), variable_names=variable_names)
+
     def test_an_unknown_player_is_a_key_error(self):
         with pytest.raises(KeyError, match="unknown player 'z'"):
             quadratic_game((1.0,), hi=1.0).player_index("z")
@@ -303,12 +317,13 @@ class TestSolver:
 
     def test_utility_that_ignores_the_profile(self, budget):
         # x's compiled utility returns one float for a whole scan grid; every
-        # grid point ties, and the tie goes to the lower bound
+        # grid point ties, and the tie goes to the lower bound; each start
+        # ends at its last best response, (0, 2)
         g = Game.from_expressions(("x", "y"), (Interval(0, 2), Interval(0, 2)), ("3", "y - x"))
         arg, val = best_response(g, "x", np.array([1.0, 1.0]))
         assert (arg.tolist(), val.tolist()) == ([0.0], [3.0])
         sols = solve_nash(g, budget)
-        assert [s.tolist() for s in sols] == [[6.074540017332595e-07, 1.9999993036143433]]
+        assert [s.tolist() for s in sols] == [[0.0, 2.0]]
 
     def test_a_utility_that_returns_a_view_of_its_input(self, budget):
         # "y" compiles to y's coordinate itself, which for y's best response
@@ -1031,10 +1046,10 @@ def reference_solve_nash(game, budget):
         for _ in range(budget.max_iterations):
             br = np.array([best(i, x) for i in range(game.n_players)])
             nxt = x + DAMPING * (br - x)
-            change = float(np.max(np.abs(nxt - x)))
-            x = nxt
-            if change < budget.tolerance:
+            if float(np.max(np.abs(nxt - x))) < budget.tolerance:
+                x = br  # a start that stops ends at its last best response
                 break
+            x = nxt
         scale = max(1.0, float(np.max(np.abs(x))))
         if not any(np.max(np.abs(x - y)) <= 10 * budget.tolerance * scale for y in found):
             found.append(x)
@@ -1085,29 +1100,49 @@ class TestLockstepSolverMatchesPerStartLoop:
         assert repr(got) == repr(reference_solve_nash(g, budget))
 
 
+def one_player(source: str, lo: float, hi: float) -> Game:
+    return Game.from_expressions(("x",), (Interval(lo, hi),), (source,))
+
+
 # ROADMAP item 1's reproduced misses of damped best-response iteration: a
-# point that verifies and that the loop does not return. When a solver
+# point that verifies and that the loop did not return. When a solver
 # finds it, the strict xfail fails, and its marker comes off. The
-# first-order patterns find all but E1's, whose own derivatives are not
-# affine.
+# first-order patterns find the games with affine own derivatives, the
+# damped loop's stop at the last best response finds the corners of the
+# others, and E1's interior point is left.
 SOLVER_MISSES = {
     "E1-interior": (e1_game, (4 ** (1 / 3), 2 * SQRT2, 4 ** (1 / 3) * 2 * SQRT2)),
     # 18 of the 32 starts cycle between (1/3, 2/3) and (2/3, 1/3)
     "stag-hunt": (lambda: lq_game(1.0, ("x*(2*y - 1)", "y*(2*x - 1)")), (0.5, 0.5)),
     # the loop returns []
     "matching-pennies": (lambda: lq_game(1.0, ("x*(2*y - 1)", "-y*(2*x - 1)")), (0.5, 0.5)),
-    # corners where the own payoff's slope exceeds 1: the starts stop about 1e-6
+    # corners where the own payoff's slope exceeds 1: the starts stopped about 1e-6
     # inside, where the regret is the slope times that distance; at the lower
-    # corner _distinct also keeps an earlier start in place of the corner start
-    "upper-corner-10x": (lambda: Game.from_expressions(("x",), (Interval(0.0, 10.0),), ("10*x",)), (10.0,)),
-    "lower-corner-minus-x2": (lambda: Game.from_expressions(("x",), (Interval(1.0, 10.0),), ("-(x^2)",)), (1.0,)),
+    # corner _distinct also kept an earlier start in place of the corner start
+    "upper-corner-10x": (lambda: one_player("10*x", 0.0, 10.0), (10.0,)),
+    "lower-corner-minus-x2": (lambda: one_player("-(x^2)", 1.0, 10.0), (1.0,)),
+    # the same, for own derivatives that are not affine, which the damped loop
+    # solves: a start that stops now ends at its last best response, the corner
+    "upper-corner-x3": (lambda: one_player("x^3", 0.0, 2.0), (2.0,)),
+    "upper-corner-x3-minus-3x": (lambda: one_player("x^3 - 3*x", 0.0, 2.0), (2.0,)),
+    "upper-corner-shifted-cube": (lambda: one_player("(x+1)^3", 0.0, 2.0), (2.0,)),
+    "upper-corner-x33": (lambda: one_player("x^33", 0.0, 2.0), (2.0,)),
+    "lower-corner-minus-x3": (lambda: one_player("-(x^3)", 0.0, 2.0), (0.0,)),
+    # its own derivative 2e308*x overflows, so it has no first-order row
+    "upper-corner-overflowing-row": (lambda: one_player("1e308*x^2", 0.0, 1.0), (1.0,)),
 }
-# every point solve_nash returns for the misses it finds, in pattern order
+# every point solve_nash returns for the misses it finds, in pattern or start order
 FOUND_MISSES = {
     "stag-hunt": [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]],
     "matching-pennies": [[0.5, 0.5]],
     "upper-corner-10x": [[10.0]],
     "lower-corner-minus-x2": [[1.0]],
+    "upper-corner-x3": [[2.0]],
+    "upper-corner-x3-minus-3x": [[2.0]],
+    "upper-corner-shifted-cube": [[2.0]],
+    "upper-corner-x33": [[2.0]],
+    "lower-corner-minus-x3": [[0.0]],
+    "upper-corner-overflowing-row": [[1.0]],
 }
 
 
@@ -1197,6 +1232,14 @@ class TestFirstOrderPatterns:
         )
         arg, val = best_response(g, "x", np.array([0.0, -1e308]))
         assert (arg.tolist(), val.tolist()) == ([0.0], [-0.0])
+
+    def test_an_overflowing_first_order_row_takes_the_damped_loop(self, budget):
+        # the own derivative 2e308*x overflows: no row, and the loop's starts
+        # end at their last best response, the corner
+        g = one_player("1e308*x^2", 0.0, 1.0)
+        assert g.utilities[0].polynomial is not None
+        assert g.utilities[0].polynomial.first_order is None
+        assert [x.tolist() for x in solve_nash(g, budget)] == [[1.0]]
 
     def test_more_than_eight_players_take_the_damped_loop(self):
         g = quadratic_game(tuple(range(1, 10)), hi=10.0)

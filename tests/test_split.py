@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitnash import (
     EvalError,
@@ -553,46 +555,72 @@ class TestIntersectionProbe:
             answers += want
         assert any(answers) and not all(answers)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["example-4.1", "quadratic-sanity", "repeated-e1", "repeated-quadratic-3"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([1e-6, 0.1, 10.0]),
+    )
+    def test_grid_membership_matches_the_scalar_reference(self, ident, seed, points_per_axis, dense, tol):
+        """Bit for bit, against the grid itself and drawn columns, on a product
+        grid of drawn axes, so that each row of x repeats its values. dense
+        swaps in a drawn stochastic operator with no zero entry, whose image
+        of the grid has up to one distinct value per grid point in each row. A
+        wide tolerance keeps more members."""
+        problem = CDP_PROBLEMS[ident]()
+        rng = np.random.default_rng(seed)
+        if dense:
+            m = rng.uniform(0.1, 1.0, problem.operator.shape)
+            problem = replace(problem, operator=LinearOperator(m / m.sum(axis=1, keepdims=True)))
+        windows = [iv.truncated(20.0) for iv in problem.game_n.strategy_sets]
+        axes = [np.sort(rng.uniform(w.lo, w.hi, points_per_axis)) for w in windows]
+        x = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+        z = np.concatenate([x, uniform_samples(rng, 8, windows).T], axis=1)
+        want = [all(_kkm_reference.kkm_t_membership(problem, c, s, tol) for c in x.T) for s in z.T]
+        assert kkm_t_membership(problem, x, z, tol).tolist() == want
+
     @pytest.mark.parametrize(
-        "ident, points_per_axis, pairs",
+        "ident, points_per_axis, tested_n, tested_m",
         [
-            ("quadratic-sanity", 4, None),
-            ("quadratic-sanity", 8, None),
-            ("quadratic-sanity", 16, 802),
-            ("bounded-quadratic", 4, None),
-            ("bounded-quadratic", 8, None),
-            ("bounded-quadratic", 16, None),
-            ("example-4.1", 3, None),
-            ("example-4.1", 4, 127),
-            ("repeated-e1", 3, None),
-            ("repeated-e1", 4, None),
+            ("quadratic-sanity", 4, [16, 1, 1, 1], [1] * 4),
+            ("quadratic-sanity", 8, [64, 2] + [1] * 6, [1] * 8),
+            ("quadratic-sanity", 16, [256, 8] + [2] * 14, [2] * 16),
+            ("bounded-quadratic", 4, [16, 6, 1, 1], [1] * 4),
+            ("bounded-quadratic", 8, [64, 18, 4, 2] + [1] * 4, [1] * 8),
+            ("bounded-quadratic", 16, [256, 91, 55, 27, 7, 5, 3] + [1] * 9, [1] * 16),
+            ("example-4.1", 3, [27, 9, 8], [2] + [1] * 10),
+            ("example-4.1", 4, [64, 25, 23, 8], [2] + [1] * 20),
+            ("repeated-e1", 3, [27, 9, 8], [2] * 21),
+            ("repeated-e1", 4, [64, 25, 23, 8], [2] * 43),
         ],
     )
     def test_probe_matches_the_scalar_reference(
-        self, monkeypatch, budget, ident, points_per_axis, pairs
+        self, monkeypatch, budget, ident, points_per_axis, tested_n, tested_m
     ):
-        """The same members in the same order, from the same (x, z) pairs: after
-        the grid's payoffs in game N and in game M, each x deviates the same
-        columns in game N, then in game M, and the columns add up to the
-        reference's calls."""
+        """The same members in the same order as the reference's walk, from one
+        pass per game: the grid's payoffs, then one deviation call per distinct
+        value of a player's row, on the columns still members. Game N's rows
+        hold the points_per_axis axis points; game M's, the grid's image, as
+        many distinct values as the longest of tested_m."""
         problems = {**CDP_PROBLEMS, "bounded-quadratic": self._bounded_quadratic_pair}
         problem = problems[ident]()
-        tested = []
+        calls = []
 
         def counted(game, z, x):
-            tested.append(x.shape[1])
+            calls.append((game, np.ndim(z), x.shape[1]))
             return diagonal_payoff(game, z, x)
 
         monkeypatch.setattr(split_module, "diagonal_payoff", counted)
         res = kkm_intersection_probe(problem, budget, points_per_axis=points_per_axis)
-        members, calls = _kkm_reference.probe_members(problem, budget, points_per_axis)
-        assert list(res.members) == members
-        assert tested[:2] == [res.grid_points] * 2
-        tested = tested[2:]
-        assert tested[::2] == tested[1::2]
-        assert sum(tested[::2]) == calls
-        if pairs is not None:
-            assert calls == pairs
+        assert list(res.members) == _kkm_reference.probe_members(problem, budget, points_per_axis)
+        g = res.grid_points
+        assert calls == [
+            (problem.game_n, 2, g), *((problem.game_n, 1, c) for c in tested_n),
+            (problem.game_m, 2, g), *((problem.game_m, 1, c) for c in tested_m),
+        ]
+        assert len(tested_n) == points_per_axis
 
     @pytest.mark.parametrize("ident", sorted(CDP_PROBLEMS))
     def test_profiles_answer_as_the_and_of_single_profiles(self, ident, budget):
